@@ -65,6 +65,7 @@ from .optimizer import (
 from .spectral import (
     SpectralError,
     Spectrum,
+    factor_laplacian,
     solve_spectrum,
     solve_torsion,
     write_spectrum_csv,
@@ -109,6 +110,40 @@ def _get(cp, section, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from err
 
 
+def _input(path) -> pathlib.Path:
+    path = pathlib.Path(path)
+    if not path.is_file():
+        raise ConfigError(f"input not found: {path}")
+    return path
+
+
+def _read_domain(path) -> GridDomain:
+    """A saved domain dump; a missing or malformed one is a ConfigError."""
+    try:
+        return read_grid_dump(_input(path))
+    except ValueError as err:
+        raise ConfigError(f"bad grid dump {path}: {err}") from err
+
+
+def _read_csv(path, header: str, ncols: int) -> np.ndarray:
+    """Columns of a numeric CSV whose first line starts with ``header``; a
+    truncated or extra-field row or a non-finite value is a ConfigError."""
+    lines = _input(path).read_text().splitlines()
+    if not lines or not lines[0].startswith(header):
+        raise ConfigError(f"{path} does not start with {header!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            row = [float(c) for c in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != ncols or not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}:{lineno}: expected {ncols} finite "
+                              f"numbers, got {line!r}")
+        rows.append(row)
+    return np.array(rows).reshape(-1, ncols).T.copy()
+
+
 def build_grid(cp) -> Grid:
     x0 = _get(cp, "grid", "x0", float, -2.0)
     y0 = _get(cp, "grid", "y0", float, -2.0)
@@ -127,10 +162,7 @@ def build_grid(cp) -> Grid:
 def build_shape(cp, seed: int) -> GridDomain:
     kind = _get(cp, "shape", "kind", str, required=True)
     if kind == "file":
-        path = pathlib.Path(_get(cp, "shape", "path", str, required=True))
-        if not path.is_file():
-            raise ConfigError(f"domain dump not found: {path}")
-        return read_grid_dump(path)
+        return _read_domain(_get(cp, "shape", "path", str, required=True))
     grid = build_grid(cp)
     cx = _get(cp, "shape", "cx", float, 0.0)
     cy = _get(cp, "shape", "cy", float, 0.0)
@@ -193,10 +225,7 @@ def build_optimizer(cp, spec: ObjectiveSpec, seed: int) -> OptimizerConfig:
     ref_path = _get(cp, "penalty", "reference", str, None)
     reference = None
     if ref_path is not None:
-        ref_file = pathlib.Path(ref_path)
-        if not ref_file.is_file():
-            raise ConfigError(f"penalty reference dump not found: {ref_file}")
-        reference = read_grid_dump(ref_file)
+        reference = _read_domain(ref_path)
     pen = PenaltySpec(s=_get(cp, "penalty", "s", float, 0.0), reference=reference)
     try:
         reg = RegularizationParams(
@@ -231,17 +260,19 @@ def _sha256(path: pathlib.Path) -> str:
     return digest.hexdigest()
 
 
+def _artifact_hashes(out: pathlib.Path) -> dict:
+    """sha256 of every file in ``out`` except the manifest itself."""
+    return {p.name: _sha256(p) for p in sorted(out.iterdir())
+            if p.is_file() and p.name != "manifest.json"}
+
+
 def _config_echo(cp) -> dict:
     return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
 def write_manifest(out: pathlib.Path, cp, command: str, seed: int,
                    wall: float, extra: dict) -> None:
-    artifacts = {
-        p.name: _sha256(p)
-        for p in sorted(out.iterdir())
-        if p.is_file() and p.name != "manifest.json"
-    }
+    artifacts = _artifact_hashes(out)
     manifest = {
         "name": _get(cp, "run", "name", str, out.name) if cp.has_section("run") else out.name,
         "version": VERSION_STRING,
@@ -284,7 +315,8 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
     tol = _get(cp, "solve", "tol", float, 1e-8)
     t0 = time.perf_counter()
     try:
-        sp = solve_spectrum(d, M, tol=tol, seed=seed)
+        factors = factor_laplacian(d)
+        sp = solve_spectrum(d, M, tol=tol, seed=seed, factors=factors)
     except (SpectralError, ValueError) as err:
         print(f"eigensolver failed: {err}", file=sys.stderr)
         write_grid_dump(d, out / "domain.grid")
@@ -297,7 +329,7 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
     if _get(cp, "solve", "torsion", bool, True):
         from .domain import write_field_dump
 
-        tf = solve_torsion(d, tol=tol)
+        tf = solve_torsion(d, tol=tol, factors=factors)
         write_field_dump(d.grid, tf.v, out / "torsion.grid")
     write_manifest(out, cp, "solve", seed, time.perf_counter() - t0,
                    {"converged": True,
@@ -383,55 +415,41 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
 
 
 def _load_diagnose_inputs(cp):
-    dom_path = pathlib.Path(_get(cp, "diagnose", "domain", str, required=True))
+    dom_path = _get(cp, "diagnose", "domain", str, required=True)
     spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
-    xi_path = pathlib.Path(_get(cp, "diagnose", "xi", str, required=True))
-    for p in (dom_path, spec_path, xi_path):
-        if not p.is_file():
-            raise ConfigError(f"input not found: {p}")
-    d = read_grid_dump(dom_path)
-    lambdas, resid = [], []
-    with open(spec_path) as f:
-        header = f.readline()
-        if not header.startswith("k,lambda"):
-            raise ConfigError(f"{spec_path} is not a spectrum CSV")
-        for line in f:
-            _, lam, rs = line.strip().split(",")
-            lambdas.append(float(lam))
-            resid.append(float(rs))
+    xi_path = _get(cp, "diagnose", "xi", str, required=True)
+    d = _read_domain(dom_path)
+    _, lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
+    if len(lambdas) == 0:
+        raise ConfigError(f"{spec_path} lists no eigenpairs")
     modes = []
     for k in range(1, len(lambdas) + 1):
-        mode_path = spec_path.parent / f"mode_{k}.grid"
-        if not mode_path.is_file():
-            raise ConfigError(f"input not found: {mode_path}")
-        grid, field = read_field_dump(mode_path)
+        mode_path = _input(spec_path.parent / f"mode_{k}.grid")
+        try:
+            grid, field = read_field_dump(mode_path)
+        except ValueError as err:
+            raise ConfigError(f"bad grid dump {mode_path}: {err}") from err
         if grid != d.grid:
             raise ConfigError(
                 f"grid header of {mode_path} does not match {dom_path}"
             )
+        if not np.all(np.isfinite(field)):
+            raise ConfigError(f"{mode_path} has non-finite values")
         modes.append(field)
     sp = Spectrum(
-        lambdas=np.array(lambdas),
+        lambdas=lambdas,
         modes=np.stack(modes),
-        resid=np.array(resid),
+        resid=resid,
         generation=d.generation,
     )
-    xi = []
-    with open(xi_path) as f:
-        header = f.readline()
-        if not header.startswith("k,xi"):
-            raise ConfigError(f"{xi_path} is not a weight CSV")
-        for line in f:
-            _, val = line.strip().split(",")
-            xi.append(float(val))
+    _, xi = _read_csv(xi_path, "k,xi", 2)
     if len(xi) > len(lambdas):
         raise ConfigError(
             f"{xi_path} lists {len(xi)} weights but only {len(lambdas)} modes exist"
         )
-    kappa = np.array(lambdas[: len(xi)])
     w = WeightVector(
-        xi=np.array(xi),
-        cluster_tags=kappa_clusters(kappa),
+        xi=xi,
+        cluster_tags=kappa_clusters(lambdas[: len(xi)]),
         pen=PenaltySpec(s=0.0),
     )
     return d, sp, w
@@ -534,22 +552,14 @@ def _run_check(command: str, cp, out: pathlib.Path, seed: int) -> int:
         raise ConfigError(f"cannot check: {manifest_path} does not exist")
     with open(manifest_path) as f:
         recorded = json.load(f).get("artifacts", {})
-    on_disk = {
-        p.name: _sha256(p)
-        for p in sorted(out.iterdir())
-        if p.is_file() and p.name != "manifest.json"
-    }
+    on_disk = _artifact_hashes(out)
     with tempfile.TemporaryDirectory(prefix="eigenshape-check-") as tmp:
         scratch = pathlib.Path(tmp)
         code = _COMMANDS[command](cp, scratch, seed)
         if code != 0:
             print(f"check rerun failed with exit code {code}", file=sys.stderr)
             return code
-        fresh = {
-            p.name: _sha256(p)
-            for p in sorted(scratch.iterdir())
-            if p.is_file() and p.name != "manifest.json"
-        }
+        fresh = _artifact_hashes(scratch)
     failed = False
     for label, current in (("on disk", on_disk), ("on rerun", fresh)):
         mismatched = sorted(

@@ -576,7 +576,7 @@ def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
 def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     with open(path) as f:
         header = f.readline().split()
-        if header[:2] != _DUMP_MAGIC.split():
+        if len(header) != 7 or header[:2] != _DUMP_MAGIC.split():
             raise ValueError(f"not a grid dump: {path}")
         nx, ny = int(header[2]), int(header[3])
         h, x0, y0 = float(header[4]), float(header[5]), float(header[6])

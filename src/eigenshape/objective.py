@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import ndimage
 
-from .domain import GridDomain, bilinear, inside_fraction, volume
+from .domain import GridDomain, _node_weights, bilinear, inside_fraction, volume
 
 __all__ = [
     "ObjectiveSpec",
@@ -370,11 +370,7 @@ def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
         raise ValueError("domain and penalty reference live on different grids")
     h = d.grid.h
     chi_om = inside_fraction(d.phi, 1.5 * h)
-    tx = np.ones(d.grid.nx)
-    tx[0] = tx[-1] = 0.5
-    ty = np.ones(d.grid.ny)
-    ty[0] = ty[-1] = 0.5
-    w = h * h * np.outer(ty, tx)
+    w = _node_weights(d.grid)
     vol_d = float(np.sum(w * chi_om))
     term_in = float(np.sum(w * chi_om * dist_ref))
     term_out = float(np.sum(w * (1.0 - chi_om) * dist_comp))

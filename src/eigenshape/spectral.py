@@ -13,9 +13,10 @@ import dataclasses
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .domain import BoundaryMesh, Grid, GridDomain, bilinear
+from .objective import kappa_clusters
 
 __all__ = [
     "SpectralError",
@@ -23,6 +24,7 @@ __all__ = [
     "TorsionField",
     "NormalDerivatives",
     "assemble_laplacian",
+    "factor_laplacian",
     "solve_spectrum",
     "solve_torsion",
     "normal_derivative",
@@ -31,6 +33,8 @@ __all__ = [
 
 #: sub-cell fractions are floored here to keep the diagonal bounded
 THETA_FLOOR = 0.05
+#: seeded perturbation of a warm start vector, relative to its RMS entry
+WARM_NOISE = 1e-3
 
 _DIRS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
@@ -121,15 +125,7 @@ class Spectrum:
         Consecutive eigenvalues with relative gap below ``tol`` share a
         cluster (the near-multiplicity structure downstream weights consume).
         """
-        groups: list[list[int]] = [[0]]
-        lam = self.lambdas
-        for k in range(1, len(lam)):
-            gap = (lam[k] - lam[k - 1]) / max(abs(lam[k - 1]), 1e-300)
-            if gap < tol:
-                groups[-1].append(k)
-            else:
-                groups.append([k])
-        return groups
+        return [list(g) for g in kappa_clusters(self.lambdas, tol)]
 
 
 def _fix_signs(X: np.ndarray) -> np.ndarray:
@@ -140,6 +136,19 @@ def _fix_signs(X: np.ndarray) -> np.ndarray:
     return X * s
 
 
+def factor_laplacian(d: GridDomain):
+    """(A, active, lu): the Laplacian of ``d`` and its one factorization,
+    for :func:`solve_spectrum` and :func:`solve_torsion` of the same domain.
+
+    A is a symmetric, diagonally dominant M-matrix, so SuperLU runs in
+    symmetric mode on a minimum-degree ordering of A + A^T without pivoting.
+    """
+    A, active = assemble_laplacian(d)
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return A, active, lu
+
+
 def solve_spectrum(
     d: GridDomain,
     M: int,
@@ -147,76 +156,58 @@ def solve_spectrum(
     seed: int = 0,
     warm: Spectrum | None = None,
     max_iter: int = 200,
+    factors=None,
 ) -> Spectrum:
-    """Lowest M Dirichlet eigenpairs by block inverse subspace iteration.
+    """Lowest M Dirichlet eigenpairs by shift-invert Lanczos (ARPACK).
 
-    A block of M+2 vectors (2 guards against cluster mis-ordering) is run
-    through factored inverse iteration with a Rayleigh-Ritz projection each
-    sweep, until every one of the first M pairs satisfies
-    ||A u - lambda u|| <= tol * lambda. If the residuals plateau because a
-    near-degenerate cluster straddles the block edge (e.g. two congruent
-    components each carrying a double eigenvalue), the block is widened so
-    the cluster fits inside it. The start block comes from ``warm`` (a
-    previous spectrum, any grid occupancy) or a seeded Gaussian block, so
-    runs are deterministic.
+    Implicitly restarted Lanczos on A^-1 (shift 0, through the sparse LU of
+    ``factors`` = :func:`factor_laplacian` of ``d``) finds M+1 pairs, one
+    guarding the top of a near-degenerate cluster, in at most ``max_iter``
+    restarts; each of the first M must satisfy ||A u - lambda u|| <= tol *
+    lambda. The start vector is the sum of the ``warm`` modes (any grid
+    occupancy) plus a small seeded perturbation, or a seeded Gaussian
+    vector, so runs are deterministic.
     """
     if M < 1:
         raise ValueError(f"need at least one eigenpair, got M={M}")
     if d.is_empty:
         raise ValueError("domain is empty: {phi < 0} has no nodes")
-    A, active = assemble_laplacian(d)
+    A, active, lu = factor_laplacian(d) if factors is None else factors
     n = A.shape[0]
     if n < M + 5:
         raise ValueError(f"only {n} active nodes for M={M} eigenpairs (need >= M+5)")
 
-    block = min(M + 2, n)
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, block))
+    v0 = rng.standard_normal(n)
     if warm is not None and len(warm) > 0:
-        W = warm.modes.reshape(len(warm), -1)[:, active].T  # (n, M_warm)
-        k = min(W.shape[1], block)
-        X[:, :k] = W[:, :k]
-
-    lu = splu(A)
-    h = d.grid.h
-    lam = np.zeros(block)
-    res = np.full(M, np.inf)
-    res_marker = np.inf
-    for sweep in range(max_iter):
-        Y = lu.solve(X)
-        Q, _ = np.linalg.qr(Y)
-        H = Q.T @ (A @ Q)
-        H = 0.5 * (H + H.T)
-        w, S = np.linalg.eigh(H)
-        X = Q @ S
-        lam = w
-        R = A @ X[:, :M] - X[:, :M] * lam[:M]
-        res = np.linalg.norm(R, axis=0) / np.maximum(np.abs(lam[:M]), 1e-300)
-        if np.all(res <= tol):
-            break
-        if sweep % 10 == 9:
-            # A stagnating worst residual means a degenerate cluster sticks
-            # out past the block edge; widen the block to swallow it.
-            worst = float(res.max())
-            if worst > 0.25 * res_marker and block < min(n, M + 10):
-                grow = min(2, min(n, M + 10) - block)
-                X = np.column_stack([X, rng.standard_normal((n, grow))])
-                block += grow
-            res_marker = worst
-    else:
+        w = warm.modes.reshape(len(warm), -1)[:, active].sum(axis=0)
+        rms = np.linalg.norm(w) / np.sqrt(n)
+        v0 = w + WARM_NOISE * (rms if rms > 0 else 1.0) * v0
+    OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    try:
+        lam, X = eigsh(A, k=M + 1, sigma=0, OPinv=OPinv, v0=v0,
+                       maxiter=max_iter, tol=tol)
+        converged = True
+    except ArpackNoConvergence as err:
+        lam, X, converged = err.eigenvalues, err.eigenvectors, False
+    order = np.argsort(lam)[:M]
+    lam, X = lam[order], X[:, order]
+    res = np.ones(M)  # pairs ARPACK did not deliver count as unresolved
+    res[: len(lam)] = np.linalg.norm(A @ X - X * lam, axis=0) / np.abs(lam)
+    if not converged or np.any(res > tol):
         raise SpectralError(
-            f"eigensolver did not reach tol={tol} in {max_iter} sweeps "
+            f"eigensolver did not reach tol={tol} in {max_iter} restarts "
             f"(residuals {res})",
             residuals=res,
         )
 
-    X = _fix_signs(X[:, :M])
+    X = _fix_signs(X)
     modes = np.zeros((M, d.phi.size))
-    modes[:, active] = X.T / h  # grid-quadrature orthonormal
+    modes[:, active] = X.T / d.grid.h  # grid-quadrature orthonormal
     return Spectrum(
-        lambdas=lam[:M].copy(),
+        lambdas=lam,
         modes=modes.reshape(M, *d.phi.shape),
-        resid=res.copy(),
+        resid=res,
         generation=d.generation,
     )
 
@@ -231,18 +222,18 @@ class TorsionField:
     generation: int = 0
 
 
-def solve_torsion(d: GridDomain, tol: float = 1e-8) -> TorsionField:
+def solve_torsion(d: GridDomain, tol: float = 1e-8, factors=None) -> TorsionField:
     """Solve -Laplace v = 1 with Dirichlet conditions; report T(Omega).
 
     The energy integral T = int(|grad v|^2 / 2 - v) collapses to
     -h^2 * sum(v) / 2 through the discrete equation, which is how it is
-    evaluated here.
+    evaluated here. ``factors`` is :func:`factor_laplacian` of ``d``.
     """
     if d.is_empty:
         raise ValueError("domain is empty: cannot solve the torsion equation")
-    A, active = assemble_laplacian(d)
+    A, active, lu = factor_laplacian(d) if factors is None else factors
     b = np.ones(A.shape[0])
-    v = splu(A).solve(b)
+    v = lu.solve(b)
     resid = float(np.max(np.abs(A @ v - b)))
     if resid > tol * max(1.0, float(np.max(np.abs(v)))):
         raise SpectralError(f"torsion solve residual {resid} above tolerance")

@@ -328,6 +328,59 @@ def test_diagnose_empty_boundary(tmp_path):
     assert "el_residual" not in report
 
 
+def _diagnose_corrupted(opt_run, tmp_path, capsys, name, edit):
+    """Diagnose a copy of the optimize artifacts with ``name`` rewritten by
+    ``edit`` (a function of its lines); returns the exit code and stderr."""
+    _, out = opt_run
+    copy = tmp_path / "run"
+    copy.mkdir()
+    for p in out.glob("*.*"):
+        if p.suffix in (".csv", ".grid"):
+            (copy / p.name).write_bytes(p.read_bytes())
+    lines = (copy / name).read_text().splitlines()
+    (copy / name).write_text("\n".join(edit(lines)) + "\n")
+    cfg = write_ini(tmp_path / "diag.ini", diagnose_sections(copy))
+    capsys.readouterr()
+    code = run_single("diagnose", str(cfg), str(tmp_path / "dout"), None, False)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, row", [
+    ("spectrum.csv", "3,1.0"),          # truncated
+    ("spectrum.csv", "3,1.0,0.0,7.0"),  # extra field
+    ("xi.csv", "2,abc"),                # not a number
+])
+def test_diagnose_bad_row(opt_run, tmp_path, capsys, name, row):
+    code, err = _diagnose_corrupted(opt_run, tmp_path, capsys, name,
+                                    lambda lines: lines + [row])
+    assert code == 2
+    assert err.count("\n") == 1 and name in err and row in err
+
+
+@pytest.mark.parametrize("name", ["spectrum.csv", "xi.csv", "domain.grid"])
+def test_diagnose_nan(opt_run, tmp_path, capsys, name):
+    sep = " " if name.endswith(".grid") else ","
+
+    def put_nan(lines):
+        cells = lines[1].split(sep)
+        cells[1] = "nan"
+        return [lines[0], sep.join(cells)] + lines[2:]
+
+    code, err = _diagnose_corrupted(opt_run, tmp_path, capsys, name, put_nan)
+    assert code == 2
+    assert err.count("\n") == 1 and name in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: ["GRIDDUMP v1"] + lines[1:],
+    lambda lines: lines[:-1],
+], ids=["header_without_sizes", "last_row_missing"])
+def test_diagnose_truncated_grid(opt_run, tmp_path, capsys, edit):
+    code, err = _diagnose_corrupted(opt_run, tmp_path, capsys, "domain.grid", edit)
+    assert code == 2
+    assert err.count("\n") == 1 and "domain.grid" in err
+
+
 # ---- driver -----------------------------------------------------------
 
 

@@ -1,14 +1,17 @@
 """Eigensolver, torsion solver, and boundary-derivative checks.
 
 Oracles: closed-form Dirichlet spectra of the disk (Bessel roots) and the
-axis-aligned square (separable sines), the paraboloid torsion function of
-the disk, and scale covariance lambda(t * Omega) = lambda(Omega) / t^2.
+axis-aligned square (separable sines), dense eigendecompositions of the
+assembled matrix on small domains, observed orders under grid refinement,
+the paraboloid torsion function of the disk, and scale covariance
+lambda(t * Omega) = lambda(Omega) / t^2.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eigenshape import (
     Grid,
@@ -24,7 +27,7 @@ from eigenshape import (
     star_blob,
     volume,
 )
-from eigenshape.spectral import write_spectrum_csv
+from eigenshape.spectral import assemble_laplacian, write_spectrum_csv
 
 J01 = 2.404825557695773  # first zero of J0
 J11 = 3.8317059702075125  # first zero of J1
@@ -136,6 +139,64 @@ def test_warm_start_matches_cold(grid129):
     warm = solve_spectrum(d1, M=3, tol=1e-9, seed=0, warm=sp0)
     assert warm.lambdas == pytest.approx(cold.lambdas, rel=1e-8)
     assert warm.generation == d1.generation
+
+
+def _two_disks(grid, r):
+    """Two congruent disks, exact mirror images on the node lattice."""
+    left = disk(grid, (-1.0, 0.0), r)
+    return left.with_phi(np.minimum(left.phi, left.phi[:, ::-1]))
+
+
+def _assert_matches_dense(d, sp):
+    """Eigenvalues equal the dense ones; each mode lies in its dense eigenspace."""
+    A, active = assemble_laplacian(d)
+    lam, V = scipy.linalg.eigh(A.toarray())
+    M = len(sp)
+    assert sp.lambdas == pytest.approx(lam[:M], rel=1e-10)
+    X = sp.modes.reshape(M, -1)[:, active].T * d.grid.h  # unit 2-norm columns
+    for k in range(M):
+        Q = V[:, np.abs(lam - lam[k]) <= 1e-6 * lam[k]]
+        assert np.linalg.norm(X[:, k] - Q @ (Q.T @ X[:, k])) < 1e-7
+
+
+@pytest.fixture(scope="module")
+def grid41():
+    return Grid.from_box(-2.0, -2.0, 2.0, 2.0, 41, 41)
+
+
+def test_dense_oracle_blob(grid41):
+    blob = star_blob(grid41, (0.0, 0.0), 1.2, 0.2, 4, np.random.default_rng(3))
+    _assert_matches_dense(blob, solve_spectrum(blob, M=4, tol=1e-10, seed=0))
+
+
+def test_dense_oracle_degenerate_cluster(grid41):
+    d = _two_disks(grid41, 0.8)
+    cold = solve_spectrum(d, M=3, tol=1e-10, seed=0)
+    # lambda_1 = lambda_2 (one per disk), then the disks' second eigenvalue
+    assert abs(cold.lambdas[1] - cold.lambdas[0]) / cold.lambdas[0] < 1e-10
+    assert cold.lambdas[2] / cold.lambdas[1] > 2.0
+    _assert_matches_dense(d, cold)
+    prev = solve_spectrum(_two_disks(grid41, 0.84), M=3, tol=1e-10, seed=1)
+    warm = solve_spectrum(d, M=3, tol=1e-10, seed=0, warm=prev)
+    _assert_matches_dense(d, warm)
+
+
+def test_refinement_order_off_center_disk():
+    # unit disk off the grid's symmetry axes, h = 3/64, 3/128, 3/256
+    hs, lam_err, unu_err = [], [], []
+    unu = J01 / math.sqrt(math.pi)  # |u_nu| of the normalized ground state
+    for n in (65, 129, 257):
+        grid = Grid.from_box(-1.5, -1.5, 1.5, 1.5, n, n)
+        d = disk(grid, (0.13, -0.07), 1.0)
+        sp = solve_spectrum(d, M=1, tol=1e-10, seed=0)
+        nd = normal_derivative(sp.modes[0], extract_boundary(d), d)
+        hs.append(grid.h)
+        lam_err.append(abs(sp.lambdas[0] - J01**2) / J01**2)
+        unu_err.append(np.median(np.abs(nd.values[nd.reliable] - unu)) / unu)
+    # observed order: least-squares slope of log(error) against log(h)
+    assert np.all(np.diff(lam_err) < 0) and np.all(np.diff(unu_err) < 0)
+    assert np.polyfit(np.log(hs), np.log(lam_err), 1)[0] >= 1.5
+    assert np.polyfit(np.log(hs), np.log(unu_err), 1)[0] >= 0.9
 
 
 def test_solver_failure_reports_residuals(grid129):
