@@ -468,7 +468,10 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
         "simplicity": dataclasses.asdict(simplicity_report(sp)),
     }
     if len(bm) > 0:
-        el = el_residual(d, sp, w, bm)
+        try:
+            el = el_residual(d, sp, w, bm)
+        except ValueError as err:
+            raise ConfigError(f"cannot diagnose: {err}") from err
         report["el_residual"] = {
             "median": el.median,
             "median_abs": el.median_abs,

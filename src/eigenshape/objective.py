@@ -91,16 +91,6 @@ class ObjectiveSpec:
                 raise ValueError(f"softmin beta must be positive, got {self.beta}")
             object.__setattr__(self, "subset", sub)
 
-    @property
-    def assumptions(self) -> dict[str, bool]:
-        """Admissibility flags, all true by construction for these families."""
-        return {
-            "continuous": True,
-            "nondecreasing": True,
-            "diverges_along_diagonal": True,
-            "locally_lipschitz": True,
-        }
-
     # ---- evaluation --------------------------------------------------
     def values(self, K: np.ndarray) -> np.ndarray:
         """F at a batch of points, shape (m, n) -> (m,)."""

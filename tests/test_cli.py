@@ -9,9 +9,12 @@ artifacts, and multi-config fan-out.
 import json
 import math
 import pathlib
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eigenshape import Grid, GridDomain
 from eigenshape.cli import (
@@ -379,6 +382,93 @@ def test_diagnose_truncated_grid(opt_run, tmp_path, capsys, edit):
     code, err = _diagnose_corrupted(opt_run, tmp_path, capsys, "domain.grid", edit)
     assert code == 2
     assert err.count("\n") == 1 and "domain.grid" in err
+
+
+_HUGE_HEADER = "GRIDDUMP v1 1000000 1000000 0.1 0.0 0.0"
+
+
+def test_diagnose_oversized_header(opt_run, tmp_path, capsys):
+    # sizes that no row backs must not be allocated
+    code, err = _diagnose_corrupted(opt_run, tmp_path, capsys, "domain.grid",
+                                    lambda lines: [_HUGE_HEADER] + lines[1:])
+    assert code == 2
+    assert err.count("\n") == 1 and "domain.grid" in err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Diagnose inputs cheap enough to fuzz: a solved 33x33 disk and xi.csv."""
+    base = tmp_path_factory.mktemp("cli-small")
+    cfg = write_ini(base / "solve.ini", {
+        "run": {"seed": 3},
+        "grid": {"nx": 33, "ny": 33},
+        "shape": {"kind": "disk", "r": 1.2},
+        "solve": {"modes": 2, "torsion": "no"},
+    })
+    out = base / "out"
+    assert run_single("solve", str(cfg), str(out), None, False) == 0
+    (out / "xi.csv").write_text("k,xi\n1,1.0\n")
+    return out
+
+
+_TOKEN = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 10**6).map(str),
+    st.text(alphabet="0123456789.,-+eEinfa x\t", max_size=12),
+)
+_ROW_EDIT = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.lists(_TOKEN, max_size=4).map(",".join),
+)
+_HEADER = st.one_of(
+    st.builds("GRIDDUMP v1 {} {} {!r} {!r} {!r}".format,
+              st.just(33) | st.integers(-2, 10**7),
+              st.just(33) | st.integers(-2, 10**7),
+              st.just(0.125) | st.floats(),
+              st.just(-2.0) | st.floats(),
+              st.just(-2.0) | st.floats()),
+    st.lists(_TOKEN, max_size=8).map(" ".join),
+)
+
+
+def _edit_rows(path, edits):
+    lines = path.read_text().splitlines()
+    for i, how, row in edits:
+        i = min(i, len(lines))
+        if how == "replace":
+            lines[i:i + 1] = [row]
+        elif how == "insert":
+            lines.insert(i, row)
+        else:
+            del lines[i:i + 1]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@example(spectrum=[], xi=[], header=("domain.grid", _HUGE_HEADER))
+@example(spectrum=[], xi=[], header=("*.grid", _HUGE_HEADER))
+@example(spectrum=[], xi=[],  # coordinates too coarse for any reliable sample
+         header=("*.grid", "GRIDDUMP v1 33 33 0.125 -2.0 1.8014398509481984e+16"))
+@settings(max_examples=40, deadline=None)
+@given(
+    spectrum=st.lists(_ROW_EDIT, max_size=2),
+    xi=st.lists(_ROW_EDIT, max_size=2),
+    header=st.none() | st.tuples(
+        st.sampled_from(["domain.grid", "mode_1.grid", "*.grid"]), _HEADER),
+)
+def test_diagnose_fuzzed_inputs_exit_0_or_2(small_run, spectrum, xi, header):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = pathlib.Path(tmp) / "run"
+        shutil.copytree(small_run, run)
+        _edit_rows(run / "spectrum.csv", spectrum)
+        _edit_rows(run / "xi.csv", xi)
+        if header is not None:
+            pattern, text = header
+            for path in run.glob(pattern):
+                _edit_rows(path, [(0, "replace", text)])
+        cfg = write_ini(pathlib.Path(tmp) / "diag.ini", diagnose_sections(run, probes=8))
+        code = run_single("diagnose", str(cfg), str(pathlib.Path(tmp) / "dout"), None, False)
+    assert code in (0, 2)
 
 
 # ---- driver -----------------------------------------------------------

@@ -55,6 +55,15 @@ def test_grid_rejects_anisotropic_spacing():
         Grid.from_box(0.0, 0.0, 1.0, 2.0, 11, 11)
 
 
+@pytest.mark.parametrize("h, origin", [
+    (math.inf, (0.0, 0.0)), (math.nan, (0.0, 0.0)), (0.1, (0.0, math.nan)),
+    (0.1, (-math.inf, 0.0)),
+])
+def test_grid_rejects_nonfinite(h, origin):
+    with pytest.raises(ValueError):
+        Grid(nx=8, ny=8, h=h, origin=origin)
+
+
 def test_domain_phi_is_read_only(grid):
     d = disk(grid, (0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
@@ -181,6 +190,116 @@ def test_reinitialize_preserves_interface(grid):
     gy, gx = np.gradient(r.phi, grid.h, grid.h)
     norms = np.hypot(gx, gy)[band]
     assert abs(np.median(norms) - 1.0) < 0.05
+
+
+def _reference_reinitialize(d, tol=1e-3, max_iter=400):
+    """The Godunov relaxation written directly on phi, with per-side upwind
+    gradients: the oracle that ``reinitialize`` must match bit for bit."""
+    h = d.grid.h
+    phi0 = d.phi.copy()
+    phi = phi0.copy()
+
+    sign0 = np.where(phi0 >= 0, 1.0, -1.0)
+    smooth_sign = phi0 / np.sqrt(phi0**2 + h**2)
+
+    inside = phi0 < 0
+    iface = np.zeros_like(inside)
+    iface[:, :-1] |= inside[:, :-1] != inside[:, 1:]
+    iface[:, 1:] |= inside[:, :-1] != inside[:, 1:]
+    iface[:-1, :] |= inside[:-1, :] != inside[1:, :]
+    iface[1:, :] |= inside[:-1, :] != inside[1:, :]
+
+    gy, gx = np.gradient(phi0, h)
+    gnorm = np.maximum(np.hypot(gx, gy), 1e-6)
+    target = np.clip(phi0 / gnorm, -h, h)
+
+    dtau = 0.5 * h
+    for _ in range(max_iter):
+        pad_x = np.pad(phi, ((0, 0), (1, 1)), mode="edge")
+        pad_y = np.pad(phi, ((1, 1), (0, 0)), mode="edge")
+        dxm = (phi - pad_x[:, :-2]) / h
+        dxp = (pad_x[:, 2:] - phi) / h
+        dym = (phi - pad_y[:-2, :]) / h
+        dyp = (pad_y[2:, :] - phi) / h
+        gp = np.sqrt(
+            np.maximum(np.maximum(dxm, 0.0) ** 2, np.minimum(dxp, 0.0) ** 2)
+            + np.maximum(np.maximum(dym, 0.0) ** 2, np.minimum(dyp, 0.0) ** 2)
+        )
+        gm = np.sqrt(
+            np.maximum(np.minimum(dxm, 0.0) ** 2, np.maximum(dxp, 0.0) ** 2)
+            + np.maximum(np.minimum(dym, 0.0) ** 2, np.maximum(dyp, 0.0) ** 2)
+        )
+        grad = np.where(phi0 >= 0, gp, gm)
+        update = -dtau * smooth_sign * (grad - 1.0)
+        update_if = -(dtau / h) * (sign0 * np.abs(phi) - sign0 * np.abs(target))
+        update = np.where(iface, update_if, update)
+        phi += update
+        if np.max(np.abs(update)) < tol:
+            break
+    return d.with_phi(phi)
+
+
+def _assert_same_bits(d, **kw):
+    out = reinitialize(d, **kw)
+    ref = _reference_reinitialize(d, **kw)
+    # tobytes, not array_equal: -0.0 and 0.0 must not count as equal
+    assert out.phi.tobytes() == ref.phi.tobytes()
+
+
+def _fk_blob():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257)
+    return star_blob(g, (0.0, 0.0), 0.9, 0.22, 5, np.random.default_rng(11))
+
+
+def _two_blobs():
+    g = Grid.from_box(-2.4, -2.4, 2.4, 2.4, 241, 241)
+    left = star_blob(g, (-1.05, 0.0), 0.8, 0.18, 4, np.random.default_rng(11),
+                     mirror_x=True)
+    return left.with_phi(np.minimum(left.phi, left.phi[:, ::-1]))
+
+
+def _warped_disk():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 129, 129)
+    d = disk(g, (0.3, -0.2), 1.0)
+    return d.with_phi(d.phi * (2.0 + np.sin(3 * d.phi)))
+
+
+def _zeros_at_nodes():
+    # quarter-h quantized distances put phi0 == 0 (and -0.0) on nodes
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 33, 33)
+    X, Y = g.meshgrid()
+    phi = np.round(16 * (np.hypot(X, Y) - 0.5)) / 16
+    phi[np.abs(X) < 0.2] *= -0.0
+    return GridDomain(g, phi)
+
+
+@pytest.mark.parametrize("make, kw", [
+    (_fk_blob, {}),
+    (_warped_disk, {}),
+    (_warped_disk, {"tol": 0.0}),
+    (_two_blobs, {}),
+    (lambda: disk(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65), (1.7, -1.1), 0.8), {}),
+    (lambda: disk(Grid.from_box(0.0, 0.0, 7.0, 7.0, 8, 8), (3.3, 3.6), 2.2), {}),
+    (_fk_blob, {"max_iter": 3}),
+    (_zeros_at_nodes, {}),
+    (_zeros_at_nodes, {"tol": 0.0, "max_iter": 25}),
+], ids=["fk_blob", "warped_disk", "warped_disk_400_sweeps", "two_blobs", "crosses_box_edge", "grid_8x8",
+        "max_iter_3", "zeros_at_nodes", "zeros_at_nodes_tol0"])
+def test_reinitialize_bitwise_matches_reference(make, kw):
+    _assert_same_bits(make(), **kw)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=st.integers(8, 14), ny=st.integers(8, 14),
+    seed=st.integers(0, 2**32 - 1), quantum=st.sampled_from([0.25, 0.1, 1 / 16]),
+    max_iter=st.integers(1, 40),
+)
+def test_reinitialize_bitwise_random_fields(nx, ny, seed, quantum, max_iter):
+    rng = np.random.default_rng(seed)
+    phi = np.round(rng.standard_normal((ny, nx)) / quantum) * quantum
+    phi[rng.random(phi.shape) < 0.1] = -0.0
+    _assert_same_bits(GridDomain(Grid(nx=nx, ny=ny, h=0.25), phi), max_iter=max_iter)
 
 
 def test_star_blob_reproducible_and_mirror(grid):

@@ -89,12 +89,6 @@ def test_spec_validation():
         ObjectiveSpec("softmin", n=2, beta=0.0)
     with pytest.raises(ValueError, match="positive"):
         eval_F(ObjectiveSpec("single", n=2), (1.0, 0.0))
-    assert ObjectiveSpec("single", n=2).assumptions == {
-        "continuous": True,
-        "nondecreasing": True,
-        "diverges_along_diagonal": True,
-        "locally_lipschitz": True,
-    }
 
 
 @settings(max_examples=60, deadline=None)
