@@ -104,10 +104,18 @@ def _get(cp, section, key, cast, default=None, required=False):
     raw = cp.get(section, key).strip()
     try:
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            return cp.BOOLEAN_STATES[raw.lower()]
         return cast(raw)
+    except KeyError as err:
+        raise ConfigError(f"bad value for [{section}] {key}: {raw!r} is not "
+                          "one of 1/0, true/false, yes/no, on/off") from err
     except ValueError as err:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from err
+
+
+def _floats(raw: str) -> list[float]:
+    """A whitespace-separated list of numbers (a config value cast)."""
+    return [float(v) for v in raw.split()]
 
 
 def _input(path) -> pathlib.Path:
@@ -208,12 +216,11 @@ def build_objective(cp) -> ObjectiveSpec:
     if family == "single":
         kwargs["index"] = _get(cp, "objective", "index", int, n)
     elif family == "linear":
-        raw = _get(cp, "objective", "coeffs", str, required=True)
-        kwargs["coeffs"] = tuple(float(v) for v in raw.split())
+        kwargs["coeffs"] = tuple(_get(cp, "objective", "coeffs", _floats, required=True))
     elif family == "softmin":
-        raw = _get(cp, "objective", "subset", str, None)
-        if raw is not None:
-            kwargs["subset"] = tuple(int(v) for v in raw.split())
+        subset = _get(cp, "objective", "subset", lambda raw: [int(v) for v in raw.split()])
+        if subset is not None:
+            kwargs["subset"] = tuple(subset)
         kwargs["beta"] = _get(cp, "objective", "beta", float, 1.0)
     try:
         return ObjectiveSpec(family=family, n=n, **kwargs)
@@ -313,6 +320,7 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
     if M < 1:
         raise ConfigError(f"[solve] modes must be >= 1, got {M}")
     tol = _get(cp, "solve", "tol", float, 1e-8)
+    torsion = _get(cp, "solve", "torsion", bool, True)
     t0 = time.perf_counter()
     try:
         factors = factor_laplacian(d)
@@ -326,7 +334,7 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
     write_grid_dump(d, out / "domain.grid")
     _write_spectrum_artifacts(out, d, sp)
     write_boundary_csv(extract_boundary(d), out / "boundary.csv")
-    if _get(cp, "solve", "torsion", bool, True):
+    if torsion:
         from .domain import write_field_dump
 
         tf = solve_torsion(d, tol=tol, factors=factors)
@@ -373,11 +381,7 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
     d0 = build_shape(cp, seed)
     spec = build_objective(cp)
     cfg = build_optimizer(cp, spec, seed)
-    raw = _get(cp, "sweep", "schedule", str, "4 8 16 32")
-    try:
-        schedule = [float(v) for v in raw.split()]
-    except ValueError as err:
-        raise ConfigError(f"bad [sweep] schedule: {raw!r}") from err
+    schedule = _get(cp, "sweep", "schedule", _floats, [4.0, 8.0, 16.0, 32.0])
     if not schedule:
         raise ConfigError("empty [sweep] schedule")
     t0 = time.perf_counter()
@@ -455,10 +459,27 @@ def _load_diagnose_inputs(cp):
     return d, sp, w
 
 
+def _diagnose_probing(cp, h: float) -> tuple[list[float], int]:
+    """The probe radii (default 4h 6h 8h 12h; finite, strictly ascending, at
+    least 4h) and the number of probes (at least 1) of ``[diagnose]``."""
+    radii = _get(cp, "diagnose", "radii", _floats, [4 * h, 6 * h, 8 * h, 12 * h])
+    if not radii or not all(map(math.isfinite, radii)):
+        raise ConfigError(f"[diagnose] radii must be one or more finite numbers, got {radii}")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError(f"[diagnose] radii must be strictly ascending, got {radii}")
+    if radii[0] < 4.0 * h - 1e-12:
+        raise ConfigError(f"[diagnose] radii must be at least 4h = {4 * h!r}, "
+                          f"got {radii[0]!r}")
+    probes = _get(cp, "diagnose", "probes", int, 48)
+    if probes < 1:
+        raise ConfigError(f"[diagnose] probes must be >= 1, got {probes}")
+    return radii, probes
+
+
 def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
     t0 = time.perf_counter()
     d, sp, w = _load_diagnose_inputs(cp)
-    h = d.grid.h
+    radii, n_probes = _diagnose_probing(cp, d.grid.h)
     bm = extract_boundary(d)
     report: dict = {
         "n_boundary": int(len(bm)),
@@ -478,12 +499,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
             "p90_abs": el.p90_abs,
             "n_reliable": int(len(el.values)),
         }
-        radii_raw = _get(cp, "diagnose", "radii", str, None)
-        if radii_raw is not None:
-            radii = [float(v) for v in radii_raw.split()]
-        else:
-            radii = [4 * h, 6 * h, 8 * h, 12 * h]
-        stride = max(1, len(bm) // _get(cp, "diagnose", "probes", int, 48))
+        stride = max(1, len(bm) // n_probes)
         probe_idx = range(0, len(bm), stride)
         probes = [weiss_profile(d, sp, w, bm.points[i], radii) for i in probe_idx]
         write_weiss_csv(probes, out / "weiss.csv")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import math
 
 import numpy as np
@@ -20,13 +19,15 @@ import numpy as np
 from .domain import (
     BoundaryMesh,
     GridDomain,
+    _ball_window,
     _node_weights,
     bilinear,
     density_ratio,
     inside_fraction,
 )
 from .objective import ObjectiveSpec, WeightVector, eval_F
-from .spectral import Spectrum, TorsionField, normal_derivative
+from .optimizer import shape_velocity
+from .spectral import Spectrum, TorsionField
 
 __all__ = [
     "WeissProbe",
@@ -65,52 +66,33 @@ class WeissProbe:
     c_hat: float
 
 
-@functools.lru_cache(maxsize=8)
-def _mode_gradients(sp: Spectrum, d: GridDomain) -> np.ndarray:
-    """Mode gradients, shape (M, 2, ny, nx), interface-aware.
+def _mode_gradients(modes: np.ndarray, inside: np.ndarray, h: float) -> np.ndarray:
+    """Gradients of a mode stack (M, ny, nx), shape (M, 2, ny, nx), interface-aware.
 
     Central differences in the bulk; where a stencil arm pokes out of
-    Omega, the one-sided difference into the domain is used instead, so the
-    kink of the zero-extended modes does not halve the boundary gradient.
+    Omega (the node mask ``inside``), the one-sided difference into the
+    domain is used instead, so the kink of the zero-extended modes does not
+    halve the boundary gradient. The outermost rows and columns are treated
+    as the box edge.
     """
-    h = d.grid.h
-    inside = d.inside
-    out = np.empty((len(sp), 2, *sp.modes.shape[1:]))
 
-    def axis_grad(u, axis):
-        um = np.roll(u, 1, axis=axis)
-        up = np.roll(u, -1, axis=axis)
+    def axis_grad(axis):
+        lo = (Ellipsis, slice(None, 1)) + (slice(None),) * (-1 - axis)
+        hi = (Ellipsis, slice(-1, None)) + (slice(None),) * (-1 - axis)
+        um = np.roll(modes, 1, axis=axis)
+        up = np.roll(modes, -1, axis=axis)
         im = np.roll(inside, 1, axis=axis)
         ip = np.roll(inside, -1, axis=axis)
-        edge_lo = [slice(None)] * u.ndim
-        edge_lo[axis] = 0
-        edge_hi = [slice(None)] * u.ndim
-        edge_hi[axis] = -1
-        um[tuple(edge_lo)] = 0.0
-        im[tuple(edge_lo)] = False
-        up[tuple(edge_hi)] = 0.0
-        ip[tuple(edge_hi)] = False
+        um[lo] = 0.0
+        im[lo] = False
+        up[hi] = 0.0
+        ip[hi] = False
         grad = (up - um) / (2.0 * h)
-        grad = np.where(im & ~ip, (u - um) / h, grad)
-        grad = np.where(ip & ~im, (up - u) / h, grad)
+        grad = np.where(im & ~ip, (modes - um) / h, grad)
+        grad = np.where(ip & ~im, (up - modes) / h, grad)
         return grad
 
-    for k in range(len(sp)):
-        u = sp.modes[k]
-        out[k, 0] = axis_grad(u, 1)
-        out[k, 1] = axis_grad(u, 0)
-    return out
-
-
-def _ball_window(d: GridDomain, x: tuple[float, float], r: float):
-    """Index slices covering B_r(x) plus the mollifier skirt."""
-    g = d.grid
-    pad = r + 2.0 * g.h
-    i0 = max(0, int(math.floor((x[0] - pad - g.origin[0]) / g.h)))
-    i1 = min(g.nx, int(math.ceil((x[0] + pad - g.origin[0]) / g.h)) + 1)
-    j0 = max(0, int(math.floor((x[1] - pad - g.origin[1]) / g.h)))
-    j1 = min(g.ny, int(math.ceil((x[1] + pad - g.origin[1]) / g.h)) + 1)
-    return slice(j0, j1), slice(i0, i1)
+    return np.stack([axis_grad(-1), axis_grad(-2)], axis=1)
 
 
 def weiss_energy(
@@ -130,24 +112,28 @@ def weiss_energy(
     bilinearly. Half-plane data with unit gradient and unit weights gives
     pi/2. Requires r >= 4h.
     """
-    h = d.grid.h
+    g = d.grid
+    h = g.h
     if r < 4.0 * h - 1e-12:
         raise ValueError(f"probe radius {r} below resolvable 4h = {4 * h}")
     xis = w.symmetrized()
-    grads = _mode_gradients(sp, d)
+    modes = sp.modes[: len(xis)]
+    rows, cols, ball = _ball_window(g, x, r)
+    # differences on the window plus a one-node halo (clipped at the box),
+    # cropped back to the window
+    j0, i0 = max(rows.start - 1, 0), max(cols.start - 1, 0)
+    halo = (slice(j0, rows.stop + 1), slice(i0, cols.stop + 1))
+    crop = (Ellipsis, slice(rows.start - j0, rows.stop - j0),
+            slice(cols.start - i0, cols.stop - i0))
+    grads = _mode_gradients(modes[(Ellipsis, *halo)], d.inside[halo], h)[crop]
 
-    rows, cols = _ball_window(d, x, r)
-    X, Y = d.grid.meshgrid()
-    Xw, Yw = X[rows, cols], Y[rows, cols]
-    dist = np.hypot(Xw - x[0], Yw - x[1])
-    ball = inside_fraction(dist - r, h)
     chi = inside_fraction(d.phi[rows, cols], 1.5 * h)
+    Xw, Yw = np.meshgrid(g.xs[cols], g.ys[rows])
     nodes = np.column_stack([Xw.ravel(), Yw.ravel()])
     integ = w.xi0_at(nodes).reshape(Xw.shape)
     for k in range(len(xis)):
-        gk = grads[k][:, rows, cols]
-        integ = integ + xis[k] * (gk[0] ** 2 + gk[1] ** 2)
-    wts = _node_weights(d.grid)[rows, cols]
+        integ = integ + xis[k] * (grads[k, 0] ** 2 + grads[k, 1] ** 2)
+    wts = _node_weights(g, rows, cols)
     vol_term = float(np.sum(wts * ball * chi * integ)) / r**2
 
     nsamp = max(64, int(4.0 * math.pi * r / h))
@@ -155,9 +141,10 @@ def weiss_energy(
     ring_pts = np.column_stack(
         [x[0] + r * np.cos(theta), x[1] + r * np.sin(theta)]
     )
+    ring = bilinear(g, modes, ring_pts)
     ring_vals = np.zeros(nsamp)
     for k in range(len(xis)):
-        ring_vals += xis[k] * bilinear(d.grid, sp.modes[k], ring_pts) ** 2
+        ring_vals += xis[k] * ring[k] ** 2
     ring_term = (2.0 * math.pi * r / nsamp) * float(ring_vals.sum()) / r**3
     return vol_term - ring_term
 
@@ -227,20 +214,16 @@ def el_residual(
 ) -> ELResidual:
     """First-order optimality residual over the boundary samples.
 
-    Uses cluster-averaged weights so near-degenerate modes contribute
-    through their invariant subspace; the squares make the result blind to
-    eigenfunction sign choices. Raises if every sample is unreliable.
+    This is the flow's normal speed :func:`~eigenshape.optimizer.shape_velocity`
+    restricted to the samples whose stencils are reliable: cluster-averaged
+    weights let near-degenerate modes contribute through their invariant
+    subspace, and the squares make the result blind to eigenfunction sign
+    choices. Raises if every sample is unreliable.
     """
-    xis = w.symmetrized()
-    vals = -w.xi0_at(bm.points)
-    reliable = np.ones(len(bm), dtype=bool)
-    for k in range(len(xis)):
-        nd = normal_derivative(sp.modes[k], bm, d)
-        vals = vals + xis[k] * nd.values**2
-        reliable &= nd.reliable
+    V, reliable = shape_velocity(d, sp, w, bm)
     if not reliable.any():
         raise ValueError("no reliable boundary samples for the residual")
-    return ELResidual(points=bm.points[reliable], values=vals[reliable])
+    return ELResidual(points=bm.points[reliable], values=V[reliable])
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +291,7 @@ class ProbeFlag(enum.Enum):
 
 def _ball_mean(d: GridDomain, field: np.ndarray, x, r: float):
     """Mollified mean and max of |field| over B_r(x)."""
-    rows, cols = _ball_window(d, x, r)
-    X, Y = d.grid.meshgrid()
-    dist = np.hypot(X[rows, cols] - x[0], Y[rows, cols] - x[1])
-    wts = inside_fraction(dist - r, d.grid.h)
+    rows, cols, wts = _ball_window(d.grid, x, r)
     total = float(wts.sum())
     if total <= 0.0:
         return 0.0, 0.0

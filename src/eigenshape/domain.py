@@ -172,20 +172,40 @@ def inside_fraction(phi: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(0.5 * (1.0 - t - np.sin(np.pi * t) / np.pi), 0.0, 1.0)
 
 
-def _node_weights(grid: Grid) -> np.ndarray:
-    """Tensor trapezoid weights: h^2, halved on the outer box faces."""
+def _node_weights(grid: Grid, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    """Tensor trapezoid weights: h^2, halved on the outer box faces; on the
+    window ``rows`` x ``cols`` only, if given."""
     tx = np.ones(grid.nx)
     tx[0] = tx[-1] = 0.5
     ty = np.ones(grid.ny)
     ty[0] = ty[-1] = 0.5
-    return grid.h * grid.h * np.outer(ty, tx)
+    return grid.h * grid.h * np.outer(ty[rows], tx[cols])
+
+
+def _ball_window(grid: Grid, x: Sequence[float], r: float):
+    """The nodes that carry the weight of the mollified ball B_r(x).
+
+    Returns index slices (rows, cols) of the nodes within r + 2h of x along
+    each axis, clipped to the box (possibly empty), and the one-cell-mollified
+    ball indicator on them.
+    """
+    h = grid.h
+    pad = r + 2.0 * h
+    i0 = max(0, int(math.floor((x[0] - pad - grid.origin[0]) / h)))
+    i1 = min(grid.nx, int(math.ceil((x[0] + pad - grid.origin[0]) / h)) + 1)
+    j0 = max(0, int(math.floor((x[1] - pad - grid.origin[1]) / h)))
+    j1 = min(grid.ny, int(math.ceil((x[1] + pad - grid.origin[1]) / h)) + 1)
+    rows, cols = slice(j0, max(j0, j1)), slice(i0, max(i0, i1))
+    dist = np.hypot(grid.xs[cols] - x[0], grid.ys[rows, None] - x[1])
+    return rows, cols, inside_fraction(dist - r, h)
 
 
 def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a nodal field at points (m, 2).
 
-    Coordinates are clamped to the grid box; callers that care about
-    out-of-box queries must handle them beforehand.
+    ``field`` may be a stack (..., ny, nx); the result then has shape
+    (..., m). Coordinates are clamped to the grid box; callers that care
+    about out-of-box queries must handle them beforehand.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     fx = (pts[:, 0] - grid.origin[0]) / grid.h
@@ -194,10 +214,10 @@ def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     j0 = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2)
     tx = np.clip(fx - i0, 0.0, 1.0)
     ty = np.clip(fy - j0, 0.0, 1.0)
-    f00 = field[j0, i0]
-    f10 = field[j0, i0 + 1]
-    f01 = field[j0 + 1, i0]
-    f11 = field[j0 + 1, i0 + 1]
+    f00 = field[..., j0, i0]
+    f10 = field[..., j0, i0 + 1]
+    f01 = field[..., j0 + 1, i0]
+    f11 = field[..., j0 + 1, i0 + 1]
     return (
         (1 - tx) * (1 - ty) * f00
         + tx * (1 - ty) * f10
@@ -252,24 +272,11 @@ def density_ratio(d: GridDomain, x: Sequence[float], r: float) -> float:
     h = d.grid.h
     if r < 2 * h:
         raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
-    cx, cy = float(x[0]), float(x[1])
-    # restrict to the window of nodes that can carry ball weight
-    pad = r + 2 * h
-    i_lo = max(0, int(math.floor((cx - pad - d.grid.origin[0]) / h)))
-    i_hi = min(d.grid.nx, int(math.ceil((cx + pad - d.grid.origin[0]) / h)) + 1)
-    j_lo = max(0, int(math.floor((cy - pad - d.grid.origin[1]) / h)))
-    j_hi = min(d.grid.ny, int(math.ceil((cy + pad - d.grid.origin[1]) / h)) + 1)
-    if i_lo >= i_hi or j_lo >= j_hi:
-        return 0.0
-    xs = d.grid.xs[i_lo:i_hi]
-    ys = d.grid.ys[j_lo:j_hi]
-    X, Y = np.meshgrid(xs, ys)
-    dist = np.hypot(X - cx, Y - cy)
-    ball_w = inside_fraction(dist - r, h)
+    rows, cols, ball_w = _ball_window(d.grid, x, r)
     den = float(ball_w.sum())
     if den <= 0.0:
         return 0.0
-    om = inside_fraction(d.phi[j_lo:j_hi, i_lo:i_hi], 1.5 * h)
+    om = inside_fraction(d.phi[rows, cols], 1.5 * h)
     return float(np.sum(ball_w * om) / den)
 
 
@@ -414,17 +421,6 @@ def extract_boundary(d: GridDomain) -> BoundaryMesh:
 # ---------------------------------------------------------------------------
 # reinitialization
 # ---------------------------------------------------------------------------
-
-def _one_sided_diffs(phi: np.ndarray, h: float):
-    """Backward/forward differences per axis with replicated edges."""
-    pad_x = np.pad(phi, ((0, 0), (1, 1)), mode="edge")
-    pad_y = np.pad(phi, ((1, 1), (0, 0)), mode="edge")
-    dxm = (phi - pad_x[:, :-2]) / h
-    dxp = (pad_x[:, 2:] - phi) / h
-    dym = (phi - pad_y[:-2, :]) / h
-    dyp = (pad_y[2:, :] - phi) / h
-    return dxm, dxp, dym, dyp
-
 
 def reinitialize(d: GridDomain, tol: float = 1e-3, max_iter: int = 400) -> GridDomain:
     """Relax phi toward the signed distance of its own zero level set.

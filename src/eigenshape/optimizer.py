@@ -18,7 +18,6 @@ from scipy.spatial import cKDTree
 from .domain import (
     BoundaryMesh,
     GridDomain,
-    _one_sided_diffs,
     extract_boundary,
     reinitialize,
     volume,
@@ -134,13 +133,11 @@ def shape_velocity(
             f"spectrum generation {sp.generation} does not match domain {d.generation}"
         )
     xis = w.symmetrized()
+    nd = normal_derivative(sp.modes[: len(xis)], bm, d)
     V = -w.xi0_at(bm.points)
-    reliable = np.ones(len(bm), dtype=bool)
     for k in range(len(xis)):
-        nd = normal_derivative(sp.modes[k], bm, d)
-        V = V + xis[k] * nd.values**2
-        reliable &= nd.reliable
-    return V, reliable
+        V = V + xis[k] * nd.values[k] ** 2
+    return V, nd.reliable
 
 
 def extend_velocity(
@@ -176,16 +173,22 @@ def extend_velocity(
 
 
 def advect(phi: np.ndarray, V: np.ndarray, dt: float, h: float) -> np.ndarray:
-    """One upwind (Godunov) step of phi_t + V |grad phi| = 0."""
-    dxm, dxp, dym, dyp = _one_sided_diffs(phi, h)
-    grad_plus = np.sqrt(
-        np.maximum(dxm, 0.0) ** 2 + np.minimum(dxp, 0.0) ** 2
-        + np.maximum(dym, 0.0) ** 2 + np.minimum(dyp, 0.0) ** 2
-    )
-    grad_minus = np.sqrt(
-        np.minimum(dxm, 0.0) ** 2 + np.maximum(dxp, 0.0) ** 2
-        + np.minimum(dym, 0.0) ** 2 + np.maximum(dyp, 0.0) ** 2
-    )
+    """One upwind (Godunov) step of phi_t + V |grad phi| = 0.
+
+    One forward difference per axis, zero across the box edges (replicated
+    edge values); the backward difference at a node is the forward one of
+    its predecessor.
+    """
+    ny, nx = phi.shape
+    dx = np.zeros((ny, nx + 1))
+    dx[:, 1:-1] = (phi[:, 1:] - phi[:, :-1]) / h
+    dy = np.zeros((ny + 1, nx))
+    dy[1:-1] = (phi[1:] - phi[:-1]) / h
+    xp, xm = np.maximum(dx, 0.0) ** 2, np.minimum(dx, 0.0) ** 2
+    yp, ym = np.maximum(dy, 0.0) ** 2, np.minimum(dy, 0.0) ** 2
+    # backward differences are [:, :-1] / [:-1], forward ones [:, 1:] / [1:]
+    grad_plus = np.sqrt(xp[:, :-1] + xm[:, 1:] + yp[:-1] + ym[1:])
+    grad_minus = np.sqrt(xm[:, :-1] + xp[:, 1:] + ym[:-1] + yp[1:])
     return phi - dt * (np.maximum(V, 0.0) * grad_plus + np.minimum(V, 0.0) * grad_minus)
 
 

@@ -250,7 +250,7 @@ def solve_torsion(d: GridDomain, tol: float = 1e-8, factors=None) -> TorsionFiel
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class NormalDerivatives:
-    """|du/dnu| per boundary sample plus a reliability mask.
+    """|du/dnu| per boundary sample (per field of a stack) plus a reliability mask.
 
     A sample is unreliable when an interpolation stencil of one of its two
     interior probe points touches inactive nodes; such samples must be left
@@ -283,11 +283,15 @@ def normal_derivative(field: np.ndarray, bm: BoundaryMesh, d: GridDomain) -> Nor
 
     Probes the field at x - 1.5h nu and x - 3h nu (bilinear), then Richardson
     extrapolates the linear slope: |u_nu| = |4 u(q1) - u(q2)| / (3h).
+    ``field`` may be a stack (..., ny, nx); ``values`` then has shape
+    (..., m), and the reliability mask, which depends only on the geometry,
+    is shared by every field.
     """
     h = d.grid.h
     pts = bm.points
     if len(bm) == 0:
-        return NormalDerivatives(values=np.zeros(0), reliable=np.zeros(0, dtype=bool))
+        return NormalDerivatives(values=np.zeros(field.shape[:-2] + (0,)),
+                                 reliable=np.zeros(0, dtype=bool))
     q1 = pts - 1.5 * h * bm.normals
     q2 = pts - 3.0 * h * bm.normals
     u1 = bilinear(d.grid, field, q1)

@@ -235,7 +235,7 @@ def test_criterion_7_structural_invariants(fk_run, ks_run):
         np.roll(inside, 1, 0) & np.roll(inside, -1, 0)
         & np.roll(inside, 1, 1) & np.roll(inside, -1, 1)
     )
-    grads = _mode_gradients(fk_run.spectrum, d)
+    grads = _mode_gradients(fk_run.spectrum.modes, d.inside, d.grid.h)
     xis = fk_run.weights.symmetrized()
     g2 = sum(xis[k] * (grads[k][0] ** 2 + grads[k][1] ** 2)
              for k in range(len(xis)))

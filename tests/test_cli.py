@@ -112,6 +112,49 @@ def test_build_objective_bad_family(tmp_path):
         build_objective(load_config(cfg))
 
 
+@pytest.mark.parametrize("objective", [
+    {"family": "linear", "n": 2, "coeffs": "1.0 x"},
+    {"family": "linear", "n": 2, "coeffs": "1.0,0.5"},
+    {"family": "softmin", "n": 2, "subset": "1 two"},
+    {"family": "softmin", "n": 2, "subset": "1.5 2"},
+])
+def test_objective_list_not_numeric_exit_2(tmp_path, capsys, objective):
+    sections = optimize_sections()
+    sections["objective"] = objective
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    capsys.readouterr()
+    assert run_single("optimize", str(cfg), str(tmp_path / "out"), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[objective]" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solve", "torsion", "ture"),
+    ("solve", "torsion", ""),
+    ("shape", "mirror", "maybe"),
+])
+def test_unrecognised_boolean_exit_2(tmp_path, capsys, section, key, value):
+    sections = solve_sections(kind="blob", r0=0.9, amp=0.1, modes=3)
+    sections[section][key] = value
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_single("solve", str(cfg), str(out), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"[{section}] {key}" in err
+    assert not (out / "spectrum.csv").exists()  # rejected before solving
+
+
+@pytest.mark.parametrize("value, written", [("Off", False), ("YES", True), ("0", False)])
+def test_solve_torsion_boolean_words(tmp_path, value, written):
+    sections = solve_sections()
+    sections["solve"]["torsion"] = value
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    out = tmp_path / "out"
+    assert run_single("solve", str(cfg), str(out), None, False) == 0
+    assert (out / "torsion.grid").exists() is written
+
+
 # ---- solve ------------------------------------------------------------
 
 
@@ -469,6 +512,38 @@ def test_diagnose_fuzzed_inputs_exit_0_or_2(small_run, spectrum, xi, header):
         cfg = write_ini(pathlib.Path(tmp) / "diag.ini", diagnose_sections(run, probes=8))
         code = run_single("diagnose", str(cfg), str(pathlib.Path(tmp) / "dout"), None, False)
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("radii", "0.5 big"),     # not a number
+    ("radii", "0.5 nan"),     # not finite
+    ("radii", ""),            # no radius
+    ("radii", "0.75 0.5"),    # descending
+    ("radii", "0.5 0.5"),     # repeated
+    ("radii", "0.25 0.5"),    # below 4h = 0.5
+    ("probes", "0"),
+    ("probes", "-3"),
+])
+def test_diagnose_bad_radii_or_probes_exit_2(small_run, tmp_path, capsys, key, value):
+    sections = diagnose_sections(small_run, probes=8)
+    sections["diagnose"][key] = value
+    cfg = write_ini(tmp_path / "diag.ini", sections)
+    capsys.readouterr()
+    assert run_single("diagnose", str(cfg), str(tmp_path / "dout"), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"[diagnose] {key}" in err
+
+
+def test_diagnose_explicit_radii(small_run, tmp_path):
+    sections = diagnose_sections(small_run, probes=1)
+    sections["diagnose"]["radii"] = "0.5 0.75"  # 4h and 6h on the 33x33 grid
+    cfg = write_ini(tmp_path / "diag.ini", sections)
+    dout = tmp_path / "dout"
+    assert run_single("diagnose", str(cfg), str(dout), None, False) == 0
+    report = json.loads((dout / "report.json").read_text())
+    assert report["weiss"]["radii"] == [0.5, 0.75]
+    rows = (dout / "weiss.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[2]) for r in rows] == [0.5, 0.75]  # one probe
 
 
 # ---- driver -----------------------------------------------------------

@@ -30,6 +30,7 @@ from eigenshape import (
     half_plane,
     rectangle,
     scaling_check,
+    shape_velocity,
     simplicity_report,
     solve_spectrum,
     solve_torsion,
@@ -37,7 +38,9 @@ from eigenshape import (
     weiss_energy,
     weiss_profile,
 )
-from eigenshape.diagnostics import _ball_mean, write_weiss_csv
+from eigenshape.diagnostics import _ball_mean, _mode_gradients, write_weiss_csv
+from eigenshape.domain import _ball_window, _node_weights, bilinear, inside_fraction
+from eigenshape.spectral import normal_derivative
 
 J01 = 2.404825557695773
 R_STAR = (J01**2 / math.pi) ** 0.25
@@ -139,6 +142,60 @@ def test_weiss_csv_golden(tmp_path, grid129):
     assert float(cells[3]) == probe.values[0]  # repr round-trips
 
 
+def _reference_weiss_energy(d, sp, w, x, r):
+    """weiss_energy in its full-grid form: mode gradients, node coordinates
+    and quadrature weights on the whole grid, then cut to the ball window."""
+    g, h = d.grid, d.grid.h
+    xis = w.symmetrized()
+    grads = _mode_gradients(sp.modes, d.inside, h)
+    pad = r + 2.0 * h
+    i0 = max(0, int(math.floor((x[0] - pad - g.origin[0]) / h)))
+    i1 = min(g.nx, int(math.ceil((x[0] + pad - g.origin[0]) / h)) + 1)
+    j0 = max(0, int(math.floor((x[1] - pad - g.origin[1]) / h)))
+    j1 = min(g.ny, int(math.ceil((x[1] + pad - g.origin[1]) / h)) + 1)
+    rows, cols = slice(j0, j1), slice(i0, i1)
+    X, Y = g.meshgrid()
+    Xw, Yw = X[rows, cols], Y[rows, cols]
+    ball = inside_fraction(np.hypot(Xw - x[0], Yw - x[1]) - r, h)
+    chi = inside_fraction(d.phi[rows, cols], 1.5 * h)
+    integ = w.xi0_at(np.column_stack([Xw.ravel(), Yw.ravel()])).reshape(Xw.shape)
+    for k in range(len(xis)):
+        gk = grads[k][:, rows, cols]
+        integ = integ + xis[k] * (gk[0] ** 2 + gk[1] ** 2)
+    wts = _node_weights(g)[rows, cols]
+    vol_term = float(np.sum(wts * ball * chi * integ)) / r**2
+    nsamp = max(64, int(4.0 * math.pi * r / h))
+    theta = (np.arange(nsamp) + 0.5) * (2.0 * math.pi / nsamp)
+    ring_pts = np.column_stack([x[0] + r * np.cos(theta), x[1] + r * np.sin(theta)])
+    ring_vals = np.zeros(nsamp)
+    for k in range(len(xis)):
+        ring_vals += xis[k] * bilinear(g, sp.modes[k], ring_pts) ** 2
+    return vol_term - (2.0 * math.pi * r / nsamp) * float(ring_vals.sum()) / r**3
+
+
+@pytest.fixture(scope="module")
+def edge_disk(grid129):
+    """A disk crossing the right and bottom box edges, its modes nonzero there."""
+    d = disk(grid129, (1.4, -1.4), 0.9)
+    sp = solve_spectrum(d, 3)
+    w = grad_Fp(ObjectiveSpec("single", n=2, index=2), sp.lambdas[:2], 32.0)
+    return d, sp, w
+
+
+def test_weiss_window_matches_full_grid_bits(edge_disk):
+    d, sp, w = edge_disk
+    g, h = d.grid, d.grid.h
+    bm = extract_boundary(d)
+    interior = tuple(bm.points[np.argmin(bm.points[:, 0])])  # (0.5, -1.4)
+    corner = (1.97, -1.97)
+    rows, cols, _ = _ball_window(g, corner, 12 * h)
+    assert rows.start == 0 and cols.stop == g.nx  # clipped by two box edges
+    for x in (interior, corner):
+        for r in (4 * h, 6 * h, 12 * h, 0.4):
+            got = weiss_energy(d, sp, w, x, r)
+            assert got.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
+
+
 # ---- optimality residual ----------------------------------------------
 
 
@@ -179,6 +236,33 @@ def test_el_residual_blind_to_mode_signs(opt_ball):
     a = el_residual(d, sp, w, bm)
     b = el_residual(d, flipped, w, bm)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.fixture(scope="module")
+def two_disk_cluster(grid129):
+    """Two congruent disks: lambda_1 = lambda_2, three modes, two weights."""
+    left = disk(grid129, (-0.9, 0.0), 0.7)
+    d = left.with_phi(np.minimum(left.phi, left.phi[:, ::-1]))
+    sp = solve_spectrum(d, 3)
+    w = grad_Fp(ObjectiveSpec("single", n=2, index=2), sp.lambdas[:2], 32.0)
+    assert w.cluster_tags[0] == (0, 1)
+    return d, sp, w
+
+
+@pytest.mark.parametrize("triple", ["opt_ball", "two_disk_cluster"])
+def test_el_residual_is_the_flow_speed_bits(request, triple):
+    d, sp, w = request.getfixturevalue(triple)
+    bm = extract_boundary(d)
+    V, reliable = shape_velocity(d, sp, w, bm)
+    res = el_residual(d, sp, w, bm)
+    assert res.values.tobytes() == V[reliable].tobytes()
+    assert res.points.tobytes() == bm.points[reliable].tobytes()
+    # the stacked normal derivative gives each mode the bits it has alone
+    nd = normal_derivative(sp.modes, bm, d)
+    for k in range(len(sp)):
+        one = normal_derivative(sp.modes[k], bm, d)
+        assert nd.values[k].tobytes() == one.values.tobytes()
+        assert np.array_equal(nd.reliable, one.reliable)
 
 
 def test_el_residual_all_unreliable_raises(opt_ball):

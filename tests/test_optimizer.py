@@ -15,6 +15,7 @@ import pytest
 import eigenshape.optimizer as optimizer_mod
 from eigenshape import (
     Grid,
+    GridDomain,
     ObjectiveSpec,
     OptimizeAborted,
     OptimizerConfig,
@@ -28,6 +29,7 @@ from eigenshape import (
     half_plane,
     shape_velocity,
     solve_spectrum,
+    star_blob,
     step,
     volume,
 )
@@ -139,6 +141,59 @@ def test_advect_uniform_speed_on_planar_front(grid129, speed):
     mask = np.zeros_like(d.phi, dtype=bool)
     mask[2:-2, 2:-2] = True
     assert np.max(np.abs(moved[mask] - (d.phi[mask] - speed * dt))) < 1e-12
+
+
+def _reference_advect(phi, V, dt, h):
+    """advect with its backward and forward differences taken from
+    edge-replicated pads of phi, one array per side and axis."""
+    pad_x = np.pad(phi, ((0, 0), (1, 1)), mode="edge")
+    pad_y = np.pad(phi, ((1, 1), (0, 0)), mode="edge")
+    dxm = (phi - pad_x[:, :-2]) / h
+    dxp = (pad_x[:, 2:] - phi) / h
+    dym = (phi - pad_y[:-2, :]) / h
+    dyp = (pad_y[2:, :] - phi) / h
+    grad_plus = np.sqrt(
+        np.maximum(dxm, 0.0) ** 2 + np.minimum(dxp, 0.0) ** 2
+        + np.maximum(dym, 0.0) ** 2 + np.minimum(dyp, 0.0) ** 2
+    )
+    grad_minus = np.sqrt(
+        np.minimum(dxm, 0.0) ** 2 + np.maximum(dxp, 0.0) ** 2
+        + np.minimum(dym, 0.0) ** 2 + np.maximum(dyp, 0.0) ** 2
+    )
+    return phi - dt * (np.maximum(V, 0.0) * grad_plus + np.minimum(V, 0.0) * grad_minus)
+
+
+def _fk_blob():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257)
+    return star_blob(g, (0.0, 0.0), 0.9, 0.22, 5, np.random.default_rng(11))
+
+
+def _edge_disk():
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 65, 65)
+    return disk(g, (0.8, -0.6), 0.7)
+
+
+def _random_field():
+    # local extrema everywhere: all four one-sided terms enter the sums
+    g = Grid(nx=40, ny=33, h=0.1)
+    return GridDomain(g, np.random.default_rng(3).standard_normal((33, 40)))
+
+
+@pytest.mark.parametrize("make", [_fk_blob, _edge_disk, _random_field],
+                         ids=["fk_blob", "crosses_box_edge", "random_field"])
+@pytest.mark.parametrize("speed", ["mixed_smooth", "mixed_random", "one_sign"])
+def test_advect_bitwise_matches_reference(make, speed):
+    d = make()
+    X, Y = d.grid.meshgrid()
+    V = {
+        "mixed_smooth": np.sin(3.0 * X) * np.cos(2.0 * Y),
+        "mixed_random": np.random.default_rng(5).standard_normal(X.shape),
+        "one_sign": np.where(np.abs(d.phi) < 0.2, 0.7, 0.0),
+    }[speed]
+    V[::7, ::5] = -0.0
+    h = d.grid.h
+    out = advect(d.phi, V, 0.4 * h, h)
+    assert out.tobytes() == _reference_advect(d.phi, V, 0.4 * h, h).tobytes()
 
 
 def test_advect_curved_front_first_order(grid129):
