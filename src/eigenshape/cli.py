@@ -68,6 +68,7 @@ from .spectral import (
     factor_laplacian,
     solve_spectrum,
     solve_torsion,
+    torsion_field,
     write_spectrum_csv,
 )
 
@@ -418,6 +419,22 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
     return code
 
 
+def _read_field(path, d: GridDomain, dom_path) -> np.ndarray:
+    """A nodal field dump on the grid of ``d`` (read from ``dom_path``); a
+    missing or malformed dump, another grid header or a non-finite value is
+    a ConfigError."""
+    path = _input(path)
+    try:
+        grid, field = read_field_dump(path)
+    except ValueError as err:
+        raise ConfigError(f"bad grid dump {path}: {err}") from err
+    if grid != d.grid:
+        raise ConfigError(f"grid header of {path} does not match {dom_path}")
+    if not np.all(np.isfinite(field)):
+        raise ConfigError(f"{path} has non-finite values")
+    return field
+
+
 def _load_diagnose_inputs(cp):
     dom_path = _get(cp, "diagnose", "domain", str, required=True)
     spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
@@ -426,20 +443,8 @@ def _load_diagnose_inputs(cp):
     _, lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
     if len(lambdas) == 0:
         raise ConfigError(f"{spec_path} lists no eigenpairs")
-    modes = []
-    for k in range(1, len(lambdas) + 1):
-        mode_path = _input(spec_path.parent / f"mode_{k}.grid")
-        try:
-            grid, field = read_field_dump(mode_path)
-        except ValueError as err:
-            raise ConfigError(f"bad grid dump {mode_path}: {err}") from err
-        if grid != d.grid:
-            raise ConfigError(
-                f"grid header of {mode_path} does not match {dom_path}"
-            )
-        if not np.all(np.isfinite(field)):
-            raise ConfigError(f"{mode_path} has non-finite values")
-        modes.append(field)
+    modes = [_read_field(spec_path.parent / f"mode_{k}.grid", d, dom_path)
+             for k in range(1, len(lambdas) + 1)]
     sp = Spectrum(
         lambdas=lambdas,
         modes=np.stack(modes),
@@ -447,6 +452,8 @@ def _load_diagnose_inputs(cp):
         generation=d.generation,
     )
     _, xi = _read_csv(xi_path, "k,xi", 2)
+    if len(xi) == 0:
+        raise ConfigError(f"{xi_path} lists no weights")
     if len(xi) > len(lambdas):
         raise ConfigError(
             f"{xi_path} lists {len(xi)} weights but only {len(lambdas)} modes exist"
@@ -457,6 +464,22 @@ def _load_diagnose_inputs(cp):
         pen=PenaltySpec(s=0.0),
     )
     return d, sp, w
+
+
+def _load_torsion(cp, d: GridDomain):
+    """The torsion function of ``d``: the ``torsion.grid`` that solve wrote
+    next to the spectrum, once it passes the check of solve's own solution,
+    or a fresh solve when there is no such file."""
+    dom_path = _get(cp, "diagnose", "domain", str, required=True)
+    spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
+    path = spec_path.parent / "torsion.grid"
+    if not path.is_file():
+        return solve_torsion(d)
+    try:
+        return torsion_field(d, _read_field(path, d, dom_path))
+    except SpectralError as err:
+        raise ConfigError(f"{path} is not the torsion function of {dom_path}: "
+                          f"{err}") from err
 
 
 def _diagnose_probing(cp, h: float) -> tuple[list[float], int]:
@@ -499,9 +522,9 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
             "p90_abs": el.p90_abs,
             "n_reliable": int(len(el.values)),
         }
-        stride = max(1, len(bm) // n_probes)
-        probe_idx = range(0, len(bm), stride)
-        probes = [weiss_profile(d, sp, w, bm.points[i], radii) for i in probe_idx]
+        tf = _load_torsion(cp, d)
+        probe_pts = bm.points[::max(1, len(bm) // n_probes)]
+        probes = weiss_profile(d, sp, w, probe_pts, radii)
         write_weiss_csv(probes, out / "weiss.csv")
         report["weiss"] = {
             "radii": radii,
@@ -513,8 +536,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
         for lab in labels:
             counts[lab.label.value] = counts.get(lab.label.value, 0) + 1
         report["boundary_labels"] = counts
-        tf = solve_torsion(d)
-        flags = [torsion_probe(d, tf, bm.points[i], radii[0]).value for i in probe_idx]
+        flags = [torsion_probe(d, tf, pt, radii[0]).value for pt in probe_pts]
         report["torsion_violations"] = int(flags.count("VIOLATION"))
     if cp.has_section("objective"):
         spec = build_objective(cp)

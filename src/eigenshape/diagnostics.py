@@ -17,9 +17,10 @@ import math
 import numpy as np
 
 from .domain import (
+    _BATCH_NODES,
     BoundaryMesh,
     GridDomain,
-    _ball_window,
+    _ball_windows,
     _node_weights,
     bilinear,
     density_ratio,
@@ -99,9 +100,9 @@ def weiss_energy(
     d: GridDomain,
     sp: Spectrum,
     w: WeightVector,
-    x: tuple[float, float],
+    x,
     r: float,
-) -> float:
+):
     """Scaled boundary energy at center ``x`` and radius ``r`` (2D scaling).
 
     W(x,r) = r^-2 * int_{B_r(x) & Omega} (sum_k xi_k |grad u_k|^2 + xi0)
@@ -110,7 +111,8 @@ def weiss_energy(
     The volume part uses smoothed ball and domain indicators on the node
     quadrature; the ring part samples the circle and interpolates the modes
     bilinearly. Half-plane data with unit gradient and unit weights gives
-    pi/2. Requires r >= 4h.
+    pi/2. Requires r >= 4h. ``x`` is one centre (a float comes back) or a
+    stack of centres (m, 2) (an array (m,) comes back).
     """
     g = d.grid
     h = g.h
@@ -118,54 +120,81 @@ def weiss_energy(
         raise ValueError(f"probe radius {r} below resolvable 4h = {4 * h}")
     xis = w.symmetrized()
     modes = sp.modes[: len(xis)]
-    rows, cols, ball = _ball_window(g, x, r)
-    # differences on the window plus a one-node halo (clipped at the box),
-    # cropped back to the window
-    j0, i0 = max(rows.start - 1, 0), max(cols.start - 1, 0)
-    halo = (slice(j0, rows.stop + 1), slice(i0, cols.stop + 1))
-    crop = (Ellipsis, slice(rows.start - j0, rows.stop - j0),
-            slice(cols.start - i0, cols.stop - i0))
-    grads = _mode_gradients(modes[(Ellipsis, *halo)], d.inside[halo], h)[crop]
+    centres = np.asarray(x, dtype=float)
+    single = centres.ndim == 1
+    centres = centres.reshape(-1, 2)
 
-    chi = inside_fraction(d.phi[rows, cols], 1.5 * h)
-    Xw, Yw = np.meshgrid(g.xs[cols], g.ys[rows])
-    nodes = np.column_stack([Xw.ravel(), Yw.ravel()])
-    integ = w.xi0_at(nodes).reshape(Xw.shape)
-    for k in range(len(xis)):
-        integ = integ + xis[k] * (grads[k, 0] ** 2 + grads[k, 1] ** 2)
-    wts = _node_weights(g, rows, cols)
-    vol_term = float(np.sum(wts * ball * chi * integ)) / r**2
+    # mode differences on each window plus a one-node halo; the zero, outside
+    # padding reads as the box edge, so a halo is never clipped
+    padded = np.pad(modes, ((0, 0), (1, 1), (1, 1)))
+    inside = np.pad(d.inside, 1)
+    vol_term = np.zeros(len(centres))
+    for sel, rows, cols, ball in _ball_windows(g, centres, r):
+        if ball.size == 0:
+            continue
+        hrows = rows[:, :1] + np.arange(rows.shape[1] + 2)
+        hcols = cols[:, :1] + np.arange(cols.shape[1] + 2)
+        halo = (hrows[:, :, None], hcols[:, None, :])
+        grads = _mode_gradients(padded[(slice(None), *halo)], inside[halo], h)
+        grads = grads[..., 1:-1, 1:-1]
+        chi = inside_fraction(d.phi[rows[:, :, None], cols[:, None, :]], 1.5 * h)
+        nodes = np.column_stack([
+            np.broadcast_to(g.xs[cols][:, None, :], ball.shape).ravel(),
+            np.broadcast_to(g.ys[rows][:, :, None], ball.shape).ravel(),
+        ])
+        integ = w.xi0_at(nodes).reshape(ball.shape)
+        for k in range(len(xis)):
+            integ = integ + xis[k] * (grads[k, 0] ** 2 + grads[k, 1] ** 2)
+        wts = _node_weights(g, rows, cols)
+        vol_term[sel] = np.sum(wts * ball * chi * integ, axis=(1, 2)) / r**2
 
     nsamp = max(64, int(4.0 * math.pi * r / h))
     theta = (np.arange(nsamp) + 0.5) * (2.0 * math.pi / nsamp)
-    ring_pts = np.column_stack(
-        [x[0] + r * np.cos(theta), x[1] + r * np.sin(theta)]
-    )
-    ring = bilinear(g, modes, ring_pts)
-    ring_vals = np.zeros(nsamp)
-    for k in range(len(xis)):
-        ring_vals += xis[k] * ring[k] ** 2
-    ring_term = (2.0 * math.pi * r / nsamp) * float(ring_vals.sum()) / r**3
-    return vol_term - ring_term
+    circle = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    ring_sum = np.zeros(len(centres))
+    step = max(1, _BATCH_NODES // nsamp)
+    for s in range(0, len(centres), step):
+        ring_pts = centres[s:s + step, None, :] + circle
+        ring = bilinear(g, modes, ring_pts.reshape(-1, 2))
+        ring = ring.reshape(len(modes), len(ring_pts), nsamp)
+        ring_vals = np.zeros(ring.shape[1:])
+        for k in range(len(xis)):
+            ring_vals += xis[k] * ring[k] ** 2
+        ring_sum[s:s + step] = ring_vals.sum(axis=1)
+    ring_term = (2.0 * math.pi * r / nsamp) * ring_sum / r**3
+    out = vol_term - ring_term
+    return float(out[0]) if single else out
 
 
 def weiss_profile(
     d: GridDomain,
     sp: Spectrum,
     w: WeightVector,
-    x: tuple[float, float],
+    x,
     radii,
-) -> WeissProbe:
-    """W(x, r) over ascending radii with the fitted drift constant."""
+):
+    """W(x, r) over ascending radii with the fitted drift constant.
+
+    ``x`` is one centre (one WeissProbe comes back) or a stack of centres
+    (m, 2) (a list of m probes comes back).
+    """
     radii = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly ascending, got {radii}")
-    values = tuple(weiss_energy(d, sp, w, x, r) for r in radii)
-    c_hat = 0.0
-    for (ra, wa), (rb, wb) in zip(zip(radii, values), zip(radii[1:], values[1:])):
-        c_hat = max(c_hat, (wa - wb) / (rb - ra))
-    return WeissProbe(center=(float(x[0]), float(x[1])), radii=radii,
-                      values=values, c_hat=c_hat)
+    centres = np.asarray(x, dtype=float)
+    values = np.zeros((centres.size // 2, len(radii)))
+    for j, r in enumerate(radii):
+        values[:, j] = weiss_energy(d, sp, w, centres.reshape(-1, 2), r)
+    c_hat = np.zeros(len(values))
+    for j in range(len(radii) - 1):
+        drift = (values[:, j] - values[:, j + 1]) / (radii[j + 1] - radii[j])
+        c_hat = np.where(drift > c_hat, drift, c_hat)
+    probes = [
+        WeissProbe(center=(cx, cy), radii=radii, values=tuple(vals), c_hat=c)
+        for (cx, cy), vals, c in zip(centres.reshape(-1, 2).tolist(),
+                                     values.tolist(), c_hat.tolist())
+    ]
+    return probes[0] if centres.ndim == 1 else probes
 
 
 def write_weiss_csv(probes, path) -> None:
@@ -265,18 +294,21 @@ def classify_boundary(d: GridDomain, bm: BoundaryMesh, radii) -> list[BoundaryLa
         raise ValueError(f"radii must be strictly ascending, got {radii}")
     if radii[0] < 4.0 * h - 1e-12:
         raise ValueError(f"smallest radius {radii[0]} below resolvable 4h = {4 * h}")
-    labels = []
-    for pt in bm.points:
-        rho = np.array([density_ratio(d, pt, r) for r in radii])
-        rho0 = float(rho[0])
-        trend = rho0 - float(rho[-1])
-        if 0.35 <= rho0 <= 0.65 and float(rho.max() - rho.min()) <= 0.15:
-            cls = BoundaryClass.REDUCED
-        elif rho0 >= 0.9 and trend >= -0.02:
-            cls = BoundaryClass.CUSP_CANDIDATE
-        else:
-            cls = BoundaryClass.SINGULAR_CANDIDATE
-        labels.append(BoundaryLabel(label=cls, density=rho0, trend=trend))
+    rho = np.zeros((len(bm), len(radii)))
+    for j, r in enumerate(radii):
+        rho[:, j] = density_ratio(d, bm.points, r)
+    rho0 = rho[:, 0]
+    trend = rho0 - rho[:, -1]
+    reduced = (0.35 <= rho0) & (rho0 <= 0.65) & (rho.max(axis=1) - rho.min(axis=1) <= 0.15)
+    cusp = (rho0 >= 0.9) & (trend >= -0.02)
+    labels = [
+        BoundaryLabel(label=(BoundaryClass.REDUCED if red else
+                             BoundaryClass.CUSP_CANDIDATE if cu else
+                             BoundaryClass.SINGULAR_CANDIDATE),
+                      density=dens, trend=tr)
+        for red, cu, dens, tr in zip(reduced.tolist(), cusp.tolist(),
+                                     rho0.tolist(), trend.tolist())
+    ]
     return labels
 
 
@@ -291,11 +323,13 @@ class ProbeFlag(enum.Enum):
 
 def _ball_mean(d: GridDomain, field: np.ndarray, x, r: float):
     """Mollified mean and max of |field| over B_r(x)."""
-    rows, cols, wts = _ball_window(d.grid, x, r)
+    centre = np.asarray(x, dtype=float).reshape(1, 2)
+    (_, rows, cols, wts), = _ball_windows(d.grid, centre, r)
+    wts = wts[0]
     total = float(wts.sum())
     if total <= 0.0:
         return 0.0, 0.0
-    f = field[rows, cols]
+    f = field[rows[0, :, None], cols[0]]
     return float((wts * f).sum() / total), float(np.abs(f[wts > 0]).max())
 
 

@@ -172,32 +172,51 @@ def inside_fraction(phi: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(0.5 * (1.0 - t - np.sin(np.pi * t) / np.pi), 0.0, 1.0)
 
 
-def _node_weights(grid: Grid, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+def _node_weights(grid: Grid, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """Tensor trapezoid weights: h^2, halved on the outer box faces; on the
-    window ``rows`` x ``cols`` only, if given."""
+    window ``rows`` x ``cols`` only, if given (slices, or the index stacks
+    (k, nr) and (k, nc) of k windows)."""
     tx = np.ones(grid.nx)
     tx[0] = tx[-1] = 0.5
     ty = np.ones(grid.ny)
     ty[0] = ty[-1] = 0.5
-    return grid.h * grid.h * np.outer(ty[rows], tx[cols])
+    return grid.h * grid.h * (ty[rows][..., :, None] * tx[cols][..., None, :])
 
 
-def _ball_window(grid: Grid, x: Sequence[float], r: float):
-    """The nodes that carry the weight of the mollified ball B_r(x).
+#: window nodes per batch of probe centres; bounds the memory of a batched probe
+_BATCH_NODES = 1 << 16
 
-    Returns index slices (rows, cols) of the nodes within r + 2h of x along
-    each axis, clipped to the box (possibly empty), and the one-cell-mollified
-    ball indicator on them.
+
+def _ball_windows(grid: Grid, centres: np.ndarray, r: float):
+    """The nodes that carry the weight of the mollified balls B_r(c), in batches.
+
+    The window of a centre c (a row of ``centres`` (m, 2)) holds the nodes
+    within r + 2h of c along each axis, clipped to the box (possibly empty).
+    Centres whose windows share a shape are batched, up to _BATCH_NODES
+    window nodes per batch. Yields (sel, rows, cols, ball): the indices of
+    the batch's centres, the node rows (k, nr) and columns (k, nc) of their
+    windows, and the one-cell-mollified ball indicator (k, nr, nc) on them.
     """
     h = grid.h
     pad = r + 2.0 * h
-    i0 = max(0, int(math.floor((x[0] - pad - grid.origin[0]) / h)))
-    i1 = min(grid.nx, int(math.ceil((x[0] + pad - grid.origin[0]) / h)) + 1)
-    j0 = max(0, int(math.floor((x[1] - pad - grid.origin[1]) / h)))
-    j1 = min(grid.ny, int(math.ceil((x[1] + pad - grid.origin[1]) / h)) + 1)
-    rows, cols = slice(j0, max(j0, j1)), slice(i0, max(i0, i1))
-    dist = np.hypot(grid.xs[cols] - x[0], grid.ys[rows, None] - x[1])
-    return rows, cols, inside_fraction(dist - r, h)
+    origin = np.array(grid.origin)
+    size = np.array([grid.nx, grid.ny])
+    lo = np.clip(np.floor((centres - pad - origin) / h), 0, size).astype(np.int64)
+    hi = np.clip(np.ceil((centres + pad - origin) / h) + 1, 0, size).astype(np.int64)
+    nc, nr = np.maximum(hi - lo, 0).T
+    shapes, group = np.unique(nr * (grid.nx + 1) + nc, return_inverse=True)
+    xs, ys = grid.xs, grid.ys
+    for g, shape in enumerate(shapes.tolist()):
+        nr, nc = divmod(shape, grid.nx + 1)
+        members = np.flatnonzero(group == g)
+        step = max(1, _BATCH_NODES // max(1, nr * nc))
+        for s in range(0, len(members), step):
+            sel = members[s:s + step]
+            rows = lo[sel, 1:] + np.arange(nr)
+            cols = lo[sel, :1] + np.arange(nc)
+            dist = np.hypot(xs[cols][:, None, :] - centres[sel, 0, None, None],
+                            ys[rows][:, :, None] - centres[sel, 1, None, None])
+            yield sel, rows, cols, inside_fraction(dist - r, h)
 
 
 def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -261,23 +280,26 @@ def dilate(d: GridDomain, t: float) -> GridDomain:
     return d.with_phi(phi.reshape(d.phi.shape))
 
 
-def density_ratio(d: GridDomain, x: Sequence[float], r: float) -> float:
+def density_ratio(d: GridDomain, x, r: float):
     """|B_r(x) inside Omega| / |B_r(x)| by mollified node quadrature.
 
     Both numerator and denominator use the same one-cell-mollified ball
     weights, so the result lies in [0, 1] exactly and equals 1 for balls
     fully inside Omega. For balls clipped by the grid box the ratio is
-    relative to the in-box part.
+    relative to the in-box part. ``x`` is one centre (a float comes back)
+    or a stack of centres (m, 2) (an array (m,) comes back).
     """
     h = d.grid.h
     if r < 2 * h:
         raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
-    rows, cols, ball_w = _ball_window(d.grid, x, r)
-    den = float(ball_w.sum())
-    if den <= 0.0:
-        return 0.0
-    om = inside_fraction(d.phi[rows, cols], 1.5 * h)
-    return float(np.sum(ball_w * om) / den)
+    centres = np.asarray(x, dtype=float)
+    out = np.zeros(centres.size // 2)
+    for sel, rows, cols, ball in _ball_windows(d.grid, centres.reshape(-1, 2), r):
+        den = ball.sum(axis=(1, 2))
+        om = inside_fraction(d.phi[rows[:, :, None], cols[:, None, :]], 1.5 * h)
+        num = np.sum(ball * om, axis=(1, 2))
+        out[sel] = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return float(out[0]) if centres.ndim == 1 else out
 
 
 def connected_components(d: GridDomain) -> int:
@@ -582,36 +604,55 @@ def difference(a: GridDomain, b: GridDomain) -> GridDomain:
 _DUMP_MAGIC = "GRIDDUMP v1"
 
 
+def _dump_row(values: list, zero: np.ndarray) -> str:
+    """One dump row: the repr of each value, the literal 0.0 where ``zero``."""
+    cells = ["0.0"] * len(values)
+    runs = [0, *(np.flatnonzero(zero[1:] != zero[:-1]) + 1).tolist(), len(values)]
+    first = int(zero[0])  # runs alternate; the first nonzero one is run 0 or 1
+    for a, b in zip(runs[first::2], runs[first + 1::2]):
+        cells[a:b] = map(repr, values[a:b])
+    return " ".join(cells)
+
+
 def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
     """Text dump of any nodal field: header "GRIDDUMP v1 nx ny h x0 y0",
     then ny rows of nx values, row-major from y0 upward. Floats use repr for
-    exact round-trip."""
+    exact round-trip; an exact +0.0 is written as its repr, 0.0, without the
+    call (-0.0 still goes through repr)."""
+    field = np.asarray(field, dtype=float)
+    plus_zero = (field == 0.0) & ~np.signbit(field)
     with open(path, "w") as f:
         f.write(
             f"{_DUMP_MAGIC} {grid.nx} {grid.ny} {grid.h!r} "
             f"{grid.origin[0]!r} {grid.origin[1]!r}\n"
         )
-        for j in range(grid.ny):
-            f.write(" ".join(repr(float(v)) for v in field[j]))
+        for values, zero in zip(field.tolist(), plus_zero):
+            f.write(_dump_row(values, zero))
             f.write("\n")
 
 
 def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     """Inverse of :func:`write_field_dump`. The header sizes are checked
-    against the rows in the file before anything is allocated from them."""
+    against the rows in the file before anything is allocated from them;
+    then every row is parsed at once (decimal floats, no comments)."""
     with open(path) as f:
         header = f.readline().split()
         if len(header) != 7 or header[:2] != _DUMP_MAGIC.split():
             raise ValueError(f"not a grid dump: {path}")
         nx, ny = int(header[2]), int(header[3])
         h, x0, y0 = float(header[4]), float(header[5]), float(header[6])
-        rows = [np.array(line.split(), dtype=float) for line in f]
+        rows = f.readlines()
     if len(rows) != ny:
         raise ValueError(f"grid dump has {len(rows)} rows, expected {ny}")
-    for j, row in enumerate(rows):
-        if row.size != nx:
-            raise ValueError(f"grid dump row {j} has {row.size} values, expected {nx}")
-    return Grid(nx=nx, ny=ny, h=h, origin=(x0, y0)), np.stack(rows)
+    grid = Grid(nx=nx, ny=ny, h=h, origin=(x0, y0))
+    blank = [j for j, row in enumerate(rows) if not row.strip()]
+    if blank:  # np.loadtxt would skip it
+        raise ValueError(f"grid dump row {blank[0]} is blank")
+    field = np.loadtxt(rows, comments=None, ndmin=2)
+    if field.shape != (ny, nx):
+        raise ValueError(f"grid dump rows hold {field.shape[0]} x {field.shape[1]} "
+                         f"values, expected {ny} x {nx}")
+    return grid, field
 
 
 def write_grid_dump(d: GridDomain, path) -> None:

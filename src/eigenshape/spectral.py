@@ -27,6 +27,7 @@ __all__ = [
     "factor_laplacian",
     "solve_spectrum",
     "solve_torsion",
+    "torsion_field",
     "normal_derivative",
     "write_spectrum_csv",
 ]
@@ -225,23 +226,40 @@ class TorsionField:
 def solve_torsion(d: GridDomain, tol: float = 1e-8, factors=None) -> TorsionField:
     """Solve -Laplace v = 1 with Dirichlet conditions; report T(Omega).
 
-    The energy integral T = int(|grad v|^2 / 2 - v) collapses to
-    -h^2 * sum(v) / 2 through the discrete equation, which is how it is
-    evaluated here. ``factors`` is :func:`factor_laplacian` of ``d``.
+    ``factors`` is :func:`factor_laplacian` of ``d``. The solution passes
+    the check of :func:`torsion_field`.
     """
     if d.is_empty:
         raise ValueError("domain is empty: cannot solve the torsion equation")
     A, active, lu = factor_laplacian(d) if factors is None else factors
-    b = np.ones(A.shape[0])
-    v = lu.solve(b)
-    resid = float(np.max(np.abs(A @ v - b)))
-    if resid > tol * max(1.0, float(np.max(np.abs(v)))):
+    full = np.zeros(d.phi.size)
+    full[active] = lu.solve(np.ones(A.shape[0]))
+    return torsion_field(d, full.reshape(d.phi.shape), tol, laplacian=(A, active))
+
+
+def torsion_field(d: GridDomain, v: np.ndarray, tol: float = 1e-8,
+                  laplacian=None) -> TorsionField:
+    """The TorsionField of a candidate torsion function ``v`` (ny, nx) of ``d``.
+
+    ``v`` must vanish off Omega, and its residual ||A v - 1||_inf on Omega
+    must be at most tol * max(1, max|v|); otherwise SpectralError. The
+    energy integral T = int(|grad v|^2 / 2 - v) collapses to
+    -h^2 * sum(v) / 2 through the discrete equation, which is how it is
+    evaluated here. ``laplacian`` is :func:`assemble_laplacian` of ``d``.
+    """
+    A, active = assemble_laplacian(d) if laplacian is None else laplacian
+    flat = np.ravel(v)
+    off = np.ones(flat.size, dtype=bool)
+    off[active] = False
+    if np.any(flat[off] != 0.0):
+        raise SpectralError("torsion function is nonzero off Omega")
+    v = flat[active]
+    resid = float(np.max(np.abs(A @ v - 1.0)))
+    if not resid <= tol * max(1.0, float(np.max(np.abs(v)))):
         raise SpectralError(f"torsion solve residual {resid} above tolerance")
     h = d.grid.h
-    full = np.zeros(d.phi.size)
-    full[active] = v
     return TorsionField(
-        v=full.reshape(d.phi.shape),
+        v=flat.reshape(d.phi.shape),
         energy=float(-0.5 * h * h * v.sum()),
         resid=resid,
         generation=d.generation,

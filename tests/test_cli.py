@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eigenshape import Grid, GridDomain
+from eigenshape import Grid, GridDomain, disk, solve_torsion
 from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
@@ -27,7 +27,7 @@ from eigenshape.cli import (
     main,
     run_single,
 )
-from eigenshape.domain import write_field_dump, write_grid_dump
+from eigenshape.domain import read_field_dump, write_field_dump, write_grid_dump
 
 from conftest import write_ini
 
@@ -488,18 +488,30 @@ def _edit_rows(path, edits):
     path.write_text("\n".join(lines) + "\n")
 
 
-@example(spectrum=[], xi=[], header=("domain.grid", _HUGE_HEADER))
-@example(spectrum=[], xi=[], header=("*.grid", _HUGE_HEADER))
+def _dump_row(*tokens):
+    """A dump row of the 33x33 grid: zeros with ``tokens`` in the middle."""
+    return " ".join(["0.0"] * 15 + list(tokens) + ["0.0"] * (18 - len(tokens)))
+
+
+@example(spectrum=[], xi=[], header=("domain.grid", _HUGE_HEADER), row=None)
+@example(spectrum=[], xi=[], header=("*.grid", _HUGE_HEADER), row=None)
 @example(spectrum=[], xi=[],  # coordinates too coarse for any reliable sample
-         header=("*.grid", "GRIDDUMP v1 33 33 0.125 -2.0 1.8014398509481984e+16"))
+         header=("*.grid", "GRIDDUMP v1 33 33 0.125 -2.0 1.8014398509481984e+16"),
+         row=None)
+@example(spectrum=[], xi=[], header=None, row=("mode_1.grid", 4, _dump_row("#", "1.0")))
+@example(spectrum=[], xi=[], header=None, row=("domain.grid", 4, ""))
+@example(spectrum=[], xi=[], header=None, row=("mode_1.grid", 4, _dump_row("1_0")))
 @settings(max_examples=40, deadline=None)
 @given(
     spectrum=st.lists(_ROW_EDIT, max_size=2),
     xi=st.lists(_ROW_EDIT, max_size=2),
     header=st.none() | st.tuples(
         st.sampled_from(["domain.grid", "mode_1.grid", "*.grid"]), _HEADER),
+    row=st.none() | st.tuples(
+        st.sampled_from(["domain.grid", "mode_1.grid"]), st.integers(1, 34),
+        st.lists(_TOKEN, max_size=4).map(lambda t: _dump_row(*t))),
 )
-def test_diagnose_fuzzed_inputs_exit_0_or_2(small_run, spectrum, xi, header):
+def test_diagnose_fuzzed_inputs_exit_0_or_2(small_run, spectrum, xi, header, row):
     with tempfile.TemporaryDirectory() as tmp:
         run = pathlib.Path(tmp) / "run"
         shutil.copytree(small_run, run)
@@ -509,9 +521,113 @@ def test_diagnose_fuzzed_inputs_exit_0_or_2(small_run, spectrum, xi, header):
             pattern, text = header
             for path in run.glob(pattern):
                 _edit_rows(path, [(0, "replace", text)])
+        if row is not None:
+            name, j, text = row
+            _edit_rows(run / name, [(j, "replace", text)])
         cfg = write_ini(pathlib.Path(tmp) / "diag.ini", diagnose_sections(run, probes=8))
         code = run_single("diagnose", str(cfg), str(pathlib.Path(tmp) / "dout"), None, False)
     assert code in (0, 2)
+
+
+def _diagnose_small(run, tmp_path, capsys):
+    """Diagnose ``run`` with 8 probes; the exit code, stderr and report."""
+    tmp_path.mkdir(exist_ok=True)
+    cfg = write_ini(tmp_path / "diag.ini", diagnose_sections(run, probes=8))
+    dout = tmp_path / "dout"
+    capsys.readouterr()
+    code = run_single("diagnose", str(cfg), str(dout), None, False)
+    report = dout / "report.json"
+    return code, capsys.readouterr().err, report.read_bytes() if report.exists() else None
+
+
+def test_diagnose_xi_without_rows_exit_2(small_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    (run / "xi.csv").write_text("k,xi\n")
+    code, err, _ = _diagnose_small(run, tmp_path, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "xi.csv" in err
+
+
+@pytest.mark.parametrize("text", [
+    _dump_row("#", "1.0"),   # a comment sign is not skipped
+    _dump_row("1_0"),        # underscores are not digit separators
+    _dump_row("\u0661.0"),   # nor are non-ASCII digits digits
+    "",                      # a blank row
+], ids=["hash", "underscore", "non_ascii_digit", "blank"])
+@pytest.mark.parametrize("name", ["domain.grid", "mode_1.grid"])
+def test_diagnose_dump_row_exit_2(small_run, tmp_path, capsys, name, text):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    _edit_rows(run / name, [(4, "replace", text)])
+    code, err, _ = _diagnose_small(run, tmp_path, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and name in err
+
+
+@pytest.fixture(scope="module")
+def torsion_run(tmp_path_factory):
+    """A solved 33x33 off-centre disk with its torsion.grid, and xi.csv."""
+    base = tmp_path_factory.mktemp("cli-torsion")
+    cfg = write_ini(base / "solve.ini", {
+        "run": {"seed": 3},
+        "grid": {"nx": 33, "ny": 33},
+        "shape": {"kind": "disk", "cx": 0.1, "r": 1.2},
+        "solve": {"modes": 2},
+    })
+    out = base / "out"
+    assert run_single("solve", str(cfg), str(out), None, False) == 0
+    (out / "xi.csv").write_text("k,xi\n1,1.0\n")
+    return out
+
+
+def test_diagnose_report_same_with_and_without_torsion_grid(torsion_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(torsion_run, run)
+    code, _, with_file = _diagnose_small(run, tmp_path / "with", capsys)
+    assert code == 0
+    (run / "torsion.grid").unlink()
+    code, _, solved = _diagnose_small(run, tmp_path / "without", capsys)
+    assert code == 0
+    assert with_file == solved
+
+
+def test_diagnose_reads_torsion_grid_without_solving(torsion_run, tmp_path, capsys,
+                                                      monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("diagnose solved the torsion equation")
+
+    monkeypatch.setattr("eigenshape.cli.solve_torsion", no_solve)
+    code, _, report = _diagnose_small(torsion_run, tmp_path, capsys)
+    assert code == 0
+    assert "torsion_violations" in json.loads(report)
+
+
+def _torsion_of_other_disk(path):
+    grid, _ = read_field_dump(path)
+    write_field_dump(grid, solve_torsion(disk(grid, (-0.1, 0.0), 1.0)).v, path)
+
+
+def _torsion_header(path):
+    _edit_rows(path, [(0, "replace", "GRIDDUMP v1 33 33 0.13 -2.0 -2.0")])
+
+
+def _torsion_off_omega(path):
+    grid, v = read_field_dump(path)
+    v[0, 0] = 1e-3  # the box corner lies outside the disk
+    write_field_dump(grid, v, path)
+
+
+@pytest.mark.parametrize("edit", [_torsion_of_other_disk, _torsion_header,
+                                  _torsion_off_omega],
+                         ids=["other_disk", "grid_header", "nonzero_off_omega"])
+def test_diagnose_bad_torsion_grid_exit_2(torsion_run, tmp_path, capsys, edit):
+    run = tmp_path / "run"
+    shutil.copytree(torsion_run, run)
+    edit(run / "torsion.grid")
+    code, err, _ = _diagnose_small(run, tmp_path, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "torsion.grid" in err
 
 
 @pytest.mark.parametrize("key, value", [

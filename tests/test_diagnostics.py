@@ -39,7 +39,13 @@ from eigenshape import (
     weiss_profile,
 )
 from eigenshape.diagnostics import _ball_mean, _mode_gradients, write_weiss_csv
-from eigenshape.domain import _ball_window, _node_weights, bilinear, inside_fraction
+from eigenshape.domain import (
+    _BATCH_NODES,
+    _ball_windows,
+    _node_weights,
+    bilinear,
+    inside_fraction,
+)
 from eigenshape.spectral import normal_derivative
 
 J01 = 2.404825557695773
@@ -188,12 +194,55 @@ def test_weiss_window_matches_full_grid_bits(edge_disk):
     bm = extract_boundary(d)
     interior = tuple(bm.points[np.argmin(bm.points[:, 0])])  # (0.5, -1.4)
     corner = (1.97, -1.97)
-    rows, cols, _ = _ball_window(g, corner, 12 * h)
-    assert rows.start == 0 and cols.stop == g.nx  # clipped by two box edges
+    (_, rows, cols, _), = _ball_windows(g, np.array([corner]), 12 * h)
+    assert rows[0, 0] == 0 and cols[0, -1] == g.nx - 1  # clipped by two box edges
     for x in (interior, corner):
         for r in (4 * h, 6 * h, 12 * h, 0.4):
             got = weiss_energy(d, sp, w, x, r)
             assert got.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
+
+
+def test_weiss_batch_matches_reference_bits(edge_disk):
+    d, sp, w = edge_disk
+    g, h = d.grid, d.grid.h
+    centres = np.vstack([
+        extract_boundary(d).points,
+        np.column_stack([np.linspace(-1.0, 1.2, 200), np.linspace(-0.5, 0.7, 200)]),
+        [(1.97, -1.97), (2.0, -2.0), (-2.0, 2.0), (9.0, 9.0), (1.99, 2.6)],
+    ])
+    for r in (4 * h, 12 * h, 0.6):
+        batches = [(rows.shape[1], cols.shape[1])
+                   for _, rows, cols, _ in _ball_windows(g, centres, r)]
+        assert len(set(batches)) > 3  # clipped, empty and interior windows
+        if r == 0.6:  # a shape group and the ring samples span several batches
+            assert len(batches) > len(set(batches))
+            assert len(centres) * int(4.0 * math.pi * r / h) > _BATCH_NODES
+        got = weiss_energy(d, sp, w, centres, r)
+        assert got.shape == (len(centres),)
+        for x, value in zip(centres, got):
+            assert value.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
+    one = weiss_energy(d, sp, w, centres[0], 12 * h)  # the one-row case
+    assert isinstance(one, float) and one.hex() == _reference_weiss_energy(
+        d, sp, w, centres[0], 12 * h).hex()
+
+
+def test_weiss_profile_batch_matches_single_centres(edge_disk):
+    d, sp, w = edge_disk
+    h = d.grid.h
+    centres = extract_boundary(d).points[::7]
+    radii = (4 * h, 6 * h, 8 * h, 12 * h)
+    probes = weiss_profile(d, sp, w, centres, radii)
+    assert len(probes) == len(centres)
+    for x, probe in zip(centres, probes):
+        values = [_reference_weiss_energy(d, sp, w, x, r) for r in radii]
+        c_hat = 0.0
+        for (ra, wa), (rb, wb) in zip(zip(radii, values), zip(radii[1:], values[1:])):
+            c_hat = max(c_hat, (wa - wb) / (rb - ra))
+        assert probe.center == (float(x[0]), float(x[1])) and probe.radii == radii
+        assert [v.hex() for v in probe.values] == [v.hex() for v in values]
+        assert probe.c_hat.hex() == c_hat.hex()
+        single = weiss_profile(d, sp, w, x, radii)
+        assert single.values == probe.values and single.c_hat == probe.c_hat
 
 
 # ---- optimality residual ----------------------------------------------
@@ -340,6 +389,40 @@ def test_classify_slit_not_reduced(grid129):
     labels = classify_boundary(slit, point_mesh([(0.5, 0.0)]), probe_radii(grid129))
     assert labels[0].label is not BoundaryClass.REDUCED
     assert labels[0].density > 0.65
+
+
+def _reference_classify_boundary(d, points, radii):
+    """classify_boundary as a loop over points, as it was written before
+    the density probes were batched."""
+    from test_domain import _reference_density_ratio
+
+    labels = []
+    for pt in points:
+        rho = np.array([_reference_density_ratio(d, pt, r) for r in radii])
+        rho0 = float(rho[0])
+        trend = rho0 - float(rho[-1])
+        if 0.35 <= rho0 <= 0.65 and float(rho.max() - rho.min()) <= 0.15:
+            cls = BoundaryClass.REDUCED
+        elif rho0 >= 0.9 and trend >= -0.02:
+            cls = BoundaryClass.CUSP_CANDIDATE
+        else:
+            cls = BoundaryClass.SINGULAR_CANDIDATE
+        labels.append((cls, rho0.hex(), trend.hex()))
+    return labels
+
+
+def test_classify_matches_per_point_loop(grid129, edge_disk):
+    slit = difference(
+        disk(grid129, (0.0, 0.0), 1.0),
+        rectangle(grid129, 0.0, -0.5 * grid129.h, 1.1, 0.5 * grid129.h),
+    )
+    extra = [(0.0, 0.0), (-0.5, 0.0), (1.4, -1.4), (1.97, -1.97), (9.0, 9.0)]
+    for d in (edge_disk[0], slit):
+        pts = np.vstack([extract_boundary(d).points, extra])
+        labels = classify_boundary(d, point_mesh(pts), probe_radii(grid129))
+        got = [(lb.label, lb.density.hex(), lb.trend.hex()) for lb in labels]
+        assert got == _reference_classify_boundary(d, pts, probe_radii(grid129))
+        assert {lb.label for lb in labels} == set(BoundaryClass)
 
 
 def test_classify_validation(grid129):

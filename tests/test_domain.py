@@ -32,6 +32,7 @@ from eigenshape.domain import (
     write_field_dump,
     write_grid_dump,
 )
+from eigenshape.domain import _ball_windows
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,59 @@ def test_density_ratio_bounded(cx, cy, r):
     d = disk(g, (0.3, 0.0), 0.9)
     rho = density_ratio(d, (cx, cy), r)
     assert 0.0 <= rho <= 1.0
+
+
+def _reference_density_ratio(d, x, r):
+    """density_ratio for one centre with its own window, as it was written
+    before the centres were batched."""
+    g, h = d.grid, d.grid.h
+    if r < 2 * h:
+        raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
+    pad = r + 2.0 * h
+    i0 = max(0, int(math.floor((x[0] - pad - g.origin[0]) / h)))
+    i1 = min(g.nx, int(math.ceil((x[0] + pad - g.origin[0]) / h)) + 1)
+    j0 = max(0, int(math.floor((x[1] - pad - g.origin[1]) / h)))
+    j1 = min(g.ny, int(math.ceil((x[1] + pad - g.origin[1]) / h)) + 1)
+    rows, cols = slice(j0, max(j0, j1)), slice(i0, max(i0, i1))
+    ball_w = inside_fraction(np.hypot(g.xs[cols] - x[0], g.ys[rows, None] - x[1]) - r, h)
+    den = float(ball_w.sum())
+    if den <= 0.0:
+        return 0.0
+    om = inside_fraction(d.phi[rows, cols], 1.5 * h)
+    return float(np.sum(ball_w * om) / den)
+
+
+@pytest.fixture(scope="module")
+def edge_blob(grid):
+    """A blob crossing the right and bottom box edges, plus its boundary
+    samples, box corners, centres whose windows are empty or clipped, and
+    a line of interior centres."""
+    d = star_blob(grid, (1.5, -1.5), 0.9, 0.2, 4, np.random.default_rng(4))
+    centres = np.vstack([
+        extract_boundary(d).points,
+        np.column_stack([np.linspace(-1.0, 1.2, 200), np.linspace(-0.5, 0.7, 200)]),
+        [(1.97, -1.97), (2.0, -2.0), (-2.0, 2.0), (0.0, 0.0),
+         (9.0, 9.0), (-9.0, 0.0), (1.99, 2.6)],
+    ])
+    return d, centres
+
+
+@pytest.mark.parametrize("r_h", [2, 4, 12, 20])
+def test_density_ratio_batch_matches_reference_bits(grid, edge_blob, r_h):
+    d, centres = edge_blob
+    r = r_h * grid.h
+    batches = [(rows.shape[1], cols.shape[1])
+               for _, rows, cols, _ in _ball_windows(grid, centres, r)]
+    assert len(set(batches)) > 3  # clipped, empty and interior windows
+    if r_h == 20:  # a shape group larger than one batch
+        assert len(batches) > len(set(batches))
+    got = density_ratio(d, centres, r)
+    assert got.shape == (len(centres),)
+    for x, value in zip(centres, got):
+        ref = _reference_density_ratio(d, x, r)
+        assert value.hex() == ref.hex()
+        assert density_ratio(d, x, r).hex() == ref.hex()  # the one-row case
+    assert density_ratio(d, np.zeros((0, 2)), r).shape == (0,)
 
 
 def test_extract_boundary_disk(grid):
@@ -320,6 +374,46 @@ def test_grid_dump_roundtrip(tmp_path, grid):
     back = read_grid_dump(path)
     assert back.grid == d.grid
     assert np.array_equal(back.phi, d.phi)
+
+
+def _reference_write_field_dump(grid, field, path):
+    """write_field_dump as it was written before exact zeros skipped repr."""
+    with open(path, "w") as f:
+        f.write(f"GRIDDUMP v1 {grid.nx} {grid.ny} {grid.h!r} "
+                f"{grid.origin[0]!r} {grid.origin[1]!r}\n")
+        for j in range(grid.ny):
+            f.write(" ".join(repr(float(v)) for v in field[j]))
+            f.write("\n")
+
+
+def _zeros_field(grid, seed):
+    """Nonzero values with interior exact zeros, -0.0, all-zero rows, an
+    all -0.0 row and rows with no zero at all."""
+    rng = np.random.default_rng(seed)
+    field = rng.standard_normal((grid.ny, grid.nx)) * 10.0 ** rng.integers(-8, 8, (grid.ny, grid.nx))
+    field[rng.random(field.shape) < 0.3] = 0.0
+    field[rng.random(field.shape) < 0.05] = -0.0
+    field[:, :7] = 0.0
+    field[3] = 0.0
+    field[-1] = 0.0
+    field[5] = -0.0
+    field[8, ::2] = -0.0
+    field[9, 1::2] = 0.0
+    return field
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_field_dump_matches_reference_bytes(tmp_path, grid, seed):
+    field = _zeros_field(grid, seed)
+    fields = [field, np.zeros_like(field), np.full_like(field, -0.0),
+              disk(grid, (1.5, -1.5), 0.9).phi]
+    for k, f in enumerate(fields):
+        path, ref = tmp_path / f"new{k}.grid", tmp_path / f"ref{k}.grid"
+        write_field_dump(grid, f, path)
+        _reference_write_field_dump(grid, f, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        g2, back = read_field_dump(path)
+        assert g2 == grid and back.tobytes() == f.tobytes()  # -0.0 keeps its sign
 
 
 def test_field_dump_roundtrip(tmp_path, grid):

@@ -27,7 +27,7 @@ from eigenshape import (
     star_blob,
     volume,
 )
-from eigenshape.spectral import assemble_laplacian, write_spectrum_csv
+from eigenshape.spectral import assemble_laplacian, torsion_field, write_spectrum_csv
 
 J01 = 2.404825557695773  # first zero of J0
 J11 = 3.8317059702075125  # first zero of J1
@@ -245,6 +245,22 @@ def test_torsion_disk(grid129, unit_disk):
     core = r2 < 0.8**2
     exact = (1.0 - r2) / 4.0
     assert np.max(np.abs(tf.v[core] - exact[core])) < 2e-3
+
+
+def test_torsion_field_checks_candidate(grid129, unit_disk):
+    tf = solve_torsion(unit_disk)
+    again = torsion_field(unit_disk, tf.v.copy())
+    assert again.v.tobytes() == tf.v.tobytes()
+    assert again.energy.hex() == tf.energy.hex() and again.resid.hex() == tf.resid.hex()
+    for (j, i), dv in [((64, 64), 1e-6), ((64, 64), math.nan), ((0, 0), 1e-12)]:
+        v = tf.v.copy()  # node (64, 64) is the centre, (0, 0) a box corner
+        v[j, i] += dv
+        with pytest.raises(SpectralError):
+            torsion_field(unit_disk, v)
+    with pytest.raises(SpectralError, match="off Omega"):
+        torsion_field(unit_disk, solve_torsion(disk(grid129, (0.0, 0.0), 1.1)).v)
+    with pytest.raises(SpectralError, match="residual"):
+        torsion_field(unit_disk, solve_torsion(disk(grid129, (0.0, 0.0), 0.9)).v)
 
 
 def test_torsion_energy_scaling(grid129):
