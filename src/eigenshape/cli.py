@@ -13,19 +13,23 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import pathlib
 import sys
 import tempfile
 import time
+import traceback
 
 import numpy as np
 
-from . import __version__
+from . import __version__, domain
 from .diagnostics import (
+    ProbeFlag,
     classify_boundary,
     el_residual,
     scaling_check,
@@ -35,6 +39,7 @@ from .diagnostics import (
     write_weiss_csv,
 )
 from .domain import (
+    _float_rows,
     Grid,
     GridDomain,
     difference,
@@ -136,14 +141,15 @@ def _read_domain(path) -> GridDomain:
 
 def _read_csv(path, header: str, ncols: int) -> np.ndarray:
     """Columns of a numeric CSV whose first line starts with ``header``; a
-    truncated or extra-field row or a non-finite value is a ConfigError."""
+    truncated or extra-field row, a cell that breaks the token rule of
+    :func:`_float_rows` or a non-finite value is a ConfigError."""
     lines = _input(path).read_text().splitlines()
     if not lines or not lines[0].startswith(header):
         raise ConfigError(f"{path} does not start with {header!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            row = [float(c) for c in line.split(",")]
+            row = _float_rows([line], ",")[0].tolist()
         except ValueError:
             row = []
         if len(row) != ncols or not all(map(math.isfinite, row)):
@@ -303,12 +309,61 @@ def write_xi_csv(w: WeightVector, path) -> None:
             f.write(f"{k},{repr(float(val))}\n")
 
 
-def _write_spectrum_artifacts(out: pathlib.Path, d: GridDomain, sp: Spectrum) -> None:
-    write_spectrum_csv(sp, out / "spectrum.csv")
-    from .domain import write_field_dump
+def _write_dumps(dumps) -> None:
+    for grid, field, path in dumps:
+        domain.write_field_dump(grid, field, path)
 
-    for k in range(len(sp)):
-        write_field_dump(d.grid, sp.modes[k], out / f"mode_{k + 1}.grid")
+
+@contextlib.contextmanager
+def _dumps_in_child(dumps):
+    """Write the ``(grid, field, path)`` dumps in one forked child while the
+    body runs, and join the child when the body is left. Formatting a dump
+    is Python-bound ``repr`` work and SuperLU holds the GIL, so only a
+    second process overlaps them; a fork shares the fields without a copy,
+    and the child only formats and writes. The join raises
+    ChildProcessError if the child failed, unless the body raised: that
+    error then propagates. Without os.fork, or when it fails, the dumps are
+    written first, in this process."""
+    try:
+        pid = os.fork() if hasattr(os, "fork") else None
+    except OSError:
+        pid = None
+    if pid is None:
+        _write_dumps(dumps)
+        yield
+        return
+    if pid == 0:  # the child never returns into the caller
+        code = 1
+        try:
+            _write_dumps(dumps)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    try:
+        yield
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        names = ", ".join(pathlib.Path(p).name for _, _, p in dumps)
+        raise ChildProcessError(f"the process writing {names} failed "
+                                f"(exit status {code})")
+
+
+def _write_spectrum_artifacts(out: pathlib.Path, d: GridDomain, sp: Spectrum,
+                              torsion: np.ndarray | None = None) -> None:
+    """spectrum.csv and the mode_k.grid (and torsion.grid) dumps; a forked
+    child writes the first half of the dumps while this process writes the
+    rest."""
+    dumps = [(d.grid, sp.modes[k], out / f"mode_{k + 1}.grid") for k in range(len(sp))]
+    if torsion is not None:
+        dumps.append((d.grid, torsion, out / "torsion.grid"))
+    half = (len(dumps) + 1) // 2
+    with _dumps_in_child(dumps[:half]):
+        write_spectrum_csv(sp, out / "spectrum.csv")
+        _write_dumps(dumps[half:])
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +378,21 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
     tol = _get(cp, "solve", "tol", float, 1e-8)
     torsion = _get(cp, "solve", "torsion", bool, True)
     t0 = time.perf_counter()
-    try:
-        factors = factor_laplacian(d)
-        sp = solve_spectrum(d, M, tol=tol, seed=seed, factors=factors)
-    except (SpectralError, ValueError) as err:
-        print(f"eigensolver failed: {err}", file=sys.stderr)
-        write_grid_dump(d, out / "domain.grid")
+    with _dumps_in_child([(d.grid, d.phi, out / "domain.grid")]):
+        try:
+            factors = factor_laplacian(d)
+            sp = solve_spectrum(d, M, tol=tol, seed=seed, factors=factors)
+        except (SpectralError, ValueError) as err:
+            print(f"eigensolver failed: {err}", file=sys.stderr)
+            sp = None
+    if sp is None:
         write_manifest(out, cp, "solve", seed, time.perf_counter() - t0,
                        {"converged": False})
         return 1
-    write_grid_dump(d, out / "domain.grid")
-    _write_spectrum_artifacts(out, d, sp)
+    tv = solve_torsion(d, tol=tol, factors=factors).v if torsion else None
+    del factors  # freed before the writer child is forked
     write_boundary_csv(extract_boundary(d), out / "boundary.csv")
-    if torsion:
-        from .domain import write_field_dump
-
-        tf = solve_torsion(d, tol=tol, factors=factors)
-        write_field_dump(d.grid, tf.v, out / "torsion.grid")
+    _write_spectrum_artifacts(out, d, sp, tv)
     write_manifest(out, cp, "solve", seed, time.perf_counter() - t0,
                    {"converged": True,
                     "lambdas": [float(v) for v in sp.lambdas]})
@@ -536,8 +589,8 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
         for lab in labels:
             counts[lab.label.value] = counts.get(lab.label.value, 0) + 1
         report["boundary_labels"] = counts
-        flags = [torsion_probe(d, tf, pt, radii[0]).value for pt in probe_pts]
-        report["torsion_violations"] = int(flags.count("VIOLATION"))
+        flags = torsion_probe(d, tf, probe_pts, radii[0])
+        report["torsion_violations"] = flags.count(ProbeFlag.VIOLATION)
     if cp.has_section("objective"):
         spec = build_objective(cp)
         if len(sp) >= spec.n:

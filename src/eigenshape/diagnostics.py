@@ -322,40 +322,52 @@ class ProbeFlag(enum.Enum):
 
 
 def _ball_mean(d: GridDomain, field: np.ndarray, x, r: float):
-    """Mollified mean and max of |field| over B_r(x)."""
-    centre = np.asarray(x, dtype=float).reshape(1, 2)
-    (_, rows, cols, wts), = _ball_windows(d.grid, centre, r)
-    wts = wts[0]
-    total = float(wts.sum())
-    if total <= 0.0:
-        return 0.0, 0.0
-    f = field[rows[0, :, None], cols[0]]
-    return float((wts * f).sum() / total), float(np.abs(f[wts > 0]).max())
+    """Mollified mean and max of |field| over B_r(x): floats for one centre
+    ``x``, arrays (m,) for a stack of centres (m, 2); both are 0 where the
+    ball holds no weight."""
+    centres = np.asarray(x, dtype=float)
+    mean = np.zeros(centres.size // 2)
+    top = np.zeros_like(mean)
+    for sel, rows, cols, wts in _ball_windows(d.grid, centres.reshape(-1, 2), r):
+        total = wts.sum(axis=(1, 2))
+        f = field[rows[:, :, None], cols[:, None, :]]
+        mean[sel] = np.divide((wts * f).sum(axis=(1, 2)), total,
+                              out=np.zeros_like(total), where=total > 0.0)
+        top[sel] = np.where(wts > 0, np.abs(f), 0.0).max(axis=(1, 2), initial=0.0)
+    if centres.ndim == 1:
+        return float(mean[0]), float(top[0])
+    return mean, top
 
 
 def torsion_probe(
     d: GridDomain,
     tf: TorsionField,
-    x: tuple[float, float],
+    x,
     r: float,
     c0: float = 0.06,
     vtol: float = 1e-8,
-) -> ProbeFlag:
+):
     """Mean-value nondegeneracy check on the torsion function.
 
     If the mean of v over B_r(x) falls below c0*r, v must vanish on the
     quarter ball B_{r/4}(x); a nonzero v there is flagged VIOLATION. c0 is
     calibrated so every probe on the optimal single ball passes. Points
-    with v = 0 on both balls pass vacuously. Requires r >= 4h.
+    with v = 0 on both balls pass vacuously. Requires r >= 4h. ``x`` is one
+    centre (a ProbeFlag comes back) or a stack of centres (m, 2) (a list of
+    m flags comes back); each radius is one pass over the stack.
     """
     h = d.grid.h
     if r < 4.0 * h - 1e-12:
         raise ValueError(f"probe radius {r} below resolvable 4h = {4 * h}")
-    mean_r, _ = _ball_mean(d, tf.v, x, r)
-    if mean_r > c0 * r:
-        return ProbeFlag.OK
-    _, inner_max = _ball_mean(d, tf.v, x, max(r / 4.0, 1.5 * h))
-    return ProbeFlag.VIOLATION if inner_max > vtol else ProbeFlag.OK
+    centres = np.asarray(x, dtype=float)
+    stack = centres.reshape(-1, 2)
+    mean_r, _ = _ball_mean(d, tf.v, stack, r)
+    low = np.flatnonzero(~(mean_r > c0 * r))
+    violation = np.zeros(len(stack), dtype=bool)
+    _, inner_max = _ball_mean(d, tf.v, stack[low], max(r / 4.0, 1.5 * h))
+    violation[low] = inner_max > vtol
+    flags = [ProbeFlag.VIOLATION if v else ProbeFlag.OK for v in violation.tolist()]
+    return flags[0] if centres.ndim == 1 else flags
 
 
 # ---------------------------------------------------------------------------

@@ -631,6 +631,17 @@ def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
             f.write("\n")
 
 
+def _float_rows(rows: list[str], delimiter: str | None = None) -> np.ndarray:
+    """The rows (k, n) of text lines of plain decimal floats: the token rule
+    of every numeric artifact. A comment sign, ``1_0``, a non-ASCII digit,
+    an empty cell or a blank row is a ValueError; rows of unequal length are
+    too."""
+    blank = [j for j, row in enumerate(rows) if not row.strip()]
+    if blank:  # np.loadtxt would skip it
+        raise ValueError(f"row {blank[0]} is blank")
+    return np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
+
+
 def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     """Inverse of :func:`write_field_dump`. The header sizes are checked
     against the rows in the file before anything is allocated from them;
@@ -645,10 +656,7 @@ def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     if len(rows) != ny:
         raise ValueError(f"grid dump has {len(rows)} rows, expected {ny}")
     grid = Grid(nx=nx, ny=ny, h=h, origin=(x0, y0))
-    blank = [j for j, row in enumerate(rows) if not row.strip()]
-    if blank:  # np.loadtxt would skip it
-        raise ValueError(f"grid dump row {blank[0]} is blank")
-    field = np.loadtxt(rows, comments=None, ndmin=2)
+    field = _float_rows(rows)
     if field.shape != (ny, nx):
         raise ValueError(f"grid dump rows hold {field.shape[0]} x {field.shape[1]} "
                          f"values, expected {ny} x {nx}")

@@ -158,7 +158,10 @@ class PenaltySpec:
       + chi(|ref| - |Omega|),       chi(t) = (sqrt(1+t^2) - 1) / 2.
 
     chi vanishes to second order at 0 and has |chi'| <= 1/2, so the volume
-    term never dominates. With s = 0 and matched volumes, E = 0.
+    term never dominates. With s = 0 and matched volumes, E = 0. Under a
+    normal boundary speed g, E changes at the rate
+    int_{dOmega} (s min(dist(x, ref), 1) - s min(dist(x, ref^c), 1)
+    - chi'(|ref| - |Omega|)) g; :func:`xi0_field` is 1 plus that integrand.
     """
 
     s: float = 0.02
@@ -375,11 +378,13 @@ def xi0_field(
     """The boundary weight xi0 at arbitrary points.
 
     xi0(x) = 1 + s min(dist(x, ref), 1) - s min(dist(x, ref^c), 1)
-           + s chi'(|ref| - |Omega_current|).
+           - chi'(|ref| - |Omega_current|),
 
-    Identically 1 when s = 0 or when no reference domain is anchored yet.
-    The chi' term needs the current domain's volume; when unknown it is
-    dropped (exact whenever the volumes match, and bounded by s/2 otherwise).
+    the first variation of |Omega| + E (see :class:`PenaltySpec`) under a
+    normal boundary motion. Identically 1 when s = 0 or when no reference
+    domain is anchored yet. The chi' term needs the current domain's volume;
+    when unknown it is dropped (exact whenever the volumes match, and
+    bounded by 1/2 otherwise).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if pen.s == 0.0 or pen.reference is None:
@@ -392,5 +397,5 @@ def xi0_field(
         - pen.s * bilinear(grid, dist_comp, points)
     )
     if current_volume is not None:
-        vals = vals + pen.s * PenaltySpec.chi_prime(vol_ref - current_volume)
+        vals = vals - PenaltySpec.chi_prime(vol_ref - current_volume)
     return vals

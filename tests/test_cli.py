@@ -8,6 +8,7 @@ artifacts, and multi-config fan-out.
 
 import json
 import math
+import os
 import pathlib
 import shutil
 import tempfile
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eigenshape import Grid, GridDomain, disk, solve_torsion
+from eigenshape import Grid, GridDomain, SpectralError, disk, solve_torsion
 from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
@@ -230,6 +231,106 @@ def test_seed_override(tmp_path):
     assert run_single("solve", str(cfg), str(out), 42, False) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 42
+
+
+# ---- the forked dump writer -------------------------------------------
+
+
+def _recorded_forks(monkeypatch):
+    """The pids of the children that os.fork starts from now on."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_forked_dumps_match_in_process_writer(solve_run, opt_run, tmp_path):
+    for _, out in (solve_run, opt_run):
+        dumps = sorted(out.glob("*.grid"))
+        assert {"domain.grid", "mode_1.grid", "mode_2.grid"} <= {p.name for p in dumps}
+        for path in dumps:
+            grid, field = read_field_dump(path)
+            write_field_dump(grid, field, tmp_path / path.name)
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+def test_solve_without_fork_writes_same_bytes(solve_run, tmp_path, monkeypatch):
+    cfg, out = solve_run
+    monkeypatch.delattr(os, "fork")
+    assert run_single("solve", str(cfg), str(tmp_path / "out"), None, False) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    again = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert again["artifacts"] == manifest["artifacts"]
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize"])
+def test_failed_child_writer_fails_loudly(tmp_path, monkeypatch, capfd, command):
+    if command == "solve":
+        sections = solve_sections()
+    else:
+        sections = optimize_sections()
+        sections["optimizer"]["max_steps"] = 1
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    parent = os.getpid()
+    real_write = write_field_dump
+
+    def write_in_parent_only(grid, field, path):
+        if os.getpid() != parent:
+            raise OSError("no space left for the dump")
+        real_write(grid, field, path)
+
+    monkeypatch.setattr("eigenshape.domain.write_field_dump", write_in_parent_only)
+    pids = _recorded_forks(monkeypatch)
+    out = tmp_path / "out"
+    first_child_dump = "domain.grid" if command == "solve" else "mode_1.grid"
+    with pytest.raises(ChildProcessError, match=first_child_dump):
+        run_single(command, str(cfg), str(out), None, False)
+    assert "no space left for the dump" in capfd.readouterr().err
+    assert pids and all(map(_reaped, pids))
+    assert not (out / "manifest.json").exists()
+
+
+def _raise(err):
+    def fail(*args, **kwargs):
+        raise err
+    return fail
+
+
+@pytest.mark.parametrize("target, err, code", [
+    (None, None, 0),
+    ("solve_spectrum", SpectralError("no convergence"), 1),
+    ("solve_torsion", SpectralError("torsion residual too large"), 1),
+    ("factor_laplacian", ConfigError("unusable domain"), 2),
+], ids=["success", "eigensolver_failure", "torsion_failure", "config_error"])
+def test_forked_writer_joined_on_every_exit_path(tmp_path, monkeypatch, target, err,
+                                                 code):
+    cfg = write_ini(tmp_path / "c.ini", solve_sections())
+    if target is not None:
+        monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(err))
+    pids = _recorded_forks(monkeypatch)
+    out = tmp_path / "out"
+    assert run_single("solve", str(cfg), str(out), None, False) == code
+    assert pids and all(map(_reaped, pids))
+    assert (out / "domain.grid").is_file()
+    if target == "solve_spectrum":  # the failed solve still lists its domain dump
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is False
+        assert manifest["artifacts"] == {"domain.grid": _sha256(out / "domain.grid")}
 
 
 # ---- optimize ---------------------------------------------------------
@@ -563,6 +664,20 @@ def test_diagnose_dump_row_exit_2(small_run, tmp_path, capsys, name, text):
     code, err, _ = _diagnose_small(run, tmp_path, capsys)
     assert code == 2
     assert err.count("\n") == 1 and name in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "١.0"], ids=["underscore", "non_ascii_digit"])
+@pytest.mark.parametrize("name", ["spectrum.csv", "xi.csv"])
+def test_diagnose_csv_cell_exit_2(small_run, tmp_path, capsys, name, token):
+    # the token rule of the .grid rows holds for the CSV cells too
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    cells = (run / name).read_text().splitlines()[1].split(",")
+    cells[1] = token
+    _edit_rows(run / name, [(1, "replace", ",".join(cells))])
+    code, err, _ = _diagnose_small(run, tmp_path, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and f"{name}:2:" in err
 
 
 @pytest.fixture(scope="module")

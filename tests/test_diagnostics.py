@@ -483,6 +483,55 @@ def test_torsion_probe_validation(ball_torsion):
     d, tf = ball_torsion
     with pytest.raises(ValueError, match="4h"):
         torsion_probe(d, tf, (0.0, 0.0), 3 * d.grid.h)
+    with pytest.raises(ValueError, match="4h"):
+        torsion_probe(d, tf, np.zeros((3, 2)), 3 * d.grid.h)
+
+
+def _reference_ball_mean(d, field, x, r):
+    """_ball_mean one centre at a time, as the torsion probe measured it."""
+    centre = np.asarray(x, dtype=float).reshape(1, 2)
+    (_, rows, cols, wts), = _ball_windows(d.grid, centre, r)
+    wts = wts[0]
+    total = float(wts.sum())
+    if total <= 0.0:
+        return 0.0, 0.0
+    f = field[rows[0, :, None], cols[0]]
+    return float((wts * f).sum() / total), float(np.abs(f[wts > 0]).max())
+
+
+def _reference_torsion_probe(d, tf, x, r, c0=0.06, vtol=1e-8):
+    mean_r, _ = _reference_ball_mean(d, tf.v, x, r)
+    if mean_r > c0 * r:
+        return ProbeFlag.OK
+    _, inner_max = _reference_ball_mean(d, tf.v, x, max(r / 4.0, 1.5 * d.grid.h))
+    return ProbeFlag.VIOLATION if inner_max > vtol else ProbeFlag.OK
+
+
+def test_torsion_probe_batch_matches_single_centres(edge_disk):
+    d = edge_disk[0]
+    h = d.grid.h
+    tf = solve_torsion(d)
+    flat = TorsionField(v=np.where(d.inside, 1e-6, 0.0), energy=0.0, resid=0.0,
+                        generation=d.generation)
+    centres = np.vstack([
+        extract_boundary(d).points,
+        np.column_stack([np.linspace(0.3, 2.0, 60), np.linspace(-2.0, -0.3, 60)]),
+        [(1.97, -1.97), (2.0, -2.0), (-2.0, 2.0), (9.0, 9.0), (1.99, 2.6)],
+    ])
+    seen = set()
+    for field in (tf, flat):
+        for r in (4 * h, 12 * h, 0.6):
+            means, tops = _ball_mean(d, field.v, centres, r)
+            flags = torsion_probe(d, field, centres, r)
+            assert len(flags) == len(centres)
+            for x, mean, top, flag in zip(centres, means, tops, flags):
+                ref_mean, ref_top = _reference_ball_mean(d, field.v, x, r)
+                assert (mean.hex(), top.hex()) == (ref_mean.hex(), ref_top.hex())
+                assert flag is _reference_torsion_probe(d, field, x, r)
+                seen.add(flag)
+    assert seen == {ProbeFlag.OK, ProbeFlag.VIOLATION}
+    one = torsion_probe(d, flat, centres[0], 4 * h)  # the one-row case
+    assert one is _reference_torsion_probe(d, flat, centres[0], 4 * h)
 
 
 # ---- scaling quotients and simplicity ---------------------------------
