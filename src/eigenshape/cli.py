@@ -318,14 +318,19 @@ def _write_dumps(dumps) -> None:
 def _dumps_in_child(dumps):
     """Write the ``(grid, field, path)`` dumps in one forked child while the
     body runs, and join the child when the body is left. Formatting a dump
-    is Python-bound ``repr`` work and SuperLU holds the GIL, so only a
-    second process overlaps them; a fork shares the fields without a copy,
-    and the child only formats and writes. The join raises
-    ChildProcessError if the child failed, unless the body raised: that
-    error then propagates. Without os.fork, or when it fails, the dumps are
-    written first, in this process."""
+    is Python-bound ``repr`` work that holds the GIL. SuperLU releases the
+    GIL while it factors, but its triangular solves, which make up ARPACK's
+    iteration, hold it, so a thread would overlap only the factorization; a
+    forked child shares the fields without a copy, and it only formats and
+    writes. The join raises ChildProcessError if the child failed, unless
+    the body raised: that error then propagates. Without os.fork, when it
+    fails, or with fewer than two CPUs to run on (where the child would
+    only take turns with this process), the dumps are written first, in
+    this process."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     try:
-        pid = os.fork() if hasattr(os, "fork") else None
+        pid = os.fork() if hasattr(os, "fork") and cpus >= 2 else None
     except OSError:
         pid = None
     if pid is None:
@@ -414,7 +419,8 @@ def cmd_optimize(cp, out: pathlib.Path, seed: int) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     write_trace_csv(trace, out / "trace.csv", spec.n)
-    extra = {"converged": bool(trace.converged), "stalled": bool(trace.stalled)}
+    extra = {"converged": bool(trace.converged), "stalled": bool(trace.stalled),
+             "stop_reason": trace.stop_reason}
     if trace.domain is not None:
         write_grid_dump(trace.domain, out / "domain.grid")
         write_boundary_csv(extract_boundary(trace.domain), out / "boundary.csv")
@@ -456,6 +462,7 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
                 "p": p,
                 "converged": bool(tr.converged),
                 "stalled": bool(tr.stalled),
+                "stop_reason": tr.stop_reason,
                 "objective": final.objective,
                 "objective_F": tr.objective_F,
                 "E": final.E,

@@ -14,7 +14,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "Grid",
@@ -304,6 +303,8 @@ def density_ratio(d: GridDomain, x, r: float):
 
 def connected_components(d: GridDomain) -> int:
     """Number of 4-connected components of the inside node mask."""
+    from scipy import ndimage  # imported here: solve and diagnose never load it
+
     _, n = ndimage.label(d.inside)
     return int(n)
 
@@ -315,6 +316,8 @@ def split_components(d: GridDomain) -> list["GridDomain"]:
     own smoothing skirt and the parts' volumes sum exactly to the total);
     foreign nodes are pushed well outside the indicator ramp.
     """
+    from scipy import ndimage
+
     labels, n = ndimage.label(d.inside)
     if n <= 1:
         return [d]

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import ndimage
 
 from .domain import GridDomain, _node_weights, bilinear, inside_fraction, volume
 
@@ -183,6 +182,8 @@ class PenaltySpec:
     def _fields(self):
         """Capped distance-to-reference and distance-to-complement fields,
         plus the reference volume (lazily computed, reference grid nodes)."""
+        from scipy import ndimage  # imported here: only anchored runs need it
+
         if self.reference is None:
             raise ValueError("penalty has no reference domain")
         ref = self.reference

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import (
     BoundaryMesh,
@@ -109,6 +108,9 @@ class OptimizerTrace:
     converged: bool = False
     stalled: bool = False
     objective_F: float | None = None    # unregularized F(lambda) + |Omega| at the end
+    # why the run ended: "converged", "line_search_stall", "max_steps" or
+    # "aborted" (eigensolver failure; the trace is partial)
+    stop_reason: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,8 @@ def extend_velocity(
     first overwritten from their nearest reliable neighbor. Nodes outside
     the band get zero.
     """
+    from scipy.spatial import cKDTree  # imported here: solve and diagnose never load it
+
     if not reliable.any():
         raise ValueError("no reliable boundary samples to extend")
     if not reliable.all():
@@ -283,9 +287,10 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
 
     Convergence: relative objective decrease below conv_tol on two
     consecutive accepted steps. A line-search stall also flags convergence
-    (no descent direction at this resolution) with ``stalled`` recorded.
-    Raises OptimizeAborted (carrying the partial trace) if the eigensolver
-    fails irrecoverably mid-run.
+    (no descent direction at this resolution) with ``stalled`` recorded;
+    ``stop_reason`` tells the two apart. Raises OptimizeAborted (carrying
+    the partial trace, stop_reason "aborted") if the eigensolver fails
+    irrecoverably mid-run.
     """
     if init.is_empty:
         raise ValueError("initial domain is empty: {phi < 0} has no nodes")
@@ -294,6 +299,7 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
     try:
         state = make_state(cfg, d)
     except SpectralError as err:
+        trace.stop_reason = "aborted"
         raise OptimizeAborted(f"initial spectrum failed: {err}", trace) from err
 
     def record(i: int, st: FlowState, dt: float) -> None:
@@ -311,23 +317,25 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
     dt = cfg.dt0
     small_steps = 0
     floor = state.objective  # last recorded value; trace never rises above it
+    reason = "max_steps"
     for i in range(1, cfg.max_steps + 1):
         if i > 1 and (i - 1) % cfg.reinit_every == 0:
             d_re = reinitialize(state.domain)
             try:
                 state = make_state(cfg, d_re, warm=state.spectrum)
             except SpectralError as err:
-                _finalize(trace, state)
+                _finalize(trace, state, "aborted")
                 raise OptimizeAborted(f"spectrum failed after reinit: {err}", trace) from err
         J0 = floor
         try:
             state, dt_used, stalled = step(state, dt, baseline=floor)
         except SpectralError as err:
-            _finalize(trace, state)
+            _finalize(trace, state, "aborted")
             raise OptimizeAborted(f"spectrum failed at step {i}: {err}", trace) from err
         if stalled:
             trace.stalled = True
             trace.converged = True
+            reason = "line_search_stall"
             break
         record(i, state, dt_used)
         floor = state.objective
@@ -336,15 +344,17 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
             small_steps += 1
             if small_steps >= 2:
                 trace.converged = True
+                reason = "converged"
                 break
         else:
             small_steps = 0
         dt = min(cfg.dt0, 2.0 * dt_used)
-    _finalize(trace, state)
+    _finalize(trace, state, reason)
     return trace
 
 
-def _finalize(trace: OptimizerTrace, state: FlowState) -> None:
+def _finalize(trace: OptimizerTrace, state: FlowState, reason: str) -> None:
+    trace.stop_reason = reason
     trace.domain = state.domain
     trace.spectrum = state.spectrum
     trace.weights = state.weights

@@ -11,12 +11,15 @@ import math
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import eigenshape
 from eigenshape import Grid, GridDomain, SpectralError, disk, solve_torsion
 from eigenshape.cli import (
     ConfigError,
@@ -251,6 +254,12 @@ def _recorded_forks(monkeypatch):
     return pids
 
 
+def _pin_cpus(monkeypatch, n):
+    """Make this process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 def _reaped(pid):
     try:
         os.waitpid(pid, os.WNOHANG)
@@ -278,8 +287,23 @@ def test_solve_without_fork_writes_same_bytes(solve_run, tmp_path, monkeypatch):
     assert again["artifacts"] == manifest["artifacts"]
 
 
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+def test_solve_on_one_cpu_forks_no_writer(solve_run, tmp_path, monkeypatch, affinity):
+    cfg, out = solve_run
+    _pin_cpus(monkeypatch, 1)
+    if not affinity:  # platforms without sched_getaffinity count os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    pids = _recorded_forks(monkeypatch)
+    assert run_single("solve", str(cfg), str(tmp_path / "out"), None, False) == 0
+    assert pids == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    again = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert again["artifacts"] == manifest["artifacts"]
+
+
 @pytest.mark.parametrize("command", ["solve", "optimize"])
 def test_failed_child_writer_fails_loudly(tmp_path, monkeypatch, capfd, command):
+    _pin_cpus(monkeypatch, 2)
     if command == "solve":
         sections = solve_sections()
     else:
@@ -319,6 +343,7 @@ def _raise(err):
 ], ids=["success", "eigensolver_failure", "torsion_failure", "config_error"])
 def test_forked_writer_joined_on_every_exit_path(tmp_path, monkeypatch, target, err,
                                                  code):
+    _pin_cpus(monkeypatch, 2)
     cfg = write_ini(tmp_path / "c.ini", solve_sections())
     if target is not None:
         monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(err))
@@ -356,6 +381,26 @@ def test_optimize_artifacts(opt_run):
     assert float(xi_lines[1].split(",")[1]) == pytest.approx(1 + 1 / 32, abs=1e-12)
 
 
+def test_optimize_manifest_stop_reason(opt_run, tmp_path):
+    _, out = opt_run
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stop_reason"] in ("converged", "line_search_stall", "max_steps")
+    assert manifest["stalled"] is (manifest["stop_reason"] == "line_search_stall")
+    sections = optimize_sections()
+    sections["optimizer"]["max_steps"] = 1
+    cfg = write_ini(tmp_path / "one.ini", sections)
+    assert run_single("optimize", str(cfg), str(tmp_path / "one"), None, False) == 0
+    manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    assert manifest["stop_reason"] == "max_steps"
+    assert manifest["converged"] is False and manifest["stalled"] is False
+
+
+def test_flagships_stop_on_a_line_search_stall(fk_run, ks_run):
+    for run in (fk_run, ks_run):
+        assert run.manifest["stop_reason"] == "line_search_stall"
+        assert run.manifest["stalled"] is True and run.manifest["converged"] is True
+
+
 def test_optimize_rerun_identical_trace(opt_run, tmp_path):
     cfg, out = opt_run
     out2 = tmp_path / "again"
@@ -385,6 +430,8 @@ def test_sweep_p_stages_and_weight_trace(tmp_path):
     stages = manifest["stages"]
     assert [s["p"] for s in stages] == [4.0, 8.0]
     assert all("objective_F" in s and "E" in s for s in stages)
+    assert all(s["stop_reason"] in ("converged", "line_search_stall", "max_steps")
+               for s in stages)
 
 
 def test_sweep_p_bad_schedule(tmp_path):
@@ -815,3 +862,34 @@ def test_command_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code != 0
+
+
+# ---- start-up ---------------------------------------------------------
+
+_STARTUP_PROBE = """
+import sys
+import eigenshape.cli, eigenshape.optimizer
+solve_ini, diagnose_ini, base = sys.argv[1:]
+codes = [eigenshape.cli.run_single("solve", solve_ini, base + "/solve", None, False),
+         eigenshape.cli.run_single("diagnose", diagnose_ini, base + "/diagnose", None, False)]
+print(codes, [m for m in ("scipy.ndimage", "scipy.spatial") if m in sys.modules])
+"""
+
+
+def test_solve_and_diagnose_load_neither_ndimage_nor_spatial(tmp_path):
+    # a fresh interpreter, as every command and the benchmark worker start one
+    solve_ini = write_ini(tmp_path / "solve.ini", solve_sections())
+    (tmp_path / "xi.csv").write_text("k,xi\n1,1.0\n")
+    diagnose_ini = write_ini(tmp_path / "diagnose.ini", {"diagnose": {
+        "domain": str(tmp_path / "solve" / "domain.grid"),
+        "spectrum": str(tmp_path / "solve" / "spectrum.csv"),
+        "xi": str(tmp_path / "xi.csv"),
+    }})
+    env = dict(os.environ)
+    src = str(pathlib.Path(eigenshape.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(solve_ini), str(diagnose_ini), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "diagnose" / "report.json").is_file()

@@ -25,7 +25,9 @@ from eigenshape import (
     WeightVector,
     dilate,
     disk,
+    eval_Fp,
     extract_boundary,
+    grad_Fp,
     half_plane,
     shape_velocity,
     solve_spectrum,
@@ -33,6 +35,7 @@ from eigenshape import (
     step,
     volume,
 )
+from eigenshape.domain import bilinear
 from eigenshape.optimizer import (
     advect,
     extend_velocity,
@@ -128,6 +131,60 @@ def test_extend_velocity_band(grid129):
     assert np.all(field[~band] == 0.0)
     with pytest.raises(ValueError, match="reliable"):
         extend_velocity(d, bm, V, np.zeros(len(bm), dtype=bool))
+
+
+# ---- the flow speed is the first variation of F_p ----------------------
+
+FD_SPECS = {
+    "single": ObjectiveSpec("single", n=1),
+    "linear": ObjectiveSpec("linear", n=3, coeffs=(1.0, 0.5, 0.25)),
+    "softmin": ObjectiveSpec("softmin", n=3, beta=1.0),
+}
+
+
+def _smooth_g(x, y):
+    return 1.0 + 0.5 * np.sin(2.0 * x + 0.3) * np.cos(1.5 * y - 0.2)
+
+
+@pytest.fixture(scope="module", params=["disk", "blob"])
+def fd_spectra(request):
+    """A 257^2 domain, its spectrum, and the spectra of phi -/+ eps g.
+
+    eps = h/2 moves the interface by up to 0.75h: the discrete eigenvalues
+    jump where a node changes sign (THETA_FLOOR clamps the sub-cell
+    fraction), so only a difference across many such events follows the
+    continuum derivative; within a smaller eps the clamped links make it
+    about 4% smaller.
+    """
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257)
+    if request.param == "disk":  # off-centre: lambda_2 and lambda_3 form a cluster
+        d = disk(g, (0.13, -0.07), 1.0)
+    else:
+        d = star_blob(g, (0.0, 0.0), 0.9, 0.22, 5, np.random.default_rng(11))
+    G = _smooth_g(*g.meshgrid())
+    eps = 0.5 * g.h
+    spectra = [solve_spectrum(d.with_phi(d.phi + t * G), 4, seed=3) for t in (-eps, eps)]
+    return d, eps, [solve_spectrum(d, 4, seed=3)] + spectra
+
+
+@pytest.mark.parametrize("family", sorted(FD_SPECS))
+def test_flow_speed_is_first_variation_of_Fp(fd_spectra, family):
+    # central difference of F_p(lambda(Omega_t)) along phi -> phi - t g
+    # against the flow's boundary integral -int sum_k xi_k (u_k)_nu^2 g/|grad phi|
+    d, eps, (sp, sp_out, sp_in) = fd_spectra
+    spec, p = FD_SPECS[family], 32.0
+    n = spec.n
+    fd = (eval_Fp(spec, sp_out.lambdas[:n], p) - eval_Fp(spec, sp_in.lambdas[:n], p)) / (2 * eps)
+    w = grad_Fp(spec, sp.lambdas[:n], p)
+    bm = extract_boundary(d)
+    V, reliable = shape_velocity(d, sp, w, bm)
+    assert reliable.all()
+    speed = V + w.xi0_at(bm.points)  # sum_k xi_k (u_k)_nu^2
+    gy, gx = np.gradient(d.phi, d.grid.h)
+    grad_norm = np.hypot(bilinear(d.grid, gx, bm.points), bilinear(d.grid, gy, bm.points))
+    g = _smooth_g(bm.points[:, 0], bm.points[:, 1])
+    flow = -float(np.sum(bm.weights * speed * g / grad_norm))
+    assert flow == pytest.approx(fd, rel=0.01)
 
 
 @pytest.mark.parametrize("speed", [1.0, -1.0])
@@ -267,6 +324,7 @@ def ball_flow(grid97):
 def test_optimize_reaches_ball_optimum(ball_flow):
     cfg, trace = ball_flow
     assert trace.converged
+    assert trace.stop_reason in ("converged", "line_search_stall")
     target = 2.0 * J01 * math.sqrt(math.pi)
     assert trace.objective_F == pytest.approx(target, rel=0.02)
     assert trace.domain is not None and trace.spectrum is not None
@@ -311,6 +369,7 @@ def test_optimize_abort_carries_partial_trace(grid97, monkeypatch):
     with pytest.raises(OptimizeAborted) as exc:
         optimize(cfg, disk(grid97, (0.0, 0.0), 1.5))
     partial = exc.value.trace
+    assert partial.stop_reason == "aborted"
     assert len(partial.records) >= 1
     assert partial.domain is not None
     assert partial.objective_F is not None
@@ -324,6 +383,7 @@ def test_optimize_abort_at_init(grid97, monkeypatch):
     with pytest.raises(OptimizeAborted) as exc:
         optimize(base_config(), disk(grid97, (0.0, 0.0), 1.0))
     assert exc.value.trace.records == []
+    assert exc.value.trace.stop_reason == "aborted"
 
 
 # ---- p-continuation ---------------------------------------------------
