@@ -323,14 +323,10 @@ def _dumps_in_child(dumps):
     iteration, hold it, so a thread would overlap only the factorization; a
     forked child shares the fields without a copy, and it only formats and
     writes. The join raises ChildProcessError if the child failed, unless
-    the body raised: that error then propagates. Without os.fork, when it
-    fails, or with fewer than two CPUs to run on (where the child would
-    only take turns with this process), the dumps are written first, in
-    this process."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    the body raised: that error then propagates. Without os.fork, or when
+    it fails, the dumps are written first, in this process."""
     try:
-        pid = os.fork() if hasattr(os, "fork") and cpus >= 2 else None
+        pid = os.fork() if hasattr(os, "fork") else None
     except OSError:
         pid = None
     if pid is None:

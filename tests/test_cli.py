@@ -254,12 +254,6 @@ def _recorded_forks(monkeypatch):
     return pids
 
 
-def _pin_cpus(monkeypatch, n):
-    """Make this process look as if it may run on ``n`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
 def _reaped(pid):
     try:
         os.waitpid(pid, os.WNOHANG)
@@ -287,23 +281,8 @@ def test_solve_without_fork_writes_same_bytes(solve_run, tmp_path, monkeypatch):
     assert again["artifacts"] == manifest["artifacts"]
 
 
-@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
-def test_solve_on_one_cpu_forks_no_writer(solve_run, tmp_path, monkeypatch, affinity):
-    cfg, out = solve_run
-    _pin_cpus(monkeypatch, 1)
-    if not affinity:  # platforms without sched_getaffinity count os.cpu_count()
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    pids = _recorded_forks(monkeypatch)
-    assert run_single("solve", str(cfg), str(tmp_path / "out"), None, False) == 0
-    assert pids == []
-    manifest = json.loads((out / "manifest.json").read_text())
-    again = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert again["artifacts"] == manifest["artifacts"]
-
-
 @pytest.mark.parametrize("command", ["solve", "optimize"])
 def test_failed_child_writer_fails_loudly(tmp_path, monkeypatch, capfd, command):
-    _pin_cpus(monkeypatch, 2)
     if command == "solve":
         sections = solve_sections()
     else:
@@ -343,7 +322,6 @@ def _raise(err):
 ], ids=["success", "eigensolver_failure", "torsion_failure", "config_error"])
 def test_forked_writer_joined_on_every_exit_path(tmp_path, monkeypatch, target, err,
                                                  code):
-    _pin_cpus(monkeypatch, 2)
     cfg = write_ini(tmp_path / "c.ini", solve_sections())
     if target is not None:
         monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(err))
