@@ -32,6 +32,7 @@ from .diagnostics import (
     ProbeFlag,
     classify_boundary,
     el_residual,
+    probe_radii,
     scaling_check,
     simplicity_report,
     torsion_probe,
@@ -179,41 +180,44 @@ def build_shape(cp, seed: int) -> GridDomain:
     if kind == "file":
         return _read_domain(_get(cp, "shape", "path", str, required=True))
     grid = build_grid(cp)
-    cx = _get(cp, "shape", "cx", float, 0.0)
-    cy = _get(cp, "shape", "cy", float, 0.0)
-    if kind == "disk":
-        return disk(grid, (cx, cy), _get(cp, "shape", "r", float, 1.0))
-    if kind == "square":
-        half = 0.5 * _get(cp, "shape", "side", float, 2.0)
-        return rectangle(grid, cx - half, cy - half, cx + half, cy + half)
-    if kind == "rectangle":
-        return rectangle(
-            grid,
-            _get(cp, "shape", "x0", float, required=True),
-            _get(cp, "shape", "y0", float, required=True),
-            _get(cp, "shape", "x1", float, required=True),
-            _get(cp, "shape", "y1", float, required=True),
-        )
-    if kind == "lshape":
-        half = 0.5 * _get(cp, "shape", "side", float, 2.0)
-        box = rectangle(grid, cx - half, cy - half, cx + half, cy + half)
-        notch = rectangle(grid, cx, cy, cx + half + grid.h, cy + half + grid.h)
-        return difference(box, notch)
-    rng = np.random.default_rng(seed)
-    r0 = _get(cp, "shape", "r0", float, 0.9)
-    amp = _get(cp, "shape", "amp", float, 0.2)
-    n_modes = _get(cp, "shape", "modes", int, 5)
-    if kind == "blob":
-        mirror = _get(cp, "shape", "mirror", bool, False)
-        return star_blob(grid, (cx, cy), r0, amp, n_modes, rng, mirror_x=mirror)
-    if kind == "two_blobs":
-        sep = _get(cp, "shape", "sep", float, 2.1)
-        left = star_blob(grid, (-0.5 * sep, cy), r0, amp, n_modes, rng,
-                         mirror_x=True)
-        # exact mirror image about x = 0 on a symmetric node lattice
-        phi = np.minimum(left.phi, left.phi[:, ::-1])
-        return GridDomain(grid, phi)
-    raise ConfigError(f"unknown shape kind {kind!r}")
+    try:  # a constructor rejects e.g. a non-finite size or centre
+        cx = _get(cp, "shape", "cx", float, 0.0)
+        cy = _get(cp, "shape", "cy", float, 0.0)
+        if kind == "disk":
+            return disk(grid, (cx, cy), _get(cp, "shape", "r", float, 1.0))
+        if kind == "square":
+            half = 0.5 * _get(cp, "shape", "side", float, 2.0)
+            return rectangle(grid, cx - half, cy - half, cx + half, cy + half)
+        if kind == "rectangle":
+            return rectangle(
+                grid,
+                _get(cp, "shape", "x0", float, required=True),
+                _get(cp, "shape", "y0", float, required=True),
+                _get(cp, "shape", "x1", float, required=True),
+                _get(cp, "shape", "y1", float, required=True),
+            )
+        if kind == "lshape":
+            half = 0.5 * _get(cp, "shape", "side", float, 2.0)
+            box = rectangle(grid, cx - half, cy - half, cx + half, cy + half)
+            notch = rectangle(grid, cx, cy, cx + half + grid.h, cy + half + grid.h)
+            return difference(box, notch)
+        rng = np.random.default_rng(seed)
+        r0 = _get(cp, "shape", "r0", float, 0.9)
+        amp = _get(cp, "shape", "amp", float, 0.2)
+        n_modes = _get(cp, "shape", "modes", int, 5)
+        if kind == "blob":
+            mirror = _get(cp, "shape", "mirror", bool, False)
+            return star_blob(grid, (cx, cy), r0, amp, n_modes, rng, mirror_x=mirror)
+        if kind == "two_blobs":
+            sep = _get(cp, "shape", "sep", float, 2.1)
+            left = star_blob(grid, (-0.5 * sep, cy), r0, amp, n_modes, rng,
+                             mirror_x=True)
+            # exact mirror image about x = 0 on a symmetric node lattice
+            phi = np.minimum(left.phi, left.phi[:, ::-1])
+            return GridDomain(grid, phi)
+        raise ConfigError(f"unknown shape kind {kind!r}")
+    except ValueError as err:
+        raise ConfigError(f"bad [shape] {kind}: {err}") from err
 
 
 def build_objective(cp) -> ObjectiveSpec:
@@ -440,6 +444,10 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
     schedule = _get(cp, "sweep", "schedule", _floats, [4.0, 8.0, 16.0, 32.0])
     if not schedule:
         raise ConfigError("empty [sweep] schedule")
+    labels = [f"{p:g}" for p in schedule]  # the stage file names
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"[sweep] schedule {schedule} gives stages the same "
+                          f"file label: {labels}")
     t0 = time.perf_counter()
     try:
         traces = p_continuation(cfg, d0, schedule)
@@ -448,22 +456,23 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
     stages = []
     with open(out / "xi_trace.csv", "w") as f:
         f.write("p,k,xi\n")
-        for p, tr in zip(schedule, traces):
-            write_trace_csv(tr, out / f"trace_p{p:g}.csv", spec.n)
+        for p, label, tr in zip(schedule, labels, traces):
+            write_trace_csv(tr, out / f"trace_p{label}.csv", spec.n)
             if tr.weights is not None:
                 for k, val in enumerate(tr.weights.xi, start=1):
-                    f.write(f"{p:g},{k},{repr(float(val))}\n")
-            final = tr.records[-1]
-            stages.append({
+                    f.write(f"{label},{k},{repr(float(val))}\n")
+            stage = {
                 "p": p,
                 "converged": bool(tr.converged),
                 "stalled": bool(tr.stalled),
                 "stop_reason": tr.stop_reason,
-                "objective": final.objective,
                 "objective_F": tr.objective_F,
-                "E": final.E,
-                "lambdas": list(final.lambdas),
-            })
+            }
+            if tr.records:  # a stage whose initial spectrum failed has none
+                final = tr.records[-1]
+                stage.update(objective=final.objective, E=final.E,
+                             lambdas=list(final.lambdas))
+            stages.append(stage)
     code = 0 if len(traces) == len(schedule) and traces[-1].domain is not None else 1
     last = traces[-1] if traces else None
     if last is not None and last.domain is not None:
@@ -491,10 +500,19 @@ def _read_field(path, d: GridDomain, dom_path) -> np.ndarray:
     return field
 
 
+def _diagnose_paths(cp) -> tuple[str, pathlib.Path, str]:
+    """The domain, spectrum and weight paths that ``[diagnose]`` names."""
+    return (_get(cp, "diagnose", "domain", str, required=True),
+            pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True)),
+            _get(cp, "diagnose", "xi", str, required=True))
+
+
 def _load_diagnose_inputs(cp):
-    dom_path = _get(cp, "diagnose", "domain", str, required=True)
-    spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
-    xi_path = _get(cp, "diagnose", "xi", str, required=True)
+    """The domain, spectrum and weights that ``[diagnose]`` names."""
+    return _read_diagnose_inputs(*_diagnose_paths(cp))
+
+
+def _read_diagnose_inputs(dom_path, spec_path: pathlib.Path, xi_path):
     d = _read_domain(dom_path)
     _, lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
     if len(lambdas) == 0:
@@ -522,12 +540,11 @@ def _load_diagnose_inputs(cp):
     return d, sp, w
 
 
-def _load_torsion(cp, d: GridDomain):
-    """The torsion function of ``d``: the ``torsion.grid`` that solve wrote
-    next to the spectrum, once it passes the check of solve's own solution,
-    or a fresh solve when there is no such file."""
-    dom_path = _get(cp, "diagnose", "domain", str, required=True)
-    spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
+def _load_torsion(d: GridDomain, dom_path, spec_path: pathlib.Path):
+    """The torsion function of ``d`` (read from ``dom_path``): the
+    ``torsion.grid`` that solve wrote next to ``spec_path``, once it passes
+    the check of solve's own solution, or a fresh solve when there is no
+    such file."""
     path = spec_path.parent / "torsion.grid"
     if not path.is_file():
         return solve_torsion(d)
@@ -538,17 +555,14 @@ def _load_torsion(cp, d: GridDomain):
                           f"{err}") from err
 
 
-def _diagnose_probing(cp, h: float) -> tuple[list[float], int]:
-    """The probe radii (default 4h 6h 8h 12h; finite, strictly ascending, at
-    least 4h) and the number of probes (at least 1) of ``[diagnose]``."""
-    radii = _get(cp, "diagnose", "radii", _floats, [4 * h, 6 * h, 8 * h, 12 * h])
-    if not radii or not all(map(math.isfinite, radii)):
-        raise ConfigError(f"[diagnose] radii must be one or more finite numbers, got {radii}")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError(f"[diagnose] radii must be strictly ascending, got {radii}")
-    if radii[0] < 4.0 * h - 1e-12:
-        raise ConfigError(f"[diagnose] radii must be at least 4h = {4 * h!r}, "
-                          f"got {radii[0]!r}")
+def _diagnose_probing(cp, h: float) -> tuple[tuple[float, ...], int]:
+    """The probe radii (default 4h 6h 8h 12h; checked by :func:`probe_radii`)
+    and the number of probes (at least 1) of ``[diagnose]``."""
+    try:
+        radii = probe_radii(_get(cp, "diagnose", "radii", _floats,
+                                 [4 * h, 6 * h, 8 * h, 12 * h]), h)
+    except ValueError as err:
+        raise ConfigError(f"[diagnose] {err}") from err
     probes = _get(cp, "diagnose", "probes", int, 48)
     if probes < 1:
         raise ConfigError(f"[diagnose] probes must be >= 1, got {probes}")
@@ -557,7 +571,8 @@ def _diagnose_probing(cp, h: float) -> tuple[list[float], int]:
 
 def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
     t0 = time.perf_counter()
-    d, sp, w = _load_diagnose_inputs(cp)
+    dom_path, spec_path, xi_path = _diagnose_paths(cp)
+    d, sp, w = _read_diagnose_inputs(dom_path, spec_path, xi_path)
     radii, n_probes = _diagnose_probing(cp, d.grid.h)
     bm = extract_boundary(d)
     report: dict = {
@@ -578,7 +593,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
             "p90_abs": el.p90_abs,
             "n_reliable": int(len(el.values)),
         }
-        tf = _load_torsion(cp, d)
+        tf = _load_torsion(d, dom_path, spec_path)
         probe_pts = bm.points[::max(1, len(bm) // n_probes)]
         probes = weiss_profile(d, sp, w, probe_pts, radii)
         write_weiss_csv(probes, out / "weiss.csv")

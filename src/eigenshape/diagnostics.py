@@ -20,13 +20,14 @@ from .domain import (
     _BATCH_NODES,
     BoundaryMesh,
     GridDomain,
+    _ball_means,
     _ball_windows,
     _node_weights,
     bilinear,
     density_ratio,
     inside_fraction,
 )
-from .objective import ObjectiveSpec, WeightVector, eval_F
+from .objective import ObjectiveSpec, WeightVector, _rel_gaps, eval_F, kappa_clusters
 from .optimizer import shape_velocity
 from .spectral import Spectrum, TorsionField
 
@@ -38,6 +39,7 @@ __all__ = [
     "ProbeFlag",
     "ScalingReport",
     "SimplicityReport",
+    "probe_radii",
     "weiss_energy",
     "weiss_profile",
     "el_residual",
@@ -47,6 +49,19 @@ __all__ = [
     "simplicity_report",
     "write_weiss_csv",
 ]
+
+
+def probe_radii(radii, h: float) -> tuple[float, ...]:
+    """The probe radii as floats, once they are checked: one or more, finite,
+    strictly ascending and at least 4h (the smallest resolvable probe)."""
+    radii = tuple(float(r) for r in radii)
+    if not radii or not all(map(math.isfinite, radii)):
+        raise ValueError(f"radii must be one or more finite numbers, got {radii}")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"radii must be strictly ascending, got {radii}")
+    if radii[0] < 4.0 * h - 1e-12:
+        raise ValueError(f"radii must be at least 4h = {4 * h!r}, got {radii[0]!r}")
+    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +115,11 @@ def weiss_energy(
     d: GridDomain,
     sp: Spectrum,
     w: WeightVector,
-    x,
+    centres: np.ndarray,
     r: float,
-):
-    """Scaled boundary energy at center ``x`` and radius ``r`` (2D scaling).
+) -> np.ndarray:
+    """Scaled boundary energy at radius ``r`` (2D scaling), one value per
+    row x of ``centres`` (m, 2).
 
     W(x,r) = r^-2 * int_{B_r(x) & Omega} (sum_k xi_k |grad u_k|^2 + xi0)
            - r^-3 * int_{bd B_r(x)} sum_k xi_k u_k^2.
@@ -111,18 +127,14 @@ def weiss_energy(
     The volume part uses smoothed ball and domain indicators on the node
     quadrature; the ring part samples the circle and interpolates the modes
     bilinearly. Half-plane data with unit gradient and unit weights gives
-    pi/2. Requires r >= 4h. ``x`` is one centre (a float comes back) or a
-    stack of centres (m, 2) (an array (m,) comes back).
+    pi/2. Requires r >= 4h.
     """
     g = d.grid
     h = g.h
-    if r < 4.0 * h - 1e-12:
-        raise ValueError(f"probe radius {r} below resolvable 4h = {4 * h}")
+    probe_radii((r,), h)
     xis = w.symmetrized()
     modes = sp.modes[: len(xis)]
-    centres = np.asarray(x, dtype=float)
-    single = centres.ndim == 1
-    centres = centres.reshape(-1, 2)
+    centres = np.asarray(centres, dtype=float)
 
     # mode differences on each window plus a one-node halo; the zero, outside
     # padding reads as the box edge, so a halo is never clipped
@@ -162,39 +174,29 @@ def weiss_energy(
             ring_vals += xis[k] * ring[k] ** 2
         ring_sum[s:s + step] = ring_vals.sum(axis=1)
     ring_term = (2.0 * math.pi * r / nsamp) * ring_sum / r**3
-    out = vol_term - ring_term
-    return float(out[0]) if single else out
+    return vol_term - ring_term
 
 
 def weiss_profile(
     d: GridDomain,
     sp: Spectrum,
     w: WeightVector,
-    x,
+    centres: np.ndarray,
     radii,
-):
-    """W(x, r) over ascending radii with the fitted drift constant.
-
-    ``x`` is one centre (one WeissProbe comes back) or a stack of centres
-    (m, 2) (a list of m probes comes back).
-    """
-    radii = tuple(float(r) for r in radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError(f"radii must be strictly ascending, got {radii}")
-    centres = np.asarray(x, dtype=float)
-    values = np.zeros((centres.size // 2, len(radii)))
-    for j, r in enumerate(radii):
-        values[:, j] = weiss_energy(d, sp, w, centres.reshape(-1, 2), r)
+) -> list[WeissProbe]:
+    """W(x, r) over the :func:`probe_radii` ``radii`` with the fitted drift
+    constant, one probe per row x of ``centres`` (m, 2)."""
+    radii = probe_radii(radii, d.grid.h)
+    centres = np.asarray(centres, dtype=float)
+    values = np.column_stack([weiss_energy(d, sp, w, centres, r) for r in radii])
     c_hat = np.zeros(len(values))
     for j in range(len(radii) - 1):
         drift = (values[:, j] - values[:, j + 1]) / (radii[j + 1] - radii[j])
         c_hat = np.where(drift > c_hat, drift, c_hat)
-    probes = [
+    return [
         WeissProbe(center=(cx, cy), radii=radii, values=tuple(vals), c_hat=c)
-        for (cx, cy), vals, c in zip(centres.reshape(-1, 2).tolist(),
-                                     values.tolist(), c_hat.tolist())
+        for (cx, cy), vals, c in zip(centres.tolist(), values.tolist(), c_hat.tolist())
     ]
-    return probes[0] if centres.ndim == 1 else probes
 
 
 def write_weiss_csv(probes, path) -> None:
@@ -286,22 +288,15 @@ def classify_boundary(d: GridDomain, bm: BoundaryMesh, radii) -> list[BoundaryLa
     near 1 and growing as r shrinks: cusp-like pocket (CUSP_CANDIDATE).
     Anything else - corners, slits, thin necks - lands in
     SINGULAR_CANDIDATE. Thresholds are declared heuristics at grid scale,
-    not limits.
+    not limits. ``radii`` must pass :func:`probe_radii`.
     """
-    radii = tuple(float(r) for r in radii)
-    h = d.grid.h
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError(f"radii must be strictly ascending, got {radii}")
-    if radii[0] < 4.0 * h - 1e-12:
-        raise ValueError(f"smallest radius {radii[0]} below resolvable 4h = {4 * h}")
-    rho = np.zeros((len(bm), len(radii)))
-    for j, r in enumerate(radii):
-        rho[:, j] = density_ratio(d, bm.points, r)
+    radii = probe_radii(radii, d.grid.h)
+    rho = np.column_stack([density_ratio(d, bm.points, r) for r in radii])
     rho0 = rho[:, 0]
     trend = rho0 - rho[:, -1]
     reduced = (0.35 <= rho0) & (rho0 <= 0.65) & (rho.max(axis=1) - rho.min(axis=1) <= 0.15)
     cusp = (rho0 >= 0.9) & (trend >= -0.02)
-    labels = [
+    return [
         BoundaryLabel(label=(BoundaryClass.REDUCED if red else
                              BoundaryClass.CUSP_CANDIDATE if cu else
                              BoundaryClass.SINGULAR_CANDIDATE),
@@ -309,7 +304,6 @@ def classify_boundary(d: GridDomain, bm: BoundaryMesh, radii) -> list[BoundaryLa
         for red, cu, dens, tr in zip(reduced.tolist(), cusp.tolist(),
                                      rho0.tolist(), trend.tolist())
     ]
-    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -321,53 +315,32 @@ class ProbeFlag(enum.Enum):
     VIOLATION = "VIOLATION"
 
 
-def _ball_mean(d: GridDomain, field: np.ndarray, x, r: float):
-    """Mollified mean and max of |field| over B_r(x): floats for one centre
-    ``x``, arrays (m,) for a stack of centres (m, 2); both are 0 where the
-    ball holds no weight."""
-    centres = np.asarray(x, dtype=float)
-    mean = np.zeros(centres.size // 2)
-    top = np.zeros_like(mean)
-    for sel, rows, cols, wts in _ball_windows(d.grid, centres.reshape(-1, 2), r):
-        total = wts.sum(axis=(1, 2))
-        f = field[rows[:, :, None], cols[:, None, :]]
-        mean[sel] = np.divide((wts * f).sum(axis=(1, 2)), total,
-                              out=np.zeros_like(total), where=total > 0.0)
-        top[sel] = np.where(wts > 0, np.abs(f), 0.0).max(axis=(1, 2), initial=0.0)
-    if centres.ndim == 1:
-        return float(mean[0]), float(top[0])
-    return mean, top
-
-
 def torsion_probe(
     d: GridDomain,
     tf: TorsionField,
-    x,
+    centres: np.ndarray,
     r: float,
     c0: float = 0.06,
     vtol: float = 1e-8,
-):
-    """Mean-value nondegeneracy check on the torsion function.
+) -> list[ProbeFlag]:
+    """Mean-value nondegeneracy check on the torsion function, one flag per
+    row x of ``centres`` (m, 2).
 
     If the mean of v over B_r(x) falls below c0*r, v must vanish on the
     quarter ball B_{r/4}(x); a nonzero v there is flagged VIOLATION. c0 is
     calibrated so every probe on the optimal single ball passes. Points
-    with v = 0 on both balls pass vacuously. Requires r >= 4h. ``x`` is one
-    centre (a ProbeFlag comes back) or a stack of centres (m, 2) (a list of
-    m flags comes back); each radius is one pass over the stack.
+    with v = 0 on both balls pass vacuously. Requires r >= 4h.
     """
     h = d.grid.h
-    if r < 4.0 * h - 1e-12:
-        raise ValueError(f"probe radius {r} below resolvable 4h = {4 * h}")
-    centres = np.asarray(x, dtype=float)
-    stack = centres.reshape(-1, 2)
-    mean_r, _ = _ball_mean(d, tf.v, stack, r)
-    low = np.flatnonzero(~(mean_r > c0 * r))
-    violation = np.zeros(len(stack), dtype=bool)
-    _, inner_max = _ball_mean(d, tf.v, stack[low], max(r / 4.0, 1.5 * h))
-    violation[low] = inner_max > vtol
-    flags = [ProbeFlag.VIOLATION if v else ProbeFlag.OK for v in violation.tolist()]
-    return flags[0] if centres.ndim == 1 else flags
+    probe_radii((r,), h)
+    centres = np.asarray(centres, dtype=float)
+    low = np.flatnonzero(~(_ball_means(d.grid, tf.v, centres, r) > c0 * r))
+    violation = np.zeros(len(centres), dtype=bool)
+    # the max of |v| over the nodes that the inner ball gives weight
+    for sel, rows, cols, ball in _ball_windows(d.grid, centres[low], max(r / 4.0, 1.5 * h)):
+        v = np.where(ball > 0, np.abs(tf.v[rows[:, :, None], cols[:, None, :]]), 0.0)
+        violation[low[sel]] = v.max(axis=(1, 2), initial=0.0) > vtol
+    return [ProbeFlag.VIOLATION if bad else ProbeFlag.OK for bad in violation.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +395,7 @@ class SimplicityReport:
         return min(self.rel_gaps) if self.rel_gaps else math.inf
 
 
-def simplicity_report(sp: Spectrum, tol: float = 1e-3) -> SimplicityReport:
-    lam = sp.lambdas
-    gaps = tuple(
-        float((lam[k + 1] - lam[k]) / max(abs(lam[k]), 1e-300))
-        for k in range(len(lam) - 1)
-    )
-    clusters = tuple(tuple(c) for c in sp.clusters(tol))
-    return SimplicityReport(rel_gaps=gaps, clusters=clusters)
+def simplicity_report(sp: Spectrum) -> SimplicityReport:
+    """The relative gaps of sp's eigenvalues and their :func:`kappa_clusters`."""
+    return SimplicityReport(rel_gaps=tuple(_rel_gaps(sp.lambdas).tolist()),
+                            clusters=kappa_clusters(sp.lambdas))

@@ -218,6 +218,18 @@ def _ball_windows(grid: Grid, centres: np.ndarray, r: float):
             yield sel, rows, cols, inside_fraction(dist - r, h)
 
 
+def _ball_means(grid: Grid, field: np.ndarray, centres: np.ndarray, r: float) -> np.ndarray:
+    """Mollified means of the nodal ``field`` over the balls B_r(c), one per
+    row c of ``centres`` (m, 2); 0 where the ball holds no weight."""
+    out = np.zeros(len(centres))
+    for sel, rows, cols, ball in _ball_windows(grid, np.asarray(centres, dtype=float), r):
+        total = ball.sum(axis=(1, 2))
+        f = field[rows[:, :, None], cols[:, None, :]]
+        out[sel] = np.divide((ball * f).sum(axis=(1, 2)), total,
+                             out=np.zeros_like(total), where=total > 0.0)
+    return out
+
+
 def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a nodal field at points (m, 2).
 
@@ -279,26 +291,19 @@ def dilate(d: GridDomain, t: float) -> GridDomain:
     return d.with_phi(phi.reshape(d.phi.shape))
 
 
-def density_ratio(d: GridDomain, x, r: float):
-    """|B_r(x) inside Omega| / |B_r(x)| by mollified node quadrature.
+def density_ratio(d: GridDomain, centres: np.ndarray, r: float) -> np.ndarray:
+    """|B_r(c) inside Omega| / |B_r(c)| by mollified node quadrature, one
+    value per row c of ``centres`` (m, 2).
 
     Both numerator and denominator use the same one-cell-mollified ball
     weights, so the result lies in [0, 1] exactly and equals 1 for balls
     fully inside Omega. For balls clipped by the grid box the ratio is
-    relative to the in-box part. ``x`` is one centre (a float comes back)
-    or a stack of centres (m, 2) (an array (m,) comes back).
+    relative to the in-box part.
     """
     h = d.grid.h
     if r < 2 * h:
         raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
-    centres = np.asarray(x, dtype=float)
-    out = np.zeros(centres.size // 2)
-    for sel, rows, cols, ball in _ball_windows(d.grid, centres.reshape(-1, 2), r):
-        den = ball.sum(axis=(1, 2))
-        om = inside_fraction(d.phi[rows[:, :, None], cols[:, None, :]], 1.5 * h)
-        num = np.sum(ball * om, axis=(1, 2))
-        out[sel] = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    return float(out[0]) if centres.ndim == 1 else out
+    return _ball_means(d.grid, inside_fraction(d.phi, 1.5 * h), centres, r)
 
 
 def connected_components(d: GridDomain) -> int:

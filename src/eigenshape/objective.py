@@ -270,12 +270,17 @@ def eval_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float, quad_nodes: i
     return eval_Gp(spec, taus, p, quad_nodes) + pert
 
 
-def kappa_clusters(kappa: Sequence[float], tol: float = 1e-3) -> tuple[tuple[int, ...], ...]:
-    """Partition of 0-based indices into near-degenerate consecutive groups."""
+def _rel_gaps(kappa: Sequence[float]) -> np.ndarray:
+    """Relative gaps (kappa[k+1] - kappa[k]) / |kappa[k]| of consecutive values."""
     kappa = np.asarray(kappa, dtype=float)
+    return np.diff(kappa) / np.maximum(np.abs(kappa[:-1]), 1e-300)
+
+
+def kappa_clusters(kappa: Sequence[float], tol: float = 1e-3) -> tuple[tuple[int, ...], ...]:
+    """Partition of 0-based indices into near-degenerate consecutive groups:
+    consecutive values whose relative gap is below ``tol`` share a group."""
     groups: list[list[int]] = [[0]]
-    for k in range(1, len(kappa)):
-        gap = (kappa[k] - kappa[k - 1]) / max(abs(kappa[k - 1]), 1e-300)
+    for k, gap in enumerate(_rel_gaps(kappa).tolist(), start=1):
         if gap < tol:
             groups[-1].append(k)
         else:
@@ -319,7 +324,6 @@ def grad_Fp(
     quad_nodes: int = 4,
     pen: PenaltySpec | None = None,
     current_volume: float | None = None,
-    cluster_tol: float = 1e-3,
 ) -> WeightVector:
     """Exact gradient of :func:`eval_Fp` at kappa.
 
@@ -344,7 +348,7 @@ def grad_Fp(
         xi[k] = (n - k) / p + float(ratios @ gG[k:])
     return WeightVector(
         xi=xi,
-        cluster_tags=kappa_clusters(kappa, cluster_tol),
+        cluster_tags=kappa_clusters(kappa),
         pen=pen if pen is not None else PenaltySpec(s=0.0),
         current_volume=current_volume,
     )

@@ -50,6 +50,12 @@ __all__ = [
 ]
 
 
+#: half-width, in units of h, of the band that extend_velocity fills
+_BAND_H = 6.0
+#: largest advection step, as a fraction of h / max|V|
+_CFL = 0.9
+
+
 class OptimizeAborted(RuntimeError):
     """Mid-run solver failure; carries the partial trace accumulated so far."""
 
@@ -70,8 +76,6 @@ class OptimizerConfig:
     seed: int = 0
     eig_tol: float = 1e-8
     modes: int | None = None          # eigenpairs tracked; default n + 1
-    velocity_band: float = 6.0        # extension band, in units of h
-    cfl: float = 0.9
 
     def __post_init__(self) -> None:
         if not self.dt0 > 0:
@@ -105,12 +109,19 @@ class OptimizerTrace:
     domain: GridDomain | None = None
     spectrum: Spectrum | None = None
     weights: WeightVector | None = None
-    converged: bool = False
-    stalled: bool = False
     objective_F: float | None = None    # unregularized F(lambda) + |Omega| at the end
     # why the run ended: "converged", "line_search_stall", "max_steps" or
     # "aborted" (eigensolver failure; the trace is partial)
     stop_reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        """True when the run converged or the line search stalled."""
+        return self.stop_reason in ("converged", "line_search_stall")
+
+    @property
+    def stalled(self) -> bool:
+        return self.stop_reason == "line_search_stall"
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +158,10 @@ def extend_velocity(
     bm: BoundaryMesh,
     V: np.ndarray,
     reliable: np.ndarray,
-    band_h: float = 6.0,
 ) -> np.ndarray:
     """Constant-along-normal extension of the boundary speed to grid nodes.
 
-    Each node within ``band_h * h`` of the interface (phi as distance proxy)
+    Each node within ``_BAND_H * h`` of the interface (phi as distance proxy)
     takes the speed of its nearest boundary sample; unreliable samples are
     first overwritten from their nearest reliable neighbor. Nodes outside
     the band get zero.
@@ -166,7 +176,7 @@ def extend_velocity(
         _, j = tree_ok.query(bm.points[~reliable])
         V[~reliable] = V[reliable][j]
     h = d.grid.h
-    band = np.abs(d.phi) <= band_h * h
+    band = np.abs(d.phi) <= _BAND_H * h
     out = np.zeros_like(d.phi)
     if band.any():
         X, Y = d.grid.meshgrid()
@@ -254,11 +264,11 @@ def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[Fl
     d = state.domain
     h = d.grid.h
     V, reliable = shape_velocity(d, state.spectrum, state.weights, state.mesh)
-    Vg = extend_velocity(d, state.mesh, V, reliable, band_h=cfg.velocity_band)
+    Vg = extend_velocity(d, state.mesh, V, reliable)
     vmax = float(np.max(np.abs(Vg)))
     if vmax < 1e-14:
         return state, 0.0, True
-    dt_try = min(dt, cfg.cfl * h / vmax)
+    dt_try = min(dt, _CFL * h / vmax)
     J0 = state.objective if baseline is None else min(baseline, state.objective)
     last_err: SpectralError | None = None
     for _ in range(9):  # initial dt plus 8 halvings
@@ -333,8 +343,6 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
             _finalize(trace, state, "aborted")
             raise OptimizeAborted(f"spectrum failed at step {i}: {err}", trace) from err
         if stalled:
-            trace.stalled = True
-            trace.converged = True
             reason = "line_search_stall"
             break
         record(i, state, dt_used)
@@ -343,7 +351,6 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
         if rel_dec < cfg.conv_tol:
             small_steps += 1
             if small_steps >= 2:
-                trace.converged = True
                 reason = "converged"
                 break
         else:

@@ -16,7 +16,6 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .domain import BoundaryMesh, Grid, GridDomain, bilinear
-from .objective import kappa_clusters
 
 __all__ = [
     "SpectralError",
@@ -119,14 +118,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.lambdas)
-
-    def clusters(self, tol: float = 1e-3) -> list[list[int]]:
-        """Partition of mode indices into near-degenerate groups.
-
-        Consecutive eigenvalues with relative gap below ``tol`` share a
-        cluster (the near-multiplicity structure downstream weights consume).
-        """
-        return [list(g) for g in kappa_clusters(self.lambdas, tol)]
 
 
 def _fix_signs(X: np.ndarray) -> np.ndarray:

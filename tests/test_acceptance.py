@@ -37,8 +37,8 @@ from eigenshape import (
     weiss_profile,
 )
 from eigenshape.cli import run_single
-from eigenshape.diagnostics import _ball_mean, _mode_gradients, BoundaryClass
-from eigenshape.domain import density_ratio
+from eigenshape.diagnostics import _mode_gradients, BoundaryClass
+from eigenshape.domain import _ball_means, density_ratio
 
 from conftest import write_ini
 
@@ -161,7 +161,7 @@ def test_criterion_6_boundary_energy_windows(fk_run):
     h = grid.h
     ramp_devs = []
     for r in (8 * h, 0.15, 0.2):
-        probe = weiss_profile(d, sp, w_ramp, (0.0, 0.0), (r,))
+        probe = weiss_profile(d, sp, w_ramp, [(0.0, 0.0)], (r,))[0]
         ramp_devs.append(abs(probe.values[0] - math.pi / 2) / (math.pi / 2))
     # (b) windows on the computed minimizer's boundary
     fk_h = fk_run.domain.grid.h
@@ -170,7 +170,7 @@ def test_criterion_6_boundary_energy_windows(fk_run):
     ws, chats = [], []
     for i in range(0, len(fk_run.mesh), stride):
         probe = weiss_profile(fk_run.domain, fk_run.spectrum, fk_run.weights,
-                              fk_run.mesh.points[i], radii)
+                              fk_run.mesh.points[i:i + 1], radii)[0]
         ws.append(probe.values[0])
         chats.append(probe.c_hat)
     ws, chats = np.asarray(ws), np.asarray(chats)
@@ -206,7 +206,7 @@ def test_criterion_7_structural_invariants(fk_run, ks_run):
     # torsion ball-mean oracle
     db = disk(g, (0.0, 0.0), 1.0)
     tf = solve_torsion(db)
-    mean, _ = _ball_mean(db, tf.v, (0.3, 0.2), 0.2)
+    mean, = _ball_means(g, tf.v, [(0.3, 0.2)], 0.2)
     exact = (1.0 - 0.13) / 4.0 - 0.04 / 8.0
     torsion_dev = abs(mean - exact) / exact
     notes.append(f"torsion_dev={torsion_dev:.2e}")
@@ -219,7 +219,7 @@ def test_criterion_7_structural_invariants(fk_run, ks_run):
         for i in range(0, len(run.mesh), stride):
             for r in (4 * hh, 0.05, 0.1):
                 rho_min = min(rho_min, density_ratio(run.domain,
-                                                     run.mesh.points[i], r))
+                                                     run.mesh.points[i:i + 1], r)[0])
     notes.append(f"pi*rho_min={math.pi * rho_min:.3f}")
     assert math.pi * rho_min >= 0.1
     # flat boundary classification on the ball

@@ -6,6 +6,8 @@ determinism of reruns, the p-sweep weight trace, diagnosing saved
 artifacts, and multi-config fan-out.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -417,6 +419,105 @@ def test_sweep_p_bad_schedule(tmp_path):
     sections["sweep"] = {"schedule": "8 4"}
     cfg = write_ini(tmp_path / "sweep.ini", sections)
     assert run_single("sweep-p", str(cfg), str(tmp_path / "out"), None, False) == 2
+
+
+def test_sweep_p_colliding_stage_labels_exit_2(tmp_path, capsys):
+    # both stages would write trace_p32.csv and label their xi rows "32"
+    sections = optimize_sections()
+    sections["sweep"] = {"schedule": "32 32.000001"}
+    cfg = write_ini(tmp_path / "sweep.ini", sections)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("sweep-p", str(cfg), str(out), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[sweep] schedule" in err
+    assert not any(out.iterdir())  # rejected before any stage ran
+
+
+# ---- config fuzz ------------------------------------------------------
+
+
+def _small_sections(**edits):
+    """A 33x33 config that every command runs in at most 2 steps per stage,
+    with ``edits`` ({section: {key: value}}) applied."""
+    sections = {
+        "run": {"seed": 3},
+        "grid": {"nx": 33, "ny": 33},
+        "shape": {"kind": "disk", "r": 1.2, "x0": -1.0, "y0": -1.0, "x1": 1.0, "y1": 1.0},
+        "solve": {"modes": 2},
+        "objective": {"family": "single", "n": 1},
+        "regularization": {"p": 32},
+        "optimizer": {"dt0": 0.4, "max_steps": 2},
+        "sweep": {"schedule": "8 16"},
+    }
+    for section, kv in edits.items():
+        sections[section].update(kv)
+    return sections
+
+
+@pytest.mark.parametrize("shape", [
+    {"kind": "disk", "r": "nan"},
+    {"kind": "disk", "cx": "inf"},
+    {"kind": "blob", "amp": "inf"},
+], ids=["disk_r_nan", "disk_cx_inf", "blob_amp_inf"])
+@pytest.mark.parametrize("command", ["solve", "optimize", "sweep-p"])
+def test_non_finite_shape_value_exit_2(tmp_path, capsys, command, shape):
+    cfg = write_ini(tmp_path / "c.ini", _small_sections(shape=shape))
+    capsys.readouterr()
+    assert run_single(command, str(cfg), str(tmp_path / "out"), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[shape]" in err
+
+
+_NUMBER = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308"]),
+                    st.floats(-3.0, 3.0).map(repr))
+_COUNT = st.integers(-1, 5).map(str)
+#: (section, key) -> values; sizes stay bounded: grids of at most 33x33
+#: nodes, at most 2 steps and at most 2 stages
+_FUZZ_KEYS = {
+    **{("grid", k): st.integers(-1, 33).map(str) for k in ("nx", "ny")},
+    **{("grid", k): _NUMBER for k in ("x0", "y0", "x1", "y1")},
+    ("shape", "kind"): st.sampled_from(["disk", "square", "rectangle", "lshape",
+                                        "blob", "two_blobs"]),
+    **{("shape", k): _NUMBER
+       for k in ("cx", "cy", "r", "side", "x0", "y0", "x1", "y1", "r0", "amp", "sep")},
+    ("shape", "modes"): _COUNT,
+    ("solve", "modes"): _COUNT,
+    ("solve", "tol"): _NUMBER,
+    ("objective", "family"): st.sampled_from(["single", "linear", "softmin"]),
+    ("objective", "n"): _COUNT,
+    ("objective", "index"): _COUNT,
+    ("objective", "beta"): _NUMBER,
+    ("objective", "coeffs"): st.lists(_NUMBER, max_size=4).map(" ".join),
+    ("objective", "subset"): st.lists(_COUNT, max_size=3).map(" ".join),
+    ("regularization", "p"): _NUMBER,
+    ("regularization", "quad_nodes"): _COUNT,
+    ("optimizer", "max_steps"): st.integers(-1, 2).map(str),
+    **{("optimizer", k): _NUMBER for k in ("dt0", "conv_tol", "eig_tol")},
+    **{("optimizer", k): _COUNT for k in ("reinit_every", "modes")},
+    ("sweep", "schedule"): st.lists(_NUMBER, max_size=2).map(" ".join),
+}
+_FUZZ_EDIT = st.sampled_from(sorted(_FUZZ_KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), _FUZZ_KEYS[key]))
+
+
+@example(command="solve", edits=[(("shape", "r"), "nan")])
+@example(command="optimize", edits=[(("shape", "kind"), "blob"), (("shape", "amp"), "inf")])
+@example(command="sweep-p", edits=[(("sweep", "schedule"), "32 32.000001")])
+@example(command="sweep-p", edits=[(("optimizer", "eig_tol"), "0")])  # no first record
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["solve", "optimize", "sweep-p"]),
+       edits=st.lists(_FUZZ_EDIT, max_size=3))
+def test_fuzzed_configs_exit_0_1_or_2(command, edits):
+    sections = _small_sections()
+    for (section, key), value in edits:
+        sections[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_ini(pathlib.Path(tmp) / "c.ini", sections)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_single(command, str(cfg), str(pathlib.Path(tmp) / "out"), None, False)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---- diagnose ---------------------------------------------------------

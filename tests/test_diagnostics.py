@@ -38,9 +38,11 @@ from eigenshape import (
     weiss_energy,
     weiss_profile,
 )
-from eigenshape.diagnostics import _ball_mean, _mode_gradients, write_weiss_csv
+from eigenshape import diagnostics
+from eigenshape.diagnostics import _mode_gradients, write_weiss_csv
 from eigenshape.domain import (
     _BATCH_NODES,
+    _ball_means,
     _ball_windows,
     _node_weights,
     bilinear,
@@ -92,7 +94,7 @@ def test_weiss_half_plane_is_half_pi(grid129, normal, offset, center):
     d, sp, w = ramp_triple(grid129, normal, offset)
     h = grid129.h
     for r in (8 * h, 0.15, 0.2):
-        val = weiss_energy(d, sp, w, center, r)
+        val = weiss_energy(d, sp, w, [center], r)[0]
         assert val == pytest.approx(math.pi / 2, rel=0.05)
 
 
@@ -101,10 +103,10 @@ def test_weiss_profile_drift_constant(grid129):
     h = grid129.h
     # start at 8h: below that the indicator smoothing inflates W slightly,
     # which would read as spurious downward drift
-    probe = weiss_profile(d, sp, w, (0.0, 0.0), np.linspace(8 * h, 0.45, 6))
+    probe = weiss_profile(d, sp, w, [(0.0, 0.0)], np.linspace(8 * h, 0.45, 6))[0]
     assert probe.c_hat <= 0.05
     assert len(probe.values) == 6
-    single = weiss_profile(d, sp, w, (0.0, 0.0), (8 * h,))
+    single = weiss_profile(d, sp, w, [(0.0, 0.0)], (8 * h,))[0]
     assert single.c_hat == 0.0
 
 
@@ -116,28 +118,28 @@ def test_weiss_zero_mode_measures_occupied_area(grid129):
         resid=np.zeros(1), generation=d.generation,
     )
     w = unit_weights(1)
-    assert weiss_energy(d, sp, w, (0.0, 0.0), 0.2) == pytest.approx(
+    assert weiss_energy(d, sp, w, [(0.0, 0.0)], 0.2)[0] == pytest.approx(
         math.pi / 2, rel=0.03
     )
-    assert weiss_energy(d, sp, w, (0.0, -1.0), 0.2) == pytest.approx(
+    assert weiss_energy(d, sp, w, [(0.0, -1.0)], 0.2)[0] == pytest.approx(
         math.pi, rel=0.03
     )
-    assert weiss_energy(d, sp, w, (0.0, 1.0), 0.2) == pytest.approx(0.0, abs=1e-12)
+    assert weiss_energy(d, sp, w, [(0.0, 1.0)], 0.2)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weiss_validation(grid129):
     d, sp, w = ramp_triple(grid129, (0.0, 1.0), 0.0)
     h = grid129.h
     with pytest.raises(ValueError, match="4h"):
-        weiss_energy(d, sp, w, (0.0, 0.0), 3 * h)
+        weiss_energy(d, sp, w, [(0.0, 0.0)], 3 * h)
     with pytest.raises(ValueError, match="ascending"):
-        weiss_profile(d, sp, w, (0.0, 0.0), (0.2, 0.1))
+        weiss_profile(d, sp, w, [(0.0, 0.0)], (0.2, 0.1))
 
 
 def test_weiss_csv_golden(tmp_path, grid129):
     d, sp, w = ramp_triple(grid129, (0.0, 1.0), 0.0)
     h = grid129.h
-    probe = weiss_profile(d, sp, w, (0.0, 0.0), (8 * h, 0.3))
+    probe = weiss_profile(d, sp, w, [(0.0, 0.0)], (8 * h, 0.3))[0]
     path = tmp_path / "weiss.csv"
     write_weiss_csv([probe], path)
     lines = path.read_text().strip().splitlines()
@@ -198,7 +200,7 @@ def test_weiss_window_matches_full_grid_bits(edge_disk):
     assert rows[0, 0] == 0 and cols[0, -1] == g.nx - 1  # clipped by two box edges
     for x in (interior, corner):
         for r in (4 * h, 6 * h, 12 * h, 0.4):
-            got = weiss_energy(d, sp, w, x, r)
+            got = weiss_energy(d, sp, w, [x], r)[0]
             assert got.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
 
 
@@ -221,8 +223,8 @@ def test_weiss_batch_matches_reference_bits(edge_disk):
         assert got.shape == (len(centres),)
         for x, value in zip(centres, got):
             assert value.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
-    one = weiss_energy(d, sp, w, centres[0], 12 * h)  # the one-row case
-    assert isinstance(one, float) and one.hex() == _reference_weiss_energy(
+    one = weiss_energy(d, sp, w, centres[:1], 12 * h)  # a one-row stack
+    assert one.shape == (1,) and one[0].hex() == _reference_weiss_energy(
         d, sp, w, centres[0], 12 * h).hex()
 
 
@@ -241,7 +243,7 @@ def test_weiss_profile_batch_matches_single_centres(edge_disk):
         assert probe.center == (float(x[0]), float(x[1])) and probe.radii == radii
         assert [v.hex() for v in probe.values] == [v.hex() for v in values]
         assert probe.c_hat.hex() == c_hat.hex()
-        single = weiss_profile(d, sp, w, x, radii)
+        single = weiss_profile(d, sp, w, x[None], radii)[0]
         assert single.values == probe.values and single.c_hat == probe.c_hat
 
 
@@ -435,6 +437,17 @@ def test_classify_validation(grid129):
         classify_boundary(d, bm, (3 * h, 8 * h))
 
 
+def test_probe_radii_rule():
+    h = 0.125
+    assert diagnostics.probe_radii([0.5, 1], h) == (0.5, 1.0)
+    assert diagnostics.probe_radii(np.array([4 * h - 1e-13]), h) == (4 * h - 1e-13,)
+    for radii, match in [((), "one or more"), ((0.5, math.inf), "finite"),
+                         ((0.75, 0.5), "ascending"), ((0.5, 0.5), "ascending"),
+                         ((0.25, 0.5), "4h")]:
+        with pytest.raises(ValueError, match=match):
+            diagnostics.probe_radii(radii, h)
+
+
 # ---- torsion nondegeneracy probe --------------------------------------
 
 
@@ -447,7 +460,7 @@ def ball_torsion(grid129):
 def test_torsion_ball_mean_oracle(ball_torsion):
     d, tf = ball_torsion
     for x, r in [((0.0, 0.0), 0.3), ((0.3, 0.2), 0.2), ((0.6, 0.0), 0.25)]:
-        mean, _ = _ball_mean(d, tf.v, x, r)
+        mean, = _ball_means(d.grid, tf.v, [x], r)
         exact = (1.0 - (x[0] ** 2 + x[1] ** 2)) / 4.0 - r**2 / 8.0
         assert mean == pytest.approx(exact, rel=0.02)
 
@@ -458,7 +471,7 @@ def test_torsion_probe_ok_on_ball(ball_torsion):
     s = math.sqrt(0.5)
     for pt in [(1.0, 0.0), (0.0, 1.0), (s, s), (-1.0, 0.0), (0.0, 0.0)]:
         for r in (4 * h, 8 * h):
-            assert torsion_probe(d, tf, pt, r) is ProbeFlag.OK
+            assert torsion_probe(d, tf, [pt], r) == [ProbeFlag.OK]
 
 
 def test_torsion_probe_violation_on_flat_field(ball_torsion):
@@ -467,7 +480,7 @@ def test_torsion_probe_violation_on_flat_field(ball_torsion):
         v=np.where(d.inside, 1e-6, 0.0), energy=0.0, resid=0.0,
         generation=d.generation,
     )
-    assert torsion_probe(d, flat, (0.0, 0.0), 0.3) is ProbeFlag.VIOLATION
+    assert torsion_probe(d, flat, [(0.0, 0.0)], 0.3) == [ProbeFlag.VIOLATION]
 
 
 def test_torsion_probe_vacuous_ok(ball_torsion):
@@ -475,14 +488,14 @@ def test_torsion_probe_vacuous_ok(ball_torsion):
     zero = TorsionField(
         v=np.zeros_like(d.phi), energy=0.0, resid=0.0, generation=d.generation
     )
-    assert torsion_probe(d, zero, (0.0, 0.0), 0.3) is ProbeFlag.OK
-    assert torsion_probe(d, zero, (1.8, 1.8), 0.3) is ProbeFlag.OK
+    assert torsion_probe(d, zero, [(0.0, 0.0)], 0.3) == [ProbeFlag.OK]
+    assert torsion_probe(d, zero, [(1.8, 1.8)], 0.3) == [ProbeFlag.OK]
 
 
 def test_torsion_probe_validation(ball_torsion):
     d, tf = ball_torsion
     with pytest.raises(ValueError, match="4h"):
-        torsion_probe(d, tf, (0.0, 0.0), 3 * d.grid.h)
+        torsion_probe(d, tf, [(0.0, 0.0)], 3 * d.grid.h)
     with pytest.raises(ValueError, match="4h"):
         torsion_probe(d, tf, np.zeros((3, 2)), 3 * d.grid.h)
 
@@ -521,17 +534,17 @@ def test_torsion_probe_batch_matches_single_centres(edge_disk):
     seen = set()
     for field in (tf, flat):
         for r in (4 * h, 12 * h, 0.6):
-            means, tops = _ball_mean(d, field.v, centres, r)
+            means = _ball_means(d.grid, field.v, centres, r)
             flags = torsion_probe(d, field, centres, r)
             assert len(flags) == len(centres)
-            for x, mean, top, flag in zip(centres, means, tops, flags):
-                ref_mean, ref_top = _reference_ball_mean(d, field.v, x, r)
-                assert (mean.hex(), top.hex()) == (ref_mean.hex(), ref_top.hex())
+            for x, mean, flag in zip(centres, means, flags):
+                ref_mean, _ = _reference_ball_mean(d, field.v, x, r)
+                assert mean.hex() == ref_mean.hex()
                 assert flag is _reference_torsion_probe(d, field, x, r)
                 seen.add(flag)
     assert seen == {ProbeFlag.OK, ProbeFlag.VIOLATION}
-    one = torsion_probe(d, flat, centres[0], 4 * h)  # the one-row case
-    assert one is _reference_torsion_probe(d, flat, centres[0], 4 * h)
+    one = torsion_probe(d, flat, centres[:1], 4 * h)  # a one-row stack
+    assert one == [_reference_torsion_probe(d, flat, centres[0], 4 * h)]
 
 
 # ---- scaling quotients and simplicity ---------------------------------

@@ -94,12 +94,12 @@ def test_dilate_scales_volume(grid):
 def test_density_ratio_interior_edge_exterior(grid):
     d = disk(grid, (0.0, 0.0), 1.0)
     h = grid.h
-    assert density_ratio(d, (0.0, 0.0), 0.4) == pytest.approx(1.0, abs=1e-12)
-    assert density_ratio(d, (1.8, 1.8), 0.2) == pytest.approx(0.0, abs=1e-12)
+    assert density_ratio(d, [(0.0, 0.0)], 0.4)[0] == pytest.approx(1.0, abs=1e-12)
+    assert density_ratio(d, [(1.8, 1.8)], 0.2)[0] == pytest.approx(0.0, abs=1e-12)
     hp = half_plane(grid, (0.0, 1.0), 0.0)
-    assert density_ratio(hp, (0.0, 0.0), 0.5) == pytest.approx(0.5, abs=0.02)
+    assert density_ratio(hp, [(0.0, 0.0)], 0.5)[0] == pytest.approx(0.5, abs=0.02)
     with pytest.raises(ValueError):
-        density_ratio(d, (0.0, 0.0), 1.5 * h)
+        density_ratio(d, [(0.0, 0.0)], 1.5 * h)
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,7 +111,7 @@ def test_density_ratio_interior_edge_exterior(grid):
 def test_density_ratio_bounded(cx, cy, r):
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65)
     d = disk(g, (0.3, 0.0), 0.9)
-    rho = density_ratio(d, (cx, cy), r)
+    rho = density_ratio(d, [(cx, cy)], r)[0]
     assert 0.0 <= rho <= 1.0
 
 
@@ -164,7 +164,7 @@ def test_density_ratio_batch_matches_reference_bits(grid, edge_blob, r_h):
     for x, value in zip(centres, got):
         ref = _reference_density_ratio(d, x, r)
         assert value.hex() == ref.hex()
-        assert density_ratio(d, x, r).hex() == ref.hex()  # the one-row case
+        assert density_ratio(d, x[None], r)[0].hex() == ref.hex()  # a one-row stack
     assert density_ratio(d, np.zeros((0, 2)), r).shape == (0,)
 
 

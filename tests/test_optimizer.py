@@ -37,6 +37,7 @@ from eigenshape import (
 )
 from eigenshape.domain import bilinear
 from eigenshape.optimizer import (
+    _CFL,
     advect,
     extend_velocity,
     make_state,
@@ -124,7 +125,7 @@ def test_extend_velocity_band(grid129):
     V = np.full(len(bm), 2.0)
     reliable = np.zeros(len(bm), dtype=bool)
     reliable[::2] = True  # odd samples must inherit from even neighbors
-    field = extend_velocity(d, bm, V, reliable, band_h=6.0)
+    field = extend_velocity(d, bm, V, reliable)
     h = d.grid.h
     band = np.abs(d.phi) <= 6.0 * h
     assert np.all(field[band] == 2.0)
@@ -279,7 +280,7 @@ def test_step_descends_from_oversized_ball(grid97):
     assert new.objective < state.objective - 1e-3
     assert new.vol < state.vol  # the oversized ball shrinks
     h = grid97.h
-    assert dt_used <= cfg.cfl * h / 1e-14 + 1.0  # finite
+    assert dt_used <= _CFL * h / 1e-14 + 1.0  # finite
     # CFL: the accepted step cannot outrun one cell per sweep
     assert dt_used * 1.0 <= cfg.dt0 + 1e-12
 

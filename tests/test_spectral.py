@@ -15,7 +15,6 @@ import scipy.linalg
 
 from eigenshape import (
     Grid,
-    Spectrum,
     SpectralError,
     dilate,
     disk,
@@ -27,6 +26,7 @@ from eigenshape import (
     star_blob,
     volume,
 )
+from eigenshape.objective import kappa_clusters
 from eigenshape.spectral import assemble_laplacian, torsion_field, write_spectrum_csv
 
 J01 = 2.404825557695773  # first zero of J0
@@ -68,7 +68,7 @@ def test_square_eigenvalues_and_clusters(grid129):
     assert sp.lambdas[2] == pytest.approx(5 * base, rel=5e-3)
     assert sp.lambdas[3] == pytest.approx(8 * base, rel=5e-3)
     assert abs(sp.lambdas[2] - sp.lambdas[1]) / sp.lambdas[1] < 1e-8
-    assert sp.clusters(tol=1e-3) == [[0], [1, 2], [3]]
+    assert kappa_clusters(sp.lambdas, tol=1e-3) == ((0,), (1, 2), (3,))
 
 
 def test_dilate_scaling(grid129):
@@ -226,9 +226,8 @@ def test_input_validation(grid129):
 
 def test_clusters_partition():
     lam = np.array([1.0, 1.0 + 1e-7, 2.0, 2.001, 3.0])
-    sp = Spectrum(lambdas=lam, modes=np.zeros((5, 1, 1)), resid=np.zeros(5))
-    assert sp.clusters(tol=1e-3) == [[0, 1], [2, 3], [4]]
-    assert sp.clusters(tol=1e-9) == [[0], [1], [2], [3], [4]]
+    assert kappa_clusters(lam, tol=1e-3) == ((0, 1), (2, 3), (4,))
+    assert kappa_clusters(lam, tol=1e-9) == ((0,), (1,), (2,), (3,), (4,))
 
 
 def test_torsion_disk(grid129, unit_disk):
