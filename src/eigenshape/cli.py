@@ -13,17 +13,14 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
-import contextlib
 import dataclasses
 import hashlib
 import json
 import math
-import os
 import pathlib
 import sys
 import tempfile
 import time
-import traceback
 
 import numpy as np
 
@@ -64,6 +61,7 @@ from .objective import (
 from .optimizer import (
     OptimizeAborted,
     OptimizerConfig,
+    _stage_regs,
     optimize,
     p_continuation,
     write_trace_csv,
@@ -244,8 +242,8 @@ def build_optimizer(cp, spec: ObjectiveSpec, seed: int) -> OptimizerConfig:
     reference = None
     if ref_path is not None:
         reference = _read_domain(ref_path)
-    pen = PenaltySpec(s=_get(cp, "penalty", "s", float, 0.0), reference=reference)
     try:
+        pen = PenaltySpec(s=_get(cp, "penalty", "s", float, 0.0), reference=reference)
         reg = RegularizationParams(
             p=_get(cp, "regularization", "p", float, 32.0),
             quad_nodes=_get(cp, "regularization", "quad_nodes", int, 4),
@@ -313,62 +311,14 @@ def write_xi_csv(w: WeightVector, path) -> None:
             f.write(f"{k},{repr(float(val))}\n")
 
 
-def _write_dumps(dumps) -> None:
-    for grid, field, path in dumps:
-        domain.write_field_dump(grid, field, path)
-
-
-@contextlib.contextmanager
-def _dumps_in_child(dumps):
-    """Write the ``(grid, field, path)`` dumps in one forked child while the
-    body runs, and join the child when the body is left. Formatting a dump
-    is Python-bound ``repr`` work that holds the GIL. SuperLU releases the
-    GIL while it factors, but its triangular solves, which make up ARPACK's
-    iteration, hold it, so a thread would overlap only the factorization; a
-    forked child shares the fields without a copy, and it only formats and
-    writes. The join raises ChildProcessError if the child failed, unless
-    the body raised: that error then propagates. Without os.fork, or when
-    it fails, the dumps are written first, in this process."""
-    try:
-        pid = os.fork() if hasattr(os, "fork") else None
-    except OSError:
-        pid = None
-    if pid is None:
-        _write_dumps(dumps)
-        yield
-        return
-    if pid == 0:  # the child never returns into the caller
-        code = 1
-        try:
-            _write_dumps(dumps)
-            code = 0
-        except BaseException:
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-    try:
-        yield
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        names = ", ".join(pathlib.Path(p).name for _, _, p in dumps)
-        raise ChildProcessError(f"the process writing {names} failed "
-                                f"(exit status {code})")
-
-
 def _write_spectrum_artifacts(out: pathlib.Path, d: GridDomain, sp: Spectrum,
                               torsion: np.ndarray | None = None) -> None:
-    """spectrum.csv and the mode_k.grid (and torsion.grid) dumps; a forked
-    child writes the first half of the dumps while this process writes the
-    rest."""
-    dumps = [(d.grid, sp.modes[k], out / f"mode_{k + 1}.grid") for k in range(len(sp))]
+    """spectrum.csv and the mode_k.grid (and torsion.grid) dumps."""
+    write_spectrum_csv(sp, out / "spectrum.csv")
+    for k, mode in enumerate(sp.modes, start=1):
+        domain.write_field_dump(d.grid, mode, out / f"mode_{k}.grid")
     if torsion is not None:
-        dumps.append((d.grid, torsion, out / "torsion.grid"))
-    half = (len(dumps) + 1) // 2
-    with _dumps_in_child(dumps[:half]):
-        write_spectrum_csv(sp, out / "spectrum.csv")
-        _write_dumps(dumps[half:])
+        domain.write_field_dump(d.grid, torsion, out / "torsion.grid")
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +331,20 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
     if M < 1:
         raise ConfigError(f"[solve] modes must be >= 1, got {M}")
     tol = _get(cp, "solve", "tol", float, 1e-8)
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"[solve] tol must be finite and > 0, got {tol}")
     torsion = _get(cp, "solve", "torsion", bool, True)
     t0 = time.perf_counter()
-    with _dumps_in_child([(d.grid, d.phi, out / "domain.grid")]):
-        try:
-            factors = factor_laplacian(d)
-            sp = solve_spectrum(d, M, tol=tol, seed=seed, factors=factors)
-        except (SpectralError, ValueError) as err:
-            print(f"eigensolver failed: {err}", file=sys.stderr)
-            sp = None
-    if sp is None:
+    write_grid_dump(d, out / "domain.grid")
+    try:
+        factors = factor_laplacian(d)
+        sp = solve_spectrum(d, M, tol=tol, seed=seed, factors=factors)
+    except (SpectralError, ValueError) as err:
+        print(f"eigensolver failed: {err}", file=sys.stderr)
         write_manifest(out, cp, "solve", seed, time.perf_counter() - t0,
                        {"converged": False})
         return 1
     tv = solve_torsion(d, tol=tol, factors=factors).v if torsion else None
-    del factors  # freed before the writer child is forked
     write_boundary_csv(extract_boundary(d), out / "boundary.csv")
     _write_spectrum_artifacts(out, d, sp, tv)
     write_manifest(out, cp, "solve", seed, time.perf_counter() - t0,
@@ -448,6 +397,10 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
     if len(set(labels)) != len(labels):
         raise ConfigError(f"[sweep] schedule {schedule} gives stages the same "
                           f"file label: {labels}")
+    try:
+        _stage_regs(cfg.reg, schedule)
+    except ValueError as err:
+        raise ConfigError(f"[sweep] schedule: {err}") from err
     t0 = time.perf_counter()
     try:
         traces = p_continuation(cfg, d0, schedule)
@@ -473,15 +426,18 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
                 stage.update(objective=final.objective, E=final.E,
                              lambdas=list(final.lambdas))
             stages.append(stage)
-    code = 0 if len(traces) == len(schedule) and traces[-1].domain is not None else 1
-    last = traces[-1] if traces else None
-    if last is not None and last.domain is not None:
+    last = traces[-1]
+    if last.domain is not None:
         write_grid_dump(last.domain, out / "domain.grid")
         _write_spectrum_artifacts(out, last.domain, last.spectrum)
         write_xi_csv(last.weights, out / "xi.csv")
     write_manifest(out, cp, "sweep-p", seed, time.perf_counter() - t0,
                    {"stages": stages})
-    return code
+    if last.stop_reason == "aborted":
+        print(f"sweep-p aborted in the stage p = {labels[len(traces) - 1]}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def _read_field(path, d: GridDomain, dom_path) -> np.ndarray:

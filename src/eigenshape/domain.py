@@ -10,7 +10,9 @@ and a few analytic shape constructors for tests and initial guesses.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
+import os
 from typing import Sequence
 
 import numpy as np
@@ -609,34 +611,17 @@ def difference(a: GridDomain, b: GridDomain) -> GridDomain:
 # dump I/O
 # ---------------------------------------------------------------------------
 
-_DUMP_MAGIC = "GRIDDUMP v1"
-
-
-def _dump_row(values: list, zero: np.ndarray) -> str:
-    """One dump row: the repr of each value, the literal 0.0 where ``zero``."""
-    cells = ["0.0"] * len(values)
-    runs = [0, *(np.flatnonzero(zero[1:] != zero[:-1]) + 1).tolist(), len(values)]
-    first = int(zero[0])  # runs alternate; the first nonzero one is run 0 or 1
-    for a, b in zip(runs[first::2], runs[first + 1::2]):
-        cells[a:b] = map(repr, values[a:b])
-    return " ".join(cells)
+_DUMP_MAGIC = "GRIDDUMP"
 
 
 def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
-    """Text dump of any nodal field: header "GRIDDUMP v1 nx ny h x0 y0",
-    then ny rows of nx values, row-major from y0 upward. Floats use repr for
-    exact round-trip; an exact +0.0 is written as its repr, 0.0, without the
-    call (-0.0 still goes through repr)."""
-    field = np.asarray(field, dtype=float)
-    plus_zero = (field == 0.0) & ~np.signbit(field)
-    with open(path, "w") as f:
-        f.write(
-            f"{_DUMP_MAGIC} {grid.nx} {grid.ny} {grid.h!r} "
-            f"{grid.origin[0]!r} {grid.origin[1]!r}\n"
-        )
-        for values, zero in zip(field.tolist(), plus_zero):
-            f.write(_dump_row(values, zero))
-            f.write("\n")
+    """Binary dump of any nodal field: the text header line
+    "GRIDDUMP v2 nx ny h x0 y0" (floats by repr), then the ny*nx values as
+    little-endian float64, row-major from y0 upward."""
+    with open(path, "wb") as f:
+        f.write(f"{_DUMP_MAGIC} v2 {grid.nx} {grid.ny} {grid.h!r} "
+                f"{grid.origin[0]!r} {grid.origin[1]!r}\n".encode())
+        f.write(np.asarray(field, dtype="<f8").tobytes())
 
 
 def _float_rows(rows: list[str], delimiter: str | None = None) -> np.ndarray:
@@ -651,19 +636,27 @@ def _float_rows(rows: list[str], delimiter: str | None = None) -> np.ndarray:
 
 
 def read_field_dump(path) -> tuple[Grid, np.ndarray]:
-    """Inverse of :func:`write_field_dump`. The header sizes are checked
-    against the rows in the file before anything is allocated from them;
-    then every row is parsed at once (decimal floats, no comments)."""
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 7 or header[:2] != _DUMP_MAGIC.split():
+    """Inverse of :func:`write_field_dump`; also reads the v1 text dumps of
+    older runs (header "GRIDDUMP v1 nx ny h x0 y0", then ny rows of nx
+    decimal floats). The header sizes are checked against the file before
+    anything is allocated from them: a v2 payload must be exactly 8*nx*ny
+    bytes, a v1 dump must have ny rows, which are then parsed at once."""
+    with open(path, "rb") as f:
+        header = f.readline().decode().split()
+        if len(header) != 7 or header[0] != _DUMP_MAGIC or header[1] not in ("v1", "v2"):
             raise ValueError(f"not a grid dump: {path}")
         nx, ny = int(header[2]), int(header[3])
-        h, x0, y0 = float(header[4]), float(header[5]), float(header[6])
-        rows = f.readlines()
+        grid = Grid(nx=nx, ny=ny, h=float(header[4]),
+                    origin=(float(header[5]), float(header[6])))
+        if header[1] == "v2":
+            size = os.fstat(f.fileno()).st_size - f.tell()
+            if size != 8 * nx * ny:
+                raise ValueError(f"grid dump payload has {size} bytes, expected "
+                                 f"{8 * nx * ny} for {ny} x {nx} values")
+            return grid, np.fromfile(f, dtype="<f8").reshape(ny, nx)
+        rows = io.StringIO(f.read().decode(), newline=None).readlines()
     if len(rows) != ny:
         raise ValueError(f"grid dump has {len(rows)} rows, expected {ny}")
-    grid = Grid(nx=nx, ny=ny, h=h, origin=(x0, y0))
     field = _float_rows(rows)
     if field.shape != (ny, nx):
         raise ValueError(f"grid dump rows hold {field.shape[0]} x {field.shape[1]} "

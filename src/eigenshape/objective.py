@@ -167,8 +167,8 @@ class PenaltySpec:
     reference: GridDomain | None = None
 
     def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError(f"penalty strength must be >= 0, got {self.s}")
+        if not 0 <= self.s < math.inf:
+            raise ValueError(f"penalty strength s must be finite and >= 0, got {self.s}")
 
     @staticmethod
     def chi(t: float) -> float:

@@ -82,6 +82,8 @@ class OptimizerConfig:
             raise ValueError(f"dt0 must be positive, got {self.dt0}")
         if not self.conv_tol > 0:
             raise ValueError(f"conv_tol must be positive, got {self.conv_tol}")
+        if not 0 < self.eig_tol < np.inf:
+            raise ValueError(f"eig_tol must be finite and > 0, got {self.eig_tol}")
         if self.max_steps < 1 or self.reinit_every < 1:
             raise ValueError("max_steps and reinit_every must be >= 1")
 
@@ -368,6 +370,14 @@ def _finalize(trace: OptimizerTrace, state: FlowState, reason: str) -> None:
     trace.objective_F = eval_F(state.cfg.spec, state.kappa) + state.vol
 
 
+def _stage_regs(reg: RegularizationParams, schedule: list[float]) -> list[RegularizationParams]:
+    """``reg`` at each p of ``schedule``; a schedule that is not strictly
+    ascending, or a p that RegularizationParams rejects, is a ValueError."""
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"p schedule must be strictly ascending, got {schedule}")
+    return [dataclasses.replace(reg, p=float(p)) for p in schedule]
+
+
 def p_continuation(
     cfg: OptimizerConfig,
     init: GridDomain,
@@ -376,22 +386,16 @@ def p_continuation(
     """Chain optimize() over an ascending p schedule.
 
     Each stage warm-starts from the previous minimizer and anchors its
-    penalty reference there (the first stage keeps cfg.pen as given). A
-    failing stage truncates the returned list.
+    penalty reference there (the first stage keeps cfg.pen as given). The
+    whole schedule is checked before the first stage runs. A failing stage
+    truncates the returned list; its trace ends with stop_reason "aborted".
     """
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError(f"p schedule must be strictly ascending, got {schedule}")
     traces: list[OptimizerTrace] = []
     d = init
     pen = cfg.pen
-    for p in schedule:
-        stage = dataclasses.replace(
-            cfg,
-            reg=dataclasses.replace(cfg.reg, p=float(p)),
-            pen=pen,
-        )
+    for reg in _stage_regs(cfg.reg, schedule):
         try:
-            tr = optimize(stage, d)
+            tr = optimize(dataclasses.replace(cfg, reg=reg, pen=pen), d)
         except OptimizeAborted as err:
             traces.append(err.trace)
             break

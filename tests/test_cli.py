@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import eigenshape
-from eigenshape import Grid, GridDomain, SpectralError, disk, solve_torsion
+from eigenshape import Grid, GridDomain, SpectralError, disk, solve_torsion, star_blob
 from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
@@ -35,7 +35,7 @@ from eigenshape.cli import (
 )
 from eigenshape.domain import read_field_dump, write_field_dump, write_grid_dump
 
-from conftest import write_ini
+from conftest import to_v1, write_ini, write_v1_dump
 
 J01 = 2.404825557695773
 
@@ -238,75 +238,23 @@ def test_seed_override(tmp_path):
     assert manifest["seed"] == 42
 
 
-# ---- the forked dump writer -------------------------------------------
-
-
-def _recorded_forks(monkeypatch):
-    """The pids of the children that os.fork starts from now on."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def _reaped(pid):
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def test_forked_dumps_match_in_process_writer(solve_run, opt_run, tmp_path):
-    for _, out in (solve_run, opt_run):
-        dumps = sorted(out.glob("*.grid"))
-        assert {"domain.grid", "mode_1.grid", "mode_2.grid"} <= {p.name for p in dumps}
-        for path in dumps:
-            grid, field = read_field_dump(path)
-            write_field_dump(grid, field, tmp_path / path.name)
-            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
-
-
-def test_solve_without_fork_writes_same_bytes(solve_run, tmp_path, monkeypatch):
-    cfg, out = solve_run
-    monkeypatch.delattr(os, "fork")
-    assert run_single("solve", str(cfg), str(tmp_path / "out"), None, False) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    again = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert again["artifacts"] == manifest["artifacts"]
+# ---- the dump writer on every exit path -------------------------------
 
 
 @pytest.mark.parametrize("command", ["solve", "optimize"])
-def test_failed_child_writer_fails_loudly(tmp_path, monkeypatch, capfd, command):
+def test_failed_child_writer_fails_loudly(tmp_path, monkeypatch, command):
+    # a dump writer that raises fails the command before the manifest is written
     if command == "solve":
         sections = solve_sections()
     else:
         sections = optimize_sections()
         sections["optimizer"]["max_steps"] = 1
     cfg = write_ini(tmp_path / "c.ini", sections)
-    parent = os.getpid()
-    real_write = write_field_dump
-
-    def write_in_parent_only(grid, field, path):
-        if os.getpid() != parent:
-            raise OSError("no space left for the dump")
-        real_write(grid, field, path)
-
-    monkeypatch.setattr("eigenshape.domain.write_field_dump", write_in_parent_only)
-    pids = _recorded_forks(monkeypatch)
+    monkeypatch.setattr("eigenshape.domain.write_field_dump",
+                        _raise(OSError("no space left for the dump")))
     out = tmp_path / "out"
-    first_child_dump = "domain.grid" if command == "solve" else "mode_1.grid"
-    with pytest.raises(ChildProcessError, match=first_child_dump):
+    with pytest.raises(OSError, match="no space left for the dump"):
         run_single(command, str(cfg), str(out), None, False)
-    assert "no space left for the dump" in capfd.readouterr().err
-    assert pids and all(map(_reaped, pids))
     assert not (out / "manifest.json").exists()
 
 
@@ -324,13 +272,12 @@ def _raise(err):
 ], ids=["success", "eigensolver_failure", "torsion_failure", "config_error"])
 def test_forked_writer_joined_on_every_exit_path(tmp_path, monkeypatch, target, err,
                                                  code):
+    # domain.grid is written before the solve, whatever its outcome
     cfg = write_ini(tmp_path / "c.ini", solve_sections())
     if target is not None:
         monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(err))
-    pids = _recorded_forks(monkeypatch)
     out = tmp_path / "out"
     assert run_single("solve", str(cfg), str(out), None, False) == code
-    assert pids and all(map(_reaped, pids))
     assert (out / "domain.grid").is_file()
     if target == "solve_spectrum":  # the failed solve still lists its domain dump
         manifest = json.loads((out / "manifest.json").read_text())
@@ -389,6 +336,35 @@ def test_optimize_rerun_identical_trace(opt_run, tmp_path):
     assert (out / "domain.grid").read_bytes() == (out2 / "domain.grid").read_bytes()
 
 
+def test_optimize_same_bytes_from_v1_and_v2_inputs(tmp_path):
+    # the shape file and the penalty reference of an older run (v1 text) give
+    # the same run as their v2 dumps
+    grid = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 49, 49)
+    shape = star_blob(grid, (0.1, 0.0), 1.0, 0.15, 4, np.random.default_rng(5))
+    ref = disk(grid, (0.0, 0.0), 1.2)
+    runs = {}
+    for fmt in ("v1", "v2"):
+        base = tmp_path / fmt
+        base.mkdir()
+        for d, name in ((shape, "shape.grid"), (ref, "ref.grid")):
+            if fmt == "v1":
+                write_v1_dump(d.grid, d.phi, base / name)
+            else:
+                write_grid_dump(d, base / name)
+        sections = optimize_sections()
+        sections.pop("grid")
+        sections["shape"] = {"kind": "file", "path": str(base / "shape.grid")}
+        sections["penalty"] = {"s": 0.05, "reference": str(base / "ref.grid")}
+        sections["optimizer"]["max_steps"] = 3
+        cfg = write_ini(base / "opt.ini", sections)
+        assert run_single("optimize", str(cfg), str(base / "out"), None, False) == 0
+        runs[fmt] = base / "out"
+    assert (runs["v1"] / "trace.csv").read_bytes() == (runs["v2"] / "trace.csv").read_bytes()
+    hashes = [json.loads((runs[fmt] / "manifest.json").read_text())["artifacts"]
+              for fmt in ("v1", "v2")]
+    assert hashes[0] == hashes[1]
+
+
 # ---- sweep-p ----------------------------------------------------------
 
 
@@ -434,6 +410,71 @@ def test_sweep_p_colliding_stage_labels_exit_2(tmp_path, capsys):
     assert not any(out.iterdir())  # rejected before any stage ran
 
 
+def test_sweep_p_non_finite_stage_exit_2_before_any_stage(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("eigenshape.optimizer.optimize",
+                        _raise(AssertionError("a stage ran")))
+    cfg = write_ini(tmp_path / "sweep.ini", _small_sections(sweep={"schedule": "8 nan"}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("sweep-p", str(cfg), str(out), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[sweep] schedule" in err and "nan" in err
+    assert not any(out.iterdir())
+
+
+def _step_failing_at_p16(monkeypatch):
+    # stage p = 16 aborts in its first flow step, after its initial spectrum
+    import eigenshape.optimizer as optimizer
+    real_step = optimizer.step
+
+    def step(state, dt, baseline=None):
+        if state.cfg.reg.p == 16:
+            raise SpectralError("forced failure")
+        return real_step(state, dt, baseline)
+
+    monkeypatch.setattr(optimizer, "step", step)
+
+
+@pytest.mark.parametrize("edits, patch, label", [
+    ({"optimizer": {"eig_tol": "1e-300"}}, None, "8"),
+    ({}, _step_failing_at_p16, "16"),
+], ids=["first_stage_initial_spectrum", "last_stage_mid_run"])
+def test_sweep_p_aborted_stage_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                                     edits, patch, label):
+    if patch is not None:
+        patch(monkeypatch)
+    cfg = write_ini(tmp_path / "sweep.ini", _small_sections(**edits))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("sweep-p", str(cfg), str(out), None, False) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"p = {label}" in err and "aborted" in err
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert stages[-1]["stop_reason"] == "aborted"
+
+
+@pytest.mark.parametrize("section, key, value, command", [
+    ("penalty", "s", "-1", "optimize"),
+    ("penalty", "s", "nan", "optimize"),
+    ("penalty", "s", "inf", "sweep-p"),
+    ("solve", "tol", "nan", "solve"),
+    ("solve", "tol", "0", "solve"),
+    ("solve", "tol", "-1e-8", "solve"),
+    ("optimizer", "eig_tol", "nan", "optimize"),
+    ("optimizer", "eig_tol", "0", "sweep-p"),
+    ("optimizer", "eig_tol", "-1e-8", "optimize"),
+])
+def test_unusable_solver_value_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                       section, key, value, command):
+    for target in ("eigenshape.cli.factor_laplacian", "eigenshape.optimizer.solve_spectrum"):
+        monkeypatch.setattr(target, _raise(AssertionError("a solve ran")))
+    cfg = write_ini(tmp_path / "c.ini", _small_sections(**{section: {key: value}}))
+    capsys.readouterr()
+    assert run_single(command, str(cfg), str(tmp_path / "out"), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{key} must be finite" in err
+
+
 # ---- config fuzz ------------------------------------------------------
 
 
@@ -449,6 +490,7 @@ def _small_sections(**edits):
         "regularization": {"p": 32},
         "optimizer": {"dt0": 0.4, "max_steps": 2},
         "sweep": {"schedule": "8 16"},
+        "penalty": {},
     }
     for section, kv in edits.items():
         sections[section].update(kv)
@@ -472,6 +514,19 @@ def test_non_finite_shape_value_exit_2(tmp_path, capsys, command, shape):
 _NUMBER = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308"]),
                     st.floats(-3.0, 3.0).map(repr))
 _COUNT = st.integers(-1, 5).map(str)
+#: [penalty] reference files that the config fuzz writes next to its config
+_REFERENCES = ["ref_v2.grid", "ref_v1.grid", "ref_truncated.grid", "ref_17x17.grid",
+               "missing.grid"]
+
+
+def _write_references(base: pathlib.Path) -> None:
+    grid = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 33, 33)
+    ref = disk(grid, (0.0, 0.0), 1.0)
+    write_grid_dump(ref, base / "ref_v2.grid")
+    write_v1_dump(grid, ref.phi, base / "ref_v1.grid")
+    (base / "ref_truncated.grid").write_bytes((base / "ref_v2.grid").read_bytes()[:-8])
+    write_grid_dump(disk(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 17, 17), (0.0, 0.0), 1.0),
+                    base / "ref_17x17.grid")
 #: (section, key) -> values; sizes stay bounded: grids of at most 33x33
 #: nodes, at most 2 steps and at most 2 stages
 _FUZZ_KEYS = {
@@ -496,6 +551,8 @@ _FUZZ_KEYS = {
     **{("optimizer", k): _NUMBER for k in ("dt0", "conv_tol", "eig_tol")},
     **{("optimizer", k): _COUNT for k in ("reinit_every", "modes")},
     ("sweep", "schedule"): st.lists(_NUMBER, max_size=2).map(" ".join),
+    ("penalty", "s"): _NUMBER,
+    ("penalty", "reference"): st.sampled_from(_REFERENCES),
 }
 _FUZZ_EDIT = st.sampled_from(sorted(_FUZZ_KEYS)).flatmap(
     lambda key: st.tuples(st.just(key), _FUZZ_KEYS[key]))
@@ -504,15 +561,23 @@ _FUZZ_EDIT = st.sampled_from(sorted(_FUZZ_KEYS)).flatmap(
 @example(command="solve", edits=[(("shape", "r"), "nan")])
 @example(command="optimize", edits=[(("shape", "kind"), "blob"), (("shape", "amp"), "inf")])
 @example(command="sweep-p", edits=[(("sweep", "schedule"), "32 32.000001")])
-@example(command="sweep-p", edits=[(("optimizer", "eig_tol"), "0")])  # no first record
+@example(command="sweep-p", edits=[(("optimizer", "eig_tol"), "0")])
+@example(command="sweep-p", edits=[(("optimizer", "eig_tol"), "1e-300")])  # no first record
+@example(command="optimize", edits=[(("penalty", "s"), "-1")])
+@example(command="solve", edits=[(("solve", "tol"), "nan")])
+@example(command="sweep-p", edits=[(("sweep", "schedule"), "8 nan")])
+@example(command="optimize", edits=[(("penalty", "reference"), "ref_v1.grid"),
+                                    (("penalty", "s"), "0.02")])
+@example(command="optimize", edits=[(("penalty", "reference"), "ref_17x17.grid")])
 @settings(max_examples=40, deadline=None)
 @given(command=st.sampled_from(["solve", "optimize", "sweep-p"]),
        edits=st.lists(_FUZZ_EDIT, max_size=3))
 def test_fuzzed_configs_exit_0_1_or_2(command, edits):
     sections = _small_sections()
-    for (section, key), value in edits:
-        sections[section][key] = value
     with tempfile.TemporaryDirectory() as tmp:
+        _write_references(pathlib.Path(tmp))
+        for (section, key), value in edits:
+            sections[section][key] = str(pathlib.Path(tmp) / value) if key == "reference" else value
         cfg = write_ini(pathlib.Path(tmp) / "c.ini", sections)
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = run_single(command, str(cfg), str(pathlib.Path(tmp) / "out"), None, False)
@@ -603,13 +668,16 @@ def test_diagnose_empty_boundary(tmp_path):
 
 def _diagnose_corrupted(opt_run, tmp_path, capsys, name, edit):
     """Diagnose a copy of the optimize artifacts with ``name`` rewritten by
-    ``edit`` (a function of its lines); returns the exit code and stderr."""
+    ``edit`` (a function of its lines; a .grid dump is edited as a v1 text
+    dump); returns the exit code and stderr."""
     _, out = opt_run
     copy = tmp_path / "run"
     copy.mkdir()
     for p in out.glob("*.*"):
         if p.suffix in (".csv", ".grid"):
             (copy / p.name).write_bytes(p.read_bytes())
+    if name.endswith(".grid"):
+        to_v1(copy / name)
     lines = (copy / name).read_text().splitlines()
     (copy / name).write_text("\n".join(edit(lines)) + "\n")
     cfg = write_ini(tmp_path / "diag.ini", diagnose_sections(copy))
@@ -692,7 +760,8 @@ _ROW_EDIT = st.tuples(
     st.lists(_TOKEN, max_size=4).map(",".join),
 )
 _HEADER = st.one_of(
-    st.builds("GRIDDUMP v1 {} {} {!r} {!r} {!r}".format,
+    st.builds("GRIDDUMP {} {} {} {!r} {!r} {!r}".format,
+              st.sampled_from(["v1", "v2"]),
               st.just(33) | st.integers(-2, 10**7),
               st.just(33) | st.integers(-2, 10**7),
               st.just(0.125) | st.floats(),
@@ -720,14 +789,42 @@ def _dump_row(*tokens):
     return " ".join(["0.0"] * 15 + list(tokens) + ["0.0"] * (18 - len(tokens)))
 
 
-@example(spectrum=[], xi=[], header=("domain.grid", _HUGE_HEADER), row=None)
-@example(spectrum=[], xi=[], header=("*.grid", _HUGE_HEADER), row=None)
+_PAYLOAD_EDIT = st.tuples(
+    st.sampled_from(["domain.grid", "mode_1.grid", "*.grid"]),
+    st.one_of(st.tuples(st.just("truncate"), st.integers(0, 8800)),
+              st.tuples(st.just("append"), st.binary(min_size=1, max_size=9)),
+              st.tuples(st.just("header"), _HEADER)))
+
+
+def _edit_bytes(path, how, arg):
+    """Truncate a dump at byte ``arg``, append the bytes ``arg``, or replace
+    its header line by the text ``arg`` and keep the rest."""
+    data = path.read_bytes()
+    if how == "truncate":
+        data = data[:arg]
+    elif how == "append":
+        data += arg
+    else:
+        data = arg.encode() + b"\n" + data.partition(b"\n")[2]
+    path.write_bytes(data)
+
+
+@example(spectrum=[], xi=[], header=("domain.grid", _HUGE_HEADER), row=None, payload=None)
+@example(spectrum=[], xi=[], header=("*.grid", _HUGE_HEADER), row=None, payload=None)
 @example(spectrum=[], xi=[],  # coordinates too coarse for any reliable sample
          header=("*.grid", "GRIDDUMP v1 33 33 0.125 -2.0 1.8014398509481984e+16"),
-         row=None)
-@example(spectrum=[], xi=[], header=None, row=("mode_1.grid", 4, _dump_row("#", "1.0")))
-@example(spectrum=[], xi=[], header=None, row=("domain.grid", 4, ""))
-@example(spectrum=[], xi=[], header=None, row=("mode_1.grid", 4, _dump_row("1_0")))
+         row=None, payload=None)
+@example(spectrum=[], xi=[], header=None, row=("mode_1.grid", 4, _dump_row("#", "1.0")),
+         payload=None)
+@example(spectrum=[], xi=[], header=None, row=("domain.grid", 4, ""), payload=None)
+@example(spectrum=[], xi=[], header=None, row=("mode_1.grid", 4, _dump_row("1_0")),
+         payload=None)
+@example(spectrum=[], xi=[], header=None, row=None,
+         payload=("domain.grid", ("header", _HUGE_HEADER.replace("v1", "v2"))))
+@example(spectrum=[], xi=[], header=None, row=None,
+         payload=("*.grid", ("header", "GRIDDUMP v2 33 33 0.125 -2.0 1.8014398509481984e+16")))
+@example(spectrum=[], xi=[], header=None, row=None, payload=("mode_1.grid", ("truncate", 100)))
+@example(spectrum=[], xi=[], header=None, row=None, payload=("domain.grid", ("append", b"\0")))
 @settings(max_examples=40, deadline=None)
 @given(
     spectrum=st.lists(_ROW_EDIT, max_size=2),
@@ -737,13 +834,19 @@ def _dump_row(*tokens):
     row=st.none() | st.tuples(
         st.sampled_from(["domain.grid", "mode_1.grid"]), st.integers(1, 34),
         st.lists(_TOKEN, max_size=4).map(lambda t: _dump_row(*t))),
+    payload=st.none() | _PAYLOAD_EDIT,
 )
-def test_diagnose_fuzzed_inputs_exit_0_or_2(small_run, spectrum, xi, header, row):
+def test_diagnose_fuzzed_inputs_exit_0_or_2(small_run, spectrum, xi, header, row, payload):
+    # text edits of a header or a row run on v1 copies of the dumps; the
+    # byte edits then apply to whichever format the dumps are in
     with tempfile.TemporaryDirectory() as tmp:
         run = pathlib.Path(tmp) / "run"
         shutil.copytree(small_run, run)
         _edit_rows(run / "spectrum.csv", spectrum)
         _edit_rows(run / "xi.csv", xi)
+        if header is not None or row is not None:
+            for path in run.glob("*.grid"):
+                to_v1(path)
         if header is not None:
             pattern, text = header
             for path in run.glob(pattern):
@@ -751,9 +854,40 @@ def test_diagnose_fuzzed_inputs_exit_0_or_2(small_run, spectrum, xi, header, row
         if row is not None:
             name, j, text = row
             _edit_rows(run / name, [(j, "replace", text)])
+        if payload is not None:
+            pattern, (how, arg) = payload
+            for path in run.glob(pattern):
+                _edit_bytes(path, how, arg)
         cfg = write_ini(pathlib.Path(tmp) / "diag.ini", diagnose_sections(run, probes=8))
         code = run_single("diagnose", str(cfg), str(pathlib.Path(tmp) / "dout"), None, False)
     assert code in (0, 2)
+
+
+def _with_nan(head, body):
+    values = np.frombuffer(body, dtype="<f8").copy()
+    values[40] = np.nan
+    return head + values.tobytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda head, body: head + body[:-8],                       # truncated payload
+    lambda head, body: head + body + b"\0",                    # one extra byte
+    _with_nan,
+    lambda head, body: b"GRIDDUMP v2\n" + body,                # header without sizes
+    lambda head, body: head.replace(b" v2 ", b" v3 ") + body,  # unknown version
+    lambda head, body: _HUGE_HEADER.replace("v1", "v2").encode() + b"\n" + body,
+    lambda head, body: head[:-1] + body,                        # no newline after the header
+], ids=["truncated_payload", "extra_byte", "nan", "header_without_sizes",
+        "unknown_version", "oversized_header", "header_runs_into_payload"])
+@pytest.mark.parametrize("name", ["domain.grid", "mode_1.grid"])
+def test_diagnose_v2_dump_exit_2(small_run, tmp_path, capsys, name, edit):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    head, _, body = (run / name).read_bytes().partition(b"\n")
+    (run / name).write_bytes(edit(head + b"\n", body))
+    code, err, _ = _diagnose_small(run, tmp_path, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and name in err
 
 
 def _diagnose_small(run, tmp_path, capsys):
@@ -786,6 +920,7 @@ def test_diagnose_xi_without_rows_exit_2(small_run, tmp_path, capsys):
 def test_diagnose_dump_row_exit_2(small_run, tmp_path, capsys, name, text):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
+    to_v1(run / name)
     _edit_rows(run / name, [(4, "replace", text)])
     code, err, _ = _diagnose_small(run, tmp_path, capsys)
     assert code == 2
@@ -850,6 +985,7 @@ def _torsion_of_other_disk(path):
 
 
 def _torsion_header(path):
+    to_v1(path)
     _edit_rows(path, [(0, "replace", "GRIDDUMP v1 33 33 0.13 -2.0 -2.0")])
 
 

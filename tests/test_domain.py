@@ -34,6 +34,8 @@ from eigenshape.domain import (
 )
 from eigenshape.domain import _ball_windows
 
+from conftest import write_v1_dump
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -376,16 +378,6 @@ def test_grid_dump_roundtrip(tmp_path, grid):
     assert np.array_equal(back.phi, d.phi)
 
 
-def _reference_write_field_dump(grid, field, path):
-    """write_field_dump as it was written before exact zeros skipped repr."""
-    with open(path, "w") as f:
-        f.write(f"GRIDDUMP v1 {grid.nx} {grid.ny} {grid.h!r} "
-                f"{grid.origin[0]!r} {grid.origin[1]!r}\n")
-        for j in range(grid.ny):
-            f.write(" ".join(repr(float(v)) for v in field[j]))
-            f.write("\n")
-
-
 def _zeros_field(grid, seed):
     """Nonzero values with interior exact zeros, -0.0, all-zero rows, an
     all -0.0 row and rows with no zero at all."""
@@ -403,17 +395,22 @@ def _zeros_field(grid, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_field_dump_matches_reference_bytes(tmp_path, grid, seed):
+def test_field_dump_roundtrip_bits_v2_and_v1(tmp_path, grid, seed):
     field = _zeros_field(grid, seed)
     fields = [field, np.zeros_like(field), np.full_like(field, -0.0),
               disk(grid, (1.5, -1.5), 0.9).phi]
     for k, f in enumerate(fields):
-        path, ref = tmp_path / f"new{k}.grid", tmp_path / f"ref{k}.grid"
+        path, v1 = tmp_path / f"v2_{k}.grid", tmp_path / f"v1_{k}.grid"
         write_field_dump(grid, f, path)
-        _reference_write_field_dump(grid, f, ref)
-        assert path.read_bytes() == ref.read_bytes()
-        g2, back = read_field_dump(path)
-        assert g2 == grid and back.tobytes() == f.tobytes()  # -0.0 keeps its sign
+        write_v1_dump(grid, f, v1)
+        with open(path, "rb") as dump:  # the layout that the README documents
+            assert dump.readline() == (f"GRIDDUMP v2 {grid.nx} {grid.ny} {grid.h!r} "
+                                       f"{grid.origin[0]!r} {grid.origin[1]!r}\n").encode()
+            assert dump.read() == f.astype("<f8").tobytes()
+        for p in (path, v1):
+            g2, back = read_field_dump(p)
+            assert g2 == grid and back.dtype == np.float64
+            assert back.tobytes() == f.tobytes()  # -0.0 keeps its sign
 
 
 def test_field_dump_roundtrip(tmp_path, grid):
