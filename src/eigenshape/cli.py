@@ -47,7 +47,6 @@ from .domain import (
     read_field_dump,
     rectangle,
     star_blob,
-    volume,
     write_boundary_csv,
     write_grid_dump,
 )
@@ -61,8 +60,8 @@ from .objective import (
 from .optimizer import (
     OptimizeAborted,
     OptimizerConfig,
-    _stage_regs,
-    optimize,
+    OptimizerTrace,
+    ScheduleError,
     p_continuation,
     write_trace_csv,
 )
@@ -354,90 +353,75 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
 
 
 def cmd_optimize(cp, out: pathlib.Path, seed: int) -> int:
-    d0 = build_shape(cp, seed)
-    spec = build_objective(cp)
-    cfg = build_optimizer(cp, spec, seed)
     t0 = time.perf_counter()
-    try:
-        trace = optimize(cfg, d0)
-        code = 0
-    except OptimizeAborted as err:
-        print(f"optimize aborted: {err}", file=sys.stderr)
-        trace = err.trace
-        code = 1
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    write_trace_csv(trace, out / "trace.csv", spec.n)
-    extra = {"converged": bool(trace.converged), "stalled": bool(trace.stalled),
-             "stop_reason": trace.stop_reason}
-    if trace.domain is not None:
-        write_grid_dump(trace.domain, out / "domain.grid")
-        write_boundary_csv(extract_boundary(trace.domain), out / "boundary.csv")
-        _write_spectrum_artifacts(out, trace.domain, trace.spectrum)
-        write_xi_csv(trace.weights, out / "xi.csv")
-        final = trace.records[-1]
-        extra.update(
-            objective=final.objective,
-            objective_F=trace.objective_F,
-            volume=final.volume,
-            lambdas=list(final.lambdas),
-        )
-    write_manifest(out, cp, "optimize", seed, time.perf_counter() - t0, extra)
+    d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
+    (trace,), _, code = _run_flow(out, d0, cfg, [cfg.reg.p], "optimize", "trace.csv")
+    write_manifest(out, cp, "optimize", seed, time.perf_counter() - t0,
+                   _stage_summary(trace))
     return code
 
 
 def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
-    d0 = build_shape(cp, seed)
-    spec = build_objective(cp)
-    cfg = build_optimizer(cp, spec, seed)
+    t0 = time.perf_counter()
+    d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
     schedule = _get(cp, "sweep", "schedule", _floats, [4.0, 8.0, 16.0, 32.0])
-    if not schedule:
-        raise ConfigError("empty [sweep] schedule")
+    traces, labels, code = _run_flow(out, d0, cfg, schedule, "sweep-p", "trace_p{}.csv")
+    with open(out / "xi_trace.csv", "w") as f:
+        f.write("p,k,xi\n")
+        for label, tr in zip(labels, traces):
+            if tr.weights is not None:
+                for k, val in enumerate(tr.weights.xi, start=1):
+                    f.write(f"{label},{k},{repr(float(val))}\n")
+    stages = [{"p": p, **_stage_summary(tr)} for p, tr in zip(schedule, traces)]
+    write_manifest(out, cp, "sweep-p", seed, time.perf_counter() - t0,
+                   {"stages": stages})
+    return code
+
+
+def _run_flow(out: pathlib.Path, d0: GridDomain, cfg: OptimizerConfig,
+              schedule: list[float], command: str, trace_name: str):
+    """The flow from ``d0`` over the p ``schedule``: each stage's trace goes
+    to ``trace_name`` formatted with its label ``f"{p:g}"``, then the final
+    state of the last stage that ran. A stage that aborts ends the run with
+    one line on stderr naming the stage and the cause. Returns the trace of
+    every stage that ran, the stage labels and the exit code. Only a
+    ``[sweep] schedule`` can fail the schedule checks: ``[regularization] p``
+    was checked when ``cfg`` was built."""
     labels = [f"{p:g}" for p in schedule]  # the stage file names
     if len(set(labels)) != len(labels):
         raise ConfigError(f"[sweep] schedule {schedule} gives stages the same "
                           f"file label: {labels}")
     try:
-        _stage_regs(cfg.reg, schedule)
-    except ValueError as err:
+        traces, code = p_continuation(cfg, d0, schedule), 0
+    except OptimizeAborted as err:
+        traces, code = err.traces, 1
+        print(f"{command} aborted in the stage p = {labels[len(traces) - 1]}: {err}",
+              file=sys.stderr)
+    except ScheduleError as err:
         raise ConfigError(f"[sweep] schedule: {err}") from err
-    t0 = time.perf_counter()
-    try:
-        traces = p_continuation(cfg, d0, schedule)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    stages = []
-    with open(out / "xi_trace.csv", "w") as f:
-        f.write("p,k,xi\n")
-        for p, label, tr in zip(schedule, labels, traces):
-            write_trace_csv(tr, out / f"trace_p{label}.csv", spec.n)
-            if tr.weights is not None:
-                for k, val in enumerate(tr.weights.xi, start=1):
-                    f.write(f"{label},{k},{repr(float(val))}\n")
-            stage = {
-                "p": p,
-                "converged": bool(tr.converged),
-                "stalled": bool(tr.stalled),
-                "stop_reason": tr.stop_reason,
-                "objective_F": tr.objective_F,
-            }
-            if tr.records:  # a stage whose initial spectrum failed has none
-                final = tr.records[-1]
-                stage.update(objective=final.objective, E=final.E,
-                             lambdas=list(final.lambdas))
-            stages.append(stage)
-    last = traces[-1]
-    if last.domain is not None:
-        write_grid_dump(last.domain, out / "domain.grid")
-        _write_spectrum_artifacts(out, last.domain, last.spectrum)
-        write_xi_csv(last.weights, out / "xi.csv")
-    write_manifest(out, cp, "sweep-p", seed, time.perf_counter() - t0,
-                   {"stages": stages})
-    if last.stop_reason == "aborted":
-        print(f"sweep-p aborted in the stage p = {labels[len(traces) - 1]}",
-              file=sys.stderr)
-        return 1
-    return 0
+    for label, tr in zip(labels, traces):
+        write_trace_csv(tr, out / trace_name.format(label), cfg.spec.n)
+    final = traces[-1]
+    if final.domain is not None:  # None when its initial spectrum failed
+        write_grid_dump(final.domain, out / "domain.grid")
+        write_boundary_csv(extract_boundary(final.domain), out / "boundary.csv")
+        _write_spectrum_artifacts(out, final.domain, final.spectrum)
+        write_xi_csv(final.weights, out / "xi.csv")
+    return traces, labels, code
+
+
+def _stage_summary(trace: OptimizerTrace) -> dict:
+    """How one stage ended: the optimize manifest extras, and each entry of
+    the sweep-p ``stages`` (with its p)."""
+    summary = {"converged": bool(trace.converged), "stalled": bool(trace.stalled),
+               "stop_reason": trace.stop_reason, "objective_F": trace.objective_F}
+    if trace.records:  # none when the initial spectrum failed
+        final = trace.records[-1]
+        summary.update(objective=final.objective, volume=final.volume, E=final.E,
+                       lambdas=list(final.lambdas))
+    return summary
 
 
 def _read_field(path, d: GridDomain, dom_path) -> np.ndarray:
@@ -607,7 +591,7 @@ def run_single(command: str, config_path: str, out_dir: str,
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (SpectralError, OptimizeAborted) as err:
+    except SpectralError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
 

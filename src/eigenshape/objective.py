@@ -366,13 +366,11 @@ def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
     dist_ref, dist_comp, vol_ref = pen._fields
     if d.grid != pen.reference.grid:
         raise ValueError("domain and penalty reference live on different grids")
-    h = d.grid.h
-    chi_om = inside_fraction(d.phi, 1.5 * h)
+    chi_om = inside_fraction(d.phi, 1.5 * d.grid.h)
     w = _node_weights(d.grid)
-    vol_d = float(np.sum(w * chi_om))
     term_in = float(np.sum(w * chi_om * dist_ref))
     term_out = float(np.sum(w * (1.0 - chi_om) * dist_comp))
-    return pen.s * (term_in + term_out) + PenaltySpec.chi(vol_ref - vol_d)
+    return pen.s * (term_in + term_out) + PenaltySpec.chi(vol_ref - volume(d))
 
 
 def xi0_field(

@@ -39,6 +39,7 @@ __all__ = [
     "OptimizerTrace",
     "FlowState",
     "OptimizeAborted",
+    "ScheduleError",
     "shape_velocity",
     "extend_velocity",
     "advect",
@@ -57,11 +58,18 @@ _CFL = 0.9
 
 
 class OptimizeAborted(RuntimeError):
-    """Mid-run solver failure; carries the partial trace accumulated so far."""
+    """Mid-run solver failure; carries the partial trace accumulated so far
+    and, in ``traces``, the traces of every stage that ran (from
+    :func:`p_continuation`; the last one is ``trace``)."""
 
     def __init__(self, message: str, trace: "OptimizerTrace"):
         super().__init__(message)
         self.trace = trace
+        self.traces = [trace]
+
+
+class ScheduleError(ValueError):
+    """A p schedule that :func:`p_continuation` cannot run."""
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -331,19 +339,16 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
     floor = state.objective  # last recorded value; trace never rises above it
     reason = "max_steps"
     for i in range(1, cfg.max_steps + 1):
-        if i > 1 and (i - 1) % cfg.reinit_every == 0:
-            d_re = reinitialize(state.domain)
-            try:
-                state = make_state(cfg, d_re, warm=state.spectrum)
-            except SpectralError as err:
-                _finalize(trace, state, "aborted")
-                raise OptimizeAborted(f"spectrum failed after reinit: {err}", trace) from err
         J0 = floor
         try:
+            if i > 1 and (i - 1) % cfg.reinit_every == 0:
+                where = "after reinit"
+                state = make_state(cfg, reinitialize(state.domain), warm=state.spectrum)
+            where = f"at step {i}"
             state, dt_used, stalled = step(state, dt, baseline=floor)
         except SpectralError as err:
             _finalize(trace, state, "aborted")
-            raise OptimizeAborted(f"spectrum failed at step {i}: {err}", trace) from err
+            raise OptimizeAborted(f"spectrum failed {where}: {err}", trace) from err
         if stalled:
             reason = "line_search_stall"
             break
@@ -370,14 +375,6 @@ def _finalize(trace: OptimizerTrace, state: FlowState, reason: str) -> None:
     trace.objective_F = eval_F(state.cfg.spec, state.kappa) + state.vol
 
 
-def _stage_regs(reg: RegularizationParams, schedule: list[float]) -> list[RegularizationParams]:
-    """``reg`` at each p of ``schedule``; a schedule that is not strictly
-    ascending, or a p that RegularizationParams rejects, is a ValueError."""
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError(f"p schedule must be strictly ascending, got {schedule}")
-    return [dataclasses.replace(reg, p=float(p)) for p in schedule]
-
-
 def p_continuation(
     cfg: OptimizerConfig,
     init: GridDomain,
@@ -386,19 +383,29 @@ def p_continuation(
     """Chain optimize() over an ascending p schedule.
 
     Each stage warm-starts from the previous minimizer and anchors its
-    penalty reference there (the first stage keeps cfg.pen as given). The
-    whole schedule is checked before the first stage runs. A failing stage
-    truncates the returned list; its trace ends with stop_reason "aborted".
+    penalty reference there (the first stage keeps cfg.pen as given), so the
+    schedule ``[cfg.reg.p]`` is ``optimize(cfg, init)``. The whole schedule is
+    checked before the first stage runs: an empty or not strictly ascending
+    one, or a p that RegularizationParams rejects, is a ScheduleError. A
+    failing stage raises its OptimizeAborted, whose ``traces`` are those of
+    every stage that ran, the last one partial.
     """
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ScheduleError(f"p schedule must be non-empty and strictly ascending, "
+                            f"got {schedule}")
+    try:
+        regs = [dataclasses.replace(cfg.reg, p=float(p)) for p in schedule]
+    except ValueError as err:
+        raise ScheduleError(str(err)) from err
     traces: list[OptimizerTrace] = []
     d = init
     pen = cfg.pen
-    for reg in _stage_regs(cfg.reg, schedule):
+    for reg in regs:
         try:
             tr = optimize(dataclasses.replace(cfg, reg=reg, pen=pen), d)
         except OptimizeAborted as err:
-            traces.append(err.trace)
-            break
+            err.traces = traces + err.traces
+            raise
         traces.append(tr)
         d = tr.domain
         pen = PenaltySpec(s=cfg.pen.s, reference=tr.domain)

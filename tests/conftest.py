@@ -11,6 +11,7 @@ import json
 import pathlib
 import types
 
+import numpy as np
 import pytest
 
 from eigenshape.cli import _load_diagnose_inputs, run_single
@@ -41,6 +42,12 @@ def write_v1_dump(grid, field, path) -> None:
 def to_v1(path) -> None:
     """Rewrite the grid dump at ``path`` in the v1 text format."""
     write_v1_dump(*read_field_dump(path), path)
+
+
+def smooth_g(x, y):
+    """A smooth non-uniform normal motion, 0.5 to 1.5: the finite-difference
+    checks move phi -> phi - t g."""
+    return 1.0 + 0.5 * np.sin(2.0 * x + 0.3) * np.cos(1.5 * y - 0.2)
 
 
 def load_run(out: pathlib.Path) -> types.SimpleNamespace:

@@ -296,6 +296,7 @@ def test_optimize_artifacts(opt_run):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "optimize"
     assert isinstance(manifest["converged"], bool)
+    assert manifest["E"] == 0.0  # no anchoring penalty
     assert manifest["objective_F"] == pytest.approx(
         manifest["objective"], rel=0.05
     )  # p = 32: regularization gap is a few percent at most
@@ -377,7 +378,7 @@ def test_sweep_p_stages_and_weight_trace(tmp_path):
     assert run_single("sweep-p", str(cfg), str(out), None, False) == 0
     names = {p.name for p in out.iterdir()}
     assert {"trace_p4.csv", "trace_p8.csv", "xi_trace.csv", "domain.grid",
-            "xi.csv", "manifest.json"} <= names
+            "boundary.csv", "xi.csv", "manifest.json"} <= names
     # single tracked eigenvalue: the stage weight is exactly 1 + 1/p
     assert (out / "xi_trace.csv").read_text() == (
         "p,k,xi\n4,1,1.25\n8,1,1.125\n"
@@ -385,7 +386,7 @@ def test_sweep_p_stages_and_weight_trace(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     stages = manifest["stages"]
     assert [s["p"] for s in stages] == [4.0, 8.0]
-    assert all("objective_F" in s and "E" in s for s in stages)
+    assert all("objective_F" in s and "E" in s and "volume" in s for s in stages)
     assert all(s["stop_reason"] in ("converged", "line_search_stall", "max_steps")
                for s in stages)
 
@@ -435,12 +436,12 @@ def _step_failing_at_p16(monkeypatch):
     monkeypatch.setattr(optimizer, "step", step)
 
 
-@pytest.mark.parametrize("edits, patch, label", [
-    ({"optimizer": {"eig_tol": "1e-300"}}, None, "8"),
-    ({}, _step_failing_at_p16, "16"),
+@pytest.mark.parametrize("edits, patch, label, cause", [
+    ({"optimizer": {"eig_tol": "1e-300"}}, None, "8", "initial spectrum failed: "),
+    ({}, _step_failing_at_p16, "16", "spectrum failed at step 1: forced failure"),
 ], ids=["first_stage_initial_spectrum", "last_stage_mid_run"])
 def test_sweep_p_aborted_stage_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
-                                                     edits, patch, label):
+                                                     edits, patch, label, cause):
     if patch is not None:
         patch(monkeypatch)
     cfg = write_ini(tmp_path / "sweep.ini", _small_sections(**edits))
@@ -448,9 +449,29 @@ def test_sweep_p_aborted_stage_exit_1_with_one_line(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     assert run_single("sweep-p", str(cfg), str(out), None, False) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"p = {label}" in err and "aborted" in err
+    assert err.count("\n") == 1 and "aborted" in err
+    assert f"p = {label}: {cause}" in err
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     assert stages[-1]["stop_reason"] == "aborted"
+
+
+@pytest.mark.parametrize("edits, patch, cause", [
+    ({"optimizer": {"eig_tol": "1e-300"}}, None, "initial spectrum failed: "),
+    ({"regularization": {"p": 16}}, _step_failing_at_p16,
+     "spectrum failed at step 1: forced failure"),
+], ids=["initial_spectrum", "mid_run"])
+def test_optimize_aborted_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                               edits, patch, cause):
+    if patch is not None:
+        patch(monkeypatch)
+    cfg = write_ini(tmp_path / "opt.ini", _small_sections(**edits))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("optimize", str(cfg), str(out), None, False) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "optimize aborted" in err and cause in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stop_reason"] == "aborted"
 
 
 @pytest.mark.parametrize("section, key, value, command", [

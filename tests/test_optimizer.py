@@ -38,6 +38,7 @@ from eigenshape import (
 from eigenshape.domain import bilinear
 from eigenshape.optimizer import (
     _CFL,
+    ScheduleError,
     advect,
     extend_velocity,
     make_state,
@@ -45,6 +46,8 @@ from eigenshape.optimizer import (
     p_continuation,
     write_trace_csv,
 )
+
+from conftest import smooth_g
 
 J01 = 2.404825557695773
 R_STAR = (J01**2 / math.pi) ** 0.25  # ball radius where the speed vanishes
@@ -143,10 +146,6 @@ FD_SPECS = {
 }
 
 
-def _smooth_g(x, y):
-    return 1.0 + 0.5 * np.sin(2.0 * x + 0.3) * np.cos(1.5 * y - 0.2)
-
-
 @pytest.fixture(scope="module", params=["disk", "blob"])
 def fd_spectra(request):
     """A 257^2 domain, its spectrum, and the spectra of phi -/+ eps g.
@@ -162,7 +161,7 @@ def fd_spectra(request):
         d = disk(g, (0.13, -0.07), 1.0)
     else:
         d = star_blob(g, (0.0, 0.0), 0.9, 0.22, 5, np.random.default_rng(11))
-    G = _smooth_g(*g.meshgrid())
+    G = smooth_g(*g.meshgrid())
     eps = 0.5 * g.h
     spectra = [solve_spectrum(d.with_phi(d.phi + t * G), 4, seed=3) for t in (-eps, eps)]
     return d, eps, [solve_spectrum(d, 4, seed=3)] + spectra
@@ -183,7 +182,7 @@ def test_flow_speed_is_first_variation_of_Fp(fd_spectra, family):
     speed = V + w.xi0_at(bm.points)  # sum_k xi_k (u_k)_nu^2
     gy, gx = np.gradient(d.phi, d.grid.h)
     grad_norm = np.hypot(bilinear(d.grid, gx, bm.points), bilinear(d.grid, gy, bm.points))
-    g = _smooth_g(bm.points[:, 0], bm.points[:, 1])
+    g = smooth_g(bm.points[:, 0], bm.points[:, 1])
     flow = -float(np.sum(bm.weights * speed * g / grad_norm))
     assert flow == pytest.approx(fd, rel=0.01)
 
@@ -390,10 +389,44 @@ def test_optimize_abort_at_init(grid97, monkeypatch):
 # ---- p-continuation ---------------------------------------------------
 
 
-def test_p_continuation_schedule_validation(grid97):
+def test_p_continuation_schedule_validation(grid97, monkeypatch):
+    monkeypatch.setattr(optimizer_mod, "optimize", None)  # no stage may run
     cfg = base_config()
     with pytest.raises(ValueError, match="ascending"):
         p_continuation(cfg, disk(grid97, (0.0, 0.0), 1.0), [8.0, 8.0])
+    for schedule, match in (([], "non-empty"), ([8.0, math.nan], "finite")):
+        with pytest.raises(ScheduleError, match=match):
+            p_continuation(cfg, disk(grid97, (0.0, 0.0), 1.0), schedule)
+
+
+def test_one_stage_p_continuation_is_optimize(grid97):
+    # the CLI runs optimize as the sweep whose schedule is [cfg.reg.p]
+    ref = disk(grid97, (0.1, 0.0), 1.2)
+    cfg = base_config(max_steps=12, pen=PenaltySpec(s=0.02, reference=ref))
+    init = star_blob(grid97, (0.0, 0.0), 1.0, 0.2, 5, np.random.default_rng(7))
+    a = optimize(cfg, init)
+    (b,) = p_continuation(cfg, init, [cfg.reg.p])
+    assert len(a.records) > 2 and a.records == b.records
+    assert a.domain.phi.tobytes() == b.domain.phi.tobytes()
+    assert a.spectrum.modes.tobytes() == b.spectrum.modes.tobytes()
+    assert (a.stop_reason, a.objective_F) == (b.stop_reason, b.objective_F)
+
+
+def test_p_continuation_abort_carries_every_stage(grid97, monkeypatch):
+    real_step = optimizer_mod.step
+
+    def step_failing_at_p16(state, dt, baseline=None):
+        if state.cfg.reg.p == 16:
+            raise SpectralError("forced failure")
+        return real_step(state, dt, baseline)
+
+    monkeypatch.setattr(optimizer_mod, "step", step_failing_at_p16)
+    with pytest.raises(OptimizeAborted, match="at step 1: forced failure") as exc:
+        p_continuation(base_config(max_steps=3), disk(grid97, (0.0, 0.0), 1.4),
+                       [8.0, 16.0])
+    first, last = exc.value.traces
+    assert first.stop_reason != "aborted" and first.domain is not None
+    assert last is exc.value.trace and last.stop_reason == "aborted"
 
 
 def test_p_continuation_stages(grid97):
