@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for multiple configs")
+                        help="parallel workers for multiple configs (at most one per config)")
         sp.add_argument("--check", action="store_true",
                         help="re-run and verify artifact hashes against manifest.json")
     return parser
@@ -665,7 +665,8 @@ def main(argv=None) -> int:
     if len(set(outs)) != len(outs):
         print("error: config stems collide; use distinct file names", file=sys.stderr)
         return 2
-    jobs = max(1, args.jobs)
+    # a fork pool starts all its workers at the first submit
+    jobs = min(max(1, args.jobs), len(configs))
     codes = []
     if jobs == 1:
         for c, o in zip(configs, outs):

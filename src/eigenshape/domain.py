@@ -408,45 +408,35 @@ def extract_boundary(d: GridDomain) -> BoundaryMesh:
         norms = np.where(bad, np.hypot(nx_, ny_), norms)
     normals = np.column_stack([nx_ / norms, ny_ / norms])
 
-    # --- arclength weights via per-cell segments ---
-    Hid = np.full(hx_mask.shape, -1, dtype=int)
+    # --- arclength weights: the marching-squares segments of each cell ---
+    Hid = np.full(hx_mask.shape, -1)
     Hid[jH, iH] = np.arange(n_h)
-    Vid = np.full(vy_mask.shape, -1, dtype=int)
-    Vid[jV, iV] = np.arange(len(jV)) + n_h
-
-    weights = np.zeros(len(pts))
-    # cells owning at least one crossing edge
-    cell_mask = np.zeros((grid.ny - 1, grid.nx - 1), dtype=bool)
-    cell_mask |= hx_mask[:-1, :]   # bottom edges
-    cell_mask |= hx_mask[1:, :]    # top edges
-    cell_mask |= vy_mask[:, :-1]   # left edges
-    cell_mask |= vy_mask[:, 1:]    # right edges
-
-    def _add_segment(a: int, b: int) -> None:
-        seg = 0.5 * math.hypot(pts[a, 0] - pts[b, 0], pts[a, 1] - pts[b, 1])
-        weights[a] += seg
-        weights[b] += seg
-
-    for j, i in zip(*np.nonzero(cell_mask)):
-        bottom = Hid[j, i]
-        top = Hid[j + 1, i]
-        left = Vid[j, i]
-        right = Vid[j, i + 1]
-        ids = [k for k in (bottom, right, top, left) if k >= 0]
-        if len(ids) == 2:
-            _add_segment(ids[0], ids[1])
-        elif len(ids) == 4:
-            # saddle cell: pair crossings by the sign of the center value
-            center = 0.25 * (phi[j, i] + phi[j, i + 1] + phi[j + 1, i] + phi[j + 1, i + 1])
-            corner00_in = inside[j, i]
-            # center inside <-> the two outside corners are isolated
-            if (center < 0) == corner00_in:
-                _add_segment(bottom, right)
-                _add_segment(top, left)
-            else:
-                _add_segment(bottom, left)
-                _add_segment(top, right)
-
+    Vid = np.full(vy_mask.shape, -1)
+    Vid[jV, iV] = np.arange(n_h, len(pts))
+    # one row per crossing cell: its edge samples (bottom, right, top, left),
+    # -1 where an edge has none
+    jc, ic = np.nonzero(hx_mask[:-1] | hx_mask[1:] | vy_mask[:, :-1] | vy_mask[:, 1:])
+    ids = np.column_stack([Hid[jc, ic], Vid[jc, ic + 1], Hid[jc + 1, ic], Vid[jc, ic]])
+    cuts = (ids >= 0).sum(axis=1)
+    single = ids[cuts == 2]
+    # a saddle cell (4 crossings) pairs them by the sign of its centre value:
+    # centre inside <-> the two outside corners are isolated
+    saddle = cuts == 4
+    js, is_ = jc[saddle], ic[saddle]
+    bottom, right, top, left = ids[saddle].T
+    centre = 0.25 * (phi[js, is_] + phi[js, is_ + 1] + phi[js + 1, is_] + phi[js + 1, is_ + 1])
+    pair_br = (centre < 0) == inside[js, is_]
+    segs = np.concatenate([
+        single[single >= 0].reshape(-1, 2),
+        np.column_stack([bottom, np.where(pair_br, right, left)]),
+        np.column_stack([top, np.where(pair_br, left, right)]),
+    ])
+    # math.hypot, not np.hypot: the two round differently in the last bit
+    diff = pts[segs[:, 0]] - pts[segs[:, 1]]
+    half = 0.5 * np.fromiter(map(math.hypot, diff[:, 0], diff[:, 1]), float, len(diff))
+    # each segment gives half its length to each endpoint; a sample lies on
+    # one edge of at most two cells, so it sums at most two terms in any order
+    weights = np.bincount(segs.ravel(), weights=np.repeat(half, 2), minlength=len(pts))
     return BoundaryMesh(points=pts, normals=normals, weights=weights)
 
 
@@ -612,6 +602,8 @@ def difference(a: GridDomain, b: GridDomain) -> GridDomain:
 # ---------------------------------------------------------------------------
 
 _DUMP_MAGIC = "GRIDDUMP"
+#: bytes read for the header line, newline included
+_DUMP_HEADER_MAX = 256
 
 
 def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
@@ -638,12 +630,15 @@ def _float_rows(rows: list[str], delimiter: str | None = None) -> np.ndarray:
 def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     """Inverse of :func:`write_field_dump`; also reads the v1 text dumps of
     older runs (header "GRIDDUMP v1 nx ny h x0 y0", then ny rows of nx
-    decimal floats). The header sizes are checked against the file before
+    decimal floats). The header is one line of at most _DUMP_HEADER_MAX
+    bytes, and its sizes are checked against the file before
     anything is allocated from them: a v2 payload must be exactly 8*nx*ny
     bytes, a v1 dump must have ny rows, which are then parsed at once."""
     with open(path, "rb") as f:
-        header = f.readline().decode().split()
-        if len(header) != 7 or header[0] != _DUMP_MAGIC or header[1] not in ("v1", "v2"):
+        line = f.readline(_DUMP_HEADER_MAX)
+        header = line.decode().split()
+        if (not line.endswith(b"\n") or len(header) != 7 or header[0] != _DUMP_MAGIC
+                or header[1] not in ("v1", "v2")):
             raise ValueError(f"not a grid dump: {path}")
         nx, ny = int(header[2]), int(header[3])
         grid = Grid(nx=nx, ny=ny, h=float(header[4]),

@@ -6,6 +6,7 @@ determinism of reruns, the p-sweep weight trace, diagnosing saved
 artifacts, and multi-config fan-out.
 """
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -16,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -911,6 +913,24 @@ def test_diagnose_v2_dump_exit_2(small_run, tmp_path, capsys, name, edit):
     assert err.count("\n") == 1 and name in err
 
 
+def test_dump_without_newline_exit_2_reads_a_bounded_header(tmp_path, capsys):
+    # a non-dump file with no newline is rejected after its first 256 bytes
+    path = tmp_path / "blob.grid"
+    path.write_bytes(b"GRIDDUMP v2 " + b"7" * (4 << 20))
+    cfg = write_ini(tmp_path / "file.ini", {"shape": {"kind": "file", "path": str(path)}})
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_single("solve", str(cfg), str(tmp_path / "out"), None, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20  # the 4 MiB file is not read whole
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "blob.grid" in err
+
+
 def _diagnose_small(run, tmp_path, capsys):
     """Diagnose ``run`` with 8 probes; the exit code, stderr and report."""
     tmp_path.mkdir(exist_ok=True)
@@ -1075,6 +1095,37 @@ def test_main_fans_out_multiple_configs(tmp_path):
     la = json.loads((out / "a" / "manifest.json").read_text())["lambdas"][0]
     lb = json.loads((out / "b" / "manifest.json").read_text())["lambdas"][0]
     assert la > lb  # smaller disk, larger eigenvalue
+
+
+def test_main_caps_jobs_at_config_count(tmp_path, monkeypatch):
+    # a fork pool starts all max_workers at its first submit; this stand-in
+    # records the count and runs each submission in process
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    small = {"grid": {"nx": 33, "ny": 33}}
+    a = write_ini(tmp_path / "a.ini", {**solve_sections(r=0.9), **small})
+    b = write_ini(tmp_path / "b.ini", {**solve_sections(r=1.1), **small})
+    out = tmp_path / "multi"
+    code = main(["solve", "--config", str(a), "--config", str(b),
+                 "--out", str(out), "--jobs", "64"])
+    assert code == 0 and seen == [2]
+    assert (out / "a" / "manifest.json").is_file() and (out / "b" / "manifest.json").is_file()
 
 
 def test_main_rejects_stem_collision(tmp_path):

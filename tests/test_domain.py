@@ -1,11 +1,14 @@
 """Grid, level-set domain, boundary extraction, and measure tests."""
 
+import configparser
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from eigenshape.cli import build_shape
 from eigenshape.domain import (
     Grid,
     GridDomain,
@@ -182,6 +185,138 @@ def test_extract_boundary_disk(grid):
     assert np.allclose(np.hypot(bm.normals[:, 0], bm.normals[:, 1]), 1.0)
     assert bm.weights.min() > 0.0
     assert bm.weights.sum() == pytest.approx(2 * math.pi, rel=2e-3)
+
+
+def _reference_boundary_weights(d):
+    """extract_boundary as it was written with a Python loop over the cells:
+    its crossing points, normals and per-cell segment weights."""
+    phi, grid, h = d.phi, d.grid, d.grid.h
+    inside = phi < 0
+    hx_mask = inside[:, :-1] != inside[:, 1:]
+    vy_mask = inside[:-1, :] != inside[1:, :]
+    jH, iH = np.nonzero(hx_mask)
+    jV, iV = np.nonzero(vy_mask)
+    phiH1, phiH2 = phi[jH, iH], phi[jH, iH + 1]
+    phiV1, phiV2 = phi[jV, iV], phi[jV + 1, iV]
+    pts = np.vstack([
+        np.column_stack([grid.xs[iH] + phiH1 / (phiH1 - phiH2) * h, grid.ys[jH]]),
+        np.column_stack([grid.xs[iV], grid.ys[jV] + phiV1 / (phiV1 - phiV2) * h]),
+    ])
+    n_h = len(jH)
+
+    gy, gx = np.gradient(phi, h)
+    nx_, ny_ = bilinear(grid, gx, pts), bilinear(grid, gy, pts)
+    norms = np.hypot(nx_, ny_)
+    bad = norms < 1e-12
+    if bad.any():
+        fall = np.zeros((len(pts), 2))
+        fall[:n_h, 0] = np.sign(phiH2 - phiH1)
+        fall[n_h:, 1] = np.sign(phiV2 - phiV1)
+        nx_ = np.where(bad, fall[:, 0], nx_)
+        ny_ = np.where(bad, fall[:, 1], ny_)
+        norms = np.where(bad, np.hypot(nx_, ny_), norms)
+    normals = np.column_stack([nx_ / norms, ny_ / norms])
+
+    Hid = np.full(hx_mask.shape, -1, dtype=int)
+    Hid[jH, iH] = np.arange(n_h)
+    Vid = np.full(vy_mask.shape, -1, dtype=int)
+    Vid[jV, iV] = np.arange(len(jV)) + n_h
+    weights = np.zeros(len(pts))
+    cell_mask = hx_mask[:-1, :] | hx_mask[1:, :] | vy_mask[:, :-1] | vy_mask[:, 1:]
+
+    def _add_segment(a, b):
+        seg = 0.5 * math.hypot(pts[a, 0] - pts[b, 0], pts[a, 1] - pts[b, 1])
+        weights[a] += seg
+        weights[b] += seg
+
+    for j, i in zip(*np.nonzero(cell_mask)):
+        bottom, top, left, right = Hid[j, i], Hid[j + 1, i], Vid[j, i], Vid[j, i + 1]
+        ids = [k for k in (bottom, right, top, left) if k >= 0]
+        if len(ids) == 2:
+            _add_segment(ids[0], ids[1])
+        elif len(ids) == 4:
+            center = 0.25 * (phi[j, i] + phi[j, i + 1] + phi[j + 1, i] + phi[j + 1, i + 1])
+            if (center < 0) == inside[j, i]:
+                _add_segment(bottom, right)
+                _add_segment(top, left)
+            else:
+                _add_segment(bottom, left)
+                _add_segment(top, right)
+    return pts, normals, weights
+
+
+def _assert_boundary_matches_reference(d):
+    bm = extract_boundary(d)
+    pts, normals, weights = _reference_boundary_weights(d)
+    assert np.array_equal(bm.points, pts)
+    assert np.array_equal(bm.normals, normals)
+    assert np.array_equal(bm.weights, weights)
+    return bm
+
+
+def _cli_shape(grid: dict, shape: dict):
+    """The initial shape that the CLI builds from ``[grid]`` and ``[shape]``."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_dict({"grid": grid, "shape": shape})
+    return build_shape(cp, 11)
+
+
+_FK_GRID = {"x0": -2.0, "y0": -2.0, "x1": 2.0, "y1": 2.0, "nx": 257, "ny": 257}
+_KS_GRID = {"x0": -2.4, "y0": -2.4, "x1": 2.4, "y1": 2.4, "nx": 241, "ny": 241}
+
+
+@pytest.mark.parametrize("grid_kv, shape_kv", [
+    (_FK_GRID, {"kind": "blob", "r0": 0.9, "amp": 0.22, "modes": 5}),          # fk
+    (_KS_GRID, {"kind": "two_blobs", "sep": 2.1, "r0": 0.8, "amp": 0.18,
+                "modes": 4}),                                                 # ks
+    ({"nx": 65, "ny": 65}, {"kind": "lshape", "side": 2.5}),
+    ({"nx": 129, "ny": 129}, {"kind": "disk", "r": 1.0}),
+    ({"nx": 97, "ny": 97}, {"kind": "disk", "cx": 0.13, "cy": -0.29, "r": 1.37}),
+], ids=["fk", "ks", "lshape", "disk", "offcentre_disk"])
+def test_extract_boundary_matches_cell_loop_bits(grid_kv, shape_kv):
+    d = _cli_shape(grid_kv, shape_kv)
+    _assert_boundary_matches_reference(d)
+    # noise makes saddle cells (h-sized noise: dozens on fk and ks, of both pairings)
+    noise = d.grid.h * np.random.default_rng(5).standard_normal(d.phi.shape)
+    for scale in (0.3, 1.0):
+        _assert_boundary_matches_reference(d.with_phi(d.phi + scale * noise))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=8, max_side=14),
+                  elements=st.integers(-2, 2), fill=st.nothing()))
+def test_extract_boundary_matches_cell_loop_on_quantized_fields(levels):
+    # few levels, each node drawn: exact zeros at nodes and at cell centres,
+    # and saddles of both pairings (about 8 per field)
+    ny, nx = levels.shape
+    d = GridDomain(Grid(nx=nx, ny=ny, h=0.25), 0.5 * levels)
+    if d.is_empty or d.inside.all():
+        assert extract_boundary(d).is_empty
+        return
+    _assert_boundary_matches_reference(d)
+
+
+@pytest.mark.parametrize("b, c, joined", [(0.5, 1.5, False), (0.5, 0.5, True)],
+                         ids=["centre_zero_apart", "centre_negative_joined"])
+def test_extract_boundary_saddle_pairings(b, c, joined):
+    # a checkerboard cell with corners (3, 3) and (4, 4) inside (-1) and
+    # (3, 4) = b, (4, 3) = c outside; every other node is +1. Its centre
+    # value 0.25 * (b + c - 2) is 0 (the inside corners stay apart) or -0.25
+    # (they join). The crossings below are in cell units from node (3, 3).
+    phi = np.ones((8, 8))
+    phi[3, 3] = phi[4, 4] = -1.0
+    phi[3, 4], phi[4, 3] = b, c
+    bm = _assert_boundary_matches_reference(GridDomain(Grid(nx=8, ny=8, h=1.0), phi))
+    bottom, left = (1 / (1 + b), 0.0), (0.0, 1 / (1 + c))
+    right, top = (1.0, b / (b + 1)), (c / (c + 1), 1.0)
+    outer = (2 * math.hypot(0.5, 0.5) + math.hypot(bottom[0], 0.5) + math.hypot(0.5, left[1])
+             + math.hypot(0.5, 1 - right[1]) + math.hypot(1 - top[0], 0.5))
+    apart = math.dist(bottom, left) + math.dist(top, right)
+    together = math.dist(bottom, right) + math.dist(top, left)
+    assert abs(apart - together) > 0.1
+    expected = outer + (together if joined else apart)
+    assert bm.weights.sum() == pytest.approx(expected, rel=1e-12)
 
 
 def test_perimeter_and_roundness(grid):
