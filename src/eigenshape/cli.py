@@ -34,10 +34,10 @@ from .diagnostics import (
     simplicity_report,
     torsion_probe,
     weiss_profile,
-    write_weiss_csv,
 )
 from .domain import (
     _float_rows,
+    BoundaryMesh,
     Grid,
     GridDomain,
     difference,
@@ -47,7 +47,6 @@ from .domain import (
     read_field_dump,
     rectangle,
     star_blob,
-    write_boundary_csv,
     write_grid_dump,
 )
 from .objective import (
@@ -63,7 +62,6 @@ from .optimizer import (
     OptimizerTrace,
     ScheduleError,
     p_continuation,
-    write_trace_csv,
 )
 from .spectral import (
     SpectralError,
@@ -72,7 +70,6 @@ from .spectral import (
     solve_spectrum,
     solve_torsion,
     torsion_field,
-    write_spectrum_csv,
 )
 
 VERSION_STRING = f"v{__version__}"
@@ -285,9 +282,14 @@ def _config_echo(cp) -> dict:
     return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
+def _write_json(obj, path) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def write_manifest(out: pathlib.Path, cp, command: str, seed: int,
                    wall: float, extra: dict) -> None:
-    artifacts = _artifact_hashes(out)
     manifest = {
         "name": _get(cp, "run", "name", str, out.name) if cp.has_section("run") else out.name,
         "version": VERSION_STRING,
@@ -295,24 +297,55 @@ def write_manifest(out: pathlib.Path, cp, command: str, seed: int,
         "seed": seed,
         "wall_time_s": wall,
         "config": _config_echo(cp),
-        "artifacts": artifacts,
+        "artifacts": _artifact_hashes(out),
     }
     manifest.update(extra)
-    with open(out / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(manifest, out / "manifest.json")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """The text rule of every CSV artifact: the ``header`` line, then one line
+    per row; an int or str cell is written as it is, any other number as
+    ``repr(float(v))``, the shortest text that reads back to the same double,
+    so reruns are byte-identical."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(str(v) if isinstance(v, (int, str)) else repr(float(v))
+                             for v in row) + "\n")
+
+
+def write_boundary_csv(bm: BoundaryMesh, path) -> None:
+    _write_csv(path, "x,y,nux,nuy,w",
+               np.column_stack((bm.points, bm.normals, bm.weights)).tolist())
+
+
+def write_spectrum_csv(sp: Spectrum, path) -> None:
+    _write_csv(path, "k,lambda,resid",
+               zip(range(1, len(sp.lambdas) + 1), sp.lambdas, sp.resid))
+
+
+def write_trace_csv(trace: OptimizerTrace, path, n_lambdas: int) -> None:
+    """step,objective,volume,lambda1..lambdaN,E,dt: one row per step."""
+    lambdas = [f"lambda{k}" for k in range(1, n_lambdas + 1)]
+    _write_csv(path, ",".join(["step", "objective", "volume", *lambdas, "E", "dt"]),
+               ((r.step, r.objective, r.volume, *r.lambdas, r.E, r.dt) for r in trace.records))
+
+
+def write_weiss_csv(probes, path) -> None:
+    """Plot-ready rows, one per (center, radius) sample: x,y,r,W."""
+    _write_csv(path, "x,y,r,W", ((*probe.center, r, val) for probe in probes
+                                 for r, val in zip(probe.radii, probe.values)))
 
 
 def write_xi_csv(w: WeightVector, path) -> None:
-    with open(path, "w") as f:
-        f.write("k,xi\n")
-        for k, val in enumerate(w.xi, start=1):
-            f.write(f"{k},{repr(float(val))}\n")
+    _write_csv(path, "k,xi", enumerate(w.xi, start=1))
 
 
-def _write_spectrum_artifacts(out: pathlib.Path, d: GridDomain, sp: Spectrum,
-                              torsion: np.ndarray | None = None) -> None:
-    """spectrum.csv and the mode_k.grid (and torsion.grid) dumps."""
+def _write_solved_state(out: pathlib.Path, d: GridDomain, sp: Spectrum,
+                        torsion: np.ndarray | None = None) -> None:
+    """boundary.csv, spectrum.csv and the mode_k.grid (and torsion.grid) dumps of ``d``."""
+    write_boundary_csv(extract_boundary(d), out / "boundary.csv")
     write_spectrum_csv(sp, out / "spectrum.csv")
     for k, mode in enumerate(sp.modes, start=1):
         domain.write_field_dump(d.grid, mode, out / f"mode_{k}.grid")
@@ -324,7 +357,7 @@ def _write_spectrum_artifacts(out: pathlib.Path, d: GridDomain, sp: Spectrum,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
+def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     d = build_shape(cp, seed)
     M = _get(cp, "solve", "modes", int, 3)
     if M < 1:
@@ -333,49 +366,35 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> int:
     if not 0 < tol < math.inf:
         raise ConfigError(f"[solve] tol must be finite and > 0, got {tol}")
     torsion = _get(cp, "solve", "torsion", bool, True)
-    t0 = time.perf_counter()
     write_grid_dump(d, out / "domain.grid")
     try:
         factors = factor_laplacian(d)
         sp = solve_spectrum(d, M, tol=tol, seed=seed, factors=factors)
-    except (SpectralError, ValueError) as err:
+    except SpectralError as err:
         print(f"eigensolver failed: {err}", file=sys.stderr)
-        write_manifest(out, cp, "solve", seed, time.perf_counter() - t0,
-                       {"converged": False})
-        return 1
+        return 1, {"converged": False}
+    except ValueError as err:  # an empty domain, or too few nodes for M modes
+        raise ConfigError(str(err)) from err
     tv = solve_torsion(d, tol=tol, factors=factors).v if torsion else None
-    write_boundary_csv(extract_boundary(d), out / "boundary.csv")
-    _write_spectrum_artifacts(out, d, sp, tv)
-    write_manifest(out, cp, "solve", seed, time.perf_counter() - t0,
-                   {"converged": True,
-                    "lambdas": [float(v) for v in sp.lambdas]})
-    return 0
+    _write_solved_state(out, d, sp, tv)
+    return 0, {"converged": True, "lambdas": [float(v) for v in sp.lambdas]}
 
 
-def cmd_optimize(cp, out: pathlib.Path, seed: int) -> int:
-    t0 = time.perf_counter()
+def cmd_optimize(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
     (trace,), _, code = _run_flow(out, d0, cfg, [cfg.reg.p], "optimize", "trace.csv")
-    write_manifest(out, cp, "optimize", seed, time.perf_counter() - t0,
-                   _stage_summary(trace))
-    return code
+    return code, _stage_summary(trace)
 
 
-def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> int:
-    t0 = time.perf_counter()
+def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
     schedule = _get(cp, "sweep", "schedule", _floats, [4.0, 8.0, 16.0, 32.0])
     traces, labels, code = _run_flow(out, d0, cfg, schedule, "sweep-p", "trace_p{}.csv")
-    with open(out / "xi_trace.csv", "w") as f:
-        f.write("p,k,xi\n")
-        for label, tr in zip(labels, traces):
-            if tr.weights is not None:
-                for k, val in enumerate(tr.weights.xi, start=1):
-                    f.write(f"{label},{k},{repr(float(val))}\n")
-    stages = [{"p": p, **_stage_summary(tr)} for p, tr in zip(schedule, traces)]
-    write_manifest(out, cp, "sweep-p", seed, time.perf_counter() - t0,
-                   {"stages": stages})
-    return code
+    _write_csv(out / "xi_trace.csv", "p,k,xi",
+               ((label, k, val) for label, tr in zip(labels, traces)
+                if tr.weights is not None for k, val in enumerate(tr.weights.xi, start=1)))
+    return code, {"stages": [{"p": p, **_stage_summary(tr)}
+                             for p, tr in zip(schedule, traces)]}
 
 
 def _run_flow(out: pathlib.Path, d0: GridDomain, cfg: OptimizerConfig,
@@ -406,8 +425,7 @@ def _run_flow(out: pathlib.Path, d0: GridDomain, cfg: OptimizerConfig,
     final = traces[-1]
     if final.domain is not None:  # None when its initial spectrum failed
         write_grid_dump(final.domain, out / "domain.grid")
-        write_boundary_csv(extract_boundary(final.domain), out / "boundary.csv")
-        _write_spectrum_artifacts(out, final.domain, final.spectrum)
+        _write_solved_state(out, final.domain, final.spectrum)
         write_xi_csv(final.weights, out / "xi.csv")
     return traces, labels, code
 
@@ -449,22 +467,15 @@ def _diagnose_paths(cp) -> tuple[str, pathlib.Path, str]:
 
 def _load_diagnose_inputs(cp):
     """The domain, spectrum and weights that ``[diagnose]`` names."""
-    return _read_diagnose_inputs(*_diagnose_paths(cp))
-
-
-def _read_diagnose_inputs(dom_path, spec_path: pathlib.Path, xi_path):
+    dom_path, spec_path, xi_path = _diagnose_paths(cp)
     d = _read_domain(dom_path)
     _, lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
     if len(lambdas) == 0:
         raise ConfigError(f"{spec_path} lists no eigenpairs")
     modes = [_read_field(spec_path.parent / f"mode_{k}.grid", d, dom_path)
              for k in range(1, len(lambdas) + 1)]
-    sp = Spectrum(
-        lambdas=lambdas,
-        modes=np.stack(modes),
-        resid=resid,
-        generation=d.generation,
-    )
+    sp = Spectrum(lambdas=lambdas, modes=np.stack(modes), resid=resid,
+                  generation=d.generation)
     _, xi = _read_csv(xi_path, "k,xi", 2)
     if len(xi) == 0:
         raise ConfigError(f"{xi_path} lists no weights")
@@ -472,19 +483,17 @@ def _read_diagnose_inputs(dom_path, spec_path: pathlib.Path, xi_path):
         raise ConfigError(
             f"{xi_path} lists {len(xi)} weights but only {len(lambdas)} modes exist"
         )
-    w = WeightVector(
-        xi=xi,
-        cluster_tags=kappa_clusters(lambdas[: len(xi)]),
-        pen=PenaltySpec(s=0.0),
-    )
+    w = WeightVector(xi=xi, cluster_tags=kappa_clusters(lambdas[: len(xi)]),
+                     pen=PenaltySpec(s=0.0))
     return d, sp, w
 
 
-def _load_torsion(d: GridDomain, dom_path, spec_path: pathlib.Path):
-    """The torsion function of ``d`` (read from ``dom_path``): the
-    ``torsion.grid`` that solve wrote next to ``spec_path``, once it passes
+def _load_torsion(cp, d: GridDomain):
+    """The torsion function of the ``[diagnose]`` domain ``d``: the
+    ``torsion.grid`` that solve wrote next to the spectrum, once it passes
     the check of solve's own solution, or a fresh solve when there is no
     such file."""
+    dom_path, spec_path, _ = _diagnose_paths(cp)
     path = spec_path.parent / "torsion.grid"
     if not path.is_file():
         return solve_torsion(d)
@@ -509,11 +518,10 @@ def _diagnose_probing(cp, h: float) -> tuple[tuple[float, ...], int]:
     return radii, probes
 
 
-def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
-    t0 = time.perf_counter()
-    dom_path, spec_path, xi_path = _diagnose_paths(cp)
-    d, sp, w = _read_diagnose_inputs(dom_path, spec_path, xi_path)
+def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
+    d, sp, w = _load_diagnose_inputs(cp)
     radii, n_probes = _diagnose_probing(cp, d.grid.h)
+    spec = build_objective(cp) if cp.has_section("objective") else None
     bm = extract_boundary(d)
     report: dict = {
         "n_boundary": int(len(bm)),
@@ -533,7 +541,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
             "p90_abs": el.p90_abs,
             "n_reliable": int(len(el.values)),
         }
-        tf = _load_torsion(d, dom_path, spec_path)
+        tf = _load_torsion(cp, d)
         probe_pts = bm.points[::max(1, len(bm) // n_probes)]
         probes = weiss_profile(d, sp, w, probe_pts, radii)
         write_weiss_csv(probes, out / "weiss.csv")
@@ -549,20 +557,15 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> int:
         report["boundary_labels"] = counts
         flags = torsion_probe(d, tf, probe_pts, radii[0])
         report["torsion_violations"] = flags.count(ProbeFlag.VIOLATION)
-    if cp.has_section("objective"):
-        spec = build_objective(cp)
-        if len(sp) >= spec.n:
-            rep = scaling_check(spec, sp)
-            report["scaling"] = {
-                "s": [float(v) for v in rep.s_values],
-                "forward": [float(v) for v in rep.forward],
-                "backward": [float(v) for v in rep.backward],
-            }
-    with open(out / "report.json", "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    write_manifest(out, cp, "diagnose", seed, time.perf_counter() - t0, {})
-    return 0
+    if spec is not None and len(sp) >= spec.n:
+        rep = scaling_check(spec, sp)
+        report["scaling"] = {
+            "s": [float(v) for v in rep.s_values],
+            "forward": [float(v) for v in rep.forward],
+            "backward": [float(v) for v in rep.backward],
+        }
+    _write_json(report, out / "report.json")
+    return 0, {}
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +590,22 @@ def run_single(command: str, config_path: str, out_dir: str,
         if check:
             return _run_check(command, cp, out, seed)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[command](cp, out, seed)
+        return _run_command(command, cp, out, seed)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SpectralError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
+
+
+def _run_command(command: str, cp, out: pathlib.Path, seed: int) -> int:
+    """One subcommand into ``out``, then its manifest, timed over the whole
+    command; returns the exit code. A ConfigError leaves no manifest."""
+    t0 = time.perf_counter()
+    code, extra = _COMMANDS[command](cp, out, seed)
+    write_manifest(out, cp, command, seed, time.perf_counter() - t0, extra)
+    return code
 
 
 def _run_check(command: str, cp, out: pathlib.Path, seed: int) -> int:
@@ -607,7 +619,7 @@ def _run_check(command: str, cp, out: pathlib.Path, seed: int) -> int:
     on_disk = _artifact_hashes(out)
     with tempfile.TemporaryDirectory(prefix="eigenshape-check-") as tmp:
         scratch = pathlib.Path(tmp)
-        code = _COMMANDS[command](cp, scratch, seed)
+        code = _run_command(command, cp, scratch, seed)
         if code != 0:
             print(f"check rerun failed with exit code {code}", file=sys.stderr)
             return code

@@ -47,7 +47,6 @@ __all__ = [
     "torsion_probe",
     "scaling_check",
     "simplicity_report",
-    "write_weiss_csv",
 ]
 
 
@@ -197,16 +196,6 @@ def weiss_profile(
         WeissProbe(center=(cx, cy), radii=radii, values=tuple(vals), c_hat=c)
         for (cx, cy), vals, c in zip(centres.tolist(), values.tolist(), c_hat.tolist())
     ]
-
-
-def write_weiss_csv(probes, path) -> None:
-    """Plot-ready rows, one per (center, radius) sample: x,y,r,W."""
-    with open(path, "w") as f:
-        f.write("x,y,r,W\n")
-        for probe in probes:
-            for r, val in zip(probe.radii, probe.values):
-                f.write(f"{repr(probe.center[0])},{repr(probe.center[1])},"
-                        f"{repr(r)},{repr(val)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "read_field_dump",
     "write_grid_dump",
     "read_grid_dump",
-    "write_boundary_csv",
 ]
 
 
@@ -604,6 +603,8 @@ def difference(a: GridDomain, b: GridDomain) -> GridDomain:
 _DUMP_MAGIC = "GRIDDUMP"
 #: bytes read for the header line, newline included
 _DUMP_HEADER_MAX = 256
+#: bytes of a v1 text value, its separator included
+_V1_VALUE_MAX = 64
 
 
 def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
@@ -633,7 +634,8 @@ def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     decimal floats). The header is one line of at most _DUMP_HEADER_MAX
     bytes, and its sizes are checked against the file before
     anything is allocated from them: a v2 payload must be exactly 8*nx*ny
-    bytes, a v1 dump must have ny rows, which are then parsed at once."""
+    bytes; a v1 body must fit in _V1_VALUE_MAX bytes per value plus a line
+    end per row, and have ny rows, which are then parsed at once."""
     with open(path, "rb") as f:
         line = f.readline(_DUMP_HEADER_MAX)
         header = line.decode().split()
@@ -643,12 +645,15 @@ def read_field_dump(path) -> tuple[Grid, np.ndarray]:
         nx, ny = int(header[2]), int(header[3])
         grid = Grid(nx=nx, ny=ny, h=float(header[4]),
                     origin=(float(header[5]), float(header[6])))
+        size = os.fstat(f.fileno()).st_size - f.tell()
         if header[1] == "v2":
-            size = os.fstat(f.fileno()).st_size - f.tell()
             if size != 8 * nx * ny:
                 raise ValueError(f"grid dump payload has {size} bytes, expected "
                                  f"{8 * nx * ny} for {ny} x {nx} values")
             return grid, np.fromfile(f, dtype="<f8").reshape(ny, nx)
+        if size > (_V1_VALUE_MAX * nx + 2) * ny:  # "\r\n" ends a row too
+            raise ValueError(f"grid dump body has {size} bytes, more than "
+                             f"{_V1_VALUE_MAX} per value for {ny} x {nx} values")
         rows = io.StringIO(f.read().decode(), newline=None).readlines()
     if len(rows) != ny:
         raise ValueError(f"grid dump has {len(rows)} rows, expected {ny}")
@@ -667,11 +672,3 @@ def write_grid_dump(d: GridDomain, path) -> None:
 def read_grid_dump(path) -> GridDomain:
     grid, phi = read_field_dump(path)
     return GridDomain(grid, phi)
-
-
-def write_boundary_csv(bm: BoundaryMesh, path) -> None:
-    with open(path, "w") as f:
-        f.write("x,y,nux,nuy,w\n")
-        for p, n, w in zip(bm.points, bm.normals, bm.weights):
-            f.write(f"{float(p[0])!r},{float(p[1])!r},{float(n[0])!r},"
-                    f"{float(n[1])!r},{float(w)!r}\n")

@@ -47,7 +47,6 @@ __all__ = [
     "step",
     "optimize",
     "p_continuation",
-    "write_trace_csv",
 ]
 
 
@@ -410,17 +409,3 @@ def p_continuation(
         d = tr.domain
         pen = PenaltySpec(s=cfg.pen.s, reference=tr.domain)
     return traces
-
-
-def write_trace_csv(trace: OptimizerTrace, path, n_lambdas: int) -> None:
-    """Deterministic CSV: step,objective,volume,lambda1..lambdaN,E,dt."""
-    cols = ["step", "objective", "volume"]
-    cols += [f"lambda{k}" for k in range(1, n_lambdas + 1)]
-    cols += ["E", "dt"]
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for r in trace.records:
-            vals = [str(r.step), repr(r.objective), repr(r.volume)]
-            vals += [repr(v) for v in r.lambdas]
-            vals += [repr(r.E), repr(r.dt)]
-            f.write(",".join(vals) + "\n")

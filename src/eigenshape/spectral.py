@@ -28,7 +28,6 @@ __all__ = [
     "solve_torsion",
     "torsion_field",
     "normal_derivative",
-    "write_spectrum_csv",
 ]
 
 #: sub-cell fractions are floored here to keep the diagonal bounded
@@ -309,10 +308,3 @@ def normal_derivative(field: np.ndarray, bm: BoundaryMesh, d: GridDomain) -> Nor
     inside = d.inside
     reliable = _stencil_ok(d.grid, inside, q1) & _stencil_ok(d.grid, inside, q2)
     return NormalDerivatives(values=values, reliable=reliable)
-
-
-def write_spectrum_csv(sp: Spectrum, path) -> None:
-    with open(path, "w") as f:
-        f.write("k,lambda,resid\n")
-        for k, (lam, r) in enumerate(zip(sp.lambdas, sp.resid), start=1):
-            f.write(f"{k},{float(lam)!r},{float(r)!r}\n")

@@ -29,6 +29,7 @@ from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
     _sha256,
+    _write_csv,
     build_objective,
     build_shape,
     load_config,
@@ -266,25 +267,42 @@ def _raise(err):
     return fail
 
 
-@pytest.mark.parametrize("target, err, code", [
-    (None, None, 0),
-    ("solve_spectrum", SpectralError("no convergence"), 1),
-    ("solve_torsion", SpectralError("torsion residual too large"), 1),
-    ("factor_laplacian", ConfigError("unusable domain"), 2),
-], ids=["success", "eigensolver_failure", "torsion_failure", "config_error"])
-def test_forked_writer_joined_on_every_exit_path(tmp_path, monkeypatch, target, err,
-                                                 code):
-    # domain.grid is written before the solve, whatever its outcome
-    cfg = write_ini(tmp_path / "c.ini", solve_sections())
+@pytest.mark.parametrize("shape, modes, target, err, code", [
+    ({}, 2, None, None, 0),
+    ({}, 2, "solve_spectrum", SpectralError("no convergence"), 1),
+    ({}, 2, "solve_torsion", SpectralError("torsion residual too large"), 1),
+    ({}, 2, "factor_laplacian", ConfigError("unusable domain"), 2),
+    ({"cx": 10.0}, 2, None, None, 2),  # no node inside the grid
+    ({"r": 0.07}, 8, None, None, 2),   # 9 nodes, too few for 8 modes
+], ids=["success", "eigensolver_failure", "torsion_failure", "config_error",
+        "empty_shape", "too_few_nodes"])
+def test_domain_grid_written_on_every_solve_exit_path(tmp_path, monkeypatch, capsys,
+                                                      shape, modes, target, err, code):
+    # domain.grid is written before the solve, whatever its outcome; an
+    # unusable domain is a config error (exit 2, no manifest), as in optimize
+    sections = solve_sections(**shape)
+    sections["solve"]["modes"] = modes
+    cfg = write_ini(tmp_path / "c.ini", sections)
     if target is not None:
         monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(err))
     out = tmp_path / "out"
+    capsys.readouterr()
     assert run_single("solve", str(cfg), str(out), None, False) == code
     assert (out / "domain.grid").is_file()
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "manifest.json").exists()
     if target == "solve_spectrum":  # the failed solve still lists its domain dump
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["converged"] is False
         assert manifest["artifacts"] == {"domain.grid": _sha256(out / "domain.grid")}
+
+
+def test_write_csv_cell_rule(tmp_path):
+    # ints and strs as they are, every other number by repr(float(v))
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b,c,d,e", [(7, "p8", np.float64(0.1), -0.0, 5e-324)])
+    assert path.read_text() == "a,b,c,d,e\n7,p8,0.1,-0.0,5e-324\n"
 
 
 # ---- optimize ---------------------------------------------------------
@@ -642,6 +660,20 @@ def test_diagnose_roundtrip(opt_run, tmp_path):
     assert len(wl) > 16  # probes * radii samples
 
 
+def test_diagnose_bad_objective_exit_2_before_any_probe(opt_run, tmp_path, capsys):
+    _, out = opt_run
+    sections = diagnose_sections(out)
+    sections["objective"]["family"] = "nope"
+    cfg = write_ini(tmp_path / "diag.ini", sections)
+    dout = tmp_path / "dout"
+    capsys.readouterr()
+    assert run_single("diagnose", str(cfg), str(dout), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nope" in err
+    assert not (dout / "weiss.csv").exists()
+    assert list(dout.iterdir()) == []
+
+
 def test_diagnose_grid_mismatch(opt_run, tmp_path):
     _, out = opt_run
     other = write_ini(tmp_path / "solve65.ini", {
@@ -929,6 +961,24 @@ def test_dump_without_newline_exit_2_reads_a_bounded_header(tmp_path, capsys):
     assert peak < 1 << 20  # the 4 MiB file is not read whole
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "blob.grid" in err
+
+
+def test_v1_dump_with_oversized_body_exit_2_reads_a_bounded_body(tmp_path, capsys):
+    # a v1 body over 64 bytes a value is rejected before it is read
+    path = tmp_path / "blob.grid"
+    path.write_bytes(b"GRIDDUMP v1 8 8 0.5 -2.0 -2.0\n" + b"7" * (4 << 20))
+    cfg = write_ini(tmp_path / "file.ini", {"shape": {"kind": "file", "path": str(path)}})
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_single("solve", str(cfg), str(tmp_path / "out"), None, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20  # the 4 MiB body is not read
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "blob.grid" in err and "bytes" in err
 
 
 def _diagnose_small(run, tmp_path, capsys):

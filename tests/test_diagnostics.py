@@ -39,7 +39,8 @@ from eigenshape import (
     weiss_profile,
 )
 from eigenshape import diagnostics
-from eigenshape.diagnostics import _mode_gradients, write_weiss_csv
+from eigenshape.cli import write_weiss_csv
+from eigenshape.diagnostics import _mode_gradients
 from eigenshape.domain import (
     _BATCH_NODES,
     _ball_means,

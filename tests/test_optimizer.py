@@ -35,6 +35,7 @@ from eigenshape import (
     step,
     volume,
 )
+from eigenshape.cli import write_trace_csv
 from eigenshape.domain import bilinear
 from eigenshape.optimizer import (
     _CFL,
@@ -44,7 +45,6 @@ from eigenshape.optimizer import (
     make_state,
     optimize,
     p_continuation,
-    write_trace_csv,
 )
 
 from conftest import smooth_g

@@ -27,7 +27,8 @@ from eigenshape import (
     volume,
 )
 from eigenshape.objective import kappa_clusters
-from eigenshape.spectral import assemble_laplacian, torsion_field, write_spectrum_csv
+from eigenshape.cli import write_spectrum_csv
+from eigenshape.spectral import assemble_laplacian, torsion_field
 
 J01 = 2.404825557695773  # first zero of J0
 J11 = 3.8317059702075125  # first zero of J1
