@@ -231,13 +231,9 @@ def _ball_means(grid: Grid, field: np.ndarray, centres: np.ndarray, r: float) ->
     return out
 
 
-def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a nodal field at points (m, 2).
-
-    ``field`` may be a stack (..., ny, nx); the result then has shape
-    (..., m). Coordinates are clamped to the grid box; callers that care
-    about out-of-box queries must handle them beforehand.
-    """
+def _cell_corners(grid: Grid, pts: np.ndarray):
+    """Corner nodes (j, i), each (4, m), of each point's grid cell (clamped to
+    the box) in the order 00, 10, 01, 11, and the bilinear mix of values there."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     fx = (pts[:, 0] - grid.origin[0]) / grid.h
     fy = (pts[:, 1] - grid.origin[1]) / grid.h
@@ -245,16 +241,20 @@ def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     j0 = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2)
     tx = np.clip(fx - i0, 0.0, 1.0)
     ty = np.clip(fy - j0, 0.0, 1.0)
-    f00 = field[..., j0, i0]
-    f10 = field[..., j0, i0 + 1]
-    f01 = field[..., j0 + 1, i0]
-    f11 = field[..., j0 + 1, i0 + 1]
-    return (
-        (1 - tx) * (1 - ty) * f00
-        + tx * (1 - ty) * f10
-        + (1 - tx) * ty * f01
-        + tx * ty * f11
-    )
+    w = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
+    j, i = j0 + np.array([[0], [0], [1], [1]]), i0 + np.array([[0], [1], [0], [1]])
+    return j, i, lambda c: w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3]
+
+
+def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a nodal field at points (m, 2).
+
+    ``field`` may be a stack (..., ny, nx); the result then has shape
+    (..., m). Coordinates are clamped to the grid box; callers that care
+    about out-of-box queries must handle them beforehand.
+    """
+    j, i, mix = _cell_corners(grid, pts)
+    return mix(np.moveaxis(field[..., j, i], -2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +380,21 @@ def extract_boundary(d: GridDomain) -> BoundaryMesh:
 
     phiH1 = phi[jH, iH]
     phiH2 = phi[jH, iH + 1]
-    thH = phiH1 / (phiH1 - phiH2)
-    ptsH = np.column_stack([grid.xs[iH] + thH * h, grid.ys[jH]])
+    ptsH = np.column_stack([grid.xs[iH] + phiH1 / (phiH1 - phiH2) * h, grid.ys[jH]])
 
     phiV1 = phi[jV, iV]
     phiV2 = phi[jV + 1, iV]
-    thV = phiV1 / (phiV1 - phiV2)
-    ptsV = np.column_stack([grid.xs[iV], grid.ys[jV] + thV * h])
+    ptsV = np.column_stack([grid.xs[iV], grid.ys[jV] + phiV1 / (phiV1 - phiV2) * h])
 
     pts = np.vstack([ptsH, ptsV])
     n_h = len(jH)
 
-    # --- normals from the interpolated nodal gradient ---
-    gy, gx = np.gradient(phi, h)
-    nx_ = bilinear(grid, gx, pts)
-    ny_ = bilinear(grid, gy, pts)
+    # --- normals: np.gradient(phi, h), same arithmetic, at the cell corners only ---
+    j, i, mix = _cell_corners(grid, pts)
+    jlo, jhi = np.maximum(j - 1, 0), np.minimum(j + 1, grid.ny - 1)
+    ilo, ihi = np.maximum(i - 1, 0), np.minimum(i + 1, grid.nx - 1)
+    nx_ = mix((phi[j, ihi] - phi[j, ilo]) / ((ihi - ilo) * h))
+    ny_ = mix((phi[jhi, i] - phi[jlo, i]) / ((jhi - jlo) * h))
     norms = np.hypot(nx_, ny_)
     # degenerate gradient: fall back to the edge direction, oriented outward
     bad = norms < 1e-12
@@ -562,6 +562,8 @@ def star_blob(
     symmetrized about the vertical axis through its center (used for paired
     initial data).
     """
+    if not (math.isfinite(r0) and math.isfinite(amp)):
+        raise ValueError(f"blob r0 and amp must be finite, got r0={r0}, amp={amp}")
     ms = np.arange(2, n_modes + 2)
     a = rng.standard_normal(len(ms))
     b = rng.standard_normal(len(ms))

@@ -188,9 +188,8 @@ def extend_velocity(
     band = np.abs(d.phi) <= _BAND_H * h
     out = np.zeros_like(d.phi)
     if band.any():
-        X, Y = d.grid.meshgrid()
-        pts = np.column_stack([X[band], Y[band]])
-        _, j = cKDTree(bm.points).query(pts)
+        jb, ib = np.nonzero(band)
+        _, j = cKDTree(bm.points).query(np.column_stack([d.grid.xs[ib], d.grid.ys[jb]]))
         out[band] = V[j]
     return out
 

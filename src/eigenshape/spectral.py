@@ -47,57 +47,55 @@ class SpectralError(RuntimeError):
 
 
 def assemble_laplacian(d: GridDomain) -> tuple[sparse.csc_matrix, np.ndarray]:
-    """Assemble -Laplace on active nodes.
+    """Assemble -Laplace on active nodes, straight into CSC arrays.
 
     Returns (A, active) where ``active`` holds the flat (row-major) node
     indices of Omega and A is the symmetric positive definite operator in
-    that ordering. Out-of-grid neighbors are treated as Dirichlet ghosts at
-    distance h.
+    that ordering. Out-of-grid neighbors are Dirichlet ghosts at distance h
+    (phi = 0 there, so theta = 1). Column p holds the rows of p's active S,
+    W, self, E and N neighbours, which is ascending row order, so the int32
+    arrays are canonical. Off-diagonals are -1/h^2. The diagonal is summed
+    over the links in ``_DIRS`` order (E, W, N, S), adding 1/h^2 for an
+    inside neighbour and 1/(theta h^2) for a cut link; with that order A has
+    the bits of the COO assembly that ``tests/test_spectral.py`` keeps.
     """
-    phi = d.phi
-    ny, nx = phi.shape
+    ny, nx = d.phi.shape
     h2 = d.grid.h ** 2
-    inside = phi < 0
-    n = int(inside.sum())
+    phi = d.phi.ravel()
+    active = np.flatnonzero(phi < 0)
+    n = active.size
     if n == 0:
         raise ValueError("domain has no active nodes")
-
-    idx = np.full(phi.shape, -1, dtype=np.int64)
-    idx[inside] = np.arange(n)
-
-    # pad with phi = 0 (boundary exactly at the ghost node => theta = 1)
-    phi_pad = np.pad(phi, 1, constant_values=0.0)
-    inside_pad = np.pad(inside, 1, constant_values=False)
-    idx_pad = np.pad(idx, 1, constant_values=-1)
-
+    row, col = np.divmod(active, nx)
+    phi_p = phi[active]
     diag = np.zeros(n)
-    rows, cols, vals = [], [], []
+    linked = {(0, 0): np.ones(n, dtype=bool)}  # (dj, di) -> neighbour active
     for dj, di in _DIRS:
-        phi_q = phi_pad[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
-        ins_q = inside_pad[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
-        idx_q = idx_pad[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
+        ok = (row + dj >= 0) & (row + dj < ny) & (col + di >= 0) & (col + di < nx)
+        phi_q = np.zeros(n)  # a ghost off the grid has phi = 0
+        phi_q[ok] = phi[active[ok] + (dj * nx + di)]
+        cut = ~(phi_q < 0)
+        link = np.full(n, 1.0 / h2)
+        theta = phi_p[cut] / (phi_p[cut] - phi_q[cut])
+        link[cut] = 1.0 / (np.clip(theta, THETA_FLOOR, 1.0) * h2)
+        diag += link
+        linked[dj, di] = ~cut
 
-        both = inside & ins_q
-        p = idx[both]
-        diag[p] += 1.0 / h2
-        rows.append(p)
-        cols.append(idx_q[both])
-        vals.append(np.full(p.size, -1.0 / h2))
-
-        cut = inside & ~ins_q
-        p = idx[cut]
-        theta = phi[cut] / (phi[cut] - phi_q[cut])
-        theta = np.clip(theta, THETA_FLOOR, 1.0)
-        diag[p] += 1.0 / (theta * h2)
-
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    A = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return A.tocsc(), np.flatnonzero(inside.ravel())
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(sum(m.astype(np.int32) for m in linked.values()), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.full(indptr[-1], -1.0 / h2)
+    pos = indptr[:-1].copy()
+    for dj, di in ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)):  # ascending rows
+        m = linked[dj, di]
+        if dj == 0:  # W, self and E are the previous, same and next active node
+            indices[pos[m]] = np.flatnonzero(m) + di
+        else:
+            indices[pos[m]] = np.searchsorted(active, active[m] + dj * nx)
+        if dj == di == 0:
+            data[pos] = diag
+        pos += m
+    return sparse.csc_matrix((data, indices, indptr), shape=(n, n)), active
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

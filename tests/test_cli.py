@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -547,7 +548,9 @@ def _small_sections(**edits):
 def test_non_finite_shape_value_exit_2(tmp_path, capsys, command, shape):
     cfg = write_ini(tmp_path / "c.ini", _small_sections(shape=shape))
     capsys.readouterr()
-    assert run_single(command, str(cfg), str(tmp_path / "out"), None, False) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any numpy arithmetic warns
+        assert run_single(command, str(cfg), str(tmp_path / "out"), None, False) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "[shape]" in err
 

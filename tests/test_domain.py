@@ -273,7 +273,9 @@ _KS_GRID = {"x0": -2.4, "y0": -2.4, "x1": 2.4, "y1": 2.4, "nx": 241, "ny": 241}
     ({"nx": 65, "ny": 65}, {"kind": "lshape", "side": 2.5}),
     ({"nx": 129, "ny": 129}, {"kind": "disk", "r": 1.0}),
     ({"nx": 97, "ny": 97}, {"kind": "disk", "cx": 0.13, "cy": -0.29, "r": 1.37}),
-], ids=["fk", "ks", "lshape", "disk", "offcentre_disk"])
+    # crosses the right and bottom box edges: one-sided differences in the normals
+    ({"nx": 65, "ny": 65}, {"kind": "disk", "cx": 1.5, "cy": -1.2, "r": 1.0}),
+], ids=["fk", "ks", "lshape", "disk", "offcentre_disk", "disk_past_box_edge"])
 def test_extract_boundary_matches_cell_loop_bits(grid_kv, shape_kv):
     d = _cli_shape(grid_kv, shape_kv)
     _assert_boundary_matches_reference(d)

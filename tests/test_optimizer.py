@@ -137,6 +137,28 @@ def test_extend_velocity_band(grid129):
         extend_velocity(d, bm, V, np.zeros(len(bm), dtype=bool))
 
 
+def test_extend_velocity_matches_meshgrid_nearest_sample():
+    # a blob past the box edges, distinct speeds, some unreliable samples
+    from scipy.spatial import cKDTree
+
+    grid = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 97, 97)
+    d = star_blob(grid, (1.2, -1.1), 1.0, 0.2, 4, np.random.default_rng(2))
+    bm = extract_boundary(d)
+    rng = np.random.default_rng(3)
+    V = rng.standard_normal(len(bm))
+    reliable = rng.random(len(bm)) > 0.2
+    field = extend_velocity(d, bm, V, reliable)
+    ref_V = V.copy()
+    _, j = cKDTree(bm.points[reliable]).query(bm.points[~reliable])
+    ref_V[~reliable] = V[reliable][j]
+    X, Y = grid.meshgrid()
+    band = np.abs(d.phi) <= 6.0 * grid.h
+    _, j = cKDTree(bm.points).query(np.column_stack([X[band], Y[band]]))
+    ref = np.zeros_like(d.phi)
+    ref[band] = ref_V[j]
+    assert field.tobytes() == ref.tobytes()
+
+
 # ---- the flow speed is the first variation of F_p ----------------------
 
 FD_SPECS = {

@@ -3,8 +3,9 @@
 Oracles: closed-form Dirichlet spectra of the disk (Bessel roots) and the
 axis-aligned square (separable sines), dense eigendecompositions of the
 assembled matrix on small domains, observed orders under grid refinement,
-the paraboloid torsion function of the disk, and scale covariance
-lambda(t * Omega) = lambda(Omega) / t^2.
+the paraboloid torsion function of the disk, scale covariance
+lambda(t * Omega) = lambda(Omega) / t^2, and the COO assembly that the
+direct CSC assembly must reproduce bit for bit.
 """
 
 import math
@@ -12,10 +13,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 from eigenshape import (
     Grid,
+    GridDomain,
     SpectralError,
+    difference,
     dilate,
     disk,
     extract_boundary,
@@ -28,7 +34,7 @@ from eigenshape import (
 )
 from eigenshape.objective import kappa_clusters
 from eigenshape.cli import write_spectrum_csv
-from eigenshape.spectral import assemble_laplacian, torsion_field
+from eigenshape.spectral import _DIRS, THETA_FLOOR, assemble_laplacian, torsion_field
 
 J01 = 2.404825557695773  # first zero of J0
 J11 = 3.8317059702075125  # first zero of J1
@@ -140,6 +146,123 @@ def test_warm_start_matches_cold(grid129):
     warm = solve_spectrum(d1, M=3, tol=1e-9, seed=0, warm=sp0)
     assert warm.lambdas == pytest.approx(cold.lambdas, rel=1e-8)
     assert warm.generation == d1.generation
+
+
+def _reference_assemble_laplacian(d):
+    """assemble_laplacian as it was written with padded fields, per-direction
+    COO lists and one ``tocsc`` sort."""
+    phi = d.phi
+    ny, nx = phi.shape
+    h2 = d.grid.h ** 2
+    inside = phi < 0
+    n = int(inside.sum())
+    if n == 0:
+        raise ValueError("domain has no active nodes")
+    idx = np.full(phi.shape, -1, dtype=np.int64)
+    idx[inside] = np.arange(n)
+    phi_pad = np.pad(phi, 1, constant_values=0.0)
+    inside_pad = np.pad(inside, 1, constant_values=False)
+    idx_pad = np.pad(idx, 1, constant_values=-1)
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for dj, di in _DIRS:
+        phi_q = phi_pad[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
+        ins_q = inside_pad[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
+        idx_q = idx_pad[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx]
+        both = inside & ins_q
+        p = idx[both]
+        diag[p] += 1.0 / h2
+        rows.append(p)
+        cols.append(idx_q[both])
+        vals.append(np.full(p.size, -1.0 / h2))
+        cut = inside & ~ins_q
+        p = idx[cut]
+        theta = np.clip(phi[cut] / (phi[cut] - phi_q[cut]), THETA_FLOOR, 1.0)
+        diag[p] += 1.0 / (theta * h2)
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(diag)
+    A = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return A.tocsc(), np.flatnonzero(inside.ravel())
+
+
+def _assert_assembly_matches_reference(d):
+    A, active = assemble_laplacian(d)
+    ref, ref_active = _reference_assemble_laplacian(d)
+    assert isinstance(A, sparse.csc_matrix) and A.shape == ref.shape
+    assert A.indptr.dtype == ref.indptr.dtype == np.int32
+    assert A.indices.dtype == ref.indices.dtype == np.int32
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    # tobytes, not array_equal: -0.0 and 0.0 must not count as equal
+    assert A.data.dtype == ref.data.dtype and A.data.tobytes() == ref.data.tobytes()
+    assert active.dtype == ref_active.dtype and np.array_equal(active, ref_active)
+    assert A.has_canonical_format
+    return A
+
+
+def _strips_and_isolated_nodes():
+    # isolated nodes, one-node-wide strips along both axes, exact 0.0 and
+    # -0.0 neighbours (outside), and cut links clamped at THETA_FLOOR
+    phi = np.ones((12, 14))
+    phi[2, 2] = phi[9, 12] = -1.0
+    phi[5, 1:9] = -0.5
+    phi[5, 4] = -0.01
+    phi[1:11, 10] = -0.25
+    phi[4, 3], phi[6, 6], phi[5, 9] = 0.0, -0.0, -0.0
+    phi[0, 0] = phi[11, 13] = -0.75  # box corners: two ghost links each
+    return GridDomain(Grid(nx=14, ny=12, h=0.25), phi)
+
+
+def _lshape():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65)
+    box = rectangle(g, -1.25, -1.25, 1.25, 1.25)
+    return difference(box, rectangle(g, 0.0, 0.0, 1.25 + g.h, 1.25 + g.h))
+
+
+def _disk_past_box_edge():
+    d = disk(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65), (1.5, -1.2), 1.0)
+    assert d.inside[:, -1].any() and d.inside[0, :].any()  # ghost links in use
+    return d
+
+
+def _fk_blob():
+    # the initial shape of the fk flagship run ([run] seed = 11)
+    return star_blob(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257), (0.0, 0.0), 0.9, 0.22, 5,
+                     np.random.default_rng(11))
+
+
+def _ks_blobs():
+    # the initial shape of the ks flagship run ([run] seed = 11)
+    left = star_blob(Grid.from_box(-2.4, -2.4, 2.4, 2.4, 241, 241), (-1.05, 0.0), 0.8, 0.18,
+                     4, np.random.default_rng(11), mirror_x=True)
+    return left.with_phi(np.minimum(left.phi, left.phi[:, ::-1]))
+
+
+@pytest.mark.parametrize("make", [
+    _fk_blob,
+    _ks_blobs,
+    _lshape,
+    _disk_past_box_edge,
+    _strips_and_isolated_nodes,
+], ids=["fk", "ks", "lshape", "disk_past_box_edge", "strips_and_isolated_nodes"])
+def test_assembly_matches_coo_reference_bits(make):
+    A = _assert_assembly_matches_reference(make())
+    assert (A != A.T).nnz == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=8, max_side=14),
+                  elements=st.sampled_from([-1.0, -0.5, -0.3, -0.01, -0.0, 0.0, 0.3, 1.0]),
+                  fill=st.nothing()))
+def test_assembly_matches_coo_reference_on_quantized_fields(phi):
+    d = GridDomain(Grid(nx=phi.shape[1], ny=phi.shape[0], h=0.25), phi)
+    if d.is_empty:
+        with pytest.raises(ValueError, match="no active nodes"):
+            assemble_laplacian(d)
+        return
+    _assert_assembly_matches_reference(d)
 
 
 def _two_disks(grid, r):
