@@ -36,7 +36,6 @@ from .diagnostics import (
     weiss_profile,
 )
 from .domain import (
-    _float_rows,
     BoundaryMesh,
     Grid,
     GridDomain,
@@ -134,17 +133,26 @@ def _read_domain(path) -> GridDomain:
         raise ConfigError(f"bad grid dump {path}: {err}") from err
 
 
+def _float_row(line: str) -> list[float]:
+    """The cells of one CSV line of plain decimal floats: the token rule of
+    the CSV inputs. A comment sign, ``1_0``, a non-ASCII digit, an
+    empty cell or a blank line is a ValueError."""
+    if not line.strip():  # np.loadtxt would skip it
+        raise ValueError("blank line")
+    return np.loadtxt([line], delimiter=",", comments=None, ndmin=2)[0].tolist()
+
+
 def _read_csv(path, header: str, ncols: int) -> np.ndarray:
     """Columns of a numeric CSV whose first line starts with ``header``; a
     truncated or extra-field row, a cell that breaks the token rule of
-    :func:`_float_rows` or a non-finite value is a ConfigError."""
+    :func:`_float_row` or a non-finite value is a ConfigError."""
     lines = _input(path).read_text().splitlines()
     if not lines or not lines[0].startswith(header):
         raise ConfigError(f"{path} does not start with {header!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            row = _float_rows([line], ",")[0].tolist()
+            row = _float_row(line)
         except ValueError:
             row = []
         if len(row) != ncols or not all(map(math.isfinite, row)):
@@ -161,8 +169,6 @@ def build_grid(cp) -> Grid:
     y1 = _get(cp, "grid", "y1", float, 2.0)
     nx = _get(cp, "grid", "nx", int, 257)
     ny = _get(cp, "grid", "ny", int, 257)
-    if nx < 8 or ny < 8:
-        raise ConfigError(f"grid too small: nx={nx} ny={ny}")
     try:
         return Grid.from_box(x0, y0, x1, y1, nx, ny)
     except ValueError as err:

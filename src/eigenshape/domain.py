@@ -10,7 +10,6 @@ and a few analytic shape constructors for tests and initial guesses.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 import os
 from typing import Sequence
@@ -45,6 +44,11 @@ __all__ = [
 ]
 
 
+def _check_size(nx: int, ny: int) -> None:
+    if nx < 8 or ny < 8:
+        raise ValueError(f"grid must be at least 8x8, got {nx}x{ny}")
+
+
 @dataclasses.dataclass(frozen=True)
 class Grid:
     """Uniform node-centered grid covering [x0, x0+(nx-1)h] x [y0, y0+(ny-1)h].
@@ -59,8 +63,7 @@ class Grid:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.nx < 8 or self.ny < 8:
-            raise ValueError(f"grid must be at least 8x8, got {self.nx}x{self.ny}")
+        _check_size(self.nx, self.ny)
         if not 0 < self.h < math.inf:
             raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
         origin = (float(self.origin[0]), float(self.origin[1]))
@@ -94,6 +97,7 @@ class Grid:
     @classmethod
     def from_box(cls, x0: float, y0: float, x1: float, y1: float, nx: int, ny: int) -> "Grid":
         """Grid over the closed box; spacings in x and y must agree to 1e-9."""
+        _check_size(nx, ny)
         hx = (x1 - x0) / (nx - 1)
         hy = (y1 - y0) / (ny - 1)
         if abs(hx - hy) > 1e-9 * max(hx, hy):
@@ -233,17 +237,20 @@ def _ball_means(grid: Grid, field: np.ndarray, centres: np.ndarray, r: float) ->
 
 def _cell_corners(grid: Grid, pts: np.ndarray):
     """Corner nodes (j, i), each (4, m), of each point's grid cell (clamped to
-    the box) in the order 00, 10, 01, 11, and the bilinear mix of values there."""
+    the box) in the order 00, 10, 01, 11, the bilinear mix of values there,
+    and the mask (m,) of points whose cell lies in the box unclamped."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     fx = (pts[:, 0] - grid.origin[0]) / grid.h
     fy = (pts[:, 1] - grid.origin[1]) / grid.h
-    i0 = np.clip(np.floor(fx).astype(int), 0, grid.nx - 2)
-    j0 = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2)
+    fi, fj = np.floor(fx).astype(int), np.floor(fy).astype(int)
+    in_box = (0 <= fi) & (fi <= grid.nx - 2) & (0 <= fj) & (fj <= grid.ny - 2)
+    i0 = np.clip(fi, 0, grid.nx - 2)
+    j0 = np.clip(fj, 0, grid.ny - 2)
     tx = np.clip(fx - i0, 0.0, 1.0)
     ty = np.clip(fy - j0, 0.0, 1.0)
     w = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
     j, i = j0 + np.array([[0], [0], [1], [1]]), i0 + np.array([[0], [1], [0], [1]])
-    return j, i, lambda c: w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3]
+    return j, i, lambda c: w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3], in_box
 
 
 def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -253,7 +260,7 @@ def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
     (..., m). Coordinates are clamped to the grid box; callers that care
     about out-of-box queries must handle them beforehand.
     """
-    j, i, mix = _cell_corners(grid, pts)
+    j, i, mix, _ = _cell_corners(grid, pts)
     return mix(np.moveaxis(field[..., j, i], -2, 0))
 
 
@@ -390,7 +397,7 @@ def extract_boundary(d: GridDomain) -> BoundaryMesh:
     n_h = len(jH)
 
     # --- normals: np.gradient(phi, h), same arithmetic, at the cell corners only ---
-    j, i, mix = _cell_corners(grid, pts)
+    j, i, mix, _ = _cell_corners(grid, pts)
     jlo, jhi = np.maximum(j - 1, 0), np.minimum(j + 1, grid.ny - 1)
     ilo, ihi = np.maximum(i - 1, 0), np.minimum(i + 1, grid.nx - 1)
     nx_ = mix((phi[j, ihi] - phi[j, ilo]) / ((ihi - ilo) * h))
@@ -605,8 +612,6 @@ def difference(a: GridDomain, b: GridDomain) -> GridDomain:
 _DUMP_MAGIC = "GRIDDUMP"
 #: bytes read for the header line, newline included
 _DUMP_HEADER_MAX = 256
-#: bytes of a v1 text value, its separator included
-_V1_VALUE_MAX = 64
 
 
 def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
@@ -619,51 +624,29 @@ def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
         f.write(np.asarray(field, dtype="<f8").tobytes())
 
 
-def _float_rows(rows: list[str], delimiter: str | None = None) -> np.ndarray:
-    """The rows (k, n) of text lines of plain decimal floats: the token rule
-    of every numeric artifact. A comment sign, ``1_0``, a non-ASCII digit,
-    an empty cell or a blank row is a ValueError; rows of unequal length are
-    too."""
-    blank = [j for j, row in enumerate(rows) if not row.strip()]
-    if blank:  # np.loadtxt would skip it
-        raise ValueError(f"row {blank[0]} is blank")
-    return np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
-
-
 def read_field_dump(path) -> tuple[Grid, np.ndarray]:
-    """Inverse of :func:`write_field_dump`; also reads the v1 text dumps of
-    older runs (header "GRIDDUMP v1 nx ny h x0 y0", then ny rows of nx
-    decimal floats). The header is one line of at most _DUMP_HEADER_MAX
-    bytes, and its sizes are checked against the file before
-    anything is allocated from them: a v2 payload must be exactly 8*nx*ny
-    bytes; a v1 body must fit in _V1_VALUE_MAX bytes per value plus a line
-    end per row, and have ny rows, which are then parsed at once."""
+    """Inverse of :func:`write_field_dump`. The header is one line of at most
+    _DUMP_HEADER_MAX bytes, and the payload must be exactly 8*nx*ny bytes,
+    checked against the file before anything is allocated from the header
+    sizes. The v1 text dumps of older runs ("GRIDDUMP v1 ...") are rejected
+    from their header line alone; nothing has written them since v2."""
     with open(path, "rb") as f:
         line = f.readline(_DUMP_HEADER_MAX)
         header = line.decode().split()
+        if header[:2] == [_DUMP_MAGIC, "v1"]:
+            raise ValueError("GRIDDUMP v1 text dumps are no longer read; "
+                             "rewrite the file as v2 (see the README)")
         if (not line.endswith(b"\n") or len(header) != 7 or header[0] != _DUMP_MAGIC
-                or header[1] not in ("v1", "v2")):
+                or header[1] != "v2"):
             raise ValueError(f"not a grid dump: {path}")
         nx, ny = int(header[2]), int(header[3])
         grid = Grid(nx=nx, ny=ny, h=float(header[4]),
                     origin=(float(header[5]), float(header[6])))
         size = os.fstat(f.fileno()).st_size - f.tell()
-        if header[1] == "v2":
-            if size != 8 * nx * ny:
-                raise ValueError(f"grid dump payload has {size} bytes, expected "
-                                 f"{8 * nx * ny} for {ny} x {nx} values")
-            return grid, np.fromfile(f, dtype="<f8").reshape(ny, nx)
-        if size > (_V1_VALUE_MAX * nx + 2) * ny:  # "\r\n" ends a row too
-            raise ValueError(f"grid dump body has {size} bytes, more than "
-                             f"{_V1_VALUE_MAX} per value for {ny} x {nx} values")
-        rows = io.StringIO(f.read().decode(), newline=None).readlines()
-    if len(rows) != ny:
-        raise ValueError(f"grid dump has {len(rows)} rows, expected {ny}")
-    field = _float_rows(rows)
-    if field.shape != (ny, nx):
-        raise ValueError(f"grid dump rows hold {field.shape[0]} x {field.shape[1]} "
-                         f"values, expected {ny} x {nx}")
-    return grid, field
+        if size != 8 * nx * ny:
+            raise ValueError(f"grid dump payload has {size} bytes, expected "
+                             f"{8 * nx * ny} for {ny} x {nx} values")
+        return grid, np.fromfile(f, dtype="<f8").reshape(ny, nx)
 
 
 def write_grid_dump(d: GridDomain, path) -> None:

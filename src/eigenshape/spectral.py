@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .domain import BoundaryMesh, Grid, GridDomain, bilinear
+from .domain import BoundaryMesh, GridDomain, _cell_corners
 
 __all__ = [
     "SpectralError",
@@ -267,23 +267,6 @@ class NormalDerivatives:
     reliable: np.ndarray
 
 
-def _stencil_ok(grid: Grid, inside: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    fx = (pts[:, 0] - grid.origin[0]) / grid.h
-    fy = (pts[:, 1] - grid.origin[1]) / grid.h
-    i0 = np.floor(fx).astype(int)
-    j0 = np.floor(fy).astype(int)
-    ok = (i0 >= 0) & (i0 + 1 <= grid.nx - 1) & (j0 >= 0) & (j0 + 1 <= grid.ny - 1)
-    i0c = np.clip(i0, 0, grid.nx - 2)
-    j0c = np.clip(j0, 0, grid.ny - 2)
-    ok &= (
-        inside[j0c, i0c]
-        & inside[j0c, i0c + 1]
-        & inside[j0c + 1, i0c]
-        & inside[j0c + 1, i0c + 1]
-    )
-    return ok
-
-
 def normal_derivative(field: np.ndarray, bm: BoundaryMesh, d: GridDomain) -> NormalDerivatives:
     """Boundary normal derivative magnitude of a field vanishing outside Omega.
 
@@ -298,11 +281,12 @@ def normal_derivative(field: np.ndarray, bm: BoundaryMesh, d: GridDomain) -> Nor
     if len(bm) == 0:
         return NormalDerivatives(values=np.zeros(field.shape[:-2] + (0,)),
                                  reliable=np.zeros(0, dtype=bool))
-    q1 = pts - 1.5 * h * bm.normals
-    q2 = pts - 3.0 * h * bm.normals
-    u1 = bilinear(d.grid, field, q1)
-    u2 = bilinear(d.grid, field, q2)
-    values = np.abs(4.0 * u1 - u2) / (3.0 * h)
     inside = d.inside
-    reliable = _stencil_ok(d.grid, inside, q1) & _stencil_ok(d.grid, inside, q2)
-    return NormalDerivatives(values=values, reliable=reliable)
+
+    def probe(q):  # the bilinear values at q, and whether their cell is in Omega
+        j, i, mix, in_box = _cell_corners(d.grid, q)
+        return mix(np.moveaxis(field[..., j, i], -2, 0)), in_box & inside[j, i].all(axis=0)
+
+    (u1, ok1), (u2, ok2) = probe(pts - 1.5 * h * bm.normals), probe(pts - 3.0 * h * bm.normals)
+    values = np.abs(4.0 * u1 - u2) / (3.0 * h)
+    return NormalDerivatives(values=values, reliable=ok1 & ok2)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from eigenshape.cli import _load_diagnose_inputs, run_single
-from eigenshape.domain import extract_boundary, read_field_dump
+from eigenshape.domain import extract_boundary
 
 
 def write_ini(path: pathlib.Path, sections: dict) -> pathlib.Path:
@@ -26,22 +26,6 @@ def write_ini(path: pathlib.Path, sections: dict) -> pathlib.Path:
         lines.append("")
     path.write_text("\n".join(lines))
     return path
-
-
-def write_v1_dump(grid, field, path) -> None:
-    """A grid dump in the v1 text format of older runs: the header
-    "GRIDDUMP v1 nx ny h x0 y0", then ny rows of nx values by repr."""
-    with open(path, "w") as f:
-        f.write(f"GRIDDUMP v1 {grid.nx} {grid.ny} {grid.h!r} "
-                f"{grid.origin[0]!r} {grid.origin[1]!r}\n")
-        for j in range(grid.ny):
-            f.write(" ".join(repr(float(v)) for v in field[j]))
-            f.write("\n")
-
-
-def to_v1(path) -> None:
-    """Rewrite the grid dump at ``path`` in the v1 text format."""
-    write_v1_dump(*read_field_dump(path), path)
 
 
 def smooth_g(x, y):

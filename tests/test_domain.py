@@ -1,6 +1,7 @@
 """Grid, level-set domain, boundary extraction, and measure tests."""
 
 import configparser
+import io
 import math
 
 import numpy as np
@@ -37,8 +38,6 @@ from eigenshape.domain import (
 )
 from eigenshape.domain import _ball_windows
 
-from conftest import write_v1_dump
-
 
 @pytest.fixture(scope="module")
 def grid():
@@ -59,6 +58,15 @@ def test_grid_geometry(grid):
 def test_grid_rejects_anisotropic_spacing():
     with pytest.raises(ValueError):
         Grid.from_box(0.0, 0.0, 1.0, 2.0, 11, 11)
+
+
+@pytest.mark.parametrize("nx", [1, 0, -3, 7])
+def test_grid_from_box_rejects_fewer_than_8_nodes(nx):
+    # checked before the spacing (x1 - x0) / (nx - 1) is taken
+    with pytest.raises(ValueError, match="at least 8x8"):
+        Grid.from_box(-2.0, -2.0, 2.0, 2.0, nx, 9)
+    with pytest.raises(ValueError, match="at least 8x8"):
+        Grid.from_box(-2.0, -2.0, 2.0, 2.0, 9, nx)
 
 
 @pytest.mark.parametrize("h, origin", [
@@ -532,22 +540,45 @@ def _zeros_field(grid, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_field_dump_roundtrip_bits_v2_and_v1(tmp_path, grid, seed):
+def test_field_dump_roundtrip_bits(tmp_path, grid, seed):
     field = _zeros_field(grid, seed)
     fields = [field, np.zeros_like(field), np.full_like(field, -0.0),
               disk(grid, (1.5, -1.5), 0.9).phi]
     for k, f in enumerate(fields):
-        path, v1 = tmp_path / f"v2_{k}.grid", tmp_path / f"v1_{k}.grid"
+        path = tmp_path / f"v2_{k}.grid"
         write_field_dump(grid, f, path)
-        write_v1_dump(grid, f, v1)
         with open(path, "rb") as dump:  # the layout that the README documents
             assert dump.readline() == (f"GRIDDUMP v2 {grid.nx} {grid.ny} {grid.h!r} "
                                        f"{grid.origin[0]!r} {grid.origin[1]!r}\n").encode()
             assert dump.read() == f.astype("<f8").tobytes()
-        for p in (path, v1):
-            g2, back = read_field_dump(p)
-            assert g2 == grid and back.dtype == np.float64
-            assert back.tobytes() == f.tobytes()  # -0.0 keeps its sign
+        g2, back = read_field_dump(path)
+        assert g2 == grid and back.dtype == np.float64
+        assert back.tobytes() == f.tobytes()  # -0.0 keeps its sign
+
+
+class _CountingFile(io.FileIO):
+    """An unbuffered file that counts the bytes read from it."""
+
+    nread = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        _CountingFile.nread += len(data)
+        return data
+
+
+@pytest.mark.parametrize("header", [b"GRIDDUMP v1 8 8 0.5 -2.0 -2.0\n",
+                                    b"GRIDDUMP v1 1000000 1000000 0.1 0.0 0.0\n",
+                                    b"GRIDDUMP v1\n"], ids=["8x8", "huge", "no_sizes"])
+def test_read_field_dump_rejects_v1_from_its_header_line(tmp_path, monkeypatch, header):
+    path = tmp_path / "v1.grid"
+    path.write_bytes(header + b"7" * (4 << 20))
+    monkeypatch.setattr(_CountingFile, "nread", 0)
+    monkeypatch.setattr("eigenshape.domain.open", lambda p, mode: _CountingFile(p, "r"),
+                        raising=False)
+    with pytest.raises(ValueError, match="v1 text dumps are no longer read"):
+        read_field_dump(path)
+    assert _CountingFile.nread == len(header) <= 256
 
 
 def test_field_dump_roundtrip(tmp_path, grid):

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from eigenshape import (
+    BoundaryMesh,
     Grid,
     GridDomain,
     SpectralError,
@@ -32,6 +33,7 @@ from eigenshape import (
     star_blob,
     volume,
 )
+from eigenshape.domain import _cell_corners, bilinear
 from eigenshape.objective import kappa_clusters
 from eigenshape.cli import write_spectrum_csv
 from eigenshape.spectral import _DIRS, THETA_FLOOR, assemble_laplacian, torsion_field
@@ -413,6 +415,66 @@ def test_normal_derivative_empty_boundary(unit_disk, disk_spectrum):
     )
     nd = normal_derivative(disk_spectrum.modes[0], sub, unit_disk)
     assert len(nd.values) == 0 and len(nd.reliable) == 0
+
+
+def _reference_stencil_ok(grid, inside, pts):
+    """The reliability rule of a probe point before it shared the corner
+    rule of domain._cell_corners: its cell lies in the box unclamped, and
+    the four corners of its clamped cell lie in Omega."""
+    fx = (pts[:, 0] - grid.origin[0]) / grid.h
+    fy = (pts[:, 1] - grid.origin[1]) / grid.h
+    i0 = np.floor(fx).astype(int)
+    j0 = np.floor(fy).astype(int)
+    ok = (i0 >= 0) & (i0 + 1 <= grid.nx - 1) & (j0 >= 0) & (j0 + 1 <= grid.ny - 1)
+    i0c = np.clip(i0, 0, grid.nx - 2)
+    j0c = np.clip(j0, 0, grid.ny - 2)
+    ok &= (inside[j0c, i0c] & inside[j0c, i0c + 1]
+           & inside[j0c + 1, i0c] & inside[j0c + 1, i0c + 1])
+    return ok
+
+
+def _edge_points(grid, rng):
+    """Points outside the box, on its first and last node rows and columns,
+    just inside and outside them, and spread over the box."""
+    x0, y0, x1, y1 = grid.extent
+    h = grid.h
+
+    def ticks(lo, hi):
+        return np.concatenate([[lo - h, lo - 1e-12, lo, lo + 0.5 * h, hi - 0.5 * h,
+                                hi - 1e-12, hi, hi + 1e-12, hi + h],
+                               rng.uniform(lo - 2 * h, hi + 2 * h, 40)])
+
+    xs, ys = ticks(x0, x1), ticks(y0, y1)
+    return np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+
+
+def test_cell_corner_mask_matches_reference_rule(grid41):
+    pts = _edge_points(grid41, np.random.default_rng(0))
+    everywhere = np.ones((grid41.ny, grid41.nx), dtype=bool)
+    _, _, _, in_box = _cell_corners(grid41, pts)
+    assert in_box.tobytes() == _reference_stencil_ok(grid41, everywhere, pts).tobytes()
+    assert 0 < in_box.sum() < len(pts)
+
+
+@pytest.mark.parametrize("centre, r", [((0.0, 0.0), 1.0), ((1.2, -0.9), 1.1),
+                                       ((0.0, 0.0), 2.5)])
+def test_normal_derivative_matches_reference_bits(grid41, centre, r):
+    # the probe points themselves (zero normals), then the real boundary
+    d = disk(grid41, centre, r)
+    modes = np.stack([np.where(d.inside, 1.0 + d.grid.meshgrid()[0], 0.0), -d.phi])
+    pts = _edge_points(grid41, np.random.default_rng(1))
+    bms = [BoundaryMesh(points=pts, normals=np.zeros_like(pts), weights=np.ones(len(pts))),
+           extract_boundary(d)]
+    for bm in bms:
+        nd = normal_derivative(modes, bm, d)
+        q1 = bm.points - 1.5 * grid41.h * bm.normals
+        q2 = bm.points - 3.0 * grid41.h * bm.normals
+        values = np.abs(4.0 * bilinear(grid41, modes, q1) - bilinear(grid41, modes, q2))
+        assert nd.values.tobytes() == (values / (3.0 * grid41.h)).tobytes()
+        reliable = (_reference_stencil_ok(grid41, d.inside, q1)
+                    & _reference_stencil_ok(grid41, d.inside, q2))
+        assert nd.reliable.tobytes() == reliable.tobytes()
+        assert nd.reliable.any()
 
 
 def test_spectrum_csv_roundtrip(tmp_path, disk_spectrum):
