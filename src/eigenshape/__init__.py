@@ -5,131 +5,19 @@ gradient flow of the boundary, with the tail-regularized objective that
 keeps eigenvalue weights well defined through degeneracies, and ships the
 free-boundary diagnostics (boundary energies, optimality residuals,
 density classification, torsion probes) used to inspect the minimizers.
+
+The package exports every name in its modules' ``__all__``; each module's
+list is the only list of its public names.
 """
 
 __version__ = "0.1.0"
 
-from .diagnostics import (
-    BoundaryClass,
-    BoundaryLabel,
-    ELResidual,
-    ProbeFlag,
-    ScalingReport,
-    SimplicityReport,
-    WeissProbe,
-    classify_boundary,
-    el_residual,
-    scaling_check,
-    simplicity_report,
-    torsion_probe,
-    weiss_energy,
-    weiss_profile,
-)
-from .domain import (
-    BoundaryMesh,
-    Grid,
-    GridDomain,
-    connected_components,
-    density_ratio,
-    difference,
-    dilate,
-    disk,
-    extract_boundary,
-    half_plane,
-    intersection,
-    perimeter,
-    rectangle,
-    reinitialize,
-    roundness,
-    split_components,
-    star_blob,
-    union,
-    volume,
-)
-from .objective import (
-    ObjectiveSpec,
-    PenaltySpec,
-    RegularizationParams,
-    WeightVector,
-    eval_F,
-    eval_Fp,
-    eval_penalty_E,
-    grad_Fp,
-    tau_kp,
-)
-from .optimizer import (
-    OptimizeAborted,
-    OptimizerConfig,
-    OptimizerTrace,
-    optimize,
-    p_continuation,
-    shape_velocity,
-    step,
-)
-from .spectral import (
-    SpectralError,
-    Spectrum,
-    TorsionField,
-    normal_derivative,
-    solve_spectrum,
-    solve_torsion,
-)
+from . import diagnostics, domain, objective, optimizer, spectral
+from .diagnostics import *  # noqa: F401,F403
+from .domain import *  # noqa: F401,F403
+from .objective import *  # noqa: F401,F403
+from .optimizer import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "BoundaryClass",
-    "BoundaryLabel",
-    "BoundaryMesh",
-    "ELResidual",
-    "Grid",
-    "GridDomain",
-    "ObjectiveSpec",
-    "OptimizeAborted",
-    "OptimizerConfig",
-    "OptimizerTrace",
-    "PenaltySpec",
-    "ProbeFlag",
-    "RegularizationParams",
-    "ScalingReport",
-    "SimplicityReport",
-    "SpectralError",
-    "Spectrum",
-    "TorsionField",
-    "WeightVector",
-    "WeissProbe",
-    "classify_boundary",
-    "connected_components",
-    "density_ratio",
-    "difference",
-    "dilate",
-    "disk",
-    "el_residual",
-    "eval_F",
-    "eval_Fp",
-    "eval_penalty_E",
-    "extract_boundary",
-    "grad_Fp",
-    "half_plane",
-    "intersection",
-    "normal_derivative",
-    "optimize",
-    "p_continuation",
-    "perimeter",
-    "rectangle",
-    "reinitialize",
-    "roundness",
-    "scaling_check",
-    "shape_velocity",
-    "simplicity_report",
-    "solve_spectrum",
-    "solve_torsion",
-    "split_components",
-    "star_blob",
-    "step",
-    "tau_kp",
-    "torsion_probe",
-    "union",
-    "volume",
-    "weiss_energy",
-    "weiss_profile",
-]
+__all__ = ["__version__", *diagnostics.__all__, *domain.__all__, *objective.__all__,
+           *optimizer.__all__, *spectral.__all__]

@@ -82,6 +82,23 @@ class ConfigError(Exception):
 # config parsing
 # ---------------------------------------------------------------------------
 
+#: every config section and its keys, over all four commands: load_config
+#: rejects any other, and _get reads no other
+_CONFIG_KEYS = {
+    "run": ("name", "seed"),
+    "grid": ("x0", "y0", "x1", "y1", "nx", "ny"),
+    "shape": ("kind", "path", "cx", "cy", "r", "side", "x0", "y0", "x1", "y1",
+              "r0", "amp", "modes", "mirror", "sep"),
+    "objective": ("family", "n", "index", "coeffs", "subset", "beta"),
+    "regularization": ("p", "quad_nodes"),
+    "penalty": ("s", "reference"),
+    "optimizer": ("dt0", "max_steps", "conv_tol", "reinit_every", "eig_tol", "modes"),
+    "solve": ("modes", "tol", "torsion"),
+    "sweep": ("schedule",),
+    "diagnose": ("domain", "spectrum", "xi", "radii", "probes"),
+}
+
+
 def load_config(path) -> configparser.ConfigParser:
     p = pathlib.Path(path)
     if not p.is_file():
@@ -93,10 +110,23 @@ def load_config(path) -> configparser.ConfigParser:
             cp.read_file(f)
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {p}: {err}") from err
+    if cp.defaults():
+        raise ConfigError(f"{p}: [DEFAULT] is not read, yet it sets {', '.join(cp.defaults())}")
+    for section in cp.sections():
+        known = _CONFIG_KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"{p}: unknown section [{section}] (keys: "
+                              f"{', '.join(cp[section]) or 'none'})")
+        for key in cp[section]:
+            if key not in known:
+                raise ConfigError(f"{p}: unknown key [{section}] {key} "
+                                  f"(known: {', '.join(known)})")
     return cp
 
 
 def _get(cp, section, key, cast, default=None, required=False):
+    if key not in _CONFIG_KEYS[section]:  # a programming error, not a config one
+        raise KeyError(f"[{section}] {key} is not in _CONFIG_KEYS")
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing [{section}] {key}")

@@ -304,31 +304,36 @@ class ProbeFlag(enum.Enum):
     VIOLATION = "VIOLATION"
 
 
+#: mean-value threshold of torsion_probe, calibrated so every probe on the
+#: optimal single ball passes
+_PROBE_C0 = 0.06
+#: |v| above which the quarter ball of a low-mean probe counts as nonzero
+_PROBE_VTOL = 1e-8
+
+
 def torsion_probe(
     d: GridDomain,
     tf: TorsionField,
     centres: np.ndarray,
     r: float,
-    c0: float = 0.06,
-    vtol: float = 1e-8,
 ) -> list[ProbeFlag]:
     """Mean-value nondegeneracy check on the torsion function, one flag per
     row x of ``centres`` (m, 2).
 
-    If the mean of v over B_r(x) falls below c0*r, v must vanish on the
-    quarter ball B_{r/4}(x); a nonzero v there is flagged VIOLATION. c0 is
-    calibrated so every probe on the optimal single ball passes. Points
-    with v = 0 on both balls pass vacuously. Requires r >= 4h.
+    If the mean of v over B_r(x) falls below _PROBE_C0*r, v must vanish on
+    the quarter ball B_{r/4}(x); a |v| above _PROBE_VTOL there is flagged
+    VIOLATION. Points with v = 0 on both balls pass vacuously. Requires
+    r >= 4h.
     """
     h = d.grid.h
     probe_radii((r,), h)
     centres = np.asarray(centres, dtype=float)
-    low = np.flatnonzero(~(_ball_means(d.grid, tf.v, centres, r) > c0 * r))
+    low = np.flatnonzero(~(_ball_means(d.grid, tf.v, centres, r) > _PROBE_C0 * r))
     violation = np.zeros(len(centres), dtype=bool)
     # the max of |v| over the nodes that the inner ball gives weight
     for sel, rows, cols, ball in _ball_windows(d.grid, centres[low], max(r / 4.0, 1.5 * h)):
         v = np.where(ball > 0, np.abs(tf.v[rows[:, :, None], cols[:, None, :]]), 0.0)
-        violation[low[sel]] = v.max(axis=(1, 2), initial=0.0) > vtol
+        violation[low[sel]] = v.max(axis=(1, 2), initial=0.0) > _PROBE_VTOL
     return [ProbeFlag.VIOLATION if bad else ProbeFlag.OK for bad in violation.tolist()]
 
 
@@ -341,21 +346,13 @@ class ScalingReport:
     """Difference quotients of F along the all-ones direction.
 
     forward[j] = [F(lam + s_j) - F(lam)] / s_j, backward[j] the same from
-    below. Strict growth shows as min_forward > 0; Lipschitz control as a
-    finite max_backward. Coordinate and softmin families give exactly 1.
+    below. Strict growth shows as min(forward) > 0; Lipschitz control as a
+    finite max(backward). Coordinate and softmin families give exactly 1.
     """
 
     s_values: np.ndarray
     forward: np.ndarray
     backward: np.ndarray
-
-    @property
-    def min_forward(self) -> float:
-        return float(self.forward.min())
-
-    @property
-    def max_backward(self) -> float:
-        return float(self.backward.max())
 
 
 def scaling_check(spec: ObjectiveSpec, sp: Spectrum, s_values=None) -> ScalingReport:
@@ -378,10 +375,6 @@ class SimplicityReport:
 
     rel_gaps: tuple[float, ...]
     clusters: tuple[tuple[int, ...], ...]
-
-    @property
-    def min_gap(self) -> float:
-        return min(self.rel_gaps) if self.rel_gaps else math.inf
 
 
 def simplicity_report(sp: Spectrum) -> SimplicityReport:

@@ -28,14 +28,13 @@ __all__ = [
     "density_ratio",
     "reinitialize",
     "connected_components",
+    "split_components",
     "perimeter",
     "roundness",
     "disk",
     "rectangle",
     "half_plane",
     "star_blob",
-    "union",
-    "intersection",
     "difference",
     "write_field_dump",
     "read_field_dump",
@@ -88,11 +87,6 @@ class Grid:
         """(x0, y0, x1, y1) of the covered box."""
         x0, y0 = self.origin
         return (x0, y0, x0 + (self.nx - 1) * self.h, y0 + (self.ny - 1) * self.h)
-
-    @property
-    def diameter(self) -> float:
-        x0, y0, x1, y1 = self.extent
-        return math.hypot(x1 - x0, y1 - y0)
 
     @classmethod
     def from_box(cls, x0: float, y0: float, x1: float, y1: float, nx: int, ny: int) -> "Grid":
@@ -155,10 +149,6 @@ class BoundaryMesh:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +582,6 @@ def star_blob(
     return GridDomain(grid, np.hypot(dx, dy) - r_of_theta)
 
 
-def union(a: GridDomain, b: GridDomain) -> GridDomain:
-    return a.with_phi(np.minimum(a.phi, b.phi))
-
-
-def intersection(a: GridDomain, b: GridDomain) -> GridDomain:
-    return a.with_phi(np.maximum(a.phi, b.phi))
-
-
 def difference(a: GridDomain, b: GridDomain) -> GridDomain:
     """Set difference a \\ b."""
     return a.with_phi(np.maximum(a.phi, -b.phi))
@@ -629,9 +611,13 @@ def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     _DUMP_HEADER_MAX bytes, and the payload must be exactly 8*nx*ny bytes,
     checked against the file before anything is allocated from the header
     sizes. The v1 text dumps of older runs ("GRIDDUMP v1 ...") are rejected
-    from their header line alone; nothing has written them since v2."""
+    from their header line alone; nothing has written them since v2. A header
+    token must be ASCII without "_" (int and float would read "3_3" or an
+    Arabic-Indic digit as a number)."""
     with open(path, "rb") as f:
         line = f.readline(_DUMP_HEADER_MAX)
+        if not line.isascii() or b"_" in line:
+            raise ValueError(f"grid dump header has a non-ASCII or '_' token: {line!r}")
         header = line.decode().split()
         if header[:2] == [_DUMP_MAGIC, "v1"]:
             raise ValueError("GRIDDUMP v1 text dumps are no longer read; "

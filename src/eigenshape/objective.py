@@ -312,10 +312,6 @@ class WeightVector:
                 out[list(tag)] = self.xi[list(tag)].mean()
         return out
 
-    @property
-    def sum(self) -> float:
-        return float(self.xi.sum())
-
 
 def grad_Fp(
     spec: ObjectiveSpec,

@@ -105,7 +105,6 @@ class TraceRecord:
     objective: float            # F_p + |Omega| + E, the quantity that descends
     volume: float
     lambdas: tuple[float, ...]  # first n eigenvalues
-    sum_xi: float
     E: float
     dt: float
 
@@ -326,7 +325,6 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
             objective=st.objective,
             volume=st.vol,
             lambdas=tuple(float(v) for v in st.kappa),
-            sum_xi=st.weights.sum,
             E=st.E,
             dt=dt,
         ))

@@ -29,6 +29,8 @@ from eigenshape import Grid, GridDomain, SpectralError, disk, solve_torsion
 from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
+    _CONFIG_KEYS,
+    _get,
     _sha256,
     _write_csv,
     build_objective,
@@ -94,10 +96,49 @@ def test_load_config_missing(tmp_path):
 
 def test_load_config_inline_comments_and_case(tmp_path):
     path = tmp_path / "c.ini"
-    path.write_text("[shape]\nkind = disk  # a circle\nR = 1.5 ; big\n")
+    path.write_text("[shape]\nkind = disk  # a circle\nr = 1.5 ; big\n")
     cp = load_config(path)
     assert cp.get("shape", "kind") == "disk"
-    assert cp.get("shape", "R") == "1.5"  # key case preserved
+    assert cp.get("shape", "r") == "1.5"
+    path.write_text("[shape]\nkind = disk\nR = 1.5\n")
+    with pytest.raises(ConfigError, match=r"unknown key \[shape\] R "):  # case preserved
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("solve", "modez"), ("solv", "modes"), ("DEFAULT", "seed"), ("diagnose", "probe"),
+])
+@pytest.mark.parametrize("command", ["solve", "optimize", "sweep-p", "diagnose"])
+def test_unknown_config_section_or_key_exit_2(small_run, tmp_path, capsys, command,
+                                              section, key):
+    sections = (diagnose_sections(small_run) if command == "diagnose"
+                else _small_sections())
+    sections.setdefault(section, {})[key] = 3
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_single(command, str(cfg), str(out), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"[{section}]" in err and key in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_config_keys_cover_every_read_and_every_fuzzed_key(tmp_path):
+    known = {(section, key) for section, keys in _CONFIG_KEYS.items() for key in keys}
+    assert set(_FUZZ_KEYS) <= known
+    cp = load_config(write_ini(tmp_path / "c.ini", {"solve": {"modes": 2}}))
+    with pytest.raises(KeyError, match="modez"):
+        _get(cp, "solve", "modez", int)
+
+
+def test_readme_configs_load(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text().split("```ini\n")[1:]
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.ini"
+        path.write_text(block.split("```")[0])
+        load_config(path)
 
 
 def test_build_shape_unknown_kind(tmp_path):
@@ -983,6 +1024,23 @@ def _diagnose_small(run, tmp_path, capsys):
     code = run_single("diagnose", str(cfg), str(dout), None, False)
     report = dout / "report.json"
     return code, capsys.readouterr().err, report.read_bytes() if report.exists() else None
+
+
+@pytest.mark.parametrize("header", ["GRIDDUMP v2 3_3 33 0.125 -2.0 -2.0",
+                                    "GRIDDUMP v2 33 \u06633 0.125 -2.0 -2.0"],
+                         ids=["underscore", "non_ascii_digit"])
+def test_dump_header_token_rule_exit_2(small_run, tmp_path, capsys, header):
+    # int() and float() would read either header as a 33x33 grid
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    head, _, body = (run / "domain.grid").read_bytes().partition(b"\n")
+    assert head == b"GRIDDUMP v2 33 33 0.125 -2.0 -2.0"
+    (run / "domain.grid").write_bytes(header.encode() + b"\n" + body)
+    with pytest.raises(ValueError, match="ASCII"):
+        read_field_dump(run / "domain.grid")
+    code, err, _ = _diagnose_small(run, tmp_path, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "domain.grid" in err
 
 
 def test_diagnose_xi_without_rows_exit_2(small_run, tmp_path, capsys):

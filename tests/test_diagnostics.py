@@ -564,8 +564,6 @@ def test_scaling_shift_equivariant_families(disk_sp):
         rep = scaling_check(spec, disk_sp)
         assert rep.forward == pytest.approx(np.ones_like(rep.forward), abs=1e-9)
         assert rep.backward == pytest.approx(np.ones_like(rep.backward), abs=1e-9)
-        assert rep.min_forward > 0.9
-        assert rep.max_backward < 1.1
 
 
 def test_scaling_linear_family(disk_sp):
@@ -585,7 +583,7 @@ def test_simplicity_reports(grid129, disk_sp):
     rep = simplicity_report(disk_sp)
     assert len(rep.rel_gaps) == 2
     assert rep.clusters == ((0,), (1, 2))
-    assert rep.min_gap < 1e-3  # the degenerate pair
+    assert min(rep.rel_gaps) < 1e-3  # the degenerate pair
     sq = solve_spectrum(rectangle(grid129, -1.0, -1.0, 1.0, 1.0), 4, tol=1e-9)
     rep_sq = simplicity_report(sq)
     assert rep_sq.clusters == ((0,), (1, 2), (3,))

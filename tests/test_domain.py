@@ -22,7 +22,6 @@ from eigenshape.domain import (
     extract_boundary,
     half_plane,
     inside_fraction,
-    intersection,
     perimeter,
     read_field_dump,
     read_grid_dump,
@@ -31,7 +30,6 @@ from eigenshape.domain import (
     roundness,
     split_components,
     star_blob,
-    union,
     volume,
     write_field_dump,
     write_grid_dump,
@@ -52,7 +50,7 @@ def test_grid_geometry(grid):
     assert X.shape == (129, 129)
     assert X[0, 5] == pytest.approx(grid.xs[5])
     assert Y[7, 0] == pytest.approx(grid.ys[7])
-    assert grid.diameter == pytest.approx(math.hypot(4.0, 4.0))
+    assert grid.extent == (-2.0, -2.0, 2.0, 2.0)
 
 
 def test_grid_rejects_anisotropic_spacing():
@@ -302,7 +300,7 @@ def test_extract_boundary_matches_cell_loop_on_quantized_fields(levels):
     ny, nx = levels.shape
     d = GridDomain(Grid(nx=nx, ny=ny, h=0.25), 0.5 * levels)
     if d.is_empty or d.inside.all():
-        assert extract_boundary(d).is_empty
+        assert len(extract_boundary(d)) == 0
         return
     _assert_boundary_matches_reference(d)
 
@@ -339,7 +337,8 @@ def test_perimeter_and_roundness(grid):
 
 def test_components_and_split(grid):
     one = disk(grid, (0.0, 0.0), 0.8)
-    two = union(disk(grid, (-1.0, 0.0), 0.5), disk(grid, (1.0, 0.3), 0.7))
+    a, b = disk(grid, (-1.0, 0.0), 0.5), disk(grid, (1.0, 0.3), 0.7)
+    two = a.with_phi(np.minimum(a.phi, b.phi))
     assert connected_components(one) == 1
     assert connected_components(two) == 2
     parts = split_components(two)
@@ -350,10 +349,6 @@ def test_components_and_split(grid):
 
 
 def test_boolean_operations(grid):
-    a = disk(grid, (-0.6, 0.0), 0.5)
-    b = disk(grid, (0.6, 0.0), 0.5)
-    assert volume(union(a, b)) == pytest.approx(2 * math.pi * 0.25, rel=2e-3)
-    assert volume(intersection(a, b)) == pytest.approx(0.0, abs=1e-6)
     ring = difference(disk(grid, (0.0, 0.0), 1.0), disk(grid, (0.0, 0.0), 0.5))
     assert volume(ring) == pytest.approx(math.pi * (1.0 - 0.25), rel=2e-3)
 

@@ -172,8 +172,8 @@ def test_degenerate_pair_closed_form():
     for p in (16.0, 32.0, 64.0):
         w = grad_Fp(spec, [2.0, 2.0], p)
         assert w.xi[0] - w.xi[1] == pytest.approx(1.0 / p, abs=1e-14)
-        assert w.sum == pytest.approx(3.0 / p + 2 ** (1.0 / p), abs=2e-14)
-        assert abs(w.sum - 1.0) <= 4.0 / p
+        assert w.xi.sum() == pytest.approx(3.0 / p + 2 ** (1.0 / p), abs=2e-14)
+        assert abs(w.xi.sum() - 1.0) <= 4.0 / p
         assert np.all(w.xi > 0)
 
 
@@ -225,8 +225,8 @@ def test_symmetrized_preserves_cluster_sums():
     sym = w.symmetrized()
     assert sym[0] == 0.1
     assert sym[1] == sym[2] == pytest.approx(0.4)
-    assert sym.sum() == pytest.approx(w.sum)
-    assert w.sum == pytest.approx(0.9)
+    assert sym.sum() == pytest.approx(w.xi.sum())
+    assert w.xi.sum() == pytest.approx(0.9)
 
 
 def test_xi0_defaults_to_one():
