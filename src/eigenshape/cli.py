@@ -82,29 +82,24 @@ class ConfigError(Exception):
 # config parsing
 # ---------------------------------------------------------------------------
 
-#: every config section and its keys, over all four commands: load_config
-#: rejects any other, and _get reads no other
-_CONFIG_KEYS = {
-    "run": ("name", "seed"),
-    "grid": ("x0", "y0", "x1", "y1", "nx", "ny"),
-    "shape": ("kind", "path", "cx", "cy", "r", "side", "x0", "y0", "x1", "y1",
-              "r0", "amp", "modes", "mirror", "sep"),
-    "objective": ("family", "n", "index", "coeffs", "subset", "beta"),
-    "regularization": ("p", "quad_nodes"),
-    "penalty": ("s", "reference"),
-    "optimizer": ("dt0", "max_steps", "conv_tol", "reinit_every", "eig_tol", "modes"),
-    "solve": ("modes", "tol", "torsion"),
-    "sweep": ("schedule",),
-    "diagnose": ("domain", "spectrum", "xi", "radii", "probes"),
-}
+class _Config(configparser.ConfigParser):
+    """A parsed config that records every ``(section, key)`` looked up, present or not."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#", ";"))
+        self.optionxform = str
+        self.looked_up: set[tuple[str, str]] = set()
+
+    def has_option(self, section, option):
+        self.looked_up.add((section, option))
+        return super().has_option(section, option)
 
 
-def load_config(path) -> configparser.ConfigParser:
+def load_config(path) -> _Config:
     p = pathlib.Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.optionxform = str
+    cp = _Config()
     try:
         with open(p) as f:
             cp.read_file(f)
@@ -112,21 +107,10 @@ def load_config(path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot parse {p}: {err}") from err
     if cp.defaults():
         raise ConfigError(f"{p}: [DEFAULT] is not read, yet it sets {', '.join(cp.defaults())}")
-    for section in cp.sections():
-        known = _CONFIG_KEYS.get(section)
-        if known is None:
-            raise ConfigError(f"{p}: unknown section [{section}] (keys: "
-                              f"{', '.join(cp[section]) or 'none'})")
-        for key in cp[section]:
-            if key not in known:
-                raise ConfigError(f"{p}: unknown key [{section}] {key} "
-                                  f"(known: {', '.join(known)})")
     return cp
 
 
 def _get(cp, section, key, cast, default=None, required=False):
-    if key not in _CONFIG_KEYS[section]:  # a programming error, not a config one
-        raise KeyError(f"[{section}] {key} is not in _CONFIG_KEYS")
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing [{section}] {key}")
@@ -141,6 +125,17 @@ def _get(cp, section, key, cast, default=None, required=False):
                           "one of 1/0, true/false, yes/no, on/off") from err
     except ValueError as err:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from err
+
+
+def _reject_unread(cp: _Config, command: str) -> None:
+    """A ConfigError naming a section or key that ``command`` did not look up; every
+    command calls it once it has looked up all its keys, before it writes or solves."""
+    for section in cp.sections():
+        unread = [key for key in cp.options(section) if (section, key) not in cp.looked_up]
+        if unread:
+            raise ConfigError(f"[{section}] {unread[0]} is not read by {command}")
+        if not any(s == section for s, _ in cp.looked_up):
+            raise ConfigError(f"[{section}] is not read by {command}")
 
 
 def _floats(raw: str) -> list[float]:
@@ -206,18 +201,12 @@ def build_grid(cp) -> Grid:
 
 
 def build_shape(cp, seed: int) -> GridDomain:
+    """The initial domain of ``[shape]``; each kind looks up only its own keys."""
     kind = _get(cp, "shape", "kind", str, required=True)
     if kind == "file":
         return _read_domain(_get(cp, "shape", "path", str, required=True))
     grid = build_grid(cp)
     try:  # a constructor rejects e.g. a non-finite size or centre
-        cx = _get(cp, "shape", "cx", float, 0.0)
-        cy = _get(cp, "shape", "cy", float, 0.0)
-        if kind == "disk":
-            return disk(grid, (cx, cy), _get(cp, "shape", "r", float, 1.0))
-        if kind == "square":
-            half = 0.5 * _get(cp, "shape", "side", float, 2.0)
-            return rectangle(grid, cx - half, cy - half, cx + half, cy + half)
         if kind == "rectangle":
             return rectangle(
                 grid,
@@ -226,26 +215,30 @@ def build_shape(cp, seed: int) -> GridDomain:
                 _get(cp, "shape", "x1", float, required=True),
                 _get(cp, "shape", "y1", float, required=True),
             )
-        if kind == "lshape":
+        cy = _get(cp, "shape", "cy", float, 0.0)
+        if kind == "two_blobs":  # the left blob; the pair is mirrored about x = 0
+            cx = -0.5 * _get(cp, "shape", "sep", float, 2.1)
+        else:
+            cx = _get(cp, "shape", "cx", float, 0.0)
+        if kind == "disk":
+            return disk(grid, (cx, cy), _get(cp, "shape", "r", float, 1.0))
+        if kind in ("square", "lshape"):
             half = 0.5 * _get(cp, "shape", "side", float, 2.0)
             box = rectangle(grid, cx - half, cy - half, cx + half, cy + half)
+            if kind == "square":
+                return box
             notch = rectangle(grid, cx, cy, cx + half + grid.h, cy + half + grid.h)
             return difference(box, notch)
-        rng = np.random.default_rng(seed)
-        r0 = _get(cp, "shape", "r0", float, 0.9)
-        amp = _get(cp, "shape", "amp", float, 0.2)
-        n_modes = _get(cp, "shape", "modes", int, 5)
+        if kind not in ("blob", "two_blobs"):
+            raise ConfigError(f"unknown shape kind {kind!r}")
+        mirror = True if kind == "two_blobs" else _get(cp, "shape", "mirror", bool, False)
+        blob = star_blob(grid, (cx, cy), _get(cp, "shape", "r0", float, 0.9),
+                         _get(cp, "shape", "amp", float, 0.2), _get(cp, "shape", "modes", int, 5),
+                         np.random.default_rng(seed), mirror_x=mirror)
         if kind == "blob":
-            mirror = _get(cp, "shape", "mirror", bool, False)
-            return star_blob(grid, (cx, cy), r0, amp, n_modes, rng, mirror_x=mirror)
-        if kind == "two_blobs":
-            sep = _get(cp, "shape", "sep", float, 2.1)
-            left = star_blob(grid, (-0.5 * sep, cy), r0, amp, n_modes, rng,
-                             mirror_x=True)
-            # exact mirror image about x = 0 on a symmetric node lattice
-            phi = np.minimum(left.phi, left.phi[:, ::-1])
-            return GridDomain(grid, phi)
-        raise ConfigError(f"unknown shape kind {kind!r}")
+            return blob
+        # exact mirror image about x = 0 on a symmetric node lattice
+        return GridDomain(grid, np.minimum(blob.phi, blob.phi[:, ::-1]))
     except ValueError as err:
         raise ConfigError(f"bad [shape] {kind}: {err}") from err
 
@@ -327,7 +320,6 @@ def _write_json(obj, path) -> None:
 def write_manifest(out: pathlib.Path, cp, command: str, seed: int,
                    wall: float, extra: dict) -> None:
     manifest = {
-        "name": _get(cp, "run", "name", str, out.name) if cp.has_section("run") else out.name,
         "version": VERSION_STRING,
         "command": command,
         "seed": seed,
@@ -402,6 +394,7 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     if not 0 < tol < math.inf:
         raise ConfigError(f"[solve] tol must be finite and > 0, got {tol}")
     torsion = _get(cp, "solve", "torsion", bool, True)
+    _reject_unread(cp, "solve")
     write_grid_dump(d, out / "domain.grid")
     try:
         factors = factor_laplacian(d)
@@ -418,6 +411,7 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
 
 def cmd_optimize(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
+    _reject_unread(cp, "optimize")
     (trace,), _, code = _run_flow(out, d0, cfg, [cfg.reg.p], "optimize", "trace.csv")
     return code, _stage_summary(trace)
 
@@ -425,6 +419,7 @@ def cmd_optimize(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
 def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
     schedule = _get(cp, "sweep", "schedule", _floats, [4.0, 8.0, 16.0, 32.0])
+    _reject_unread(cp, "sweep-p")
     traces, labels, code = _run_flow(out, d0, cfg, schedule, "sweep-p", "trace_p{}.csv")
     _write_csv(out / "xi_trace.csv", "p,k,xi",
                ((label, k, val) for label, tr in zip(labels, traces)
@@ -502,8 +497,14 @@ def _diagnose_paths(cp) -> tuple[str, pathlib.Path, str]:
 
 
 def _load_diagnose_inputs(cp):
-    """The domain, spectrum and weights that ``[diagnose]`` names."""
-    dom_path, spec_path, xi_path = _diagnose_paths(cp)
+    """The domain, spectrum and weights that ``[diagnose]`` names; any
+    ConfigParser will do."""
+    return _read_diagnose_inputs(*_diagnose_paths(cp))
+
+
+def _read_diagnose_inputs(dom_path: str, spec_path: pathlib.Path, xi_path: str):
+    """The domain, spectrum (with the ``mode_k.grid`` dumps next to
+    ``spec_path``) and weights of a previous run."""
     d = _read_domain(dom_path)
     _, lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
     if len(lambdas) == 0:
@@ -524,12 +525,10 @@ def _load_diagnose_inputs(cp):
     return d, sp, w
 
 
-def _load_torsion(cp, d: GridDomain):
-    """The torsion function of the ``[diagnose]`` domain ``d``: the
-    ``torsion.grid`` that solve wrote next to the spectrum, once it passes
-    the check of solve's own solution, or a fresh solve when there is no
-    such file."""
-    dom_path, spec_path, _ = _diagnose_paths(cp)
+def _load_torsion(d: GridDomain, dom_path: str, spec_path: pathlib.Path):
+    """The torsion function of ``d`` (read from ``dom_path``): the ``torsion.grid``
+    that solve wrote next to ``spec_path``, once it passes the check of solve's
+    own solution, or a fresh solve when there is no such file."""
     path = spec_path.parent / "torsion.grid"
     if not path.is_file():
         return solve_torsion(d)
@@ -540,24 +539,20 @@ def _load_torsion(cp, d: GridDomain):
                           f"{err}") from err
 
 
-def _diagnose_probing(cp, h: float) -> tuple[tuple[float, ...], int]:
-    """The probe radii (default 4h 6h 8h 12h; checked by :func:`probe_radii`)
-    and the number of probes (at least 1) of ``[diagnose]``."""
+def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
+    dom_path, spec_path, xi_path = _diagnose_paths(cp)
+    radii = _get(cp, "diagnose", "radii", _floats)  # default 4h 6h 8h 12h
+    n_probes = _get(cp, "diagnose", "probes", int, 48)
+    if n_probes < 1:
+        raise ConfigError(f"[diagnose] probes must be >= 1, got {n_probes}")
+    spec = build_objective(cp) if cp.has_section("objective") else None
+    _reject_unread(cp, "diagnose")
+    d, sp, w = _read_diagnose_inputs(dom_path, spec_path, xi_path)
+    h = d.grid.h
     try:
-        radii = probe_radii(_get(cp, "diagnose", "radii", _floats,
-                                 [4 * h, 6 * h, 8 * h, 12 * h]), h)
+        radii = probe_radii([4 * h, 6 * h, 8 * h, 12 * h] if radii is None else radii, h)
     except ValueError as err:
         raise ConfigError(f"[diagnose] {err}") from err
-    probes = _get(cp, "diagnose", "probes", int, 48)
-    if probes < 1:
-        raise ConfigError(f"[diagnose] probes must be >= 1, got {probes}")
-    return radii, probes
-
-
-def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
-    d, sp, w = _load_diagnose_inputs(cp)
-    radii, n_probes = _diagnose_probing(cp, d.grid.h)
-    spec = build_objective(cp) if cp.has_section("objective") else None
     bm = extract_boundary(d)
     report: dict = {
         "n_boundary": int(len(bm)),
@@ -577,7 +572,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
             "p90_abs": el.p90_abs,
             "n_reliable": int(len(el.values)),
         }
-        tf = _load_torsion(cp, d)
+        tf = _load_torsion(d, dom_path, spec_path)
         probe_pts = bm.points[::max(1, len(bm) // n_probes)]
         probes = weiss_profile(d, sp, w, probe_pts, radii)
         write_weiss_csv(probes, out / "weiss.csv")
@@ -621,7 +616,8 @@ def run_single(command: str, config_path: str, out_dir: str,
     """One config through one subcommand; returns the exit code."""
     try:
         cp = load_config(config_path)
-        seed = seed_override if seed_override is not None else _get(cp, "run", "seed", int, 0)
+        seed = _get(cp, "run", "seed", int, 0)  # looked up under --seed too: it is read
+        seed = seed if seed_override is None else seed_override
         out = pathlib.Path(out_dir)
         if check:
             return _run_check(command, cp, out, seed)
@@ -638,9 +634,10 @@ def run_single(command: str, config_path: str, out_dir: str,
 def _run_command(command: str, cp, out: pathlib.Path, seed: int) -> int:
     """One subcommand into ``out``, then its manifest, timed over the whole
     command; returns the exit code. A ConfigError leaves no manifest."""
+    name = _get(cp, "run", "name", str, out.name)
     t0 = time.perf_counter()
     code, extra = _COMMANDS[command](cp, out, seed)
-    write_manifest(out, cp, command, seed, time.perf_counter() - t0, extra)
+    write_manifest(out, cp, command, seed, time.perf_counter() - t0, {"name": name, **extra})
     return code
 
 

@@ -144,8 +144,8 @@ class RegularizationParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and self.p >= 2):
             raise ValueError(f"p must be finite and >= 2, got {self.p}")
-        if self.quad_nodes < 2:
-            raise ValueError(f"need at least 2 quadrature nodes, got {self.quad_nodes}")
+        if not 2 <= self.quad_nodes <= 16:  # the cell rule has quad_nodes ** n nodes
+            raise ValueError(f"quad_nodes must be in 2..16 (quadrature nodes), got {self.quad_nodes}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

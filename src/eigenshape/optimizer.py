@@ -93,6 +93,8 @@ class OptimizerConfig:
             raise ValueError(f"eig_tol must be finite and > 0, got {self.eig_tol}")
         if self.max_steps < 1 or self.reinit_every < 1:
             raise ValueError("max_steps and reinit_every must be >= 1")
+        if self.modes is not None and self.modes < self.spec.n:
+            raise ValueError(f"modes must be >= n = {self.spec.n}, got {self.modes}")
 
     @property
     def n_modes(self) -> int:

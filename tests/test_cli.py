@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -29,8 +30,6 @@ from eigenshape import Grid, GridDomain, SpectralError, disk, solve_torsion
 from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
-    _CONFIG_KEYS,
-    _get,
     _sha256,
     _write_csv,
     build_objective,
@@ -100,9 +99,6 @@ def test_load_config_inline_comments_and_case(tmp_path):
     cp = load_config(path)
     assert cp.get("shape", "kind") == "disk"
     assert cp.get("shape", "r") == "1.5"
-    path.write_text("[shape]\nkind = disk\nR = 1.5\n")
-    with pytest.raises(ConfigError, match=r"unknown key \[shape\] R "):  # case preserved
-        load_config(path)
 
 
 @pytest.mark.parametrize("section, key", [
@@ -112,7 +108,7 @@ def test_load_config_inline_comments_and_case(tmp_path):
 def test_unknown_config_section_or_key_exit_2(small_run, tmp_path, capsys, command,
                                               section, key):
     sections = (diagnose_sections(small_run) if command == "diagnose"
-                else _small_sections())
+                else _small_sections(command))
     sections.setdefault(section, {})[key] = 3
     cfg = write_ini(tmp_path / "c.ini", sections)
     capsys.readouterr()
@@ -123,22 +119,97 @@ def test_unknown_config_section_or_key_exit_2(small_run, tmp_path, capsys, comma
     assert not (out / "manifest.json").exists()
 
 
-def test_config_keys_cover_every_read_and_every_fuzzed_key(tmp_path):
-    known = {(section, key) for section, keys in _CONFIG_KEYS.items() for key in keys}
-    assert set(_FUZZ_KEYS) <= known
-    cp = load_config(write_ini(tmp_path / "c.ini", {"solve": {"modes": 2}}))
-    with pytest.raises(KeyError, match="modez"):
-        _get(cp, "solve", "modez", int)
+@pytest.mark.parametrize("command, kind, family, edits, named", [
+    ("solve", "square", "single", {"shape": {"r": 0.5}}, "[shape] r "),
+    ("solve", "rectangle", "single", {"shape": {"cx": 5}}, "[shape] cx "),
+    ("solve", "two_blobs", "single", {"shape": {"cx": 0.7}}, "[shape] cx "),
+    ("solve", "file", "single", {"grid": {"nx": 33}}, "[grid] nx "),
+    ("solve", "disk", "single", {"shape": {"R": 1.5}}, "[shape] R "),  # case preserved
+    ("solve", "disk", "single", {"optimizer": {"dt0": 9}}, "[optimizer] dt0 "),
+    ("solve", "disk", "single", {"solv": {}}, "[solv] "),
+    ("optimize", "disk", "single", {"objective": {"beta": 2.0}}, "[objective] beta "),
+    ("optimize", "disk", "single", {"sweep": {"schedule": "8 16"}}, "[sweep] schedule "),
+], ids=["square_r", "rectangle_cx", "two_blobs_cx", "file_grid", "upper_case_R",
+        "optimizer_under_solve", "keyless_section", "single_beta", "sweep_under_optimize"])
+def test_unread_key_exit_2(small_run, tmp_path, capsys, command, kind, family, edits, named):
+    # a key that the command, the shape kind or the family does not read
+    if kind == "file":
+        edits = {**edits, "shape": {"path": str(small_run / "domain.grid")}}
+    cfg = write_ini(tmp_path / "c.ini", _small_sections(command, kind, family, **edits))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single(command, str(cfg), str(out), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{named}is not read by {command}" in err
+    assert list(out.iterdir()) == []  # no manifest, and solve wrote no domain.grid
 
 
-def test_readme_configs_load(tmp_path):
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    blocks = readme.read_text().split("```ini\n")[1:]
+#: the keys that _small_sections leaves at their defaults, at those defaults
+#: ([penalty] reference names a file)
+_DEFAULTED = {
+    "run": {"name": "every-key"},
+    "grid": {"x0": -2.0, "y0": -2.0, "x1": 2.0, "y1": 2.0},
+    "solve": {"tol": 1e-8, "torsion": "no"},
+    "regularization": {"quad_nodes": 4},
+    "optimizer": {"conv_tol": 1e-6, "reinit_every": 5, "eig_tol": 1e-8, "modes": 3},
+    "penalty": {"s": 0.02},
+}
+
+
+@pytest.mark.parametrize("command, kind, family", [
+    *(("solve", kind, "single") for kind in ("disk", "square", "rectangle", "lshape",
+                                             "blob", "two_blobs", "file")),
+    *(("optimize", "disk", family) for family in ("single", "linear", "softmin")),
+    ("sweep-p", "blob", "softmin"),
+    ("diagnose", None, "linear"),
+])
+def test_config_of_every_read_key_exit_0(small_run, tmp_path, monkeypatch, command, kind,
+                                         family):
+    # every command, shape kind and family runs from a config that sets every
+    # key it looks up, and looks up every key that the config sets
+    if command == "diagnose":
+        sections = diagnose_sections(small_run)
+        sections["diagnose"]["radii"] = "0.5 0.75"
+        sections["objective"] = {"family": family, **_OBJECTIVES[family]}
+        sections["run"] = {"seed": 3}
+    else:
+        sections = _small_sections(command, kind, family)
+    for section, kv in _DEFAULTED.items():
+        if section in sections:
+            sections[section].update(kv)
+    reference = str(small_run / "domain.grid")  # the 33x33 grid of _small_sections
+    if kind == "file":
+        sections["shape"]["path"] = reference
+    if "penalty" in sections:
+        sections["penalty"]["reference"] = reference
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    loaded = []
+    monkeypatch.setattr("eigenshape.cli.load_config",
+                        lambda path: loaded.append(load_config(path)) or loaded[-1])
+    assert run_single(command, str(cfg), str(tmp_path / "out"), None, False) == 0
+    (cp,) = loaded
+    assert cp.looked_up == {(s, k) for s in cp.sections() for k in cp.options(s)}
+
+
+class _PastConfigCheck(Exception):
+    """Raised by the first step after a command's config check."""
+
+
+def test_readme_configs_load(tmp_path, monkeypatch):
+    # each ini block passes the config check of the command that the README
+    # runs it with ("eigenshape <command> --config <its first-line name>")
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for target in ("write_grid_dump", "_run_flow", "_read_diagnose_inputs"):
+        monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(_PastConfigCheck()))
+    blocks = [block.split("```")[0] for block in readme.split("```ini\n")[1:]]
     assert len(blocks) >= 2
-    for i, block in enumerate(blocks):
-        path = tmp_path / f"readme_{i}.ini"
-        path.write_text(block.split("```")[0])
-        load_config(path)
+    for block in blocks:
+        name = block.splitlines()[0].lstrip(";").strip()
+        command = re.search(rf"eigenshape (\S+) +--config {re.escape(name)} ", readme)[1]
+        path = tmp_path / name
+        path.write_text(block)
+        with pytest.raises(_PastConfigCheck):
+            run_single(command, str(path), str(tmp_path / "out"), None, False)
 
 
 def test_build_shape_unknown_kind(tmp_path):
@@ -185,7 +256,8 @@ def test_objective_list_not_numeric_exit_2(tmp_path, capsys, objective):
     ("shape", "mirror", "maybe"),
 ])
 def test_unrecognised_boolean_exit_2(tmp_path, capsys, section, key, value):
-    sections = solve_sections(kind="blob", r0=0.9, amp=0.1, modes=3)
+    sections = solve_sections()
+    sections["shape"] = {"kind": "blob", "r0": 0.9, "amp": 0.1, "modes": 3}
     sections[section][key] = value
     cfg = write_ini(tmp_path / "c.ini", sections)
     capsys.readouterr()
@@ -457,7 +529,8 @@ def test_sweep_p_colliding_stage_labels_exit_2(tmp_path, capsys):
 def test_sweep_p_non_finite_stage_exit_2_before_any_stage(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("eigenshape.optimizer.optimize",
                         _raise(AssertionError("a stage ran")))
-    cfg = write_ini(tmp_path / "sweep.ini", _small_sections(sweep={"schedule": "8 nan"}))
+    cfg = write_ini(tmp_path / "sweep.ini",
+                    _small_sections("sweep-p", sweep={"schedule": "8 nan"}))
     out = tmp_path / "out"
     capsys.readouterr()
     assert run_single("sweep-p", str(cfg), str(out), None, False) == 2
@@ -487,7 +560,7 @@ def test_sweep_p_aborted_stage_exit_1_with_one_line(tmp_path, capsys, monkeypatc
                                                      edits, patch, label, cause):
     if patch is not None:
         patch(monkeypatch)
-    cfg = write_ini(tmp_path / "sweep.ini", _small_sections(**edits))
+    cfg = write_ini(tmp_path / "sweep.ini", _small_sections("sweep-p", **edits))
     out = tmp_path / "out"
     capsys.readouterr()
     assert run_single("sweep-p", str(cfg), str(out), None, False) == 1
@@ -507,7 +580,7 @@ def test_optimize_aborted_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
                                                edits, patch, cause):
     if patch is not None:
         patch(monkeypatch)
-    cfg = write_ini(tmp_path / "opt.ini", _small_sections(**edits))
+    cfg = write_ini(tmp_path / "opt.ini", _small_sections("optimize", **edits))
     out = tmp_path / "out"
     capsys.readouterr()
     assert run_single("optimize", str(cfg), str(out), None, False) == 1
@@ -527,37 +600,63 @@ def test_optimize_aborted_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
     ("optimizer", "eig_tol", "nan", "optimize"),
     ("optimizer", "eig_tol", "0", "sweep-p"),
     ("optimizer", "eig_tol", "-1e-8", "optimize"),
+    ("optimizer", "modes", "1", "optimize"),            # below [objective] n = 2
+    ("regularization", "quad_nodes", "17", "sweep-p"),  # 17 ** n cell nodes
 ])
 def test_unusable_solver_value_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
                                                        section, key, value, command):
     for target in ("eigenshape.cli.factor_laplacian", "eigenshape.optimizer.solve_spectrum"):
         monkeypatch.setattr(target, _raise(AssertionError("a solve ran")))
-    cfg = write_ini(tmp_path / "c.ini", _small_sections(**{section: {key: value}}))
+    cfg = write_ini(tmp_path / "c.ini",
+                    _small_sections(command, family="linear", **{section: {key: value}}))
     capsys.readouterr()
     assert run_single(command, str(cfg), str(tmp_path / "out"), None, False) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"{key} must be finite" in err
+    must = {"modes": "modes must be >= n = 2", "quad_nodes": "quad_nodes must be in 2..16"}
+    assert err.count("\n") == 1 and must.get(key, f"{key} must be finite") in err
 
 
 # ---- config fuzz ------------------------------------------------------
 
 
-def _small_sections(**edits):
-    """A 33x33 config that every command runs in at most 2 steps per stage,
-    with ``edits`` ({section: {key: value}}) applied."""
-    sections = {
-        "run": {"seed": 3},
-        "grid": {"nx": 33, "ny": 33},
-        "shape": {"kind": "disk", "r": 1.2, "x0": -1.0, "y0": -1.0, "x1": 1.0, "y1": 1.0},
-        "solve": {"modes": 2},
-        "objective": {"family": "single", "n": 1},
-        "regularization": {"p": 32},
-        "optimizer": {"dt0": 0.4, "max_steps": 2},
-        "sweep": {"schedule": "8 16"},
-        "penalty": {},
-    }
+#: every [shape] key that each kind reads besides kind, at values that fit
+#: the 33x33 grid of _small_sections (kind = file reads only its path)
+_SHAPES = {
+    "disk": {"cx": 0.0, "cy": 0.0, "r": 1.2},
+    "square": {"cx": 0.0, "cy": 0.0, "side": 2.0},
+    "rectangle": {"x0": -1.0, "y0": -1.0, "x1": 1.0, "y1": 1.0},
+    "lshape": {"cx": 0.0, "cy": 0.0, "side": 2.0},
+    "blob": {"cx": 0.0, "cy": 0.0, "r0": 0.9, "amp": 0.2, "modes": 5, "mirror": "no"},
+    "two_blobs": {"cy": 0.0, "r0": 0.7, "amp": 0.15, "modes": 4, "sep": 2.0},
+}
+#: every [objective] key that each family reads besides family
+_OBJECTIVES = {
+    "single": {"n": 1, "index": 1},
+    "linear": {"n": 2, "coeffs": "1.0 0.5"},
+    "softmin": {"n": 2, "subset": "1 2", "beta": 4.0},
+}
+
+
+def _small_sections(command, kind="disk", family="single", **edits):
+    """A 33x33 config of ``command`` (solve, optimize or sweep-p) that runs
+    in at most 2 steps per stage: the [shape] keys of ``kind``, the
+    [objective] keys of ``family``, then ``edits`` ({section: {key: value}}).
+    Before the edits, every section in it is one that ``command`` reads."""
+    sections = {"run": {"seed": 3}}
+    if kind != "file":
+        sections["grid"] = {"nx": 33, "ny": 33}
+    sections["shape"] = {"kind": kind, **_SHAPES.get(kind, {})}
+    if command == "solve":
+        sections["solve"] = {"modes": 2}
+    else:
+        sections.update(objective={"family": family, **_OBJECTIVES[family]},
+                        regularization={"p": 32},
+                        optimizer={"dt0": 0.4, "max_steps": 2},
+                        penalty={})
+    if command == "sweep-p":
+        sections["sweep"] = {"schedule": "8 16"}
     for section, kv in edits.items():
-        sections[section].update(kv)
+        sections.setdefault(section, {}).update(kv)
     return sections
 
 
@@ -568,7 +667,7 @@ def _small_sections(**edits):
 ], ids=["disk_r_nan", "disk_cx_inf", "blob_amp_inf"])
 @pytest.mark.parametrize("command", ["solve", "optimize", "sweep-p"])
 def test_non_finite_shape_value_exit_2(tmp_path, capsys, command, shape):
-    cfg = write_ini(tmp_path / "c.ini", _small_sections(shape=shape))
+    cfg = write_ini(tmp_path / "c.ini", _small_sections(command, shape["kind"], shape=shape))
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any numpy arithmetic warns
@@ -607,14 +706,11 @@ def _write_references(base: pathlib.Path) -> None:
 _FUZZ_KEYS = {
     **{("grid", k): st.integers(-1, 33).map(str) for k in ("nx", "ny")},
     **{("grid", k): _NUMBER for k in ("x0", "y0", "x1", "y1")},
-    ("shape", "kind"): st.sampled_from(["disk", "square", "rectangle", "lshape",
-                                        "blob", "two_blobs"]),
     **{("shape", k): _NUMBER
        for k in ("cx", "cy", "r", "side", "x0", "y0", "x1", "y1", "r0", "amp", "sep")},
     ("shape", "modes"): _COUNT,
     ("solve", "modes"): _COUNT,
     ("solve", "tol"): _NUMBER,
-    ("objective", "family"): st.sampled_from(["single", "linear", "softmin"]),
     ("objective", "n"): _COUNT,
     ("objective", "index"): _COUNT,
     ("objective", "beta"): _NUMBER,
@@ -629,26 +725,41 @@ _FUZZ_KEYS = {
     ("penalty", "s"): _NUMBER,
     ("penalty", "reference"): st.sampled_from(_REFERENCES),
 }
-_FUZZ_EDIT = st.sampled_from(sorted(_FUZZ_KEYS)).flatmap(
-    lambda key: st.tuples(st.just(key), _FUZZ_KEYS[key]))
 
 
-@example(command="solve", edits=[(("shape", "r"), "nan")])
-@example(command="optimize", edits=[(("shape", "kind"), "blob"), (("shape", "amp"), "inf")])
-@example(command="sweep-p", edits=[(("sweep", "schedule"), "32 32.000001")])
-@example(command="sweep-p", edits=[(("optimizer", "eig_tol"), "0")])
-@example(command="sweep-p", edits=[(("optimizer", "eig_tol"), "1e-300")])  # no first record
-@example(command="optimize", edits=[(("penalty", "s"), "-1")])
-@example(command="solve", edits=[(("solve", "tol"), "nan")])
-@example(command="sweep-p", edits=[(("sweep", "schedule"), "8 nan")])
-@example(command="optimize", edits=[(("penalty", "reference"), "ref_v1.grid"),
-                                    (("penalty", "s"), "0.02")])
-@example(command="optimize", edits=[(("penalty", "reference"), "ref_17x17.grid")])
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["solve", "optimize", "sweep-p"]),
-       edits=st.lists(_FUZZ_EDIT, max_size=3))
-def test_fuzzed_configs_exit_0_1_or_2(command, edits):
-    sections = _small_sections()
+@st.composite
+def _fuzz_cases(draw):
+    """A command, a shape kind and a family, then up to 3 edits of keys
+    that they read: every key of a section of their config, but only the
+    [shape] keys of the kind and the [objective] keys of the family."""
+    command = draw(st.sampled_from(["solve", "optimize", "sweep-p"]))
+    kind = draw(st.sampled_from(sorted(_SHAPES)))
+    family = draw(st.sampled_from(sorted(_OBJECTIVES)))
+    sections = _small_sections(command, kind, family)
+    read = sorted((section, key) for section, key in _FUZZ_KEYS if section in sections
+                  and (section not in ("shape", "objective") or key in sections[section]))
+    edit = st.sampled_from(read).flatmap(lambda key: st.tuples(st.just(key), _FUZZ_KEYS[key]))
+    return command, kind, family, draw(st.lists(edit, max_size=3))
+
+
+@example(case=("solve", "disk", "single", [(("shape", "r"), "nan")]))
+@example(case=("optimize", "blob", "single", [(("shape", "amp"), "inf")]))
+@example(case=("sweep-p", "disk", "single", [(("sweep", "schedule"), "32 32.000001")]))
+@example(case=("sweep-p", "disk", "single", [(("optimizer", "eig_tol"), "0")]))
+@example(case=("sweep-p", "disk", "single",
+               [(("optimizer", "eig_tol"), "1e-300")]))  # no first record
+@example(case=("optimize", "disk", "single", [(("penalty", "s"), "-1")]))
+@example(case=("solve", "disk", "single", [(("solve", "tol"), "nan")]))
+@example(case=("sweep-p", "disk", "single", [(("sweep", "schedule"), "8 nan")]))
+@example(case=("optimize", "disk", "single", [(("penalty", "reference"), "ref_v1.grid"),
+                                              (("penalty", "s"), "0.02")]))
+@example(case=("optimize", "disk", "single", [(("penalty", "reference"), "ref_17x17.grid")]))
+@example(case=("optimize", "disk", "linear", [(("optimizer", "modes"), "1")]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_fuzz_cases())
+def test_fuzzed_configs_exit_0_1_or_2(case):
+    command, kind, family, edits = case
+    sections = _small_sections(command, kind, family)
     with tempfile.TemporaryDirectory() as tmp:
         _write_references(pathlib.Path(tmp))
         for (section, key), value in edits:
@@ -1142,11 +1253,11 @@ def test_v1_dump_exit_2_at_every_input_site(torsion_run, tmp_path, capsys, site)
     if site.endswith(".grid"):
         code, err, _ = _diagnose_small(run, tmp_path, capsys)
     else:
-        command, edits = {
-            "shape": ("solve", {"shape": {"kind": "file", "path": str(path)}}),
-            "reference": ("optimize", {"penalty": {"s": 0.02, "reference": str(path)}}),
+        command, kind, edits = {
+            "shape": ("solve", "file", {"shape": {"path": str(path)}}),
+            "reference": ("optimize", "disk", {"penalty": {"s": 0.02, "reference": str(path)}}),
         }[site]
-        cfg = write_ini(tmp_path / "c.ini", _small_sections(**edits))
+        cfg = write_ini(tmp_path / "c.ini", _small_sections(command, kind, **edits))
         capsys.readouterr()
         code = run_single(command, str(cfg), str(tmp_path / "out"), None, False)
         err = capsys.readouterr().err

@@ -332,3 +332,6 @@ def test_regularization_params_validation():
         RegularizationParams(p=math.inf)
     with pytest.raises(ValueError, match="quadrature"):
         RegularizationParams(quad_nodes=1)
+    RegularizationParams(quad_nodes=16)
+    with pytest.raises(ValueError, match="quad_nodes must be in 2..16"):
+        RegularizationParams(quad_nodes=17)  # 17 ** n cell nodes per evaluation
