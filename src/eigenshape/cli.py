@@ -51,7 +51,6 @@ from .domain import (
 from .objective import (
     ObjectiveSpec,
     PenaltySpec,
-    RegularizationParams,
     WeightVector,
     kappa_clusters,
 )
@@ -231,10 +230,9 @@ def build_shape(cp, seed: int) -> GridDomain:
             return difference(box, notch)
         if kind not in ("blob", "two_blobs"):
             raise ConfigError(f"unknown shape kind {kind!r}")
-        mirror = True if kind == "two_blobs" else _get(cp, "shape", "mirror", bool, False)
         blob = star_blob(grid, (cx, cy), _get(cp, "shape", "r0", float, 0.9),
                          _get(cp, "shape", "amp", float, 0.2), _get(cp, "shape", "modes", int, 5),
-                         np.random.default_rng(seed), mirror_x=mirror)
+                         np.random.default_rng(seed), mirror_x=kind == "two_blobs")
         if kind == "blob":
             return blob
         # exact mirror image about x = 0 on a symmetric node lattice
@@ -268,22 +266,14 @@ def build_optimizer(cp, spec: ObjectiveSpec, seed: int) -> OptimizerConfig:
     if ref_path is not None:
         reference = _read_domain(ref_path)
     try:
-        pen = PenaltySpec(s=_get(cp, "penalty", "s", float, 0.0), reference=reference)
-        reg = RegularizationParams(
-            p=_get(cp, "regularization", "p", float, 32.0),
-            quad_nodes=_get(cp, "regularization", "quad_nodes", int, 4),
-        )
         return OptimizerConfig(
             spec=spec,
-            reg=reg,
-            pen=pen,
+            p=_get(cp, "regularization", "p", float, 32.0),
+            pen=PenaltySpec(s=_get(cp, "penalty", "s", float, 0.0), reference=reference),
             dt0=_get(cp, "optimizer", "dt0", float, 0.5),
             max_steps=_get(cp, "optimizer", "max_steps", int, 200),
             conv_tol=_get(cp, "optimizer", "conv_tol", float, 1e-6),
-            reinit_every=_get(cp, "optimizer", "reinit_every", int, 5),
             seed=seed,
-            eig_tol=_get(cp, "optimizer", "eig_tol", float, 1e-8),
-            modes=_get(cp, "optimizer", "modes", int, None),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -390,21 +380,18 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     M = _get(cp, "solve", "modes", int, 3)
     if M < 1:
         raise ConfigError(f"[solve] modes must be >= 1, got {M}")
-    tol = _get(cp, "solve", "tol", float, 1e-8)
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"[solve] tol must be finite and > 0, got {tol}")
     torsion = _get(cp, "solve", "torsion", bool, True)
     _reject_unread(cp, "solve")
     write_grid_dump(d, out / "domain.grid")
     try:
         factors = factor_laplacian(d)
-        sp = solve_spectrum(d, M, tol=tol, seed=seed, factors=factors)
+        sp = solve_spectrum(d, M, seed=seed, factors=factors)
     except SpectralError as err:
         print(f"eigensolver failed: {err}", file=sys.stderr)
         return 1, {"converged": False}
     except ValueError as err:  # an empty domain, or too few nodes for M modes
         raise ConfigError(str(err)) from err
-    tv = solve_torsion(d, tol=tol, factors=factors).v if torsion else None
+    tv = solve_torsion(d, factors=factors).v if torsion else None
     _write_solved_state(out, d, sp, tv)
     return 0, {"converged": True, "lambdas": [float(v) for v in sp.lambdas]}
 
@@ -412,7 +399,7 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
 def cmd_optimize(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
     _reject_unread(cp, "optimize")
-    (trace,), _, code = _run_flow(out, d0, cfg, [cfg.reg.p], "optimize", "trace.csv")
+    (trace,), _, code = _run_flow(out, d0, cfg, [cfg.p], "optimize", "trace.csv")
     return code, _stage_summary(trace)
 
 

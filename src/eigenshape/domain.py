@@ -130,10 +130,6 @@ class GridDomain:
         """Boolean node mask of Omega."""
         return self.phi < 0
 
-    @property
-    def is_empty(self) -> bool:
-        return not bool(self.inside.any())
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BoundaryMesh:

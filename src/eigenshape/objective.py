@@ -27,7 +27,6 @@ from .domain import GridDomain, _node_weights, bilinear, inside_fraction, volume
 
 __all__ = [
     "ObjectiveSpec",
-    "RegularizationParams",
     "PenaltySpec",
     "WeightVector",
     "eval_F",
@@ -41,6 +40,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("single", "linear", "softmin")
+#: Gauss-Legendre nodes per axis of the cell rule that averages F in G_p
+_QUAD_NODES = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,20 +135,6 @@ def eval_F(spec: ObjectiveSpec, kappa: Sequence[float]) -> float:
     return float(spec.values(kappa[None, :])[0])
 
 
-@dataclasses.dataclass(frozen=True)
-class RegularizationParams:
-    """Smoothing exponent p and the Gauss node count for the cell average."""
-
-    p: float = 32.0
-    quad_nodes: int = 4
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p >= 2):
-            raise ValueError(f"p must be finite and >= 2, got {self.p}")
-        if not 2 <= self.quad_nodes <= 16:  # the cell rule has quad_nodes ** n nodes
-            raise ValueError(f"quad_nodes must be in 2..16 (quadrature nodes), got {self.quad_nodes}")
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class PenaltySpec:
     """Anchoring penalty E(Omega) toward a reference domain.
@@ -224,13 +211,14 @@ def _tau_all(kappa: np.ndarray, p: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _cell_rule(quad_nodes: int, ndim: int):
+def _cell_rule(ndim: int):
     """Tensor Gauss-Legendre rule on the unit cell [0,1]^ndim.
 
-    Returns (offsets, weights): offsets (q^ndim, ndim) in [0,1], weights
-    summing to 1, so a cell average is weights @ f(offsets).
+    Returns (offsets, weights): offsets (q^ndim, ndim) in [0,1] with
+    q = ``_QUAD_NODES``, weights summing to 1, so a cell average is
+    weights @ f(offsets).
     """
-    x, w = leggauss(quad_nodes)
+    x, w = leggauss(_QUAD_NODES)
     x01 = 0.5 * (x + 1.0)
     w01 = 0.5 * w
     grids = np.meshgrid(*([x01] * ndim), indexing="ij")
@@ -240,23 +228,23 @@ def _cell_rule(quad_nodes: int, ndim: int):
     return offsets, weights
 
 
-def eval_Gp(spec: ObjectiveSpec, kappa: Sequence[float], p: float, quad_nodes: int = 4) -> float:
+def eval_Gp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> float:
     """Average of F over the cell kappa + [0, 1/p]^N (tensor Gauss rule).
 
     Exact for the linear and single families; spectrally accurate for
     softmin.
     """
     kappa = np.asarray(kappa, dtype=float)
-    offsets, weights = _cell_rule(quad_nodes, spec.n)
+    offsets, weights = _cell_rule(spec.n)
     return float(weights @ spec.values(kappa[None, :] + offsets / p))
 
 
-def _grad_Gp(spec: ObjectiveSpec, kappa: np.ndarray, p: float, quad_nodes: int) -> np.ndarray:
-    offsets, weights = _cell_rule(quad_nodes, spec.n)
+def _grad_Gp(spec: ObjectiveSpec, kappa: np.ndarray, p: float) -> np.ndarray:
+    offsets, weights = _cell_rule(spec.n)
     return weights @ spec.grads(kappa[None, :] + offsets / p)
 
 
-def eval_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float, quad_nodes: int = 4) -> float:
+def eval_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> float:
     """The regularized objective F_p(kappa) (see module docstring).
 
     Always >= F(kappa), with gap O(1/p).
@@ -267,7 +255,7 @@ def eval_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float, quad_nodes: i
     taus = _tau_all(kappa, p)
     n = spec.n
     pert = float(np.arange(n, 0, -1) @ kappa) / p
-    return eval_Gp(spec, taus, p, quad_nodes) + pert
+    return eval_Gp(spec, taus, p) + pert
 
 
 def _rel_gaps(kappa: Sequence[float]) -> np.ndarray:
@@ -317,7 +305,6 @@ def grad_Fp(
     spec: ObjectiveSpec,
     kappa: Sequence[float],
     p: float,
-    quad_nodes: int = 4,
     pen: PenaltySpec | None = None,
     current_volume: float | None = None,
 ) -> WeightVector:
@@ -335,7 +322,7 @@ def grad_Fp(
         raise ValueError(f"kappa must be strictly positive, got {kappa}")
     n = spec.n
     taus = _tau_all(kappa, p)
-    gG = _grad_Gp(spec, taus, p, quad_nodes)
+    gG = _grad_Gp(spec, taus, p)
     logk = np.log(kappa)
     logt = np.log(taus)
     xi = np.empty(n)

@@ -11,6 +11,7 @@ anchoring each stage's penalty to the previous minimizer.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .domain import (
 from .objective import (
     ObjectiveSpec,
     PenaltySpec,
-    RegularizationParams,
     WeightVector,
     eval_F,
     eval_Fp,
@@ -54,6 +54,8 @@ __all__ = [
 _BAND_H = 6.0
 #: largest advection step, as a fraction of h / max|V|
 _CFL = 0.9
+#: accepted steps between reinitializations of phi
+_REINIT_EVERY = 5
 
 
 class OptimizeAborted(RuntimeError):
@@ -74,31 +76,27 @@ class ScheduleError(ValueError):
 @dataclasses.dataclass(frozen=True, eq=False)
 class OptimizerConfig:
     spec: ObjectiveSpec
-    reg: RegularizationParams = dataclasses.field(default_factory=RegularizationParams)
+    p: float = 32.0                   # smoothing exponent of F_p
     pen: PenaltySpec = dataclasses.field(default_factory=lambda: PenaltySpec(s=0.0))
     dt0: float = 0.5
     max_steps: int = 200
     conv_tol: float = 1e-6
-    reinit_every: int = 5
     seed: int = 0
-    eig_tol: float = 1e-8
-    modes: int | None = None          # eigenpairs tracked; default n + 1
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.p) and self.p >= 2):
+            raise ValueError(f"p must be finite and >= 2, got {self.p}")
         if not self.dt0 > 0:
             raise ValueError(f"dt0 must be positive, got {self.dt0}")
         if not self.conv_tol > 0:
             raise ValueError(f"conv_tol must be positive, got {self.conv_tol}")
-        if not 0 < self.eig_tol < np.inf:
-            raise ValueError(f"eig_tol must be finite and > 0, got {self.eig_tol}")
-        if self.max_steps < 1 or self.reinit_every < 1:
-            raise ValueError("max_steps and reinit_every must be >= 1")
-        if self.modes is not None and self.modes < self.spec.n:
-            raise ValueError(f"modes must be >= n = {self.spec.n}, got {self.modes}")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
     @property
     def n_modes(self) -> int:
-        return self.spec.n + 1 if self.modes is None else self.modes
+        """Eigenpairs tracked: the n of F plus one above them."""
+        return self.spec.n + 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,7 +223,6 @@ class FlowState:
     domain: GridDomain
     spectrum: Spectrum
     weights: WeightVector
-    mesh: BoundaryMesh
     Fp: float
     vol: float
     E: float
@@ -241,22 +238,18 @@ class FlowState:
 
 def _evaluate(cfg: OptimizerConfig, d: GridDomain, warm: Spectrum | None):
     """Spectrum, weights and the objective pieces for a candidate domain."""
-    sp = solve_spectrum(d, cfg.n_modes, tol=cfg.eig_tol, seed=cfg.seed, warm=warm)
+    sp = solve_spectrum(d, cfg.n_modes, seed=cfg.seed, warm=warm)
     kappa = sp.lambdas[: cfg.spec.n]
     vol = volume(d)
     E = eval_penalty_E(d, cfg.pen)
-    Fp = eval_Fp(cfg.spec, kappa, cfg.reg.p, cfg.reg.quad_nodes)
-    w = grad_Fp(
-        cfg.spec, kappa, cfg.reg.p, cfg.reg.quad_nodes,
-        pen=cfg.pen, current_volume=vol,
-    )
+    Fp = eval_Fp(cfg.spec, kappa, cfg.p)
+    w = grad_Fp(cfg.spec, kappa, cfg.p, pen=cfg.pen, current_volume=vol)
     return sp, w, Fp, vol, E
 
 
 def make_state(cfg: OptimizerConfig, d: GridDomain, warm: Spectrum | None = None) -> FlowState:
     sp, w, Fp, vol, E = _evaluate(cfg, d, warm)
-    return FlowState(cfg=cfg, domain=d, spectrum=sp, weights=w,
-                     mesh=extract_boundary(d), Fp=Fp, vol=vol, E=E)
+    return FlowState(cfg=cfg, domain=d, spectrum=sp, weights=w, Fp=Fp, vol=vol, E=E)
 
 
 def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[FlowState, float, bool]:
@@ -272,8 +265,9 @@ def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[Fl
     cfg = state.cfg
     d = state.domain
     h = d.grid.h
-    V, reliable = shape_velocity(d, state.spectrum, state.weights, state.mesh)
-    Vg = extend_velocity(d, state.mesh, V, reliable)
+    bm = extract_boundary(d)
+    V, reliable = shape_velocity(d, state.spectrum, state.weights, bm)
+    Vg = extend_velocity(d, bm, V, reliable)
     vmax = float(np.max(np.abs(Vg)))
     if vmax < 1e-14:
         return state, 0.0, True
@@ -293,7 +287,7 @@ def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[Fl
             continue
         if Fp + vol + E <= J0 + 1e-10:
             new = FlowState(cfg=cfg, domain=trial, spectrum=sp, weights=w,
-                            mesh=extract_boundary(trial), Fp=Fp, vol=vol, E=E)
+                            Fp=Fp, vol=vol, E=E)
             return new, dt_try, False
         dt_try *= 0.5
     if last_err is not None:
@@ -311,8 +305,6 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
     the partial trace, stop_reason "aborted") if the eigensolver fails
     irrecoverably mid-run.
     """
-    if init.is_empty:
-        raise ValueError("initial domain is empty: {phi < 0} has no nodes")
     trace = OptimizerTrace()
     d = reinitialize(init)
     try:
@@ -339,7 +331,7 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
     for i in range(1, cfg.max_steps + 1):
         J0 = floor
         try:
-            if i > 1 and (i - 1) % cfg.reinit_every == 0:
+            if i > 1 and (i - 1) % _REINIT_EVERY == 0:
                 where = "after reinit"
                 state = make_state(cfg, reinitialize(state.domain), warm=state.spectrum)
             where = f"at step {i}"
@@ -382,9 +374,9 @@ def p_continuation(
 
     Each stage warm-starts from the previous minimizer and anchors its
     penalty reference there (the first stage keeps cfg.pen as given), so the
-    schedule ``[cfg.reg.p]`` is ``optimize(cfg, init)``. The whole schedule is
+    schedule ``[cfg.p]`` is ``optimize(cfg, init)``. The whole schedule is
     checked before the first stage runs: an empty or not strictly ascending
-    one, or a p that RegularizationParams rejects, is a ScheduleError. A
+    one, or a p that OptimizerConfig rejects, is a ScheduleError. A
     failing stage raises its OptimizeAborted, whose ``traces`` are those of
     every stage that ran, the last one partial.
     """
@@ -392,15 +384,15 @@ def p_continuation(
         raise ScheduleError(f"p schedule must be non-empty and strictly ascending, "
                             f"got {schedule}")
     try:
-        regs = [dataclasses.replace(cfg.reg, p=float(p)) for p in schedule]
+        stages = [dataclasses.replace(cfg, p=float(p)) for p in schedule]
     except ValueError as err:
         raise ScheduleError(str(err)) from err
     traces: list[OptimizerTrace] = []
     d = init
     pen = cfg.pen
-    for reg in regs:
+    for stage in stages:
         try:
-            tr = optimize(dataclasses.replace(cfg, reg=reg, pen=pen), d)
+            tr = optimize(dataclasses.replace(stage, pen=pen), d)
         except OptimizeAborted as err:
             err.traces = traces + err.traces
             raise

@@ -159,8 +159,6 @@ def solve_spectrum(
     """
     if M < 1:
         raise ValueError(f"need at least one eigenpair, got M={M}")
-    if d.is_empty:
-        raise ValueError("domain is empty: {phi < 0} has no nodes")
     A, active, lu = factor_laplacian(d) if factors is None else factors
     n = A.shape[0]
     if n < M + 5:
@@ -217,8 +215,6 @@ def solve_torsion(d: GridDomain, tol: float = 1e-8, factors=None) -> TorsionFiel
     ``factors`` is :func:`factor_laplacian` of ``d``. The solution passes
     the check of :func:`torsion_field`.
     """
-    if d.is_empty:
-        raise ValueError("domain is empty: cannot solve the torsion equation")
     A, active, lu = factor_laplacian(d) if factors is None else factors
     full = np.zeros(d.phi.size)
     full[active] = lu.solve(np.ones(A.shape[0]))

@@ -17,7 +17,6 @@ from eigenshape import (
     Grid,
     ObjectiveSpec,
     PenaltySpec,
-    RegularizationParams,
     WeightVector,
     disk,
     eval_F,
@@ -322,16 +321,3 @@ def test_xi0_field_is_first_variation_of_volume_plus_E(r, motion):
     xi0 = xi0_field(bm.points, pen, volume(d))
     flow = float(np.sum(bm.weights * xi0 * speed(bm.points[:, 0], bm.points[:, 1])))
     assert flow == pytest.approx(fd, rel=1e-3)
-
-
-def test_regularization_params_validation():
-    RegularizationParams(p=2.0, quad_nodes=2)
-    with pytest.raises(ValueError, match="p must be"):
-        RegularizationParams(p=1.5)
-    with pytest.raises(ValueError, match="p must be"):
-        RegularizationParams(p=math.inf)
-    with pytest.raises(ValueError, match="quadrature"):
-        RegularizationParams(quad_nodes=1)
-    RegularizationParams(quad_nodes=16)
-    with pytest.raises(ValueError, match="quad_nodes must be in 2..16"):
-        RegularizationParams(quad_nodes=17)  # 17 ** n cell nodes per evaluation

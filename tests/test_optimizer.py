@@ -20,7 +20,6 @@ from eigenshape import (
     OptimizeAborted,
     OptimizerConfig,
     PenaltySpec,
-    RegularizationParams,
     SpectralError,
     WeightVector,
     dilate,
@@ -56,7 +55,7 @@ R_STAR = (J01**2 / math.pi) ** 0.25  # ball radius where the speed vanishes
 def base_config(**kw):
     defaults = dict(
         spec=ObjectiveSpec("single", n=1),
-        reg=RegularizationParams(p=32.0),
+        p=32.0,
         dt0=0.5,
         max_steps=40,
         conv_tol=1e-6,
@@ -322,11 +321,16 @@ def test_step_stall_returns_input_state(grid97):
 def test_optimize_empty_init_raises(grid97):
     cfg = base_config()
     d = disk(grid97, (0.0, 0.0), 1.0)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^domain has no active nodes$"):
         optimize(cfg, d.with_phi(np.abs(d.phi) + d.grid.h))
 
 
 def test_optimize_config_validation():
+    base_config(p=2.0)
+    with pytest.raises(ValueError, match="p must be finite and >= 2"):
+        base_config(p=1.5)
+    with pytest.raises(ValueError, match="p must be finite and >= 2"):
+        base_config(p=math.inf)
     with pytest.raises(ValueError, match="dt0"):
         base_config(dt0=0.0)
     with pytest.raises(ValueError, match="conv_tol"):
@@ -334,7 +338,7 @@ def test_optimize_config_validation():
     with pytest.raises(ValueError, match="max_steps"):
         base_config(max_steps=0)
     assert base_config().n_modes == 2  # spec.n + 1
-    assert base_config(modes=5).n_modes == 5
+    assert base_config(spec=ObjectiveSpec("single", n=3)).n_modes == 4
 
 
 @pytest.fixture(scope="module")
@@ -421,12 +425,12 @@ def test_p_continuation_schedule_validation(grid97, monkeypatch):
 
 
 def test_one_stage_p_continuation_is_optimize(grid97):
-    # the CLI runs optimize as the sweep whose schedule is [cfg.reg.p]
+    # the CLI runs optimize as the sweep whose schedule is [cfg.p]
     ref = disk(grid97, (0.1, 0.0), 1.2)
     cfg = base_config(max_steps=12, pen=PenaltySpec(s=0.02, reference=ref))
     init = star_blob(grid97, (0.0, 0.0), 1.0, 0.2, 5, np.random.default_rng(7))
     a = optimize(cfg, init)
-    (b,) = p_continuation(cfg, init, [cfg.reg.p])
+    (b,) = p_continuation(cfg, init, [cfg.p])
     assert len(a.records) > 2 and a.records == b.records
     assert a.domain.phi.tobytes() == b.domain.phi.tobytes()
     assert a.spectrum.modes.tobytes() == b.spectrum.modes.tobytes()
@@ -437,7 +441,7 @@ def test_p_continuation_abort_carries_every_stage(grid97, monkeypatch):
     real_step = optimizer_mod.step
 
     def step_failing_at_p16(state, dt, baseline=None):
-        if state.cfg.reg.p == 16:
+        if state.cfg.p == 16:
             raise SpectralError("forced failure")
         return real_step(state, dt, baseline)
 

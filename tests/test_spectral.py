@@ -260,7 +260,7 @@ def test_assembly_matches_coo_reference_bits(make):
                   fill=st.nothing()))
 def test_assembly_matches_coo_reference_on_quantized_fields(phi):
     d = GridDomain(Grid(nx=phi.shape[1], ny=phi.shape[0], h=0.25), phi)
-    if d.is_empty:
+    if not d.inside.any():
         with pytest.raises(ValueError, match="no active nodes"):
             assemble_laplacian(d)
         return
@@ -341,9 +341,9 @@ def test_input_validation(grid129):
     with pytest.raises(ValueError, match="at least one"):
         solve_spectrum(d, M=0)
     empty = d.with_phi(np.full_like(d.phi, 1.0))
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^domain has no active nodes$"):
         solve_spectrum(empty, M=1)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^domain has no active nodes$"):
         solve_torsion(empty)
     tiny = disk(grid129, (0.0, 0.0), 0.2)
     with pytest.raises(ValueError, match="active nodes"):
