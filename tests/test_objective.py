@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from eigenshape import (
     Grid,
     ObjectiveSpec,
+    OptimizerConfig,
     PenaltySpec,
     WeightVector,
     disk,
@@ -321,3 +322,14 @@ def test_xi0_field_is_first_variation_of_volume_plus_E(r, motion):
     xi0 = xi0_field(bm.points, pen, volume(d))
     flow = float(np.sum(bm.weights * xi0 * speed(bm.points[:, 0], bm.points[:, 1])))
     assert flow == pytest.approx(fd, rel=1e-3)
+
+
+def test_regularization_params_validation():
+    # the exponent p of the smoothing F_p is a field of OptimizerConfig
+    spec = ObjectiveSpec("single", n=1)
+    assert OptimizerConfig(spec).p == 32.0
+    OptimizerConfig(spec, p=2.0)
+    with pytest.raises(ValueError, match="p must be finite and >= 2"):
+        OptimizerConfig(spec, p=1.5)
+    with pytest.raises(ValueError, match="p must be finite and >= 2"):
+        OptimizerConfig(spec, p=math.inf)

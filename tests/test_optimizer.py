@@ -326,11 +326,6 @@ def test_optimize_empty_init_raises(grid97):
 
 
 def test_optimize_config_validation():
-    base_config(p=2.0)
-    with pytest.raises(ValueError, match="p must be finite and >= 2"):
-        base_config(p=1.5)
-    with pytest.raises(ValueError, match="p must be finite and >= 2"):
-        base_config(p=math.inf)
     with pytest.raises(ValueError, match="dt0"):
         base_config(dt0=0.0)
     with pytest.raises(ValueError, match="conv_tol"):
