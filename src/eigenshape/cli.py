@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__, domain
 from .diagnostics import (
-    ProbeFlag,
     classify_boundary,
     el_residual,
     probe_radii,
@@ -350,10 +349,10 @@ def write_trace_csv(trace: OptimizerTrace, path, n_lambdas: int) -> None:
                ((r.step, r.objective, r.volume, *r.lambdas, r.E, r.dt) for r in trace.records))
 
 
-def write_weiss_csv(probes, path) -> None:
-    """Plot-ready rows, one per (center, radius) sample: x,y,r,W."""
-    _write_csv(path, "x,y,r,W", ((*probe.center, r, val) for probe in probes
-                                 for r, val in zip(probe.radii, probe.values)))
+def write_weiss_csv(centres: np.ndarray, radii, W: np.ndarray, path) -> None:
+    """Plot-ready rows, one per (centre, radius) sample of ``W`` (m, R): x,y,r,W."""
+    _write_csv(path, "x,y,r,W", ((x, y, r, val) for (x, y), row in zip(centres, W)
+                                 for r, val in zip(radii, row)))
 
 
 def write_xi_csv(w: WeightVector, path) -> None:
@@ -561,20 +560,17 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
         }
         tf = _load_torsion(d, dom_path, spec_path)
         probe_pts = bm.points[::max(1, len(bm) // n_probes)]
-        probes = weiss_profile(d, sp, w, probe_pts, radii)
-        write_weiss_csv(probes, out / "weiss.csv")
+        W, c_hat = weiss_profile(d, sp, w, probe_pts, radii)
+        write_weiss_csv(probe_pts, radii, W, out / "weiss.csv")
         report["weiss"] = {
             "radii": radii,
-            "W_smallest_r": [p.values[0] for p in probes],
-            "c_hat_max": max(p.c_hat for p in probes),
+            "W_smallest_r": W[:, 0].tolist(),
+            "c_hat_max": float(c_hat.max()),
         }
-        labels = classify_boundary(d, bm, radii)
-        counts: dict[str, int] = {}
-        for lab in labels:
-            counts[lab.label.value] = counts.get(lab.label.value, 0) + 1
-        report["boundary_labels"] = counts
-        flags = torsion_probe(d, tf, probe_pts, radii[0])
-        report["torsion_violations"] = flags.count(ProbeFlag.VIOLATION)
+        names, counts = np.unique(classify_boundary(d, bm, radii)[0], return_counts=True)
+        report["boundary_labels"] = dict(zip(names.tolist(), counts.tolist()))
+        violations = torsion_probe(d, tf, probe_pts, radii[0])
+        report["torsion_violations"] = int(violations.sum())
     if spec is not None and len(sp) >= spec.n:
         rep = scaling_check(spec, sp)
         report["scaling"] = {

@@ -11,7 +11,6 @@ readily as converged optimizer output.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 
 import numpy as np
@@ -32,11 +31,7 @@ from .optimizer import shape_velocity
 from .spectral import Spectrum, TorsionField
 
 __all__ = [
-    "WeissProbe",
-    "BoundaryClass",
-    "BoundaryLabel",
     "ELResidual",
-    "ProbeFlag",
     "ScalingReport",
     "SimplicityReport",
     "probe_radii",
@@ -66,20 +61,6 @@ def probe_radii(radii, h: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Weiss-type boundary energies
 # ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class WeissProbe:
-    """W(x, r) samples at one center plus the fitted drift constant.
-
-    ``c_hat`` is the smallest C >= 0 such that r -> W(x,r) + C*r is
-    nondecreasing across the sampled radii; 0 for a single radius.
-    """
-
-    center: tuple[float, float]
-    radii: tuple[float, ...]
-    values: tuple[float, ...]
-    c_hat: float
-
 
 def _mode_gradients(modes: np.ndarray, inside: np.ndarray, h: float) -> np.ndarray:
     """Gradients of a mode stack (M, ny, nx), shape (M, 2, ny, nx), interface-aware.
@@ -182,20 +163,22 @@ def weiss_profile(
     w: WeightVector,
     centres: np.ndarray,
     radii,
-) -> list[WeissProbe]:
-    """W(x, r) over the :func:`probe_radii` ``radii`` with the fitted drift
-    constant, one probe per row x of ``centres`` (m, 2)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(W, c_hat): W(x, r) over the :func:`probe_radii` ``radii``, shape
+    (m, R), for the rows x of ``centres`` (m, 2), and the drift constant of
+    each row, shape (m,).
+
+    ``c_hat`` is the smallest C >= 0 such that r -> W(x,r) + C*r is
+    nondecreasing across the sampled radii; 0 for a single radius.
+    """
     radii = probe_radii(radii, d.grid.h)
     centres = np.asarray(centres, dtype=float)
-    values = np.column_stack([weiss_energy(d, sp, w, centres, r) for r in radii])
-    c_hat = np.zeros(len(values))
+    W = np.column_stack([weiss_energy(d, sp, w, centres, r) for r in radii])
+    c_hat = np.zeros(len(W))
     for j in range(len(radii) - 1):
-        drift = (values[:, j] - values[:, j + 1]) / (radii[j + 1] - radii[j])
+        drift = (W[:, j] - W[:, j + 1]) / (radii[j + 1] - radii[j])
         c_hat = np.where(drift > c_hat, drift, c_hat)
-    return [
-        WeissProbe(center=(cx, cy), radii=radii, values=tuple(vals), c_hat=c)
-        for (cx, cy), vals, c in zip(centres.tolist(), values.tolist(), c_hat.tolist())
-    ]
+    return W, c_hat
 
 
 # ---------------------------------------------------------------------------
@@ -250,34 +233,20 @@ def el_residual(
 # density-based boundary classification
 # ---------------------------------------------------------------------------
 
-class BoundaryClass(enum.Enum):
-    REDUCED = "REDUCED"
-    SINGULAR_CANDIDATE = "SINGULAR_CANDIDATE"
-    CUSP_CANDIDATE = "CUSP_CANDIDATE"
+def classify_boundary(
+    d: GridDomain, bm: BoundaryMesh, radii
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(label, density, trend), each of shape (m,): each boundary sample
+    labelled by its occupied-volume fraction profile, with that evidence.
 
-
-@dataclasses.dataclass(frozen=True)
-class BoundaryLabel:
-    """Per-point classification with its density evidence.
-
+    Density ~ 1/2, stable across radii: flat boundary ("REDUCED"). Density
+    near 1 and growing as r shrinks: cusp-like pocket ("CUSP_CANDIDATE").
+    Anything else - corners, slits, thin necks - is "SINGULAR_CANDIDATE".
     ``density`` is taken at the smallest probe radius; ``trend`` is that
     value minus the density at the largest radius (positive: the occupied
-    fraction grows as the probe shrinks).
-    """
-
-    label: BoundaryClass
-    density: float
-    trend: float
-
-
-def classify_boundary(d: GridDomain, bm: BoundaryMesh, radii) -> list[BoundaryLabel]:
-    """Label each boundary sample by its occupied-volume fraction profile.
-
-    Density ~ 1/2, stable across radii: flat boundary (REDUCED). Density
-    near 1 and growing as r shrinks: cusp-like pocket (CUSP_CANDIDATE).
-    Anything else - corners, slits, thin necks - lands in
-    SINGULAR_CANDIDATE. Thresholds are declared heuristics at grid scale,
-    not limits. ``radii`` must pass :func:`probe_radii`.
+    fraction grows as the probe shrinks). Thresholds are declared
+    heuristics at grid scale, not limits. ``radii`` must pass
+    :func:`probe_radii`.
     """
     radii = probe_radii(radii, d.grid.h)
     rho = np.column_stack([density_ratio(d, bm.points, r) for r in radii])
@@ -285,24 +254,14 @@ def classify_boundary(d: GridDomain, bm: BoundaryMesh, radii) -> list[BoundaryLa
     trend = rho0 - rho[:, -1]
     reduced = (0.35 <= rho0) & (rho0 <= 0.65) & (rho.max(axis=1) - rho.min(axis=1) <= 0.15)
     cusp = (rho0 >= 0.9) & (trend >= -0.02)
-    return [
-        BoundaryLabel(label=(BoundaryClass.REDUCED if red else
-                             BoundaryClass.CUSP_CANDIDATE if cu else
-                             BoundaryClass.SINGULAR_CANDIDATE),
-                      density=dens, trend=tr)
-        for red, cu, dens, tr in zip(reduced.tolist(), cusp.tolist(),
-                                     rho0.tolist(), trend.tolist())
-    ]
+    label = np.where(reduced, "REDUCED",
+                     np.where(cusp, "CUSP_CANDIDATE", "SINGULAR_CANDIDATE"))
+    return label, rho0, trend
 
 
 # ---------------------------------------------------------------------------
 # torsion nondegeneracy probe
 # ---------------------------------------------------------------------------
-
-class ProbeFlag(enum.Enum):
-    OK = "OK"
-    VIOLATION = "VIOLATION"
-
 
 #: mean-value threshold of torsion_probe, calibrated so every probe on the
 #: optimal single ball passes
@@ -316,13 +275,13 @@ def torsion_probe(
     tf: TorsionField,
     centres: np.ndarray,
     r: float,
-) -> list[ProbeFlag]:
-    """Mean-value nondegeneracy check on the torsion function, one flag per
-    row x of ``centres`` (m, 2).
+) -> np.ndarray:
+    """Mean-value nondegeneracy check on the torsion function: a bool
+    violation flag per row x of ``centres`` (m, 2), shape (m,).
 
     If the mean of v over B_r(x) falls below _PROBE_C0*r, v must vanish on
-    the quarter ball B_{r/4}(x); a |v| above _PROBE_VTOL there is flagged
-    VIOLATION. Points with v = 0 on both balls pass vacuously. Requires
+    the quarter ball B_{r/4}(x); a |v| above _PROBE_VTOL there is a
+    violation. Points with v = 0 on both balls pass vacuously. Requires
     r >= 4h.
     """
     h = d.grid.h
@@ -334,7 +293,7 @@ def torsion_probe(
     for sel, rows, cols, ball in _ball_windows(d.grid, centres[low], max(r / 4.0, 1.5 * h)):
         v = np.where(ball > 0, np.abs(tf.v[rows[:, :, None], cols[:, None, :]]), 0.0)
         violation[low[sel]] = v.max(axis=(1, 2), initial=0.0) > _PROBE_VTOL
-    return [ProbeFlag.VIOLATION if bad else ProbeFlag.OK for bad in violation.tolist()]
+    return violation
 
 
 # ---------------------------------------------------------------------------

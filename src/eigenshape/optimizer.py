@@ -154,11 +154,11 @@ def shape_velocity(
             f"spectrum generation {sp.generation} does not match domain {d.generation}"
         )
     xis = w.symmetrized()
-    nd = normal_derivative(sp.modes[: len(xis)], bm, d)
+    unu, reliable = normal_derivative(sp.modes[: len(xis)], bm, d)
     V = -w.xi0_at(bm.points)
     for k in range(len(xis)):
-        V = V + xis[k] * nd.values[k] ** 2
-    return V, nd.reliable
+        V = V + xis[k] * unu[k] ** 2
+    return V, reliable
 
 
 def extend_velocity(
@@ -236,19 +236,14 @@ class FlowState:
         return self.spectrum.lambdas[: self.cfg.spec.n]
 
 
-def _evaluate(cfg: OptimizerConfig, d: GridDomain, warm: Spectrum | None):
-    """Spectrum, weights and the objective pieces for a candidate domain."""
+def make_state(cfg: OptimizerConfig, d: GridDomain, warm: Spectrum | None = None) -> FlowState:
+    """The spectrum, weights and objective pieces of a candidate domain ``d``."""
     sp = solve_spectrum(d, cfg.n_modes, seed=cfg.seed, warm=warm)
     kappa = sp.lambdas[: cfg.spec.n]
     vol = volume(d)
     E = eval_penalty_E(d, cfg.pen)
     Fp = eval_Fp(cfg.spec, kappa, cfg.p)
     w = grad_Fp(cfg.spec, kappa, cfg.p, pen=cfg.pen, current_volume=vol)
-    return sp, w, Fp, vol, E
-
-
-def make_state(cfg: OptimizerConfig, d: GridDomain, warm: Spectrum | None = None) -> FlowState:
-    sp, w, Fp, vol, E = _evaluate(cfg, d, warm)
     return FlowState(cfg=cfg, domain=d, spectrum=sp, weights=w, Fp=Fp, vol=vol, E=E)
 
 
@@ -280,14 +275,12 @@ def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[Fl
             dt_try *= 0.5
             continue
         try:
-            sp, w, Fp, vol, E = _evaluate(cfg, trial, warm=state.spectrum)
+            new = make_state(cfg, trial, warm=state.spectrum)
         except SpectralError as err:
             last_err = err
             dt_try *= 0.5
             continue
-        if Fp + vol + E <= J0 + 1e-10:
-            new = FlowState(cfg=cfg, domain=trial, spectrum=sp, weights=w,
-                            Fp=Fp, vol=vol, E=E)
+        if new.objective <= J0 + 1e-10:
             return new, dt_try, False
         dt_try *= 0.5
     if last_err is not None:

@@ -21,7 +21,6 @@ __all__ = [
     "SpectralError",
     "Spectrum",
     "TorsionField",
-    "NormalDerivatives",
     "assemble_laplacian",
     "factor_laplacian",
     "solve_spectrum",
@@ -34,6 +33,10 @@ __all__ = [
 THETA_FLOOR = 0.05
 #: seeded perturbation of a warm start vector, relative to its RMS entry
 WARM_NOISE = 1e-3
+#: Lanczos restarts before solve_spectrum gives up
+_MAX_ITER = 200
+#: relative residual that solve_torsion and torsion_field accept
+_TORSION_TOL = 1e-8
 
 _DIRS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
@@ -144,14 +147,13 @@ def solve_spectrum(
     tol: float = 1e-8,
     seed: int = 0,
     warm: Spectrum | None = None,
-    max_iter: int = 200,
     factors=None,
 ) -> Spectrum:
     """Lowest M Dirichlet eigenpairs by shift-invert Lanczos (ARPACK).
 
     Implicitly restarted Lanczos on A^-1 (shift 0, through the sparse LU of
     ``factors`` = :func:`factor_laplacian` of ``d``) finds M+1 pairs, one
-    guarding the top of a near-degenerate cluster, in at most ``max_iter``
+    guarding the top of a near-degenerate cluster, in at most ``_MAX_ITER``
     restarts; each of the first M must satisfy ||A u - lambda u|| <= tol *
     lambda. The start vector is the sum of the ``warm`` modes (any grid
     occupancy) plus a small seeded perturbation, or a seeded Gaussian
@@ -173,7 +175,7 @@ def solve_spectrum(
     OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     try:
         lam, X = eigsh(A, k=M + 1, sigma=0, OPinv=OPinv, v0=v0,
-                       maxiter=max_iter, tol=tol)
+                       maxiter=_MAX_ITER, tol=tol)
         converged = True
     except ArpackNoConvergence as err:
         lam, X, converged = err.eigenvalues, err.eigenvectors, False
@@ -183,7 +185,7 @@ def solve_spectrum(
     res[: len(lam)] = np.linalg.norm(A @ X - X * lam, axis=0) / np.abs(lam)
     if not converged or np.any(res > tol):
         raise SpectralError(
-            f"eigensolver did not reach tol={tol} in {max_iter} restarts "
+            f"eigensolver did not reach tol={tol} in {_MAX_ITER} restarts "
             f"(residuals {res})",
             residuals=res,
         )
@@ -209,7 +211,7 @@ class TorsionField:
     generation: int = 0
 
 
-def solve_torsion(d: GridDomain, tol: float = 1e-8, factors=None) -> TorsionField:
+def solve_torsion(d: GridDomain, factors=None) -> TorsionField:
     """Solve -Laplace v = 1 with Dirichlet conditions; report T(Omega).
 
     ``factors`` is :func:`factor_laplacian` of ``d``. The solution passes
@@ -218,15 +220,14 @@ def solve_torsion(d: GridDomain, tol: float = 1e-8, factors=None) -> TorsionFiel
     A, active, lu = factor_laplacian(d) if factors is None else factors
     full = np.zeros(d.phi.size)
     full[active] = lu.solve(np.ones(A.shape[0]))
-    return torsion_field(d, full.reshape(d.phi.shape), tol, laplacian=(A, active))
+    return torsion_field(d, full.reshape(d.phi.shape), laplacian=(A, active))
 
 
-def torsion_field(d: GridDomain, v: np.ndarray, tol: float = 1e-8,
-                  laplacian=None) -> TorsionField:
+def torsion_field(d: GridDomain, v: np.ndarray, laplacian=None) -> TorsionField:
     """The TorsionField of a candidate torsion function ``v`` (ny, nx) of ``d``.
 
     ``v`` must vanish off Omega, and its residual ||A v - 1||_inf on Omega
-    must be at most tol * max(1, max|v|); otherwise SpectralError. The
+    must be at most _TORSION_TOL * max(1, max|v|); otherwise SpectralError. The
     energy integral T = int(|grad v|^2 / 2 - v) collapses to
     -h^2 * sum(v) / 2 through the discrete equation, which is how it is
     evaluated here. ``laplacian`` is :func:`assemble_laplacian` of ``d``.
@@ -239,7 +240,7 @@ def torsion_field(d: GridDomain, v: np.ndarray, tol: float = 1e-8,
         raise SpectralError("torsion function is nonzero off Omega")
     v = flat[active]
     resid = float(np.max(np.abs(A @ v - 1.0)))
-    if not resid <= tol * max(1.0, float(np.max(np.abs(v)))):
+    if not resid <= _TORSION_TOL * max(1.0, float(np.max(np.abs(v)))):
         raise SpectralError(f"torsion solve residual {resid} above tolerance")
     h = d.grid.h
     return TorsionField(
@@ -250,33 +251,23 @@ def torsion_field(d: GridDomain, v: np.ndarray, tol: float = 1e-8,
     )
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class NormalDerivatives:
-    """|du/dnu| per boundary sample (per field of a stack) plus a reliability mask.
-
-    A sample is unreliable when an interpolation stencil of one of its two
-    interior probe points touches inactive nodes; such samples must be left
-    out of aggregates.
-    """
-
-    values: np.ndarray
-    reliable: np.ndarray
-
-
-def normal_derivative(field: np.ndarray, bm: BoundaryMesh, d: GridDomain) -> NormalDerivatives:
-    """Boundary normal derivative magnitude of a field vanishing outside Omega.
+def normal_derivative(field: np.ndarray, bm: BoundaryMesh,
+                      d: GridDomain) -> tuple[np.ndarray, np.ndarray]:
+    """(values, reliable): |du/dnu| per boundary sample of a field vanishing
+    outside Omega, and a bool reliability mask of shape (m,).
 
     Probes the field at x - 1.5h nu and x - 3h nu (bilinear), then Richardson
     extrapolates the linear slope: |u_nu| = |4 u(q1) - u(q2)| / (3h).
     ``field`` may be a stack (..., ny, nx); ``values`` then has shape
-    (..., m), and the reliability mask, which depends only on the geometry,
-    is shared by every field.
+    (..., m). A sample is unreliable when an interpolation stencil of one of
+    its two probe points touches inactive nodes; the mask depends only on
+    the geometry, so every field of a stack shares it, and unreliable
+    samples must be left out of aggregates.
     """
     h = d.grid.h
     pts = bm.points
     if len(bm) == 0:
-        return NormalDerivatives(values=np.zeros(field.shape[:-2] + (0,)),
-                                 reliable=np.zeros(0, dtype=bool))
+        return np.zeros(field.shape[:-2] + (0,)), np.zeros(0, dtype=bool)
     inside = d.inside
 
     def probe(q):  # the bilinear values at q, and whether their cell is in Omega
@@ -284,5 +275,4 @@ def normal_derivative(field: np.ndarray, bm: BoundaryMesh, d: GridDomain) -> Nor
         return mix(np.moveaxis(field[..., j, i], -2, 0)), in_box & inside[j, i].all(axis=0)
 
     (u1, ok1), (u2, ok2) = probe(pts - 1.5 * h * bm.normals), probe(pts - 3.0 * h * bm.normals)
-    values = np.abs(4.0 * u1 - u2) / (3.0 * h)
-    return NormalDerivatives(values=values, reliable=ok1 & ok2)
+    return np.abs(4.0 * u1 - u2) / (3.0 * h), ok1 & ok2

@@ -6,6 +6,7 @@ determinism of reruns, the p-sweep weight trace, diagnosing saved
 artifacts, and multi-config fan-out.
 """
 
+import collections
 import concurrent.futures
 import contextlib
 import io
@@ -26,7 +27,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import eigenshape
-from eigenshape import Grid, GridDomain, SpectralError, disk, solve_torsion
+from eigenshape import (
+    Grid,
+    GridDomain,
+    SpectralError,
+    classify_boundary,
+    disk,
+    extract_boundary,
+    probe_radii,
+    solve_torsion,
+    torsion_probe,
+)
 from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
@@ -38,7 +49,12 @@ from eigenshape.cli import (
     main,
     run_single,
 )
-from eigenshape.domain import read_field_dump, write_field_dump, write_grid_dump
+from eigenshape.domain import (
+    read_field_dump,
+    read_grid_dump,
+    write_field_dump,
+    write_grid_dump,
+)
 
 from conftest import write_ini
 
@@ -825,6 +841,45 @@ def test_diagnose_roundtrip(opt_run, tmp_path):
     wl = (dout / "weiss.csv").read_text().splitlines()
     assert wl[0] == "x,y,r,W"
     assert len(wl) > 16  # probes * radii samples
+
+
+def test_diagnose_counts_label_classes_and_violations_of_an_l_shape(tmp_path):
+    # the corners of an L-shape give more than one label class, and probes
+    # near the re-entrant corner see torsion violations; the report's counts
+    # are those of the library calls on the same inputs
+    solve = write_ini(tmp_path / "solve.ini", {
+        "run": {"seed": 11},
+        "grid": {"nx": 129, "ny": 129},
+        "shape": {"kind": "lshape", "side": 2.4},
+        "solve": {"modes": 3},
+    })
+    out = tmp_path / "solve"
+    assert run_single("solve", str(solve), str(out), None, False) == 0
+    (tmp_path / "xi.csv").write_text("k,xi\n1,1.0\n")
+    probes = 400
+    cfg = write_ini(tmp_path / "diag.ini", {"diagnose": {
+        "domain": str(out / "domain.grid"),
+        "spectrum": str(out / "spectrum.csv"),
+        "xi": str(tmp_path / "xi.csv"),
+        "probes": probes,
+    }})
+    dout = tmp_path / "dout"
+    assert run_single("diagnose", str(cfg), str(dout), None, False) == 0
+    report = json.loads((dout / "report.json").read_text())
+
+    d = read_grid_dump(out / "domain.grid")
+    h = d.grid.h
+    bm = extract_boundary(d)
+    radii = probe_radii((4 * h, 6 * h, 8 * h, 12 * h), h)
+    label, _, _ = classify_boundary(d, bm, radii)
+    counts = report["boundary_labels"]
+    assert len(counts) >= 2
+    assert counts == dict(collections.Counter(label.tolist()))
+    assert sum(counts.values()) == report["n_boundary"] == len(bm)
+    probe_pts = bm.points[::max(1, len(bm) // probes)]
+    violations = torsion_probe(d, solve_torsion(d), probe_pts, radii[0])
+    assert report["torsion_violations"] > 0
+    assert report["torsion_violations"] == violations.sum()
 
 
 def test_diagnose_bad_objective_exit_2_before_any_probe(opt_run, tmp_path, capsys):

@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 
 from eigenshape import (
-    BoundaryClass,
     BoundaryMesh,
     Grid,
     ObjectiveSpec,
     PenaltySpec,
-    ProbeFlag,
     Spectrum,
     TorsionField,
     WeightVector,
@@ -104,11 +102,11 @@ def test_weiss_profile_drift_constant(grid129):
     h = grid129.h
     # start at 8h: below that the indicator smoothing inflates W slightly,
     # which would read as spurious downward drift
-    probe = weiss_profile(d, sp, w, [(0.0, 0.0)], np.linspace(8 * h, 0.45, 6))[0]
-    assert probe.c_hat <= 0.05
-    assert len(probe.values) == 6
-    single = weiss_profile(d, sp, w, [(0.0, 0.0)], (8 * h,))[0]
-    assert single.c_hat == 0.0
+    W, c_hat = weiss_profile(d, sp, w, [(0.0, 0.0)], np.linspace(8 * h, 0.45, 6))
+    assert c_hat.shape == (1,) and c_hat[0] <= 0.05
+    assert W.shape == (1, 6)
+    W1, c_hat1 = weiss_profile(d, sp, w, [(0.0, 0.0)], (8 * h,))
+    assert W1.shape == (1, 1) and c_hat1[0] == 0.0
 
 
 def test_weiss_zero_mode_measures_occupied_area(grid129):
@@ -140,15 +138,17 @@ def test_weiss_validation(grid129):
 def test_weiss_csv_golden(tmp_path, grid129):
     d, sp, w = ramp_triple(grid129, (0.0, 1.0), 0.0)
     h = grid129.h
-    probe = weiss_profile(d, sp, w, [(0.0, 0.0)], (8 * h, 0.3))[0]
+    centres, radii = np.zeros((1, 2)), (8 * h, 0.3)
+    W, _ = weiss_profile(d, sp, w, centres, radii)
     path = tmp_path / "weiss.csv"
-    write_weiss_csv([probe], path)
+    write_weiss_csv(centres, radii, W, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,r,W"
     assert len(lines) == 3
     cells = lines[1].split(",")
     assert (float(cells[0]), float(cells[1])) == (0.0, 0.0)
-    assert float(cells[3]) == probe.values[0]  # repr round-trips
+    assert float(cells[2]) == radii[0]
+    assert float(cells[3]) == W[0, 0]  # repr round-trips
 
 
 def _reference_weiss_energy(d, sp, w, x, r):
@@ -234,18 +234,17 @@ def test_weiss_profile_batch_matches_single_centres(edge_disk):
     h = d.grid.h
     centres = extract_boundary(d).points[::7]
     radii = (4 * h, 6 * h, 8 * h, 12 * h)
-    probes = weiss_profile(d, sp, w, centres, radii)
-    assert len(probes) == len(centres)
-    for x, probe in zip(centres, probes):
+    W, c_hats = weiss_profile(d, sp, w, centres, radii)
+    assert W.shape == (len(centres), len(radii)) and c_hats.shape == (len(centres),)
+    for x, row, got_c_hat in zip(centres, W.tolist(), c_hats.tolist()):
         values = [_reference_weiss_energy(d, sp, w, x, r) for r in radii]
         c_hat = 0.0
         for (ra, wa), (rb, wb) in zip(zip(radii, values), zip(radii[1:], values[1:])):
             c_hat = max(c_hat, (wa - wb) / (rb - ra))
-        assert probe.center == (float(x[0]), float(x[1])) and probe.radii == radii
-        assert [v.hex() for v in probe.values] == [v.hex() for v in values]
-        assert probe.c_hat.hex() == c_hat.hex()
-        single = weiss_profile(d, sp, w, x[None], radii)[0]
-        assert single.values == probe.values and single.c_hat == probe.c_hat
+        assert [v.hex() for v in row] == [v.hex() for v in values]
+        assert got_c_hat.hex() == c_hat.hex()
+        W1, c_hat1 = weiss_profile(d, sp, w, x[None], radii)
+        assert W1[0].tolist() == row and c_hat1.tolist() == [got_c_hat]
 
 
 # ---- optimality residual ----------------------------------------------
@@ -310,11 +309,11 @@ def test_el_residual_is_the_flow_speed_bits(request, triple):
     assert res.values.tobytes() == V[reliable].tobytes()
     assert res.points.tobytes() == bm.points[reliable].tobytes()
     # the stacked normal derivative gives each mode the bits it has alone
-    nd = normal_derivative(sp.modes, bm, d)
+    values, stack_reliable = normal_derivative(sp.modes, bm, d)
     for k in range(len(sp)):
-        one = normal_derivative(sp.modes[k], bm, d)
-        assert nd.values[k].tobytes() == one.values.tobytes()
-        assert np.array_equal(nd.reliable, one.reliable)
+        one, one_reliable = normal_derivative(sp.modes[k], bm, d)
+        assert values[k].tobytes() == one.tobytes()
+        assert np.array_equal(stack_reliable, one_reliable)
 
 
 def test_el_residual_all_unreliable_raises(opt_ball):
@@ -348,20 +347,19 @@ def point_mesh(points, normals=None):
 
 def test_classify_ball_boundary_reduced(grid129):
     d = disk(grid129, (0.0, 0.0), 1.0)
-    labels = classify_boundary(d, extract_boundary(d), probe_radii(grid129))
-    frac = np.mean([lb.label is BoundaryClass.REDUCED for lb in labels])
+    label, density, _ = classify_boundary(d, extract_boundary(d), probe_radii(grid129))
+    frac = np.mean(label == "REDUCED")
     assert frac >= 0.99
-    dens = [lb.density for lb in labels]
-    assert 0.4 <= min(dens) and max(dens) <= 0.6
+    assert 0.4 <= density.min() and density.max() <= 0.6
 
 
 def test_classify_convex_corner_singular(grid129):
     sq = rectangle(grid129, -1.0, -1.0, 1.0, 1.0)
     s = math.sqrt(0.5)
-    labels = classify_boundary(d=sq, bm=point_mesh([(1.0, 1.0)], [(s, s)]),
-                               radii=probe_radii(grid129))
-    assert labels[0].label is BoundaryClass.SINGULAR_CANDIDATE
-    assert labels[0].density < 0.35  # quarter-plane occupancy
+    label, density, _ = classify_boundary(d=sq, bm=point_mesh([(1.0, 1.0)], [(s, s)]),
+                                          radii=probe_radii(grid129))
+    assert label.tolist() == ["SINGULAR_CANDIDATE"]
+    assert density[0] < 0.35  # quarter-plane occupancy
 
 
 def test_classify_reentrant_corner(grid129):
@@ -369,18 +367,19 @@ def test_classify_reentrant_corner(grid129):
         rectangle(grid129, -1.0, -1.0, 1.0, 1.0),
         rectangle(grid129, 0.0, 0.0, 1.2, 1.2),
     )
-    labels = classify_boundary(lshape, point_mesh([(0.0, 0.0)]),
-                               probe_radii(grid129))
-    assert labels[0].density == pytest.approx(0.75, abs=0.08)
-    assert labels[0].label is BoundaryClass.SINGULAR_CANDIDATE
+    label, density, _ = classify_boundary(lshape, point_mesh([(0.0, 0.0)]),
+                                          probe_radii(grid129))
+    assert density[0] == pytest.approx(0.75, abs=0.08)
+    assert label.tolist() == ["SINGULAR_CANDIDATE"]
 
 
 def test_classify_interior_point_cusp_branch(grid129):
     d = disk(grid129, (0.0, 0.0), 1.0)
-    labels = classify_boundary(d, point_mesh([(0.0, 0.0)]), probe_radii(grid129))
-    assert labels[0].density == pytest.approx(1.0, abs=1e-6)
-    assert abs(labels[0].trend) < 1e-6
-    assert labels[0].label is BoundaryClass.CUSP_CANDIDATE
+    label, density, trend = classify_boundary(d, point_mesh([(0.0, 0.0)]),
+                                              probe_radii(grid129))
+    assert density[0] == pytest.approx(1.0, abs=1e-6)
+    assert abs(trend[0]) < 1e-6
+    assert label.tolist() == ["CUSP_CANDIDATE"]
 
 
 def test_classify_slit_not_reduced(grid129):
@@ -389,9 +388,10 @@ def test_classify_slit_not_reduced(grid129):
         disk(grid129, (0.0, 0.0), 1.0),
         rectangle(grid129, 0.0, -0.5 * h, 1.1, 0.5 * h),
     )
-    labels = classify_boundary(slit, point_mesh([(0.5, 0.0)]), probe_radii(grid129))
-    assert labels[0].label is not BoundaryClass.REDUCED
-    assert labels[0].density > 0.65
+    label, density, _ = classify_boundary(slit, point_mesh([(0.5, 0.0)]),
+                                          probe_radii(grid129))
+    assert label.shape == (1,) and label[0] != "REDUCED"
+    assert density[0] > 0.65
 
 
 def _reference_classify_boundary(d, points, radii):
@@ -405,11 +405,11 @@ def _reference_classify_boundary(d, points, radii):
         rho0 = float(rho[0])
         trend = rho0 - float(rho[-1])
         if 0.35 <= rho0 <= 0.65 and float(rho.max() - rho.min()) <= 0.15:
-            cls = BoundaryClass.REDUCED
+            cls = "REDUCED"
         elif rho0 >= 0.9 and trend >= -0.02:
-            cls = BoundaryClass.CUSP_CANDIDATE
+            cls = "CUSP_CANDIDATE"
         else:
-            cls = BoundaryClass.SINGULAR_CANDIDATE
+            cls = "SINGULAR_CANDIDATE"
         labels.append((cls, rho0.hex(), trend.hex()))
     return labels
 
@@ -422,10 +422,11 @@ def test_classify_matches_per_point_loop(grid129, edge_disk):
     extra = [(0.0, 0.0), (-0.5, 0.0), (1.4, -1.4), (1.97, -1.97), (9.0, 9.0)]
     for d in (edge_disk[0], slit):
         pts = np.vstack([extract_boundary(d).points, extra])
-        labels = classify_boundary(d, point_mesh(pts), probe_radii(grid129))
-        got = [(lb.label, lb.density.hex(), lb.trend.hex()) for lb in labels]
+        label, density, trend = classify_boundary(d, point_mesh(pts), probe_radii(grid129))
+        got = [(lab, dens.hex(), tr.hex())
+               for lab, dens, tr in zip(label.tolist(), density.tolist(), trend.tolist())]
         assert got == _reference_classify_boundary(d, pts, probe_radii(grid129))
-        assert {lb.label for lb in labels} == set(BoundaryClass)
+        assert set(label.tolist()) == {"REDUCED", "SINGULAR_CANDIDATE", "CUSP_CANDIDATE"}
 
 
 def test_classify_validation(grid129):
@@ -472,7 +473,7 @@ def test_torsion_probe_ok_on_ball(ball_torsion):
     s = math.sqrt(0.5)
     for pt in [(1.0, 0.0), (0.0, 1.0), (s, s), (-1.0, 0.0), (0.0, 0.0)]:
         for r in (4 * h, 8 * h):
-            assert torsion_probe(d, tf, [pt], r) == [ProbeFlag.OK]
+            assert torsion_probe(d, tf, [pt], r).tolist() == [False]
 
 
 def test_torsion_probe_violation_on_flat_field(ball_torsion):
@@ -481,7 +482,7 @@ def test_torsion_probe_violation_on_flat_field(ball_torsion):
         v=np.where(d.inside, 1e-6, 0.0), energy=0.0, resid=0.0,
         generation=d.generation,
     )
-    assert torsion_probe(d, flat, [(0.0, 0.0)], 0.3) == [ProbeFlag.VIOLATION]
+    assert torsion_probe(d, flat, [(0.0, 0.0)], 0.3).tolist() == [True]
 
 
 def test_torsion_probe_vacuous_ok(ball_torsion):
@@ -489,8 +490,8 @@ def test_torsion_probe_vacuous_ok(ball_torsion):
     zero = TorsionField(
         v=np.zeros_like(d.phi), energy=0.0, resid=0.0, generation=d.generation
     )
-    assert torsion_probe(d, zero, [(0.0, 0.0)], 0.3) == [ProbeFlag.OK]
-    assert torsion_probe(d, zero, [(1.8, 1.8)], 0.3) == [ProbeFlag.OK]
+    assert torsion_probe(d, zero, [(0.0, 0.0)], 0.3).tolist() == [False]
+    assert torsion_probe(d, zero, [(1.8, 1.8)], 0.3).tolist() == [False]
 
 
 def test_torsion_probe_validation(ball_torsion):
@@ -514,11 +515,12 @@ def _reference_ball_mean(d, field, x, r):
 
 
 def _reference_torsion_probe(d, tf, x, r, c0=0.06, vtol=1e-8):
+    """Whether the probe at one centre ``x`` is a violation."""
     mean_r, _ = _reference_ball_mean(d, tf.v, x, r)
     if mean_r > c0 * r:
-        return ProbeFlag.OK
+        return False
     _, inner_max = _reference_ball_mean(d, tf.v, x, max(r / 4.0, 1.5 * d.grid.h))
-    return ProbeFlag.VIOLATION if inner_max > vtol else ProbeFlag.OK
+    return inner_max > vtol
 
 
 def test_torsion_probe_batch_matches_single_centres(edge_disk):
@@ -536,16 +538,16 @@ def test_torsion_probe_batch_matches_single_centres(edge_disk):
     for field in (tf, flat):
         for r in (4 * h, 12 * h, 0.6):
             means = _ball_means(d.grid, field.v, centres, r)
-            flags = torsion_probe(d, field, centres, r)
-            assert len(flags) == len(centres)
-            for x, mean, flag in zip(centres, means, flags):
+            violations = torsion_probe(d, field, centres, r)
+            assert violations.dtype == bool and violations.shape == (len(centres),)
+            for x, mean, bad in zip(centres, means, violations.tolist()):
                 ref_mean, _ = _reference_ball_mean(d, field.v, x, r)
                 assert mean.hex() == ref_mean.hex()
-                assert flag is _reference_torsion_probe(d, field, x, r)
-                seen.add(flag)
-    assert seen == {ProbeFlag.OK, ProbeFlag.VIOLATION}
+                assert bad is _reference_torsion_probe(d, field, x, r)
+                seen.add(bad)
+    assert seen == {False, True}
     one = torsion_probe(d, flat, centres[:1], 4 * h)  # a one-row stack
-    assert one == [_reference_torsion_probe(d, flat, centres[0], 4 * h)]
+    assert one.tolist() == [_reference_torsion_probe(d, flat, centres[0], 4 * h)]
 
 
 # ---- scaling quotients and simplicity ---------------------------------
