@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
-import dataclasses
 import hashlib
 import json
 import math
@@ -29,7 +28,6 @@ from .diagnostics import (
     classify_boundary,
     el_residual,
     probe_radii,
-    scaling_check,
     simplicity_report,
     torsion_probe,
     weiss_profile,
@@ -526,12 +524,17 @@ def _load_torsion(d: GridDomain, dom_path: str, spec_path: pathlib.Path):
 
 
 def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
+    """report.json and weiss.csv of the saved run that ``[diagnose]`` names.
+
+    ``probes`` sets a stride, not a count: the Weiss and torsion probes take
+    every ``max(1, m // probes)``-th of the ``m`` boundary samples, which is
+    ``ceil(m / stride)`` points, up to about twice ``probes``. The labels
+    cover every sample."""
     dom_path, spec_path, xi_path = _diagnose_paths(cp)
     radii = _get(cp, "diagnose", "radii", _floats)  # default 4h 6h 8h 12h
     n_probes = _get(cp, "diagnose", "probes", int, 48)
     if n_probes < 1:
         raise ConfigError(f"[diagnose] probes must be >= 1, got {n_probes}")
-    spec = build_objective(cp) if cp.has_section("objective") else None
     _reject_unread(cp, "diagnose")
     d, sp, w = _read_diagnose_inputs(dom_path, spec_path, xi_path)
     h = d.grid.h
@@ -545,7 +548,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
         "lambdas": [float(v) for v in sp.lambdas],
         "xi": [float(v) for v in w.xi],
         "xi_symmetrized": [float(v) for v in w.symmetrized()],
-        "simplicity": dataclasses.asdict(simplicity_report(sp)),
+        "simplicity": simplicity_report(sp),
     }
     if len(bm) > 0:
         try:
@@ -571,13 +574,6 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
         report["boundary_labels"] = dict(zip(names.tolist(), counts.tolist()))
         violations = torsion_probe(d, tf, probe_pts, radii[0])
         report["torsion_violations"] = int(violations.sum())
-    if spec is not None and len(sp) >= spec.n:
-        rep = scaling_check(spec, sp)
-        report["scaling"] = {
-            "s": [float(v) for v in rep.s_values],
-            "forward": [float(v) for v in rep.forward],
-            "backward": [float(v) for v in rep.backward],
-        }
     _write_json(report, out / "report.json")
     return 0, {}
 

@@ -2,10 +2,10 @@
 
 Scaled boundary energies and their almost-monotonicity constant, the
 first-order optimality residual on the boundary, density-based boundary
-point classification, a torsion-function nondegeneracy probe, and small
-reports on eigenvalue scaling and cluster structure. Everything here is a
-pure measurement: synthetic spectra and weight vectors are accepted as
-readily as converged optimizer output.
+point classification, a torsion-function nondegeneracy probe, and the
+eigenvalue cluster structure. Everything here is a pure measurement:
+synthetic spectra and weight vectors are accepted as readily as converged
+optimizer output.
 """
 
 from __future__ import annotations
@@ -26,21 +26,18 @@ from .domain import (
     density_ratio,
     inside_fraction,
 )
-from .objective import ObjectiveSpec, WeightVector, _rel_gaps, eval_F, kappa_clusters
+from .objective import WeightVector, _rel_gaps, kappa_clusters
 from .optimizer import shape_velocity
 from .spectral import Spectrum, TorsionField
 
 __all__ = [
     "ELResidual",
-    "ScalingReport",
-    "SimplicityReport",
     "probe_radii",
     "weiss_energy",
     "weiss_profile",
     "el_residual",
     "classify_boundary",
     "torsion_probe",
-    "scaling_check",
     "simplicity_report",
 ]
 
@@ -297,46 +294,12 @@ def torsion_probe(
 
 
 # ---------------------------------------------------------------------------
-# scaling quotients and cluster structure
+# cluster structure
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ScalingReport:
-    """Difference quotients of F along the all-ones direction.
-
-    forward[j] = [F(lam + s_j) - F(lam)] / s_j, backward[j] the same from
-    below. Strict growth shows as min(forward) > 0; Lipschitz control as a
-    finite max(backward). Coordinate and softmin families give exactly 1.
-    """
-
-    s_values: np.ndarray
-    forward: np.ndarray
-    backward: np.ndarray
-
-
-def scaling_check(spec: ObjectiveSpec, sp: Spectrum, s_values=None) -> ScalingReport:
-    """Probe monotonicity and Lipschitz quotients of F at sp's eigenvalues."""
-    lam = np.asarray(sp.lambdas[: spec.n], dtype=float)
-    if s_values is None:
-        s_values = float(lam.min()) * 0.5 ** np.arange(2, 7)
-    s_values = np.asarray(s_values, dtype=float)
-    if np.any(s_values >= lam.min()):
-        raise ValueError("shift s must stay below min(lambda) to keep lambda - s positive")
-    F0 = eval_F(spec, lam)
-    fwd = np.array([(eval_F(spec, lam + s) - F0) / s for s in s_values])
-    bwd = np.array([(eval_F(spec, lam - s) - F0) / (-s) for s in s_values])
-    return ScalingReport(s_values=s_values, forward=fwd, backward=bwd)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class SimplicityReport:
-    """Relative gaps between consecutive eigenvalues and the cluster split."""
-
-    rel_gaps: tuple[float, ...]
-    clusters: tuple[tuple[int, ...], ...]
-
-
-def simplicity_report(sp: Spectrum) -> SimplicityReport:
-    """The relative gaps of sp's eigenvalues and their :func:`kappa_clusters`."""
-    return SimplicityReport(rel_gaps=tuple(_rel_gaps(sp.lambdas).tolist()),
-                            clusters=kappa_clusters(sp.lambdas))
+def simplicity_report(sp: Spectrum) -> dict:
+    """The relative gaps of sp's eigenvalues and their :func:`kappa_clusters`,
+    as the ``simplicity`` entry of ``report.json``: ``{"rel_gaps": [...],
+    "clusters": [[...], ...]}``."""
+    return {"rel_gaps": _rel_gaps(sp.lambdas).tolist(),
+            "clusters": [list(c) for c in kappa_clusters(sp.lambdas)]}

@@ -2,9 +2,9 @@
 
 A domain is the sublevel set {phi < 0} of a nodal scalar field on a uniform
 Cartesian grid. This module provides the geometric primitives everything else
-builds on: area measurement, dilation, boundary sampling with normals and
-arclength weights, local density ratios, signed-distance reinitialization,
-and a few analytic shape constructors for tests and initial guesses.
+builds on: area measurement, boundary sampling with normals and arclength
+weights, local density ratios, signed-distance reinitialization, and the
+analytic shape constructors of the initial domains.
 """
 
 from __future__ import annotations
@@ -23,17 +23,13 @@ __all__ = [
     "inside_fraction",
     "bilinear",
     "volume",
-    "dilate",
     "extract_boundary",
     "density_ratio",
     "reinitialize",
     "connected_components",
     "split_components",
-    "perimeter",
-    "roundness",
     "disk",
     "rectangle",
-    "half_plane",
     "star_blob",
     "difference",
     "write_field_dump",
@@ -81,12 +77,6 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """Node coordinate arrays X, Y of shape (ny, nx)."""
         return np.meshgrid(self.xs, self.ys)
-
-    @property
-    def extent(self) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) of the covered box."""
-        x0, y0 = self.origin
-        return (x0, y0, x0 + (self.nx - 1) * self.h, y0 + (self.ny - 1) * self.h)
 
     @classmethod
     def from_box(cls, x0: float, y0: float, x1: float, y1: float, nx: int, ny: int) -> "Grid":
@@ -260,31 +250,6 @@ def volume(d: GridDomain) -> float:
     return float(np.sum(_node_weights(d.grid) * chi))
 
 
-def dilate(d: GridDomain, t: float) -> GridDomain:
-    """The dilated domain t*Omega on the same grid.
-
-    Samples phi(x/t) bilinearly and rescales by t, so a signed-distance input
-    stays a signed distance. Query points that fall outside the original box
-    pick up the clamped value plus the overshoot distance, keeping far-field
-    positivity.
-    """
-    if not t > 0:
-        raise ValueError(f"dilation factor must be positive, got {t}")
-    if t == 1.0:
-        return d.with_phi(d.phi.copy())
-    X, Y = d.grid.meshgrid()
-    qx = X.ravel() / t
-    qy = Y.ravel() / t
-    vals = bilinear(d.grid, d.phi, np.column_stack([qx, qy]))
-    x0, y0, x1, y1 = d.grid.extent
-    over = np.hypot(
-        np.maximum(x0 - qx, 0.0) + np.maximum(qx - x1, 0.0),
-        np.maximum(y0 - qy, 0.0) + np.maximum(qy - y1, 0.0),
-    )
-    phi = t * (vals + over)
-    return d.with_phi(phi.reshape(d.phi.shape))
-
-
 def density_ratio(d: GridDomain, centres: np.ndarray, r: float) -> np.ndarray:
     """|B_r(c) inside Omega| / |B_r(c)| by mollified node quadrature, one
     value per row c of ``centres`` (m, 2).
@@ -328,18 +293,6 @@ def split_components(d: GridDomain) -> list["GridDomain"]:
     ]
     parts.sort(key=volume, reverse=True)
     return parts
-
-
-def perimeter(d: GridDomain) -> float:
-    return float(extract_boundary(d).weights.sum())
-
-
-def roundness(d: GridDomain) -> float:
-    """Isoperimetric quotient 4*pi*|Omega| / P^2 (1 for a disk)."""
-    p = perimeter(d)
-    if p == 0.0:
-        return 0.0
-    return 4.0 * math.pi * volume(d) / p**2
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +482,6 @@ def rectangle(grid: Grid, x0: float, y0: float, x1: float, y1: float) -> GridDom
     outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
     inside = np.minimum(np.maximum(dx, dy), 0.0)
     return GridDomain(grid, outside + inside)
-
-
-def half_plane(grid: Grid, normal: Sequence[float] = (0.0, 1.0), offset: float = 0.0) -> GridDomain:
-    """Half-plane {x . n < offset} with unit outward normal n."""
-    n = np.asarray(normal, dtype=float)
-    n = n / np.hypot(*n)
-    X, Y = grid.meshgrid()
-    return GridDomain(grid, X * n[0] + Y * n[1] - offset)
 
 
 def star_blob(

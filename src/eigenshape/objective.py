@@ -30,7 +30,6 @@ __all__ = [
     "PenaltySpec",
     "WeightVector",
     "eval_F",
-    "tau_kp",
     "eval_Gp",
     "eval_Fp",
     "grad_Fp",
@@ -185,23 +184,11 @@ class PenaltySpec:
         )
 
 
-def tau_kp(kappa: Sequence[float], k: int, p: float) -> float:
-    """The running p-norm tau_k = (sum_{l<=k} kappa_l^p)^(1/p).
+def _tau_all(kappa: np.ndarray, p: float) -> np.ndarray:
+    """All running p-norms tau_k = (sum_{l<=k} kappa_l^p)^(1/p), k = 1..N.
 
     Computed in log-sum-exp form so large p never overflows.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    if not 1 <= k <= len(kappa):
-        raise ValueError(f"k={k} out of range 1..{len(kappa)}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if np.any(kappa[:k] <= 0):
-        raise ValueError("kappa entries must be strictly positive")
-    return float(_tau_all(kappa[:k], p)[-1])
-
-
-def _tau_all(kappa: np.ndarray, p: float) -> np.ndarray:
-    """All running p-norms tau_1..tau_N, via log-sum-exp."""
     logk = np.log(kappa)
     taus = np.empty(len(kappa))
     for k in range(len(kappa)):

@@ -20,15 +20,12 @@ from eigenshape import (
     Spectrum,
     WeightVector,
     classify_boundary,
-    dilate,
     disk,
     el_residual,
     eval_F,
     eval_Fp,
     extract_boundary,
     grad_Fp,
-    half_plane,
-    roundness,
     simplicity_report,
     solve_spectrum,
     solve_torsion,
@@ -41,6 +38,7 @@ from eigenshape.diagnostics import _mode_gradients
 from eigenshape.domain import _ball_means, density_ratio
 
 from conftest import write_ini
+from shapes import dilate, half_plane, roundness
 
 J01 = 2.404825557695773
 BALL_OPTIMUM = 2.0 * J01 * math.sqrt(math.pi)          # ~ 8.524880
@@ -245,9 +243,9 @@ def test_criterion_7_structural_invariants(fk_run, ks_run):
     # cluster structure: simple ground state (fk), matched pair (ks)
     rep_fk = simplicity_report(fk_run.spectrum)
     rep_ks = simplicity_report(ks_run.spectrum)
-    assert all(gp >= 0 for gp in rep_fk.rel_gaps + rep_ks.rel_gaps)
-    assert rep_fk.clusters[0] == (0,)
-    assert rep_ks.clusters[0] == (0, 1)
+    assert all(gp >= 0 for gp in rep_fk["rel_gaps"] + rep_ks["rel_gaps"])
+    assert rep_fk["clusters"][0] == [0]
+    assert rep_ks["clusters"][0] == [0, 1]
     print("\n  " + "  ".join(notes))
 
 

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import eigenshape
 from eigenshape import (
@@ -176,7 +176,7 @@ _DEFAULTED = {
                                              "blob", "two_blobs", "file")),
     *(("optimize", "disk", family) for family in ("single", "linear", "softmin")),
     ("sweep-p", "blob", "softmin"),
-    ("diagnose", None, "linear"),
+    ("diagnose", None, None),
 ])
 def test_config_of_every_read_key_exit_0(small_run, tmp_path, monkeypatch, command, kind,
                                          family):
@@ -185,7 +185,6 @@ def test_config_of_every_read_key_exit_0(small_run, tmp_path, monkeypatch, comma
     if command == "diagnose":
         sections = diagnose_sections(small_run)
         sections["diagnose"]["radii"] = "0.5 0.75"
-        sections["objective"] = {"family": family, **_OBJECTIVES[family]}
         sections["run"] = {"seed": 3}
     else:
         sections = _small_sections(command, kind, family)
@@ -793,7 +792,8 @@ def _fuzz_cases(draw):
 @example(case=("optimize", "disk", "single", [(("penalty", "reference"), "ref_v1.grid"),
                                               (("penalty", "s"), "0.02")]))
 @example(case=("optimize", "disk", "single", [(("penalty", "reference"), "ref_17x17.grid")]))
-@settings(max_examples=120, deadline=None, derandomize=True)
+@seed(2017)  # a fixed draw: editing the test or its @example rows does not re-seed it
+@settings(max_examples=120, deadline=None, derandomize=False, database=None)
 @given(case=_fuzz_cases())
 def test_fuzzed_configs_exit_0_1_or_2(case):
     command, kind, family, edits = case
@@ -809,6 +809,25 @@ def test_fuzzed_configs_exit_0_1_or_2(case):
     assert "Traceback" not in err.getvalue()
 
 
+def test_config_fuzz_draws_the_same_examples_on_every_run(monkeypatch):
+    # the fuzz runs its examples against a stand-in for run_single that
+    # records each config; two runs record the same configs in the same order
+    runs = []
+    for _ in range(2):
+        configs = []
+
+        def record(command, cfg, out, seed, check):
+            text = pathlib.Path(cfg).read_text()
+            configs.append((command, text.replace(str(pathlib.Path(cfg).parent), "<tmp>")))
+            return 0
+
+        monkeypatch.setattr(sys.modules[__name__], "run_single", record)
+        test_fuzzed_configs_exit_0_1_or_2()
+        runs.append(configs)
+    assert len(runs[0]) >= 120
+    assert runs[0] == runs[1]
+
+
 # ---- diagnose ---------------------------------------------------------
 
 
@@ -820,7 +839,6 @@ def diagnose_sections(out, probes=16):
             "xi": str(out / "xi.csv"),
             "probes": probes,
         },
-        "objective": {"family": "single", "n": 1, "index": 1},
     }
 
 
@@ -837,7 +855,6 @@ def test_diagnose_roundtrip(opt_run, tmp_path):
     assert sum(counts.values()) == report["n_boundary"]
     assert counts.get("REDUCED", 0) / report["n_boundary"] >= 0.95
     assert report["torsion_violations"] == 0
-    assert report["scaling"]["forward"] == pytest.approx([1.0] * 5, abs=1e-9)
     wl = (dout / "weiss.csv").read_text().splitlines()
     assert wl[0] == "x,y,r,W"
     assert len(wl) > 16  # probes * radii samples
@@ -846,7 +863,9 @@ def test_diagnose_roundtrip(opt_run, tmp_path):
 def test_diagnose_counts_label_classes_and_violations_of_an_l_shape(tmp_path):
     # the corners of an L-shape give more than one label class, and probes
     # near the re-entrant corner see torsion violations; the report's counts
-    # are those of the library calls on the same inputs
+    # are those of the library calls on the same inputs. [diagnose] probes
+    # sets the stride max(1, m // probes) over the m = 308 boundary samples,
+    # so 200 probes all 308 of them and 96 probes 103
     solve = write_ini(tmp_path / "solve.ini", {
         "run": {"seed": 11},
         "grid": {"nx": 129, "ny": 129},
@@ -856,44 +875,56 @@ def test_diagnose_counts_label_classes_and_violations_of_an_l_shape(tmp_path):
     out = tmp_path / "solve"
     assert run_single("solve", str(solve), str(out), None, False) == 0
     (tmp_path / "xi.csv").write_text("k,xi\n1,1.0\n")
-    probes = 400
-    cfg = write_ini(tmp_path / "diag.ini", {"diagnose": {
-        "domain": str(out / "domain.grid"),
-        "spectrum": str(out / "spectrum.csv"),
-        "xi": str(tmp_path / "xi.csv"),
-        "probes": probes,
-    }})
-    dout = tmp_path / "dout"
-    assert run_single("diagnose", str(cfg), str(dout), None, False) == 0
-    report = json.loads((dout / "report.json").read_text())
-
     d = read_grid_dump(out / "domain.grid")
     h = d.grid.h
     bm = extract_boundary(d)
+    assert len(bm) == 308
     radii = probe_radii((4 * h, 6 * h, 8 * h, 12 * h), h)
     label, _, _ = classify_boundary(d, bm, radii)
-    counts = report["boundary_labels"]
-    assert len(counts) >= 2
-    assert counts == dict(collections.Counter(label.tolist()))
-    assert sum(counts.values()) == report["n_boundary"] == len(bm)
-    probe_pts = bm.points[::max(1, len(bm) // probes)]
-    violations = torsion_probe(d, solve_torsion(d), probe_pts, radii[0])
-    assert report["torsion_violations"] > 0
-    assert report["torsion_violations"] == violations.sum()
+    tf = solve_torsion(d)
+    for probes, probed in ((400, 308), (200, 308), (96, 103)):
+        cfg = write_ini(tmp_path / "diag.ini", {"diagnose": {
+            "domain": str(out / "domain.grid"),
+            "spectrum": str(out / "spectrum.csv"),
+            "xi": str(tmp_path / "xi.csv"),
+            "probes": probes,
+        }})
+        dout = tmp_path / f"dout{probes}"
+        assert run_single("diagnose", str(cfg), str(dout), None, False) == 0
+        report = json.loads((dout / "report.json").read_text())
+
+        counts = report["boundary_labels"]
+        assert len(counts) >= 2
+        assert counts == dict(collections.Counter(label.tolist()))
+        assert sum(counts.values()) == report["n_boundary"] == len(bm)
+        weiss_rows = (dout / "weiss.csv").read_text().splitlines()[1:]
+        assert len(weiss_rows) == probed * len(radii)
+        probe_pts = bm.points[::max(1, len(bm) // probes)]
+        assert len(probe_pts) == probed
+        violations = torsion_probe(d, tf, probe_pts, radii[0])
+        assert report["torsion_violations"] > 0
+        assert report["torsion_violations"] == violations.sum()
 
 
-def test_diagnose_bad_objective_exit_2_before_any_probe(opt_run, tmp_path, capsys):
+def test_diagnose_bad_objective_exit_2_before_any_probe(opt_run, tmp_path, capsys,
+                                                        monkeypatch):
+    # diagnose reads no [objective]: any such section, a valid one, a bad
+    # one or an empty one, exits 2 with one line naming it, before the
+    # inputs are read or any probe runs
     _, out = opt_run
-    sections = diagnose_sections(out)
-    sections["objective"]["family"] = "nope"
-    cfg = write_ini(tmp_path / "diag.ini", sections)
-    dout = tmp_path / "dout"
-    capsys.readouterr()
-    assert run_single("diagnose", str(cfg), str(dout), None, False) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "nope" in err
-    assert not (dout / "weiss.csv").exists()
-    assert list(dout.iterdir()) == []
+    for target in ("_read_diagnose_inputs", "el_residual", "weiss_profile",
+                   "classify_boundary", "torsion_probe"):
+        monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(AssertionError(target)))
+    for i, objective in enumerate([{"family": "single", "n": 1, "index": 1},
+                                   {"family": "nope"}, {}]):
+        sections = {**diagnose_sections(out), "objective": objective}
+        cfg = write_ini(tmp_path / f"diag{i}.ini", sections)
+        dout = tmp_path / f"dout{i}"
+        capsys.readouterr()
+        assert run_single("diagnose", str(cfg), str(dout), None, False) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[objective]" in err and "not read by diagnose" in err
+        assert list(dout.iterdir()) == []
 
 
 def test_diagnose_grid_mismatch(opt_run, tmp_path):

@@ -25,10 +25,9 @@ from eigenshape import (
     eval_penalty_E,
     extract_boundary,
     grad_Fp,
-    tau_kp,
     volume,
 )
-from eigenshape.objective import eval_Gp, kappa_clusters, xi0_field
+from eigenshape.objective import _tau_all, eval_Gp, kappa_clusters, xi0_field
 
 from conftest import smooth_g
 
@@ -111,25 +110,19 @@ def test_F_nondecreasing(k, delta, axis):
 
 
 def test_tau_basic():
-    k = [2.0, 3.0, 5.0]
-    assert tau_kp(k, 1, 8.0) == 2.0
+    k = np.array([2.0, 3.0, 5.0])
+    assert _tau_all(k, 8.0)[0] == 2.0
     for p in (2.0, 8.0, 64.0):
-        taus = [tau_kp(k, j, p) for j in (1, 2, 3)]
+        taus = _tau_all(k, p)
         assert np.all(np.diff(taus) > 0)  # strictly more mass each step
         for j in (1, 2, 3):
             assert taus[j - 1] >= max(k[:j]) * (1 - 1e-14)
     # enormous p: log-sum-exp keeps it finite and pins the max
-    assert tau_kp(k, 3, 1e8) == pytest.approx(5.0, rel=1e-7)
-    with pytest.raises(ValueError, match="out of range"):
-        tau_kp(k, 4, 8.0)
-    with pytest.raises(ValueError, match="p must be"):
-        tau_kp(k, 2, 0.5)
-    with pytest.raises(ValueError, match="positive"):
-        tau_kp([1.0, -1.0], 2, 8.0)
+    assert _tau_all(k, 1e8)[2] == pytest.approx(5.0, rel=1e-7)
 
 
 def test_tau_two_equal():
-    assert tau_kp([2.0, 2.0], 2, 8.0) == pytest.approx(2.0 * 2 ** (1 / 8), rel=1e-14)
+    assert _tau_all(np.array([2.0, 2.0]), 8.0)[1] == pytest.approx(2.0 * 2 ** (1 / 8), rel=1e-14)
 
 
 # ---- regularized objective -------------------------------------------

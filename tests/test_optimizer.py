@@ -22,12 +22,10 @@ from eigenshape import (
     PenaltySpec,
     SpectralError,
     WeightVector,
-    dilate,
     disk,
     eval_Fp,
     extract_boundary,
     grad_Fp,
-    half_plane,
     shape_velocity,
     solve_spectrum,
     star_blob,
@@ -47,6 +45,7 @@ from eigenshape.optimizer import (
 )
 
 from conftest import smooth_g
+from shapes import dilate, half_plane
 
 J01 = 2.404825557695773
 R_STAR = (J01**2 / math.pi) ** 0.25  # ball radius where the speed vanishes

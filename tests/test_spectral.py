@@ -23,7 +23,6 @@ from eigenshape import (
     GridDomain,
     SpectralError,
     difference,
-    dilate,
     disk,
     extract_boundary,
     normal_derivative,
@@ -37,6 +36,8 @@ from eigenshape.domain import _cell_corners, bilinear
 from eigenshape.objective import kappa_clusters
 from eigenshape.cli import write_spectrum_csv
 from eigenshape.spectral import _DIRS, THETA_FLOOR, assemble_laplacian, torsion_field
+
+from shapes import dilate
 
 J01 = 2.404825557695773  # first zero of J0
 J11 = 3.8317059702075125  # first zero of J1
@@ -437,7 +438,7 @@ def _reference_stencil_ok(grid, inside, pts):
 def _edge_points(grid, rng):
     """Points outside the box, on its first and last node rows and columns,
     just inside and outside them, and spread over the box."""
-    x0, y0, x1, y1 = grid.extent
+    x0, y0, x1, y1 = grid.xs[0], grid.ys[0], grid.xs[-1], grid.ys[-1]
     h = grid.h
 
     def ticks(lo, hi):
