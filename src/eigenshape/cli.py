@@ -107,12 +107,19 @@ def load_config(path) -> _Config:
 
 
 def _get(cp, section, key, cast, default=None, required=False):
+    """The value of ``[section] key`` through ``cast``. Any cast but ``str``
+    takes the token rule of the dumps and CSVs: a value that is not ASCII or
+    holds ``_`` (which int() and float() would read) is a ConfigError."""
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing [{section}] {key}")
         return default
     raw = cp.get(section, key).strip()
     try:
+        if cast is str:
+            return raw
+        if not raw.isascii() or "_" in raw:
+            raise ValueError(raw)
         if cast is bool:
             return cp.BOOLEAN_STATES[raw.lower()]
         return cast(raw)
@@ -388,7 +395,7 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
         return 1, {"converged": False}
     except ValueError as err:  # an empty domain, or too few nodes for M modes
         raise ConfigError(str(err)) from err
-    tv = solve_torsion(d, factors=factors).v if torsion else None
+    tv = solve_torsion(d, factors=factors) if torsion else None
     _write_solved_state(out, d, sp, tv)
     return 0, {"converged": True, "lambdas": [float(v) for v in sp.lambdas]}
 
@@ -407,7 +414,7 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     traces, labels, code = _run_flow(out, d0, cfg, schedule, "sweep-p", "trace_p{}.csv")
     _write_csv(out / "xi_trace.csv", "p,k,xi",
                ((label, k, val) for label, tr in zip(labels, traces)
-                if tr.weights is not None for k, val in enumerate(tr.weights.xi, start=1)))
+                if tr.final is not None for k, val in enumerate(tr.final.weights.xi, start=1)))
     return code, {"stages": [{"p": p, **_stage_summary(tr)}
                              for p, tr in zip(schedule, traces)]}
 
@@ -437,8 +444,8 @@ def _run_flow(out: pathlib.Path, d0: GridDomain, cfg: OptimizerConfig,
         raise ConfigError(str(err)) from err
     for label, tr in zip(labels, traces):
         write_trace_csv(tr, out / trace_name.format(label), cfg.spec.n)
-    final = traces[-1]
-    if final.domain is not None:  # None when its initial spectrum failed
+    final = traces[-1].final
+    if final is not None:  # None when its initial spectrum failed
         write_grid_dump(final.domain, out / "domain.grid")
         _write_solved_state(out, final.domain, final.spectrum)
         write_xi_csv(final.weights, out / "xi.csv")
@@ -446,14 +453,15 @@ def _run_flow(out: pathlib.Path, d0: GridDomain, cfg: OptimizerConfig,
 
 
 def _stage_summary(trace: OptimizerTrace) -> dict:
-    """How one stage ended: the optimize manifest extras, and each entry of
-    the sweep-p ``stages`` (with its p)."""
+    """How one stage ended, in numbers of the state it ended in (the one whose
+    artifacts the last stage writes): the optimize manifest extras, and each
+    entry of the sweep-p ``stages`` (with its p)."""
     summary = {"converged": bool(trace.converged), "stalled": bool(trace.stalled),
-               "stop_reason": trace.stop_reason, "objective_F": trace.objective_F}
-    if trace.records:  # none when the initial spectrum failed
-        final = trace.records[-1]
-        summary.update(objective=final.objective, volume=final.volume, E=final.E,
-                       lambdas=list(final.lambdas))
+               "stop_reason": trace.stop_reason, "objective_F": None}
+    final = trace.final
+    if final is not None:  # None when the initial spectrum failed
+        summary.update(objective_F=final.objective_F, objective=final.objective,
+                       volume=final.vol, E=final.E, lambdas=[float(v) for v in final.kappa])
     return summary
 
 
@@ -561,7 +569,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
             "p90_abs": el.p90_abs,
             "n_reliable": int(len(el.values)),
         }
-        tf = _load_torsion(d, dom_path, spec_path)
+        v = _load_torsion(d, dom_path, spec_path)
         probe_pts = bm.points[::max(1, len(bm) // n_probes)]
         W, c_hat = weiss_profile(d, sp, w, probe_pts, radii)
         write_weiss_csv(probe_pts, radii, W, out / "weiss.csv")
@@ -572,7 +580,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
         }
         names, counts = np.unique(classify_boundary(d, bm, radii)[0], return_counts=True)
         report["boundary_labels"] = dict(zip(names.tolist(), counts.tolist()))
-        violations = torsion_probe(d, tf, probe_pts, radii[0])
+        violations = torsion_probe(d, v, probe_pts, radii[0])
         report["torsion_violations"] = int(violations.sum())
     _write_json(report, out / "report.json")
     return 0, {}

@@ -28,7 +28,7 @@ from .domain import (
 )
 from .objective import WeightVector, _rel_gaps, kappa_clusters
 from .optimizer import shape_velocity
-from .spectral import Spectrum, TorsionField
+from .spectral import Spectrum
 
 __all__ = [
     "ELResidual",
@@ -269,12 +269,12 @@ _PROBE_VTOL = 1e-8
 
 def torsion_probe(
     d: GridDomain,
-    tf: TorsionField,
+    v: np.ndarray,
     centres: np.ndarray,
     r: float,
 ) -> np.ndarray:
-    """Mean-value nondegeneracy check on the torsion function: a bool
-    violation flag per row x of ``centres`` (m, 2), shape (m,).
+    """Mean-value nondegeneracy check on the torsion function ``v`` (ny, nx):
+    a bool violation flag per row x of ``centres`` (m, 2), shape (m,).
 
     If the mean of v over B_r(x) falls below _PROBE_C0*r, v must vanish on
     the quarter ball B_{r/4}(x); a |v| above _PROBE_VTOL there is a
@@ -284,12 +284,12 @@ def torsion_probe(
     h = d.grid.h
     probe_radii((r,), h)
     centres = np.asarray(centres, dtype=float)
-    low = np.flatnonzero(~(_ball_means(d.grid, tf.v, centres, r) > _PROBE_C0 * r))
+    low = np.flatnonzero(~(_ball_means(d.grid, v, centres, r) > _PROBE_C0 * r))
     violation = np.zeros(len(centres), dtype=bool)
     # the max of |v| over the nodes that the inner ball gives weight
     for sel, rows, cols, ball in _ball_windows(d.grid, centres[low], max(r / 4.0, 1.5 * h)):
-        v = np.where(ball > 0, np.abs(tf.v[rows[:, :, None], cols[:, None, :]]), 0.0)
-        violation[low[sel]] = v.max(axis=(1, 2), initial=0.0) > _PROBE_VTOL
+        near = np.where(ball > 0, np.abs(v[rows[:, :, None], cols[:, None, :]]), 0.0)
+        violation[low[sel]] = near.max(axis=(1, 2), initial=0.0) > _PROBE_VTOL
     return violation
 
 

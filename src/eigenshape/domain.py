@@ -389,14 +389,20 @@ def extract_boundary(d: GridDomain) -> BoundaryMesh:
 # reinitialization
 # ---------------------------------------------------------------------------
 
-def reinitialize(d: GridDomain, tol: float = 1e-3, max_iter: int = 400) -> GridDomain:
+#: sup-norm update below which reinitialize stops
+_REINIT_TOL = 1e-3
+#: sweeps after which reinitialize stops
+_REINIT_MAX_ITER = 400
+
+
+def reinitialize(d: GridDomain) -> GridDomain:
     """Relax phi toward the signed distance of its own zero level set.
 
     Runs the standard reinitialization relaxation phi_tau = S(phi0)(1 - |grad
     phi|) with Godunov upwinding, anchoring interface nodes to the sub-cell
     target distance h*phi0/|grad phi0| so the zero level set does not drift.
-    Stops when the sup-norm update drops below ``tol`` or after ``max_iter``
-    sweeps.
+    Stops when the sup-norm update drops below ``_REINIT_TOL`` or after
+    ``_REINIT_MAX_ITER`` sweeps.
 
     The sweeps run on psi = sign(phi0) * phi, so both sides of the interface
     share one upwind rule: |grad psi| takes max(D-psi, -D+psi, 0) per axis,
@@ -437,7 +443,7 @@ def reinitialize(d: GridDomain, tol: float = 1e-3, max_iter: int = 400) -> GridD
     row_ends = np.arange(nx - 1, n - 1, nx)  # x-differences that wrap rows
     fx, fy = np.empty(n - 1), np.empty(n - nx)
     ax, ay, u = np.empty(n), np.empty(n), np.empty(n)
-    for _ in range(max_iter):
+    for _ in range(_REINIT_MAX_ITER):
         # forward differences on the flat array; the backward difference at
         # a node is the forward one of its predecessor, and the replicated
         # grid edges give zeros
@@ -459,7 +465,7 @@ def reinitialize(d: GridDomain, tol: float = 1e-3, max_iter: int = 400) -> GridD
         u *= coef
         u[anchored] = anchor * (np.abs(psi[anchored]) - target)
         psi += u
-        if max(u.max(), -u.min()) < tol:
+        if max(u.max(), -u.min()) < _REINIT_TOL:
             break
     return d.with_phi(sign0 * psi.reshape(ny, nx))
 

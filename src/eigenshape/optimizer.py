@@ -59,13 +59,11 @@ _REINIT_EVERY = 5
 
 
 class OptimizeAborted(RuntimeError):
-    """Mid-run solver failure; carries the partial trace accumulated so far
-    and, in ``traces``, the traces of every stage that ran (from
-    :func:`p_continuation`; the last one is ``trace``)."""
+    """Mid-run solver failure; ``traces`` holds the trace of every stage that
+    ran (from :func:`p_continuation`), the last one partial."""
 
     def __init__(self, message: str, trace: "OptimizerTrace"):
         super().__init__(message)
-        self.trace = trace
         self.traces = [trace]
 
 
@@ -111,13 +109,10 @@ class TraceRecord:
 
 @dataclasses.dataclass(eq=False)
 class OptimizerTrace:
-    """Per-step records plus the final (domain, spectrum, weights) triple."""
+    """Per-step records plus the state the run ended in."""
 
     records: list[TraceRecord] = dataclasses.field(default_factory=list)
-    domain: GridDomain | None = None
-    spectrum: Spectrum | None = None
-    weights: WeightVector | None = None
-    objective_F: float | None = None    # unregularized F(lambda) + |Omega| at the end
+    final: FlowState | None = None      # None when the initial spectrum failed
     # why the run ended: "converged", "line_search_stall", "max_steps" or
     # "aborted" (eigensolver failure; the trace is partial)
     stop_reason: str | None = None
@@ -232,6 +227,11 @@ class FlowState:
         return self.Fp + self.vol + self.E
 
     @property
+    def objective_F(self) -> float:
+        """The unregularized F(lambda) + |Omega|."""
+        return eval_F(self.cfg.spec, self.kappa) + self.vol
+
+    @property
     def kappa(self) -> np.ndarray:
         return self.spectrum.lambdas[: self.cfg.spec.n]
 
@@ -330,7 +330,7 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
             where = f"at step {i}"
             state, dt_used, stalled = step(state, dt, baseline=floor)
         except SpectralError as err:
-            _finalize(trace, state, "aborted")
+            trace.final, trace.stop_reason = state, "aborted"
             raise OptimizeAborted(f"spectrum failed {where}: {err}", trace) from err
         if stalled:
             reason = "line_search_stall"
@@ -346,16 +346,8 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
         else:
             small_steps = 0
         dt = min(cfg.dt0, 2.0 * dt_used)
-    _finalize(trace, state, reason)
+    trace.final, trace.stop_reason = state, reason
     return trace
-
-
-def _finalize(trace: OptimizerTrace, state: FlowState, reason: str) -> None:
-    trace.stop_reason = reason
-    trace.domain = state.domain
-    trace.spectrum = state.spectrum
-    trace.weights = state.weights
-    trace.objective_F = eval_F(state.cfg.spec, state.kappa) + state.vol
 
 
 def p_continuation(
@@ -390,6 +382,6 @@ def p_continuation(
             err.traces = traces + err.traces
             raise
         traces.append(tr)
-        d = tr.domain
-        pen = PenaltySpec(s=cfg.pen.s, reference=tr.domain)
+        d = tr.final.domain
+        pen = PenaltySpec(s=cfg.pen.s, reference=d)
     return traces

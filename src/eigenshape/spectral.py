@@ -20,7 +20,6 @@ from .domain import BoundaryMesh, GridDomain, _cell_corners
 __all__ = [
     "SpectralError",
     "Spectrum",
-    "TorsionField",
     "assemble_laplacian",
     "factor_laplacian",
     "solve_spectrum",
@@ -201,21 +200,14 @@ def solve_spectrum(
     )
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class TorsionField:
-    """Torsion function v (zero outside Omega) and the energy T(Omega)."""
-
-    v: np.ndarray
-    energy: float
-    resid: float
-    generation: int = 0
-
-
-def solve_torsion(d: GridDomain, factors=None) -> TorsionField:
-    """Solve -Laplace v = 1 with Dirichlet conditions; report T(Omega).
+def solve_torsion(d: GridDomain, factors=None) -> np.ndarray:
+    """The torsion function v (ny, nx) of ``d``: -Laplace v = 1 on Omega with
+    Dirichlet conditions, zero off Omega.
 
     ``factors`` is :func:`factor_laplacian` of ``d``. The solution passes
-    the check of :func:`torsion_field`.
+    the check of :func:`torsion_field`. The torsion energy is
+    T(Omega) = int(|grad v|^2 / 2 - v) = -h^2 * sum(v) / 2 through the
+    discrete equation.
     """
     A, active, lu = factor_laplacian(d) if factors is None else factors
     full = np.zeros(d.phi.size)
@@ -223,14 +215,12 @@ def solve_torsion(d: GridDomain, factors=None) -> TorsionField:
     return torsion_field(d, full.reshape(d.phi.shape), laplacian=(A, active))
 
 
-def torsion_field(d: GridDomain, v: np.ndarray, laplacian=None) -> TorsionField:
-    """The TorsionField of a candidate torsion function ``v`` (ny, nx) of ``d``.
+def torsion_field(d: GridDomain, v: np.ndarray, laplacian=None) -> np.ndarray:
+    """A candidate torsion function ``v`` (ny, nx) of ``d``, once checked.
 
     ``v`` must vanish off Omega, and its residual ||A v - 1||_inf on Omega
-    must be at most _TORSION_TOL * max(1, max|v|); otherwise SpectralError. The
-    energy integral T = int(|grad v|^2 / 2 - v) collapses to
-    -h^2 * sum(v) / 2 through the discrete equation, which is how it is
-    evaluated here. ``laplacian`` is :func:`assemble_laplacian` of ``d``.
+    must be at most _TORSION_TOL * max(1, max|v|); otherwise SpectralError.
+    ``laplacian`` is :func:`assemble_laplacian` of ``d``.
     """
     A, active = assemble_laplacian(d) if laplacian is None else laplacian
     flat = np.ravel(v)
@@ -242,13 +232,7 @@ def torsion_field(d: GridDomain, v: np.ndarray, laplacian=None) -> TorsionField:
     resid = float(np.max(np.abs(A @ v - 1.0)))
     if not resid <= _TORSION_TOL * max(1.0, float(np.max(np.abs(v)))):
         raise SpectralError(f"torsion solve residual {resid} above tolerance")
-    h = d.grid.h
-    return TorsionField(
-        v=flat.reshape(d.phi.shape),
-        energy=float(-0.5 * h * h * v.sum()),
-        resid=resid,
-        generation=d.generation,
-    )
+    return flat.reshape(d.phi.shape)
 
 
 def normal_derivative(field: np.ndarray, bm: BoundaryMesh,

@@ -203,8 +203,7 @@ def test_criterion_7_structural_invariants(fk_run, ks_run):
     assert ortho <= 1e-6
     # torsion ball-mean oracle
     db = disk(g, (0.0, 0.0), 1.0)
-    tf = solve_torsion(db)
-    mean, = _ball_means(g, tf.v, [(0.3, 0.2)], 0.2)
+    mean, = _ball_means(g, solve_torsion(db), [(0.3, 0.2)], 0.2)
     exact = (1.0 - 0.13) / 4.0 - 0.04 / 8.0
     torsion_dev = abs(mean - exact) / exact
     notes.append(f"torsion_dev={torsion_dev:.2e}")

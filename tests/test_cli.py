@@ -37,6 +37,7 @@ from eigenshape import (
     probe_radii,
     solve_torsion,
     torsion_probe,
+    volume,
 )
 from eigenshape.cli import (
     ConfigError,
@@ -486,6 +487,18 @@ def test_flagships_stop_on_a_line_search_stall(fk_run, ks_run):
         assert run.manifest["stalled"] is True and run.manifest["converged"] is True
 
 
+@pytest.mark.parametrize("flagship", ["fk_run", "ks_run"])
+def test_flagship_manifest_describes_the_written_state(request, flagship):
+    # both flagships stall on the first step after a reinit, whose state is
+    # the one written and differs from the last trace row
+    run = request.getfixturevalue(flagship)
+    manifest = run.manifest
+    n = len(manifest["lambdas"])
+    assert manifest["lambdas"] == run.spectrum.lambdas[:n].tolist()
+    assert manifest["volume"] == volume(read_grid_dump(run.out / "domain.grid"))
+    assert manifest["objective_F"] == manifest["lambdas"][-1] + manifest["volume"]
+
+
 def test_optimize_rerun_identical_trace(opt_run, tmp_path):
     cfg, out = opt_run
     out2 = tmp_path / "again"
@@ -881,7 +894,7 @@ def test_diagnose_counts_label_classes_and_violations_of_an_l_shape(tmp_path):
     assert len(bm) == 308
     radii = probe_radii((4 * h, 6 * h, 8 * h, 12 * h), h)
     label, _, _ = classify_boundary(d, bm, radii)
-    tf = solve_torsion(d)
+    tv = solve_torsion(d)
     for probes, probed in ((400, 308), (200, 308), (96, 103)):
         cfg = write_ini(tmp_path / "diag.ini", {"diagnose": {
             "domain": str(out / "domain.grid"),
@@ -901,7 +914,7 @@ def test_diagnose_counts_label_classes_and_violations_of_an_l_shape(tmp_path):
         assert len(weiss_rows) == probed * len(radii)
         probe_pts = bm.points[::max(1, len(bm) // probes)]
         assert len(probe_pts) == probed
-        violations = torsion_probe(d, tf, probe_pts, radii[0])
+        violations = torsion_probe(d, tv, probe_pts, radii[0])
         assert report["torsion_violations"] > 0
         assert report["torsion_violations"] == violations.sum()
 
@@ -1262,6 +1275,23 @@ def test_dump_header_token_rule_exit_2(small_run, tmp_path, capsys, header):
     assert err.count("\n") == 1 and "domain.grid" in err
 
 
+@pytest.mark.parametrize("section, key, token", [("grid", "nx", "3_3"),
+                                                 ("grid", "ny", "\u0663\u0663"),
+                                                 ("shape", "r", "1_0e-1")],
+                         ids=["underscore_int", "non_ascii_int", "underscore_float"])
+def test_config_value_token_rule_exit_2(tmp_path, capsys, section, key, token):
+    # int() and float() would read each as 33 or 1.0
+    sections = {"grid": {"nx": 33, "ny": 33}, "shape": {"kind": "disk", "r": 1.0}}
+    sections[section][key] = token
+    cfg = write_ini(tmp_path / "solve.ini", sections)
+    capsys.readouterr()
+    code = run_single("solve", str(cfg), str(tmp_path / "out"), None, False)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and f"bad value for [{section}] {key}" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_diagnose_xi_without_rows_exit_2(small_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
@@ -1326,7 +1356,7 @@ def test_diagnose_reads_torsion_grid_without_solving(torsion_run, tmp_path, caps
 
 def _torsion_of_other_disk(path):
     grid, _ = read_field_dump(path)
-    write_field_dump(grid, solve_torsion(disk(grid, (-0.1, 0.0), 1.0)).v, path)
+    write_field_dump(grid, solve_torsion(disk(grid, (-0.1, 0.0), 1.0)), path)
 
 
 def _torsion_header(path):

@@ -17,7 +17,6 @@ from eigenshape import (
     ObjectiveSpec,
     PenaltySpec,
     Spectrum,
-    TorsionField,
     WeightVector,
     classify_boundary,
     difference,
@@ -460,46 +459,41 @@ def ball_torsion(grid129):
 
 
 def test_torsion_ball_mean_oracle(ball_torsion):
-    d, tf = ball_torsion
+    d, tv = ball_torsion
     for x, r in [((0.0, 0.0), 0.3), ((0.3, 0.2), 0.2), ((0.6, 0.0), 0.25)]:
-        mean, = _ball_means(d.grid, tf.v, [x], r)
+        mean, = _ball_means(d.grid, tv, [x], r)
         exact = (1.0 - (x[0] ** 2 + x[1] ** 2)) / 4.0 - r**2 / 8.0
         assert mean == pytest.approx(exact, rel=0.02)
 
 
 def test_torsion_probe_ok_on_ball(ball_torsion):
-    d, tf = ball_torsion
+    d, tv = ball_torsion
     h = d.grid.h
     s = math.sqrt(0.5)
     for pt in [(1.0, 0.0), (0.0, 1.0), (s, s), (-1.0, 0.0), (0.0, 0.0)]:
         for r in (4 * h, 8 * h):
-            assert torsion_probe(d, tf, [pt], r).tolist() == [False]
+            assert torsion_probe(d, tv, [pt], r).tolist() == [False]
 
 
 def test_torsion_probe_violation_on_flat_field(ball_torsion):
     d, _ = ball_torsion
-    flat = TorsionField(
-        v=np.where(d.inside, 1e-6, 0.0), energy=0.0, resid=0.0,
-        generation=d.generation,
-    )
+    flat = np.where(d.inside, 1e-6, 0.0)
     assert torsion_probe(d, flat, [(0.0, 0.0)], 0.3).tolist() == [True]
 
 
 def test_torsion_probe_vacuous_ok(ball_torsion):
     d, _ = ball_torsion
-    zero = TorsionField(
-        v=np.zeros_like(d.phi), energy=0.0, resid=0.0, generation=d.generation
-    )
+    zero = np.zeros_like(d.phi)
     assert torsion_probe(d, zero, [(0.0, 0.0)], 0.3).tolist() == [False]
     assert torsion_probe(d, zero, [(1.8, 1.8)], 0.3).tolist() == [False]
 
 
 def test_torsion_probe_validation(ball_torsion):
-    d, tf = ball_torsion
+    d, tv = ball_torsion
     with pytest.raises(ValueError, match="4h"):
-        torsion_probe(d, tf, [(0.0, 0.0)], 3 * d.grid.h)
+        torsion_probe(d, tv, [(0.0, 0.0)], 3 * d.grid.h)
     with pytest.raises(ValueError, match="4h"):
-        torsion_probe(d, tf, np.zeros((3, 2)), 3 * d.grid.h)
+        torsion_probe(d, tv, np.zeros((3, 2)), 3 * d.grid.h)
 
 
 def _reference_ball_mean(d, field, x, r):
@@ -514,34 +508,33 @@ def _reference_ball_mean(d, field, x, r):
     return float((wts * f).sum() / total), float(np.abs(f[wts > 0]).max())
 
 
-def _reference_torsion_probe(d, tf, x, r, c0=0.06, vtol=1e-8):
+def _reference_torsion_probe(d, v, x, r, c0=0.06, vtol=1e-8):
     """Whether the probe at one centre ``x`` is a violation."""
-    mean_r, _ = _reference_ball_mean(d, tf.v, x, r)
+    mean_r, _ = _reference_ball_mean(d, v, x, r)
     if mean_r > c0 * r:
         return False
-    _, inner_max = _reference_ball_mean(d, tf.v, x, max(r / 4.0, 1.5 * d.grid.h))
+    _, inner_max = _reference_ball_mean(d, v, x, max(r / 4.0, 1.5 * d.grid.h))
     return inner_max > vtol
 
 
 def test_torsion_probe_batch_matches_single_centres(edge_disk):
     d = edge_disk[0]
     h = d.grid.h
-    tf = solve_torsion(d)
-    flat = TorsionField(v=np.where(d.inside, 1e-6, 0.0), energy=0.0, resid=0.0,
-                        generation=d.generation)
+    tv = solve_torsion(d)
+    flat = np.where(d.inside, 1e-6, 0.0)
     centres = np.vstack([
         extract_boundary(d).points,
         np.column_stack([np.linspace(0.3, 2.0, 60), np.linspace(-2.0, -0.3, 60)]),
         [(1.97, -1.97), (2.0, -2.0), (-2.0, 2.0), (9.0, 9.0), (1.99, 2.6)],
     ])
     seen = set()
-    for field in (tf, flat):
+    for field in (tv, flat):
         for r in (4 * h, 12 * h, 0.6):
-            means = _ball_means(d.grid, field.v, centres, r)
+            means = _ball_means(d.grid, field, centres, r)
             violations = torsion_probe(d, field, centres, r)
             assert violations.dtype == bool and violations.shape == (len(centres),)
             for x, mean, bad in zip(centres, means, violations.tolist()):
-                ref_mean, _ = _reference_ball_mean(d, field.v, x, r)
+                ref_mean, _ = _reference_ball_mean(d, field, x, r)
                 assert mean.hex() == ref_mean.hex()
                 assert bad is _reference_torsion_probe(d, field, x, r)
                 seen.add(bad)

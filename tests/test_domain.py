@@ -3,6 +3,7 @@
 import configparser
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from eigenshape.domain import (
     write_field_dump,
     write_grid_dump,
 )
+from eigenshape import domain
 from eigenshape.domain import _ball_windows
 
 from shapes import dilate, half_plane, perimeter, roundness
@@ -433,7 +435,12 @@ def _reference_reinitialize(d, tol=1e-3, max_iter=400):
 
 
 def _assert_same_bits(d, **kw):
-    out = reinitialize(d, **kw)
+    """``reinitialize`` against the oracle; ``tol`` and ``max_iter`` in ``kw``
+    replace the module's stopping constants for this call."""
+    stops = {"_REINIT_TOL": kw.get("tol", domain._REINIT_TOL),
+             "_REINIT_MAX_ITER": kw.get("max_iter", domain._REINIT_MAX_ITER)}
+    with mock.patch.multiple(domain, **stops):
+        out = reinitialize(d)
     ref = _reference_reinitialize(d, **kw)
     # tobytes, not array_equal: -0.0 and 0.0 must not count as equal
     assert out.phi.tobytes() == ref.phi.tobytes()

@@ -346,8 +346,7 @@ def test_optimize_reaches_ball_optimum(ball_flow):
     assert trace.converged
     assert trace.stop_reason in ("converged", "line_search_stall")
     target = 2.0 * J01 * math.sqrt(math.pi)
-    assert trace.objective_F == pytest.approx(target, rel=0.02)
-    assert trace.domain is not None and trace.spectrum is not None
+    assert trace.final.objective_F == pytest.approx(target, rel=0.02)
 
 
 def test_optimize_trace_is_monotone(ball_flow):
@@ -360,7 +359,7 @@ def test_optimize_trace_is_monotone(ball_flow):
     assert trace.records[0].step == 0 and trace.records[0].dt == 0.0
     assert all(r.E == 0.0 for r in trace.records)
     # the weight of a single tracked eigenvalue is 1 + 1/p
-    assert trace.weights.xi.sum() == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
+    assert trace.final.weights.xi.sum() == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
 
 
 def test_optimize_is_deterministic(grid97):
@@ -370,7 +369,7 @@ def test_optimize_is_deterministic(grid97):
     b = optimize(cfg, init)
     assert [r.objective for r in a.records] == [r.objective for r in b.records]
     assert [r.lambdas for r in a.records] == [r.lambdas for r in b.records]
-    assert np.array_equal(a.domain.phi, b.domain.phi)
+    assert np.array_equal(a.final.domain.phi, b.final.domain.phi)
 
 
 def test_optimize_abort_carries_partial_trace(grid97, monkeypatch):
@@ -387,11 +386,11 @@ def test_optimize_abort_carries_partial_trace(grid97, monkeypatch):
     monkeypatch.setattr(optimizer_mod, "solve_spectrum", flaky)
     with pytest.raises(OptimizeAborted) as exc:
         optimize(cfg, disk(grid97, (0.0, 0.0), 1.5))
-    partial = exc.value.trace
+    (partial,) = exc.value.traces
     assert partial.stop_reason == "aborted"
     assert len(partial.records) >= 1
-    assert partial.domain is not None
-    assert partial.objective_F is not None
+    assert partial.final is not None
+    assert math.isfinite(partial.final.objective_F)
 
 
 def test_optimize_abort_at_init(grid97, monkeypatch):
@@ -401,8 +400,9 @@ def test_optimize_abort_at_init(grid97, monkeypatch):
     monkeypatch.setattr(optimizer_mod, "solve_spectrum", broken)
     with pytest.raises(OptimizeAborted) as exc:
         optimize(base_config(), disk(grid97, (0.0, 0.0), 1.0))
-    assert exc.value.trace.records == []
-    assert exc.value.trace.stop_reason == "aborted"
+    (trace,) = exc.value.traces
+    assert trace.records == [] and trace.final is None
+    assert trace.stop_reason == "aborted"
 
 
 # ---- p-continuation ---------------------------------------------------
@@ -426,9 +426,9 @@ def test_one_stage_p_continuation_is_optimize(grid97):
     a = optimize(cfg, init)
     (b,) = p_continuation(cfg, init, [cfg.p])
     assert len(a.records) > 2 and a.records == b.records
-    assert a.domain.phi.tobytes() == b.domain.phi.tobytes()
-    assert a.spectrum.modes.tobytes() == b.spectrum.modes.tobytes()
-    assert (a.stop_reason, a.objective_F) == (b.stop_reason, b.objective_F)
+    assert a.final.domain.phi.tobytes() == b.final.domain.phi.tobytes()
+    assert a.final.spectrum.modes.tobytes() == b.final.spectrum.modes.tobytes()
+    assert (a.stop_reason, a.final.objective_F) == (b.stop_reason, b.final.objective_F)
 
 
 def test_p_continuation_abort_carries_every_stage(grid97, monkeypatch):
@@ -444,8 +444,8 @@ def test_p_continuation_abort_carries_every_stage(grid97, monkeypatch):
         p_continuation(base_config(max_steps=3), disk(grid97, (0.0, 0.0), 1.4),
                        [8.0, 16.0])
     first, last = exc.value.traces
-    assert first.stop_reason != "aborted" and first.domain is not None
-    assert last is exc.value.trace and last.stop_reason == "aborted"
+    assert first.stop_reason != "aborted" and first.final is not None
+    assert last.stop_reason == "aborted" and last.final is not None
 
 
 def test_p_continuation_stages(grid97):
@@ -453,13 +453,14 @@ def test_p_continuation_stages(grid97):
     traces = p_continuation(cfg, disk(grid97, (0.0, 0.0), 1.4), [8.0, 32.0])
     assert len(traces) == 2
     # per-stage weights reflect that stage's p exactly (single eigenvalue)
-    assert traces[0].weights.xi[0] == pytest.approx(1.0 + 1.0 / 8.0, abs=1e-12)
-    assert traces[1].weights.xi[0] == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
+    first, second = (tr.final for tr in traces)
+    assert first.weights.xi[0] == pytest.approx(1.0 + 1.0 / 8.0, abs=1e-12)
+    assert second.weights.xi[0] == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
     # the second stage is anchored at the first stage's minimizer
-    assert traces[1].weights.pen.reference is traces[0].domain
-    assert traces[0].weights.pen.reference is None
+    assert second.weights.pen.reference is first.domain
+    assert first.weights.pen.reference is None
     # each stage starts from the previous minimizer, so stage objectives descend
-    assert traces[1].objective_F <= traces[0].objective_F + 1e-6
+    assert second.objective_F <= first.objective_F + 1e-6
     for tr in traces:
         objs = [r.objective for r in tr.records]
         assert np.all(np.diff(objs) <= 1e-10)

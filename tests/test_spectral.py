@@ -358,43 +358,47 @@ def test_clusters_partition():
     assert kappa_clusters(lam, tol=1e-9) == ((0,), (1,), (2,), (3,), (4,))
 
 
+def _torsion_energy(d, v):
+    """T(Omega) = int(|grad v|^2 / 2 - v), which the discrete equation
+    collapses to -h^2 * sum(v) / 2."""
+    return -0.5 * d.grid.h ** 2 * float(v.sum())
+
+
 def test_torsion_disk(grid129, unit_disk):
-    tf = solve_torsion(unit_disk)
+    v = solve_torsion(unit_disk)
     # v = (1 - r^2) / 4 on the unit disk
-    assert np.max(tf.v) == pytest.approx(0.25, rel=1e-2)
-    assert np.min(tf.v) >= -1e-12
-    assert np.max(tf.v) <= 0.5  # diam^2 / 8
-    assert tf.energy == pytest.approx(-math.pi / 16.0, rel=1e-3)
-    assert tf.resid <= 1e-8
-    assert tf.generation == unit_disk.generation
+    assert np.max(v) == pytest.approx(0.25, rel=1e-2)
+    assert np.min(v) >= -1e-12
+    assert np.max(v) <= 0.5  # diam^2 / 8
+    assert _torsion_energy(unit_disk, v) == pytest.approx(-math.pi / 16.0, rel=1e-3)
+    A, active = assemble_laplacian(unit_disk)
+    assert np.max(np.abs(A @ v.ravel()[active] - 1.0)) <= 1e-8
     X, Y = np.meshgrid(grid129.xs, grid129.ys)
     r2 = X**2 + Y**2
     core = r2 < 0.8**2
     exact = (1.0 - r2) / 4.0
-    assert np.max(np.abs(tf.v[core] - exact[core])) < 2e-3
+    assert np.max(np.abs(v[core] - exact[core])) < 2e-3
 
 
 def test_torsion_field_checks_candidate(grid129, unit_disk):
-    tf = solve_torsion(unit_disk)
-    again = torsion_field(unit_disk, tf.v.copy())
-    assert again.v.tobytes() == tf.v.tobytes()
-    assert again.energy.hex() == tf.energy.hex() and again.resid.hex() == tf.resid.hex()
+    tv = solve_torsion(unit_disk)
+    assert torsion_field(unit_disk, tv.copy()).tobytes() == tv.tobytes()
     for (j, i), dv in [((64, 64), 1e-6), ((64, 64), math.nan), ((0, 0), 1e-12)]:
-        v = tf.v.copy()  # node (64, 64) is the centre, (0, 0) a box corner
+        v = tv.copy()  # node (64, 64) is the centre, (0, 0) a box corner
         v[j, i] += dv
         with pytest.raises(SpectralError):
             torsion_field(unit_disk, v)
     with pytest.raises(SpectralError, match="off Omega"):
-        torsion_field(unit_disk, solve_torsion(disk(grid129, (0.0, 0.0), 1.1)).v)
+        torsion_field(unit_disk, solve_torsion(disk(grid129, (0.0, 0.0), 1.1)))
     with pytest.raises(SpectralError, match="residual"):
-        torsion_field(unit_disk, solve_torsion(disk(grid129, (0.0, 0.0), 0.9)).v)
+        torsion_field(unit_disk, solve_torsion(disk(grid129, (0.0, 0.0), 0.9)))
 
 
 def test_torsion_energy_scaling(grid129):
     # T(t * Omega) = t^4 T(Omega)
-    small = solve_torsion(disk(grid129, (0.0, 0.0), 0.8)).energy
-    big = solve_torsion(disk(grid129, (0.0, 0.0), 1.2)).energy
-    assert big / small == pytest.approx((1.2 / 0.8) ** 4, rel=5e-3)
+    small, big = (disk(grid129, (0.0, 0.0), r) for r in (0.8, 1.2))
+    ratio = _torsion_energy(big, solve_torsion(big)) / _torsion_energy(small, solve_torsion(small))
+    assert ratio == pytest.approx((1.2 / 0.8) ** 4, rel=5e-3)
 
 
 def test_normal_derivative_disk(unit_disk, disk_spectrum):
