@@ -513,7 +513,7 @@ def _read_diagnose_inputs(dom_path: str, spec_path: pathlib.Path, xi_path: str):
             f"{xi_path} lists {len(xi)} weights but only {len(lambdas)} modes exist"
         )
     w = WeightVector(xi=xi, cluster_tags=kappa_clusters(lambdas[: len(xi)]),
-                     pen=PenaltySpec(s=0.0))
+                     pen=PenaltySpec())
     return d, sp, w
 
 

@@ -33,7 +33,6 @@ from .spectral import Spectrum
 __all__ = [
     "ELResidual",
     "probe_radii",
-    "weiss_energy",
     "weiss_profile",
     "el_residual",
     "classify_boundary",
@@ -88,72 +87,6 @@ def _mode_gradients(modes: np.ndarray, inside: np.ndarray, h: float) -> np.ndarr
     return np.stack([axis_grad(-1), axis_grad(-2)], axis=1)
 
 
-def weiss_energy(
-    d: GridDomain,
-    sp: Spectrum,
-    w: WeightVector,
-    centres: np.ndarray,
-    r: float,
-) -> np.ndarray:
-    """Scaled boundary energy at radius ``r`` (2D scaling), one value per
-    row x of ``centres`` (m, 2).
-
-    W(x,r) = r^-2 * int_{B_r(x) & Omega} (sum_k xi_k |grad u_k|^2 + xi0)
-           - r^-3 * int_{bd B_r(x)} sum_k xi_k u_k^2.
-
-    The volume part uses smoothed ball and domain indicators on the node
-    quadrature; the ring part samples the circle and interpolates the modes
-    bilinearly. Half-plane data with unit gradient and unit weights gives
-    pi/2. Requires r >= 4h.
-    """
-    g = d.grid
-    h = g.h
-    probe_radii((r,), h)
-    xis = w.symmetrized()
-    modes = sp.modes[: len(xis)]
-    centres = np.asarray(centres, dtype=float)
-
-    # mode differences on each window plus a one-node halo; the zero, outside
-    # padding reads as the box edge, so a halo is never clipped
-    padded = np.pad(modes, ((0, 0), (1, 1), (1, 1)))
-    inside = np.pad(d.inside, 1)
-    vol_term = np.zeros(len(centres))
-    for sel, rows, cols, ball in _ball_windows(g, centres, r):
-        if ball.size == 0:
-            continue
-        hrows = rows[:, :1] + np.arange(rows.shape[1] + 2)
-        hcols = cols[:, :1] + np.arange(cols.shape[1] + 2)
-        halo = (hrows[:, :, None], hcols[:, None, :])
-        grads = _mode_gradients(padded[(slice(None), *halo)], inside[halo], h)
-        grads = grads[..., 1:-1, 1:-1]
-        chi = inside_fraction(d.phi[rows[:, :, None], cols[:, None, :]], 1.5 * h)
-        nodes = np.column_stack([
-            np.broadcast_to(g.xs[cols][:, None, :], ball.shape).ravel(),
-            np.broadcast_to(g.ys[rows][:, :, None], ball.shape).ravel(),
-        ])
-        integ = w.xi0_at(nodes).reshape(ball.shape)
-        for k in range(len(xis)):
-            integ = integ + xis[k] * (grads[k, 0] ** 2 + grads[k, 1] ** 2)
-        wts = _node_weights(g, rows, cols)
-        vol_term[sel] = np.sum(wts * ball * chi * integ, axis=(1, 2)) / r**2
-
-    nsamp = max(64, int(4.0 * math.pi * r / h))
-    theta = (np.arange(nsamp) + 0.5) * (2.0 * math.pi / nsamp)
-    circle = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    ring_sum = np.zeros(len(centres))
-    step = max(1, _BATCH_NODES // nsamp)
-    for s in range(0, len(centres), step):
-        ring_pts = centres[s:s + step, None, :] + circle
-        ring = bilinear(g, modes, ring_pts.reshape(-1, 2))
-        ring = ring.reshape(len(modes), len(ring_pts), nsamp)
-        ring_vals = np.zeros(ring.shape[1:])
-        for k in range(len(xis)):
-            ring_vals += xis[k] * ring[k] ** 2
-        ring_sum[s:s + step] = ring_vals.sum(axis=1)
-    ring_term = (2.0 * math.pi * r / nsamp) * ring_sum / r**3
-    return vol_term - ring_term
-
-
 def weiss_profile(
     d: GridDomain,
     sp: Spectrum,
@@ -161,16 +94,54 @@ def weiss_profile(
     centres: np.ndarray,
     radii,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(W, c_hat): W(x, r) over the :func:`probe_radii` ``radii``, shape
-    (m, R), for the rows x of ``centres`` (m, 2), and the drift constant of
-    each row, shape (m,).
+    """(W, c_hat): the scaled boundary energy W(x, r) (2D scaling) over the
+    :func:`probe_radii` ``radii``, shape (m, R), for the rows x of
+    ``centres`` (m, 2), and the drift constant of each row, shape (m,).
 
-    ``c_hat`` is the smallest C >= 0 such that r -> W(x,r) + C*r is
+    W(x,r) = r^-2 * int_{B_r(x) & Omega} (sum_k xi_k |grad u_k|^2 + xi0)
+           - r^-3 * int_{bd B_r(x)} sum_k xi_k u_k^2.
+
+    The volume part uses smoothed ball and domain indicators on the node
+    quadrature; the ring part samples the circle and interpolates the modes
+    bilinearly. Half-plane data with unit gradient and unit weights gives
+    pi/2. ``c_hat`` is the smallest C >= 0 such that r -> W(x,r) + C*r is
     nondecreasing across the sampled radii; 0 for a single radius.
     """
-    radii = probe_radii(radii, d.grid.h)
+    g, h = d.grid, d.grid.h
+    radii = probe_radii(radii, h)
     centres = np.asarray(centres, dtype=float)
-    W = np.column_stack([weiss_energy(d, sp, w, centres, r) for r in radii])
+    xis = w.symmetrized()
+    modes = sp.modes[: len(xis)]
+
+    # the volume integrand, domain indicator and node weights on the whole grid
+    integ = w.xi0_at(np.column_stack([a.ravel() for a in g.meshgrid()])).reshape(d.phi.shape)
+    grads = _mode_gradients(modes, d.inside, h)
+    for k in range(len(xis)):
+        integ = integ + xis[k] * (grads[k, 0] ** 2 + grads[k, 1] ** 2)
+    chi = inside_fraction(d.phi, 1.5 * h)
+    wts = _node_weights(g)
+
+    W = np.zeros((len(centres), len(radii)))
+    for j, r in enumerate(radii):
+        for sel, rows, cols, ball in _ball_windows(g, centres, r):
+            win = (rows[:, :, None], cols[:, None, :])
+            W[sel, j] = np.sum(wts[win] * ball * chi[win] * integ[win], axis=(1, 2)) / r**2
+
+        nsamp = max(64, int(4.0 * math.pi * r / h))
+        theta = (np.arange(nsamp) + 0.5) * (2.0 * math.pi / nsamp)
+        circle = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        ring_sum = np.zeros(len(centres))
+        step = max(1, _BATCH_NODES // nsamp)
+        for s in range(0, len(centres), step):
+            ring_pts = centres[s:s + step, None, :] + circle
+            ring = bilinear(g, modes, ring_pts.reshape(-1, 2))
+            ring = ring.reshape(len(modes), len(ring_pts), nsamp)
+            ring_vals = np.zeros(ring.shape[1:])
+            for k in range(len(xis)):
+                ring_vals += xis[k] * ring[k] ** 2
+            ring_sum[s:s + step] = ring_vals.sum(axis=1)
+        W[:, j] -= (2.0 * math.pi * r / nsamp) * ring_sum / r**3
+
     c_hat = np.zeros(len(W))
     for j in range(len(radii) - 1):
         drift = (W[:, j] - W[:, j + 1]) / (radii[j + 1] - radii[j])

@@ -152,15 +152,13 @@ def inside_fraction(phi: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(0.5 * (1.0 - t - np.sin(np.pi * t) / np.pi), 0.0, 1.0)
 
 
-def _node_weights(grid: Grid, rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """Tensor trapezoid weights: h^2, halved on the outer box faces; on the
-    window ``rows`` x ``cols`` only, if given (slices, or the index stacks
-    (k, nr) and (k, nc) of k windows)."""
+def _node_weights(grid: Grid) -> np.ndarray:
+    """Tensor trapezoid weights (ny, nx): h^2, halved on the outer box faces."""
     tx = np.ones(grid.nx)
     tx[0] = tx[-1] = 0.5
     ty = np.ones(grid.ny)
     ty[0] = ty[-1] = 0.5
-    return grid.h * grid.h * (ty[rows][..., :, None] * tx[cols][..., None, :])
+    return grid.h * grid.h * (ty[:, None] * tx[None, :])
 
 
 #: window nodes per batch of probe centres; bounds the memory of a batched probe
@@ -393,6 +391,8 @@ def extract_boundary(d: GridDomain) -> BoundaryMesh:
 _REINIT_TOL = 1e-3
 #: sweeps after which reinitialize stops
 _REINIT_MAX_ITER = 400
+#: max |phi| above which reinitialize first scales phi by a power of two
+_REINIT_PHI_MAX = 1e100
 
 
 def reinitialize(d: GridDomain) -> GridDomain:
@@ -402,7 +402,8 @@ def reinitialize(d: GridDomain) -> GridDomain:
     phi|) with Godunov upwinding, anchoring interface nodes to the sub-cell
     target distance h*phi0/|grad phi0| so the zero level set does not drift.
     Stops when the sup-norm update drops below ``_REINIT_TOL`` or after
-    ``_REINIT_MAX_ITER`` sweeps.
+    ``_REINIT_MAX_ITER`` sweeps. A phi beyond ``_REINIT_PHI_MAX`` is first
+    scaled by a power of two to max |phi| < 1: exact, and its squares stay finite.
 
     The sweeps run on psi = sign(phi0) * phi, so both sides of the interface
     share one upwind rule: |grad psi| takes max(D-psi, -D+psi, 0) per axis,
@@ -414,7 +415,8 @@ def reinitialize(d: GridDomain) -> GridDomain:
     phi with a per-side gradient (the oracle in ``tests/test_domain.py``).
     """
     h = d.grid.h
-    phi0 = d.phi
+    big = max(d.phi.max(), -d.phi.min())
+    phi0 = d.phi if big <= _REINIT_PHI_MAX else np.ldexp(d.phi, -int(np.frexp(big)[1]))
     ny, nx = phi0.shape
     n = phi0.size
 
@@ -502,9 +504,9 @@ def star_blob(
     """Random star-shaped blob r(theta) = r0 (1 + perturbation).
 
     Harmonics 2..n_modes+1 with Gaussian coefficients, rescaled so the total
-    relative perturbation stays below ``amp``. With ``mirror_x`` the blob is
-    symmetrized about the vertical axis through its center (used for paired
-    initial data).
+    relative perturbation stays below ``amp``. With ``mirror_x`` the profile
+    keeps only its cosine terms, so the blob is symmetric under y -> -y about
+    its center (used for paired initial data, which mirror it in x).
     """
     if not (math.isfinite(r0) and math.isfinite(amp)):
         raise ValueError(f"blob r0 and amp must be finite, got r0={r0}, amp={amp}")

@@ -149,7 +149,7 @@ class PenaltySpec:
     - chi'(|ref| - |Omega|)) g; :func:`xi0_field` is 1 plus that integrand.
     """
 
-    s: float = 0.02
+    s: float = 0.0
     reference: GridDomain | None = None
 
     def __post_init__(self) -> None:
@@ -319,7 +319,7 @@ def grad_Fp(
     return WeightVector(
         xi=xi,
         cluster_tags=kappa_clusters(kappa),
-        pen=pen if pen is not None else PenaltySpec(s=0.0),
+        pen=pen if pen is not None else PenaltySpec(),
         current_volume=current_volume,
     )
 

@@ -75,7 +75,7 @@ class ScheduleError(ValueError):
 class OptimizerConfig:
     spec: ObjectiveSpec
     p: float = 32.0                   # smoothing exponent of F_p
-    pen: PenaltySpec = dataclasses.field(default_factory=lambda: PenaltySpec(s=0.0))
+    pen: PenaltySpec = dataclasses.field(default_factory=PenaltySpec)
     dt0: float = 0.5
     max_steps: int = 200
     conv_tol: float = 1e-6

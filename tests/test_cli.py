@@ -35,6 +35,7 @@ from eigenshape import (
     disk,
     extract_boundary,
     probe_radii,
+    reinitialize,
     solve_torsion,
     torsion_probe,
     volume,
@@ -1290,6 +1291,26 @@ def test_config_value_token_rule_exit_2(tmp_path, capsys, section, key, token):
     assert code == 2
     assert err.count("\n") == 1 and f"bad value for [{section}] {key}" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_huge_finite_phi_dump_reinitializes_and_optimizes(tmp_path, capsys):
+    # phi ~ 1e155 is finite, but its squares are not: reinitialize used to
+    # overflow, and optimize then exited 2 with "phi must be finite"
+    d = disk(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 33, 33))
+    huge = d.with_phi(d.phi * 1e155)
+    write_grid_dump(huge, tmp_path / "huge.grid")
+    cfg = write_ini(tmp_path / "opt.ini", {
+        "shape": {"kind": "file", "path": tmp_path / "huge.grid"},
+        "objective": {"family": "single", "n": 1},
+        "optimizer": {"max_steps": 2},
+    })
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = reinitialize(huge)
+        code = run_single("optimize", str(cfg), str(tmp_path / "out"), None, False)
+    assert np.isfinite(r.phi).all() and np.array_equal(r.inside, d.inside)
+    assert code == 0 and capsys.readouterr().err == ""
 
 
 def test_diagnose_xi_without_rows_exit_2(small_run, tmp_path, capsys):

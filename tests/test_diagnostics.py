@@ -30,7 +30,6 @@ from eigenshape import (
     solve_spectrum,
     solve_torsion,
     torsion_probe,
-    weiss_energy,
     weiss_profile,
 )
 from eigenshape import diagnostics
@@ -92,7 +91,7 @@ def test_weiss_half_plane_is_half_pi(grid129, normal, offset, center):
     d, sp, w = ramp_triple(grid129, normal, offset)
     h = grid129.h
     for r in (8 * h, 0.15, 0.2):
-        val = weiss_energy(d, sp, w, [center], r)[0]
+        val = weiss_profile(d, sp, w, [center], (r,))[0][0, 0]
         assert val == pytest.approx(math.pi / 2, rel=0.05)
 
 
@@ -116,20 +115,17 @@ def test_weiss_zero_mode_measures_occupied_area(grid129):
         resid=np.zeros(1), generation=d.generation,
     )
     w = unit_weights(1)
-    assert weiss_energy(d, sp, w, [(0.0, 0.0)], 0.2)[0] == pytest.approx(
-        math.pi / 2, rel=0.03
-    )
-    assert weiss_energy(d, sp, w, [(0.0, -1.0)], 0.2)[0] == pytest.approx(
-        math.pi, rel=0.03
-    )
-    assert weiss_energy(d, sp, w, [(0.0, 1.0)], 0.2)[0] == pytest.approx(0.0, abs=1e-12)
+    W, _ = weiss_profile(d, sp, w, [(0.0, 0.0), (0.0, -1.0), (0.0, 1.0)], (0.2,))
+    assert W[0, 0] == pytest.approx(math.pi / 2, rel=0.03)
+    assert W[1, 0] == pytest.approx(math.pi, rel=0.03)
+    assert W[2, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weiss_validation(grid129):
     d, sp, w = ramp_triple(grid129, (0.0, 1.0), 0.0)
     h = grid129.h
     with pytest.raises(ValueError, match="4h"):
-        weiss_energy(d, sp, w, [(0.0, 0.0)], 3 * h)
+        weiss_profile(d, sp, w, [(0.0, 0.0)], (3 * h,))
     with pytest.raises(ValueError, match="ascending"):
         weiss_profile(d, sp, w, [(0.0, 0.0)], (0.2, 0.1))
 
@@ -151,8 +147,9 @@ def test_weiss_csv_golden(tmp_path, grid129):
 
 
 def _reference_weiss_energy(d, sp, w, x, r):
-    """weiss_energy in its full-grid form: mode gradients, node coordinates
-    and quadrature weights on the whole grid, then cut to the ball window."""
+    """W(x, r) of weiss_profile for one centre, written with slices: mode
+    gradients, node coordinates and quadrature weights on the whole grid, then
+    cut to the ball window."""
     g, h = d.grid, d.grid.h
     xis = w.symmetrized()
     grads = _mode_gradients(sp.modes, d.inside, h)
@@ -200,7 +197,7 @@ def test_weiss_window_matches_full_grid_bits(edge_disk):
     assert rows[0, 0] == 0 and cols[0, -1] == g.nx - 1  # clipped by two box edges
     for x in (interior, corner):
         for r in (4 * h, 6 * h, 12 * h, 0.4):
-            got = weiss_energy(d, sp, w, [x], r)[0]
+            got = weiss_profile(d, sp, w, [x], (r,))[0][0, 0]
             assert got.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
 
 
@@ -219,12 +216,13 @@ def test_weiss_batch_matches_reference_bits(edge_disk):
         if r == 0.6:  # a shape group and the ring samples span several batches
             assert len(batches) > len(set(batches))
             assert len(centres) * int(4.0 * math.pi * r / h) > _BATCH_NODES
-        got = weiss_energy(d, sp, w, centres, r)
-        assert got.shape == (len(centres),)
+        got, _ = weiss_profile(d, sp, w, centres, (r,))
+        assert got.shape == (len(centres), 1)
+        got = got[:, 0]
         for x, value in zip(centres, got):
             assert value.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
-    one = weiss_energy(d, sp, w, centres[:1], 12 * h)  # a one-row stack
-    assert one.shape == (1,) and one[0].hex() == _reference_weiss_energy(
+    one, _ = weiss_profile(d, sp, w, centres[:1], (12 * h,))  # a one-row stack
+    assert one.shape == (1, 1) and one[0, 0].hex() == _reference_weiss_energy(
         d, sp, w, centres[0], 12 * h).hex()
 
 
