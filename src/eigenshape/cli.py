@@ -11,7 +11,6 @@ validation errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import hashlib
 import json
@@ -481,22 +480,13 @@ def _read_field(path, d: GridDomain, dom_path) -> np.ndarray:
     return field
 
 
-def _diagnose_paths(cp) -> tuple[str, pathlib.Path, str]:
-    """The domain, spectrum and weight paths that ``[diagnose]`` names."""
-    return (_get(cp, "diagnose", "domain", str, required=True),
-            pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True)),
-            _get(cp, "diagnose", "xi", str, required=True))
-
-
 def _load_diagnose_inputs(cp):
-    """The domain, spectrum and weights that ``[diagnose]`` names; any
-    ConfigParser will do."""
-    return _read_diagnose_inputs(*_diagnose_paths(cp))
-
-
-def _read_diagnose_inputs(dom_path: str, spec_path: pathlib.Path, xi_path: str):
     """The domain, spectrum (with the ``mode_k.grid`` dumps next to
-    ``spec_path``) and weights of a previous run."""
+    ``spectrum.csv``) and weights of the previous run that ``[diagnose]``
+    names; any ConfigParser will do."""
+    dom_path = _get(cp, "diagnose", "domain", str, required=True)
+    spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
+    xi_path = _get(cp, "diagnose", "xi", str, required=True)
     d = _read_domain(dom_path)
     _, lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
     if len(lambdas) == 0:
@@ -517,11 +507,13 @@ def _read_diagnose_inputs(dom_path: str, spec_path: pathlib.Path, xi_path: str):
     return d, sp, w
 
 
-def _load_torsion(d: GridDomain, dom_path: str, spec_path: pathlib.Path):
-    """The torsion function of ``d`` (read from ``dom_path``): the ``torsion.grid``
-    that solve wrote next to ``spec_path``, once it passes the check of solve's
-    own solution, or a fresh solve when there is no such file."""
-    path = spec_path.parent / "torsion.grid"
+def _load_torsion(d: GridDomain, cp):
+    """The torsion function of ``d``, the ``[diagnose] domain``: the
+    ``torsion.grid`` that solve wrote next to ``spectrum.csv``, once it passes
+    the check of solve's own solution, or a fresh solve when there is no such
+    file."""
+    dom_path = _get(cp, "diagnose", "domain", str)
+    path = pathlib.Path(_get(cp, "diagnose", "spectrum", str)).parent / "torsion.grid"
     if not path.is_file():
         return solve_torsion(d)
     try:
@@ -538,13 +530,14 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     every ``max(1, m // probes)``-th of the ``m`` boundary samples, which is
     ``ceil(m / stride)`` points, up to about twice ``probes``. The labels
     cover every sample."""
-    dom_path, spec_path, xi_path = _diagnose_paths(cp)
+    for key in ("domain", "spectrum", "xi"):  # read by _load_diagnose_inputs
+        _get(cp, "diagnose", key, str, required=True)
     radii = _get(cp, "diagnose", "radii", _floats)  # default 4h 6h 8h 12h
     n_probes = _get(cp, "diagnose", "probes", int, 48)
     if n_probes < 1:
         raise ConfigError(f"[diagnose] probes must be >= 1, got {n_probes}")
     _reject_unread(cp, "diagnose")
-    d, sp, w = _read_diagnose_inputs(dom_path, spec_path, xi_path)
+    d, sp, w = _load_diagnose_inputs(cp)
     h = d.grid.h
     try:
         radii = probe_radii([4 * h, 6 * h, 8 * h, 12 * h] if radii is None else radii, h)
@@ -569,7 +562,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
             "p90_abs": el.p90_abs,
             "n_reliable": int(len(el.values)),
         }
-        v = _load_torsion(d, dom_path, spec_path)
+        v = _load_torsion(d, cp)
         probe_pts = bm.points[::max(1, len(bm) // n_probes)]
         W, c_hat = weiss_profile(d, sp, w, probe_pts, radii)
         write_weiss_csv(probe_pts, radii, W, out / "weiss.csv")
@@ -674,12 +667,11 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, action="append",
-                        help="config file (repeatable; fans out with --jobs)")
+                        help="config file (repeatable: the configs run in turn, "
+                             "each into <out>/<config stem>)")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for multiple configs (at most one per config)")
         sp.add_argument("--check", action="store_true",
                         help="re-run and verify artifact hashes against manifest.json")
     return parser
@@ -690,27 +682,12 @@ def main(argv=None) -> int:
     configs = args.config
     if len(configs) == 1:
         return run_single(args.command, configs[0], args.out, args.seed, args.check)
-    outs = []
-    for c in configs:
-        stem = pathlib.Path(c).stem
-        outs.append(str(pathlib.Path(args.out) / stem))
+    outs = [str(pathlib.Path(args.out) / pathlib.Path(c).stem) for c in configs]
     if len(set(outs)) != len(outs):
         print("error: config stems collide; use distinct file names", file=sys.stderr)
         return 2
-    # a fork pool starts all its workers at the first submit
-    jobs = min(max(1, args.jobs), len(configs))
-    codes = []
-    if jobs == 1:
-        for c, o in zip(configs, outs):
-            codes.append(run_single(args.command, c, o, args.seed, args.check))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_single, args.command, c, o, args.seed, args.check)
-                for c, o in zip(configs, outs)
-            ]
-            codes = [f.result() for f in futures]
-    return max(codes)
+    return max(run_single(args.command, c, o, args.seed, args.check)
+               for c, o in zip(configs, outs))
 
 
 if __name__ == "__main__":

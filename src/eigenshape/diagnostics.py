@@ -114,7 +114,7 @@ def weiss_profile(
     modes = sp.modes[: len(xis)]
 
     # the volume integrand, domain indicator and node weights on the whole grid
-    integ = w.xi0_at(np.column_stack([a.ravel() for a in g.meshgrid()])).reshape(d.phi.shape)
+    integ = w.xi0_at(g)
     grads = _mode_gradients(modes, d.inside, h)
     for k in range(len(xis)):
         integ = integ + xis[k] * (grads[k, 0] ** 2 + grads[k, 1] ** 2)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .domain import GridDomain, _node_weights, bilinear, inside_fraction, volume
+from .domain import Grid, GridDomain, _node_weights, bilinear, inside_fraction, volume
 
 __all__ = [
     "ObjectiveSpec",
@@ -156,6 +156,11 @@ class PenaltySpec:
         if not 0 <= self.s < math.inf:
             raise ValueError(f"penalty strength s must be finite and >= 0, got {self.s}")
 
+    @property
+    def active(self) -> bool:
+        """E is on: s > 0 and a reference anchored (else E = 0 and xi0 = 1)."""
+        return self.s > 0.0 and self.reference is not None
+
     @staticmethod
     def chi(t: float) -> float:
         return 0.5 * (math.hypot(1.0, t) - 1.0)
@@ -277,7 +282,7 @@ class WeightVector:
     pen: PenaltySpec
     current_volume: float | None = None
 
-    def xi0_at(self, points: np.ndarray) -> np.ndarray:
+    def xi0_at(self, points: np.ndarray | Grid) -> np.ndarray:
         return xi0_field(points, self.pen, self.current_volume)
 
     def symmetrized(self) -> np.ndarray:
@@ -331,7 +336,7 @@ def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
     convention while no reference is anchored. Complement integration is
     truncated to the grid box.
     """
-    if pen.s == 0.0 or pen.reference is None:
+    if not pen.active:
         return 0.0
     dist_ref, dist_comp, vol_ref = pen._fields
     if d.grid != pen.reference.grid:
@@ -344,31 +349,33 @@ def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
 
 
 def xi0_field(
-    points: np.ndarray,
+    points: np.ndarray | Grid,
     pen: PenaltySpec,
     current_volume: float | None = None,
 ) -> np.ndarray:
-    """The boundary weight xi0 at arbitrary points.
+    """The boundary weight xi0 at the rows of ``points`` (m, 2), or at every
+    node (ny, nx) of ``points`` when it is a Grid, that of the reference.
 
     xi0(x) = 1 + s min(dist(x, ref), 1) - s min(dist(x, ref^c), 1)
            - chi'(|ref| - |Omega_current|),
 
     the first variation of |Omega| + E (see :class:`PenaltySpec`) under a
-    normal boundary motion. Identically 1 when s = 0 or when no reference
-    domain is anchored yet. The chi' term needs the current domain's volume;
-    when unknown it is dropped (exact whenever the volumes match, and
-    bounded by 1/2 otherwise).
+    normal boundary motion. Identically 1 while the penalty is off. The chi'
+    term needs the current domain's volume; when unknown it is dropped
+    (exact whenever the volumes match, and bounded by 1/2 otherwise).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if pen.s == 0.0 or pen.reference is None:
-        return np.ones(points.shape[0])
+    on_grid = isinstance(points, Grid)
+    if not on_grid:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not pen.active:
+        return np.ones((points.ny, points.nx) if on_grid else points.shape[0])
     dist_ref, dist_comp, vol_ref = pen._fields
     grid = pen.reference.grid
-    vals = (
-        1.0
-        + pen.s * bilinear(grid, dist_ref, points)
-        - pen.s * bilinear(grid, dist_comp, points)
-    )
+    if not on_grid:
+        dist_ref, dist_comp = bilinear(grid, dist_ref, points), bilinear(grid, dist_comp, points)
+    elif points != grid:
+        raise ValueError("xi0 grid and penalty reference differ")
+    vals = 1.0 + pen.s * dist_ref - pen.s * dist_comp
     if current_volume is not None:
         vals = vals - PenaltySpec.chi_prime(vol_ref - current_volume)
     return vals

@@ -7,7 +7,6 @@ artifacts, and multi-config fan-out.
 """
 
 import collections
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -215,7 +214,7 @@ def test_readme_configs_load(tmp_path, monkeypatch):
     # each ini block passes the config check of the command that the README
     # runs it with ("eigenshape <command> --config <its first-line name>")
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    for target in ("write_grid_dump", "_run_flow", "_read_diagnose_inputs"):
+    for target in ("write_grid_dump", "_run_flow", "_load_diagnose_inputs"):
         monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(_PastConfigCheck()))
     blocks = [block.split("```")[0] for block in readme.split("```ini\n")[1:]]
     assert len(blocks) >= 2
@@ -926,7 +925,7 @@ def test_diagnose_bad_objective_exit_2_before_any_probe(opt_run, tmp_path, capsy
     # one or an empty one, exits 2 with one line naming it, before the
     # inputs are read or any probe runs
     _, out = opt_run
-    for target in ("_read_diagnose_inputs", "el_residual", "weiss_profile",
+    for target in ("_load_diagnose_inputs", "el_residual", "weiss_profile",
                    "classify_boundary", "torsion_probe"):
         monkeypatch.setattr(f"eigenshape.cli.{target}", _raise(AssertionError(target)))
     for i, objective in enumerate([{"family": "single", "n": 1, "index": 1},
@@ -1460,48 +1459,45 @@ def test_diagnose_explicit_radii(small_run, tmp_path):
 
 
 def test_main_fans_out_multiple_configs(tmp_path):
+    # the configs run in turn, each into <out>/<config stem>, and --check
+    # verifies every one of them
     a = write_ini(tmp_path / "a.ini", solve_sections(r=0.9))
     b = write_ini(tmp_path / "b.ini", solve_sections(r=1.1))
     out = tmp_path / "multi"
-    code = main(["solve", "--config", str(a), "--config", str(b),
-                 "--out", str(out), "--jobs", "2"])
-    assert code == 0
+    argv = ["solve", "--config", str(a), "--config", str(b), "--out", str(out)]
+    assert main(argv) == 0
     for stem in ("a", "b"):
         assert (out / stem / "manifest.json").is_file()
     la = json.loads((out / "a" / "manifest.json").read_text())["lambdas"][0]
     lb = json.loads((out / "b" / "manifest.json").read_text())["lambdas"][0]
     assert la > lb  # smaller disk, larger eigenvalue
+    assert main([*argv, "--check"]) == 0
 
 
-def test_main_caps_jobs_at_config_count(tmp_path, monkeypatch):
-    # a fork pool starts all max_workers at its first submit; this stand-in
-    # records the count and runs each submission in process
-    seen = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    small = {"grid": {"nx": 33, "ny": 33}}
-    a = write_ini(tmp_path / "a.ini", {**solve_sections(r=0.9), **small})
-    b = write_ini(tmp_path / "b.ini", {**solve_sections(r=1.1), **small})
+def test_main_exit_code_is_the_largest_of_the_runs(tmp_path, capsys):
+    # a config error in the first run (exit 2) does not stop the second
+    bad = write_ini(tmp_path / "bad.ini", {**solve_sections(), "solve": {"modez": 3}})
+    good = write_ini(tmp_path / "good.ini", {**solve_sections(), "grid": {"nx": 33, "ny": 33}})
     out = tmp_path / "multi"
-    code = main(["solve", "--config", str(a), "--config", str(b),
-                 "--out", str(out), "--jobs", "64"])
-    assert code == 0 and seen == [2]
-    assert (out / "a" / "manifest.json").is_file() and (out / "b" / "manifest.json").is_file()
+    assert main(["solve", "--config", str(bad), "--config", str(good), "--out", str(out)]) == 2
+    assert "modez" in capsys.readouterr().err
+    assert (out / "good" / "manifest.json").is_file()
+    assert not (out / "bad" / "manifest.json").exists()
+
+
+def test_main_rejects_jobs(tmp_path, capsys):
+    # there is no --jobs option: argparse exits 2 with a usage line before any run
+    a = write_ini(tmp_path / "a.ini", solve_sections(r=0.9))
+    b = write_ini(tmp_path / "b.ini", solve_sections(r=1.1))
+    out = tmp_path / "multi"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(a), "--config", str(b),
+              "--out", str(out), "--jobs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: eigenshape ")
+    assert "unrecognized arguments: --jobs 2" in err
+    assert not out.exists()
 
 
 def test_main_rejects_stem_collision(tmp_path):
