@@ -112,7 +112,7 @@ class OptimizerTrace:
     """Per-step records plus the state the run ended in."""
 
     records: list[TraceRecord] = dataclasses.field(default_factory=list)
-    final: FlowState | None = None      # None when the initial spectrum failed
+    final: FlowState | None = None  # state of records[-1]; None if the first solve failed
     # why the run ended: "converged", "line_search_stall", "max_steps" or
     # "aborted" (eigensolver failure; the trace is partial)
     stop_reason: str | None = None
@@ -292,11 +292,10 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
     """Run the flow from ``init`` until convergence, stall, or max_steps.
 
     Convergence: relative objective decrease below conv_tol on two
-    consecutive accepted steps. A line-search stall also flags convergence
-    (no descent direction at this resolution) with ``stalled`` recorded;
-    ``stop_reason`` tells the two apart. Raises OptimizeAborted (carrying
-    the partial trace, stop_reason "aborted") if the eigensolver fails
-    irrecoverably mid-run.
+    consecutive accepted steps; a line-search stall (no descent direction at
+    this resolution) also counts. Every stop ends the run in its last
+    accepted state, the one of the last trace record. An eigensolver failure
+    mid-run raises OptimizeAborted, carrying that partial trace.
     """
     trace = OptimizerTrace()
     d = reinitialize(init)
@@ -317,27 +316,27 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
         ))
 
     record(0, state, 0.0)
+    accepted = state  # the state of the last record; the run ends in it
     dt = cfg.dt0
     small_steps = 0
-    floor = state.objective  # last recorded value; trace never rises above it
     reason = "max_steps"
     for i in range(1, cfg.max_steps + 1):
-        J0 = floor
         try:
+            start = accepted
             if i > 1 and (i - 1) % _REINIT_EVERY == 0:
                 where = "after reinit"
-                state = make_state(cfg, reinitialize(state.domain), warm=state.spectrum)
+                start = make_state(cfg, reinitialize(accepted.domain), warm=accepted.spectrum)
             where = f"at step {i}"
-            state, dt_used, stalled = step(state, dt, baseline=floor)
+            state, dt_used, stalled = step(start, dt, baseline=accepted.objective)
         except SpectralError as err:
-            trace.final, trace.stop_reason = state, "aborted"
+            trace.final, trace.stop_reason = accepted, "aborted"
             raise OptimizeAborted(f"spectrum failed {where}: {err}", trace) from err
         if stalled:
             reason = "line_search_stall"
             break
         record(i, state, dt_used)
-        floor = state.objective
-        rel_dec = (J0 - state.objective) / max(abs(J0), 1e-300)
+        rel_dec = (accepted.objective - state.objective) / max(abs(accepted.objective), 1e-300)
+        accepted = state
         if rel_dec < cfg.conv_tol:
             small_steps += 1
             if small_steps >= 2:
@@ -346,7 +345,7 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
         else:
             small_steps = 0
         dt = min(cfg.dt0, 2.0 * dt_used)
-    trace.final, trace.stop_reason = state, reason
+    trace.final, trace.stop_reason = accepted, reason
     return trace
 
 

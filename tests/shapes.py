@@ -1,16 +1,20 @@
 """Shape oracles of the tests: dilation, the half-plane, perimeter and
-roundness of level-set domains.
+roundness of level-set domains, and the best pair of disks.
 
-No command uses them; the scaling-law, half-plane and acceptance tests
-build their reference shapes and measures from them.
+No command uses them; the scaling-law, half-plane, acceptance and
+degenerate-pair tests build their reference shapes and measures from them.
 """
 
 import math
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from eigenshape.domain import Grid, GridDomain, bilinear, extract_boundary, volume
+from eigenshape.objective import ObjectiveSpec, eval_Fp
+
+J01 = 2.404825557695773
 
 
 def dilate(d: GridDomain, t: float) -> GridDomain:
@@ -57,3 +61,18 @@ def roundness(d: GridDomain) -> float:
     if p == 0.0:
         return 0.0
     return 4.0 * math.pi * volume(d) / p**2
+
+
+def pair_minimum(p: float) -> tuple[float, np.ndarray]:
+    """The least J = F_p(lambda) + |Omega| over two disjoint disks, for the
+    second eigenvalue (``single``, n = 2, index 2): a Nelder-Mead search over
+    the radii. Each disk of radius r adds the eigenvalue (j01 / r)^2.
+    Returns J and the radii in ascending order."""
+    spec = ObjectiveSpec("single", n=2, index=2)
+
+    def J(r):
+        return eval_Fp(spec, np.sort((J01 / r) ** 2), p) + math.pi * float(r @ r)
+
+    res = minimize(J, [1.0, 0.9], method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-13})
+    return float(res.fun), np.sort(res.x)

@@ -487,16 +487,45 @@ def test_flagships_stop_on_a_line_search_stall(fk_run, ks_run):
         assert run.manifest["stalled"] is True and run.manifest["converged"] is True
 
 
+def assert_manifest_is_the_last_trace_row(out):
+    """The manifest's objective, volume and lambdas are the text of the last
+    trace.csv row: the written state is the last accepted one."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    last = dict(zip(header.split(","), rows[-1].split(",")))
+    lambdas = [last[f"lambda{k}"] for k in range(1, len(manifest["lambdas"]) + 1)]
+    assert repr(manifest["objective"]) == last["objective"]
+    assert repr(manifest["volume"]) == last["volume"]
+    assert [repr(v) for v in manifest["lambdas"]] == lambdas
+
+
 @pytest.mark.parametrize("flagship", ["fk_run", "ks_run"])
 def test_flagship_manifest_describes_the_written_state(request, flagship):
-    # both flagships stall on the first step after a reinit, whose state is
-    # the one written and differs from the last trace row
+    # at one BLAS thread both flagships stall on the first step after a
+    # reinit; whatever the stop, the state written is that of the last row
     run = request.getfixturevalue(flagship)
     manifest = run.manifest
     n = len(manifest["lambdas"])
     assert manifest["lambdas"] == run.spectrum.lambdas[:n].tolist()
     assert manifest["volume"] == volume(read_grid_dump(run.out / "domain.grid"))
     assert manifest["objective_F"] == manifest["lambdas"][-1] + manifest["volume"]
+    assert_manifest_is_the_last_trace_row(run.out)
+
+
+def test_optimize_stall_after_a_reinit_writes_the_last_accepted_state(tmp_path):
+    # this run stalls at step 21, the first step after a reinit; the
+    # reinitialized state it stalled in is not written
+    cfg = write_ini(tmp_path / "stall.ini", {
+        "run": {"seed": 3},
+        "grid": {"nx": 65, "ny": 65},
+        "shape": {"kind": "blob", "amp": 0.22},
+        "objective": {"family": "single", "n": 1},
+    })
+    out = tmp_path / "out"
+    assert run_single("optimize", str(cfg), str(out), None, False) == 0
+    assert json.loads((out / "manifest.json").read_text())["stop_reason"] == "line_search_stall"
+    assert (out / "trace.csv").read_text().splitlines()[-1].startswith("20,")
+    assert_manifest_is_the_last_trace_row(out)
 
 
 def test_optimize_rerun_identical_trace(opt_run, tmp_path):

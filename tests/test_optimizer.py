@@ -22,6 +22,7 @@ from eigenshape import (
     PenaltySpec,
     SpectralError,
     WeightVector,
+    connected_components,
     disk,
     eval_Fp,
     extract_boundary,
@@ -45,7 +46,7 @@ from eigenshape.optimizer import (
 )
 
 from conftest import smooth_g
-from shapes import dilate, half_plane
+from shapes import dilate, half_plane, pair_minimum
 
 J01 = 2.404825557695773
 R_STAR = (J01**2 / math.pi) ** 0.25  # ball radius where the speed vanishes
@@ -393,6 +394,28 @@ def test_optimize_abort_carries_partial_trace(grid97, monkeypatch):
     assert math.isfinite(partial.final.objective_F)
 
 
+def test_optimize_abort_after_a_reinit_ends_in_the_last_accepted_state(grid97, monkeypatch):
+    # the sixth step is the first after a reinit; when it fails, the run ends
+    # in the state the fifth step accepted, not in the reinitialized one
+    real_step = optimizer_mod.step
+    returned = []
+
+    def step_failing_after_reinit(state, dt, baseline=None):
+        if len(returned) == 5:
+            raise SpectralError("forced failure")
+        returned.append(real_step(state, dt, baseline))
+        return returned[-1]
+
+    monkeypatch.setattr(optimizer_mod, "step", step_failing_after_reinit)
+    with pytest.raises(OptimizeAborted, match="at step 6: forced failure") as exc:
+        optimize(base_config(max_steps=20), disk(grid97, (0.0, 0.0), 1.5))
+    (partial,) = exc.value.traces
+    assert not any(stalled for _, _, stalled in returned)
+    assert [r.step for r in partial.records] == [0, 1, 2, 3, 4, 5]
+    assert partial.final is returned[-1][0]
+    assert partial.records[-1].objective == partial.final.objective
+
+
 def test_optimize_abort_at_init(grid97, monkeypatch):
     def broken(*args, **kwargs):
         raise SpectralError("no spectrum", residuals=None)
@@ -403,6 +426,31 @@ def test_optimize_abort_at_init(grid97, monkeypatch):
     (trace,) = exc.value.traces
     assert trace.records == [] and trace.final is None
     assert trace.stop_reason == "aborted"
+
+
+# ---- the degenerate case without the mirror ---------------------------
+
+
+def test_unequal_disks_flow_to_the_unequal_pair_minimum():
+    # F_p ignores lambda_1, so two unequal disks grow towards a near-degenerate
+    # pair; with no mirror between them it is the best pair of disks, which at
+    # p = 32 is unequal and lies below the two equal disks
+    p = 32.0
+    g = Grid(nx=121, ny=121, h=0.04, origin=(-2.4, -2.4))
+    init = GridDomain(g, np.minimum(disk(g, (-1.1, 0.0), 0.85).phi,
+                                    disk(g, (1.1, 0.0), 0.70).phi))
+    cfg = OptimizerConfig(spec=ObjectiveSpec("single", n=2, index=2), p=p, seed=11)
+    final = optimize(cfg, init).final
+    J_pair, radii = pair_minimum(p)
+    gap_pair = (radii[1] / radii[0]) ** 2 - 1.0
+    # two equal disks: F_p(l, l) = (2^(1/p) + 3/p) l + 1/(2p), least over r
+    J_equal = 2.0 * J01 * math.sqrt(2.0 * math.pi * (2.0 ** (1.0 / p) + 3.0 / p)) + 0.5 / p
+    lam = final.spectrum.lambdas
+    gap = (lam[1] - lam[0]) / lam[0]
+    assert connected_components(final.domain) == 2
+    assert gap_pair / 2.0 <= gap <= 2.0 * gap_pair  # 1.53e-3 against 1.85e-3
+    assert abs(final.objective - J_pair) <= 2e-4 * J_pair  # 8.1e-5 above it
+    assert J_pair < J_equal  # by 6.4e-6 (relative)
 
 
 # ---- p-continuation ---------------------------------------------------
