@@ -502,8 +502,7 @@ def _load_diagnose_inputs(cp):
         raise ConfigError(
             f"{xi_path} lists {len(xi)} weights but only {len(lambdas)} modes exist"
         )
-    w = WeightVector(xi=xi, cluster_tags=kappa_clusters(lambdas[: len(xi)]),
-                     pen=PenaltySpec())
+    w = WeightVector(xi=xi, cluster_tags=kappa_clusters(lambdas[: len(xi)]))
     return d, sp, w
 
 

@@ -98,9 +98,10 @@ def weiss_profile(
     :func:`probe_radii` ``radii``, shape (m, R), for the rows x of
     ``centres`` (m, 2), and the drift constant of each row, shape (m,).
 
-    W(x,r) = r^-2 * int_{B_r(x) & Omega} (sum_k xi_k |grad u_k|^2 + xi0)
-           - r^-3 * int_{bd B_r(x)} sum_k xi_k u_k^2.
+    W(x,r) = r^-2 * int_{B_r(x) & Omega} (sum_k xi_k |grad u_k|^2 + 1)
+           - r^-3 * int_{bd B_r(x)} sum_k xi_k u_k^2,
 
+    with the paper's 1, the first variation of |Omega|, as the volume term.
     The volume part uses smoothed ball and domain indicators on the node
     quadrature; the ring part samples the circle and interpolates the modes
     bilinearly. Half-plane data with unit gradient and unit weights gives
@@ -114,7 +115,7 @@ def weiss_profile(
     modes = sp.modes[: len(xis)]
 
     # the volume integrand, domain indicator and node weights on the whole grid
-    integ = w.xi0_at(g)
+    integ = np.ones((g.ny, g.nx))
     grads = _mode_gradients(modes, d.inside, h)
     for k in range(len(xis)):
         integ = integ + xis[k] * (grads[k, 0] ** 2 + grads[k, 1] ** 2)
@@ -155,7 +156,7 @@ def weiss_profile(
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ELResidual:
-    """Signed optimality defect sum_k xi_k (u_k)_nu^2 - xi0 per boundary point.
+    """Signed optimality defect sum_k xi_k (u_k)_nu^2 - 1 per boundary point.
 
     Only points whose normal-derivative stencils were reliable are kept.
     """
@@ -183,13 +184,15 @@ def el_residual(
     w: WeightVector,
     bm: BoundaryMesh,
 ) -> ELResidual:
-    """First-order optimality residual over the boundary samples.
+    """Defect of the paper's equation sum_k xi_k |grad u_k|^2 = 1 over the
+    boundary samples.
 
-    This is the flow's normal speed :func:`~eigenshape.optimizer.shape_velocity`
-    restricted to the samples whose stencils are reliable: cluster-averaged
-    weights let near-degenerate modes contribute through their invariant
-    subspace, and the squares make the result blind to eigenfunction sign
-    choices. Raises if every sample is unreliable.
+    This is :func:`~eigenshape.optimizer.shape_velocity` at its xi0 = 1
+    (an anchored flow subtracts the penalty's xi0 field instead), restricted
+    to the samples whose stencils are reliable: cluster-averaged weights let
+    near-degenerate modes contribute through their invariant subspace, and
+    the squares make the result blind to eigenfunction sign choices. Raises
+    if every sample is unreliable.
     """
     V, reliable = shape_velocity(d, sp, w, bm)
     if not reliable.any():

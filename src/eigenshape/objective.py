@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .domain import Grid, GridDomain, _node_weights, bilinear, inside_fraction, volume
+from .domain import GridDomain, _node_weights, bilinear, inside_fraction, volume
 
 __all__ = [
     "ObjectiveSpec",
@@ -147,14 +147,30 @@ class PenaltySpec:
     normal boundary speed g, E changes at the rate
     int_{dOmega} (s min(dist(x, ref), 1) - s min(dist(x, ref^c), 1)
     - chi'(|ref| - |Omega|)) g; :func:`xi0_field` is 1 plus that integrand.
+
+    ``fields`` holds the capped distance-to-reference and
+    distance-to-complement fields on the reference grid, plus the reference
+    volume, built once at construction while the penalty is active; None
+    otherwise.
     """
 
     s: float = 0.0
     reference: GridDomain | None = None
+    fields: tuple[np.ndarray, np.ndarray, float] | None = dataclasses.field(
+        init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.s < math.inf:
             raise ValueError(f"penalty strength s must be finite and >= 0, got {self.s}")
+        if self.active:
+            from scipy import ndimage  # imported here: only anchored runs need it
+
+            ref, h = self.reference, self.reference.grid.h
+            object.__setattr__(self, "fields", (
+                np.minimum(ndimage.distance_transform_edt(~ref.inside, sampling=h), 1.0),
+                np.minimum(ndimage.distance_transform_edt(ref.inside, sampling=h), 1.0),
+                volume(ref),
+            ))
 
     @property
     def active(self) -> bool:
@@ -168,25 +184,6 @@ class PenaltySpec:
     @staticmethod
     def chi_prime(t: float) -> float:
         return 0.5 * t / math.hypot(1.0, t)
-
-    @functools.cached_property
-    def _fields(self):
-        """Capped distance-to-reference and distance-to-complement fields,
-        plus the reference volume (lazily computed, reference grid nodes)."""
-        from scipy import ndimage  # imported here: only anchored runs need it
-
-        if self.reference is None:
-            raise ValueError("penalty has no reference domain")
-        ref = self.reference
-        h = ref.grid.h
-        ins = ref.inside
-        dist_to_ref = ndimage.distance_transform_edt(~ins, sampling=h)
-        dist_to_comp = ndimage.distance_transform_edt(ins, sampling=h)
-        return (
-            np.minimum(dist_to_ref, 1.0),
-            np.minimum(dist_to_comp, 1.0),
-            volume(ref),
-        )
 
 
 def _tau_all(kappa: np.ndarray, p: float) -> np.ndarray:
@@ -270,7 +267,8 @@ def kappa_clusters(kappa: Sequence[float], tol: float = 1e-3) -> tuple[tuple[int
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class WeightVector:
-    """The gradient xi_k = dF_p/dkappa_k plus the boundary weight field xi0.
+    """The gradient xi_k = dF_p/dkappa_k, with the near-degenerate clusters
+    of kappa.
 
     ``xi`` holds the raw derivatives; :meth:`symmetrized` averages them
     within each near-degenerate cluster (preserving cluster sums), which is
@@ -279,11 +277,6 @@ class WeightVector:
 
     xi: np.ndarray
     cluster_tags: tuple[tuple[int, ...], ...]
-    pen: PenaltySpec
-    current_volume: float | None = None
-
-    def xi0_at(self, points: np.ndarray | Grid) -> np.ndarray:
-        return xi0_field(points, self.pen, self.current_volume)
 
     def symmetrized(self) -> np.ndarray:
         out = self.xi.copy()
@@ -293,13 +286,7 @@ class WeightVector:
         return out
 
 
-def grad_Fp(
-    spec: ObjectiveSpec,
-    kappa: Sequence[float],
-    p: float,
-    pen: PenaltySpec | None = None,
-    current_volume: float | None = None,
-) -> WeightVector:
+def grad_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> WeightVector:
     """Exact gradient of :func:`eval_Fp` at kappa.
 
         xi_k = (N+1-k)/p + sum_{j>=k} (kappa_k / tau_j)^(p-1) * dG_p/dkappa_j
@@ -321,12 +308,7 @@ def grad_Fp(
     for k in range(n):
         ratios = np.exp((p - 1.0) * (logk[k] - logt[k:]))
         xi[k] = (n - k) / p + float(ratios @ gG[k:])
-    return WeightVector(
-        xi=xi,
-        cluster_tags=kappa_clusters(kappa),
-        pen=pen if pen is not None else PenaltySpec(),
-        current_volume=current_volume,
-    )
+    return WeightVector(xi=xi, cluster_tags=kappa_clusters(kappa))
 
 
 def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
@@ -338,7 +320,7 @@ def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
     """
     if not pen.active:
         return 0.0
-    dist_ref, dist_comp, vol_ref = pen._fields
+    dist_ref, dist_comp, vol_ref = pen.fields
     if d.grid != pen.reference.grid:
         raise ValueError("domain and penalty reference live on different grids")
     chi_om = inside_fraction(d.phi, 1.5 * d.grid.h)
@@ -348,34 +330,22 @@ def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
     return pen.s * (term_in + term_out) + PenaltySpec.chi(vol_ref - volume(d))
 
 
-def xi0_field(
-    points: np.ndarray | Grid,
-    pen: PenaltySpec,
-    current_volume: float | None = None,
-) -> np.ndarray:
-    """The boundary weight xi0 at the rows of ``points`` (m, 2), or at every
-    node (ny, nx) of ``points`` when it is a Grid, that of the reference.
+def xi0_field(points: np.ndarray, pen: PenaltySpec, current_volume: float) -> np.ndarray:
+    """The boundary weight xi0 at the rows of ``points`` (m, 2):
 
     xi0(x) = 1 + s min(dist(x, ref), 1) - s min(dist(x, ref^c), 1)
            - chi'(|ref| - |Omega_current|),
 
     the first variation of |Omega| + E (see :class:`PenaltySpec`) under a
-    normal boundary motion. Identically 1 while the penalty is off. The chi'
-    term needs the current domain's volume; when unknown it is dropped
-    (exact whenever the volumes match, and bounded by 1/2 otherwise).
+    normal boundary motion, with ``current_volume`` = |Omega_current|.
+    Identically 1 while the penalty is off; the flow's speed subtracts it
+    (:func:`~eigenshape.optimizer.shape_velocity`).
     """
-    on_grid = isinstance(points, Grid)
-    if not on_grid:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     if not pen.active:
-        return np.ones((points.ny, points.nx) if on_grid else points.shape[0])
-    dist_ref, dist_comp, vol_ref = pen._fields
+        return np.ones(points.shape[0])
+    dist_ref, dist_comp, vol_ref = pen.fields
     grid = pen.reference.grid
-    if not on_grid:
-        dist_ref, dist_comp = bilinear(grid, dist_ref, points), bilinear(grid, dist_comp, points)
-    elif points != grid:
-        raise ValueError("xi0 grid and penalty reference differ")
-    vals = 1.0 + pen.s * dist_ref - pen.s * dist_comp
-    if current_volume is not None:
-        vals = vals - PenaltySpec.chi_prime(vol_ref - current_volume)
-    return vals
+    vals = (1.0 + pen.s * bilinear(grid, dist_ref, points)
+            - pen.s * bilinear(grid, dist_comp, points))
+    return vals - PenaltySpec.chi_prime(vol_ref - current_volume)

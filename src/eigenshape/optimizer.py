@@ -30,6 +30,7 @@ from .objective import (
     eval_Fp,
     eval_penalty_E,
     grad_Fp,
+    xi0_field,
 )
 from .spectral import SpectralError, Spectrum, normal_derivative, solve_spectrum
 
@@ -136,13 +137,17 @@ def shape_velocity(
     sp: Spectrum,
     w: WeightVector,
     bm: BoundaryMesh,
+    xi0: float | np.ndarray = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-variation normal speed at the boundary samples.
 
     V(x) = sum_k xi_k (u_k)_nu^2 (x) - xi0(x), positive V expanding Omega.
+    ``xi0`` is the paper's 1, the first variation of |Omega|, or the (m,)
+    :func:`~eigenshape.objective.xi0_field` of an anchoring penalty.
     Near-degenerate modes enter with their cluster-averaged weights so the
     speed is invariant under basis rotations inside a cluster. Returns
-    (V, reliable); unreliable samples inherit flags from the probe stencils.
+    (V, reliable), both of shape (m,); unreliable samples inherit flags from
+    the probe stencils.
     """
     if sp.generation != d.generation:
         raise ValueError(
@@ -150,7 +155,7 @@ def shape_velocity(
         )
     xis = w.symmetrized()
     unu, reliable = normal_derivative(sp.modes[: len(xis)], bm, d)
-    V = -w.xi0_at(bm.points)
+    V = np.full(len(bm), -xi0)
     for k in range(len(xis)):
         V = V + xis[k] * unu[k] ** 2
     return V, reliable
@@ -243,7 +248,7 @@ def make_state(cfg: OptimizerConfig, d: GridDomain, warm: Spectrum | None = None
     vol = volume(d)
     E = eval_penalty_E(d, cfg.pen)
     Fp = eval_Fp(cfg.spec, kappa, cfg.p)
-    w = grad_Fp(cfg.spec, kappa, cfg.p, pen=cfg.pen, current_volume=vol)
+    w = grad_Fp(cfg.spec, kappa, cfg.p)
     return FlowState(cfg=cfg, domain=d, spectrum=sp, weights=w, Fp=Fp, vol=vol, E=E)
 
 
@@ -261,7 +266,8 @@ def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[Fl
     d = state.domain
     h = d.grid.h
     bm = extract_boundary(d)
-    V, reliable = shape_velocity(d, state.spectrum, state.weights, bm)
+    xi0 = xi0_field(bm.points, cfg.pen, state.vol)
+    V, reliable = shape_velocity(d, state.spectrum, state.weights, bm, xi0)
     Vg = extend_velocity(d, bm, V, reliable)
     vmax = float(np.max(np.abs(Vg)))
     if vmax < 1e-14:
@@ -373,14 +379,14 @@ def p_continuation(
         raise ScheduleError(str(err)) from err
     traces: list[OptimizerTrace] = []
     d = init
-    pen = cfg.pen
     for stage in stages:
+        if traces:  # anchored at the previous stage's minimizer, d
+            stage = dataclasses.replace(stage, pen=PenaltySpec(s=cfg.pen.s, reference=d))
         try:
-            tr = optimize(dataclasses.replace(stage, pen=pen), d)
+            tr = optimize(stage, d)
         except OptimizeAborted as err:
             err.traces = traces + err.traces
             raise
         traces.append(tr)
         d = tr.final.domain
-        pen = PenaltySpec(s=cfg.pen.s, reference=d)
     return traces

@@ -16,7 +16,6 @@ import pytest
 from eigenshape import (
     Grid,
     ObjectiveSpec,
-    PenaltySpec,
     Spectrum,
     WeightVector,
     classify_boundary,
@@ -154,8 +153,7 @@ def test_criterion_6_boundary_energy_windows(fk_run):
     d = half_plane(grid, normal=(0.0, 1.0), offset=0.0)
     sp = Spectrum(lambdas=np.array([1.0]), modes=np.maximum(0.0, -d.phi)[None],
                   resid=np.zeros(1), generation=d.generation)
-    w_ramp = WeightVector(xi=np.array([1.0]), cluster_tags=((0,),),
-                          pen=PenaltySpec(s=0.0))
+    w_ramp = WeightVector(xi=np.array([1.0]), cluster_tags=((0,),))
     h = grid.h
     ramp_devs = []
     for r in (8 * h, 0.15, 0.2):

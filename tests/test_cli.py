@@ -1557,15 +1557,25 @@ def test_command_required():
 _STARTUP_PROBE = """
 import sys
 import eigenshape.cli, eigenshape.optimizer
-solve_ini, diagnose_ini, base = sys.argv[1:]
-codes = [eigenshape.cli.run_single("solve", solve_ini, base + "/solve", None, False),
-         eigenshape.cli.run_single("diagnose", diagnose_ini, base + "/diagnose", None, False)]
+args = sys.argv[1:]  # (command, config, out) triples, run in turn
+codes = [eigenshape.cli.run_single(*args[i:i + 3], None, False) for i in range(0, len(args), 3)]
 print(codes, [m for m in ("scipy.ndimage", "scipy.spatial") if m in sys.modules])
 """
 
 
+def _startup_probe(*runs):
+    """The last line of _STARTUP_PROBE over ``runs``, (command, config, out)
+    triples, in a fresh interpreter, as every command and the benchmark
+    worker start one: the exit codes and the scipy submodules loaded."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(eigenshape.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *map(str, sum(runs, ()))],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
 def test_solve_and_diagnose_load_neither_ndimage_nor_spatial(tmp_path):
-    # a fresh interpreter, as every command and the benchmark worker start one
     solve_ini = write_ini(tmp_path / "solve.ini", solve_sections())
     (tmp_path / "xi.csv").write_text("k,xi\n1,1.0\n")
     diagnose_ini = write_ini(tmp_path / "diagnose.ini", {"diagnose": {
@@ -1573,11 +1583,19 @@ def test_solve_and_diagnose_load_neither_ndimage_nor_spatial(tmp_path):
         "spectrum": str(tmp_path / "solve" / "spectrum.csv"),
         "xi": str(tmp_path / "xi.csv"),
     }})
-    env = dict(os.environ)
-    src = str(pathlib.Path(eigenshape.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, str(solve_ini), str(diagnose_ini), str(tmp_path)],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert _startup_probe(("solve", solve_ini, tmp_path / "solve"),
+                          ("diagnose", diagnose_ini, tmp_path / "diagnose")) == "[0, 0] []"
     assert (tmp_path / "diagnose" / "report.json").is_file()
+
+
+def test_flow_commands_load_ndimage_only_for_an_active_penalty(tmp_path):
+    # every sweep-p stage after the first anchors a reference, at s = 0
+    runs = [(command, write_ini(tmp_path / f"{command}.ini", _small_sections(command)),
+             tmp_path / command) for command in ("optimize", "sweep-p")]
+    assert _startup_probe(*runs) == "[0, 0] ['scipy.spatial']"
+    anchored = write_ini(tmp_path / "anchored.ini", _small_sections("optimize", penalty={
+        "s": 0.02, "reference": str(tmp_path / "optimize" / "domain.grid")}))
+    assert _startup_probe(("optimize", anchored, tmp_path / "anchored")) == (
+        "[0] ['scipy.ndimage', 'scipy.spatial']")
+    with open(tmp_path / "anchored" / "manifest.json") as f:
+        assert json.load(f)["E"] > 0

@@ -15,6 +15,7 @@ from eigenshape import (
     BoundaryMesh,
     Grid,
     ObjectiveSpec,
+    OptimizerConfig,
     PenaltySpec,
     Spectrum,
     WeightVector,
@@ -24,6 +25,7 @@ from eigenshape import (
     el_residual,
     extract_boundary,
     grad_Fp,
+    make_state,
     rectangle,
     shape_velocity,
     simplicity_report,
@@ -31,6 +33,7 @@ from eigenshape import (
     solve_torsion,
     torsion_probe,
     weiss_profile,
+    xi0_field,
 )
 from eigenshape import diagnostics
 from eigenshape.cli import write_weiss_csv
@@ -64,15 +67,12 @@ def ramp_triple(grid, normal, offset):
         lambdas=np.array([1.0]), modes=u[None], resid=np.zeros(1),
         generation=d.generation,
     )
-    w = WeightVector(xi=np.array([1.0]), cluster_tags=((0,),), pen=PenaltySpec(s=0.0))
+    w = WeightVector(xi=np.array([1.0]), cluster_tags=((0,),))
     return d, sp, w
 
 
 def unit_weights(n):
-    return WeightVector(
-        xi=np.ones(n), cluster_tags=tuple((k,) for k in range(n)),
-        pen=PenaltySpec(s=0.0),
-    )
+    return WeightVector(xi=np.ones(n), cluster_tags=tuple((k,) for k in range(n)))
 
 
 # ---- scaled boundary energy -------------------------------------------
@@ -163,7 +163,7 @@ def _reference_weiss_energy(d, sp, w, x, r):
     Xw, Yw = X[rows, cols], Y[rows, cols]
     ball = inside_fraction(np.hypot(Xw - x[0], Yw - x[1]) - r, h)
     chi = inside_fraction(d.phi[rows, cols], 1.5 * h)
-    integ = w.xi0_at(np.column_stack([Xw.ravel(), Yw.ravel()])).reshape(Xw.shape)
+    integ = np.ones(Xw.shape)
     for k in range(len(xis)):
         gk = grads[k][:, rows, cols]
         integ = integ + xis[k] * (gk[0] ** 2 + gk[1] ** 2)
@@ -311,6 +311,25 @@ def test_el_residual_is_the_flow_speed_bits(request, triple):
         one, one_reliable = normal_derivative(sp.modes[k], bm, d)
         assert values[k].tobytes() == one.tobytes()
         assert np.array_equal(stack_reliable, one_reliable)
+
+
+def test_el_residual_measures_the_paper_equation_on_an_anchored_state(grid129):
+    # a disk anchored to a shifted disk: the flow subtracts the penalty's xi0
+    # field, the residual the paper's 1
+    pen = PenaltySpec(s=0.05, reference=disk(grid129, (0.3, 0.1), 1.0))
+    cfg = OptimizerConfig(spec=ObjectiveSpec("single", n=1), pen=pen)
+    st = make_state(cfg, disk(grid129, (0.0, 0.0), R_STAR))
+    d, sp, w = st.domain, st.spectrum, st.weights
+    bm = extract_boundary(d)
+    V1, reliable = shape_velocity(d, sp, w, bm)
+    res = el_residual(d, sp, w, bm)
+    assert res.values.tobytes() == V1[reliable].tobytes()
+    unu, _ = normal_derivative(sp.modes[:1], bm, d)
+    assert res.values.tobytes() == (w.xi[0] * unu[0] ** 2 - 1.0)[reliable].tobytes()
+    xi0 = xi0_field(bm.points, pen, st.vol)
+    V, _ = shape_velocity(d, sp, w, bm, xi0)
+    assert np.abs((V - V1) - (1.0 - xi0)).max() <= 1e-14
+    assert np.abs(1.0 - xi0[reliable]).min() > 0.0
 
 
 def test_el_residual_all_unreliable_raises(opt_ball):

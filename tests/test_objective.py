@@ -210,11 +210,7 @@ def test_kappa_clusters():
 
 
 def test_symmetrized_preserves_cluster_sums():
-    w = WeightVector(
-        xi=np.array([0.1, 0.2, 0.6]),
-        cluster_tags=((0,), (1, 2)),
-        pen=PenaltySpec(s=0.0),
-    )
+    w = WeightVector(xi=np.array([0.1, 0.2, 0.6]), cluster_tags=((0,), (1, 2)))
     sym = w.symmetrized()
     assert sym[0] == 0.1
     assert sym[1] == sym[2] == pytest.approx(0.4)
@@ -223,9 +219,8 @@ def test_symmetrized_preserves_cluster_sums():
 
 
 def test_xi0_defaults_to_one():
-    w = WeightVector(xi=np.ones(2), cluster_tags=((0,), (1,)), pen=PenaltySpec(s=0.0))
     pts = np.array([[0.0, 0.0], [1.0, -1.0]])
-    assert np.array_equal(w.xi0_at(pts), np.ones(2))
+    assert np.array_equal(xi0_field(pts, PenaltySpec(s=0.0), 2.0), np.ones(2))
 
 
 # ---- anchoring penalty ------------------------------------------------
@@ -239,6 +234,21 @@ def pen_grid():
 @pytest.fixture(scope="module")
 def ref_disk(pen_grid):
     return disk(pen_grid, (0.0, 0.0), 1.0)
+
+
+def test_penalty_builds_its_fields_once_when_active(ref_disk):
+    from scipy import ndimage
+
+    pen = PenaltySpec(s=0.02, reference=ref_disk)
+    dist_ref, dist_comp, vol_ref = pen.fields
+    h = ref_disk.grid.h
+    want_ref = np.minimum(ndimage.distance_transform_edt(~ref_disk.inside, sampling=h), 1.0)
+    want_comp = np.minimum(ndimage.distance_transform_edt(ref_disk.inside, sampling=h), 1.0)
+    assert dist_ref.tobytes() == want_ref.tobytes()
+    assert dist_comp.tobytes() == want_comp.tobytes()
+    assert vol_ref == volume(ref_disk)
+    assert PenaltySpec(s=0.0, reference=ref_disk).fields is None
+    assert PenaltySpec(s=0.02).fields is None
 
 
 def test_penalty_vanishes_at_reference(pen_grid, ref_disk):
@@ -280,7 +290,7 @@ def test_chi_properties():
 def test_xi0_field_orientation(pen_grid, ref_disk):
     pen = PenaltySpec(s=0.1, reference=ref_disk)
     pts = np.array([[0.0, 0.0], [1.8, 0.0]])
-    vals = xi0_field(pts, pen)
+    vals = xi0_field(pts, pen, volume(ref_disk))  # chi'(0) = 0
     assert vals[0] < 1.0  # deep inside the reference: flow outward is cheap
     assert vals[1] > 1.0  # far outside the reference: growth is penalized
     matched = xi0_field(pts, pen, current_volume=math.pi)

@@ -81,7 +81,7 @@ def grid97():
 def test_velocity_zero_weights_is_pure_shrink(grid129):
     d = disk(grid129, (0.0, 0.0), 1.0)
     sp = solve_spectrum(d, 2)
-    w = WeightVector(xi=np.zeros(2), cluster_tags=((0,), (1,)), pen=PenaltySpec(s=0.0))
+    w = WeightVector(xi=np.zeros(2), cluster_tags=((0,), (1,)))
     bm = extract_boundary(d)
     V, reliable = shape_velocity(d, sp, w, bm)
     assert np.all(V == -1.0)
@@ -92,9 +92,7 @@ def test_velocity_zero_weights_is_pure_shrink(grid129):
 def test_velocity_sign_off_optimum(grid129, radius, sign):
     d = disk(grid129, (0.0, 0.0), radius)
     sp = solve_spectrum(d, 2)
-    w = WeightVector(
-        xi=np.array([1.0, 0.0]), cluster_tags=((0,), (1,)), pen=PenaltySpec(s=0.0)
-    )
+    w = WeightVector(xi=np.array([1.0, 0.0]), cluster_tags=((0,), (1,)))
     bm = extract_boundary(d)
     V, reliable = shape_velocity(d, sp, w, bm)
     expected = J01**2 / (math.pi * radius**4) - 1.0
@@ -105,9 +103,7 @@ def test_velocity_sign_off_optimum(grid129, radius, sign):
 def test_velocity_vanishes_at_optimal_ball(grid129):
     d = disk(grid129, (0.0, 0.0), R_STAR)
     sp = solve_spectrum(d, 2)
-    w = WeightVector(
-        xi=np.array([1.0, 0.0]), cluster_tags=((0,), (1,)), pen=PenaltySpec(s=0.0)
-    )
+    w = WeightVector(xi=np.array([1.0, 0.0]), cluster_tags=((0,), (1,)))
     V, reliable = shape_velocity(d, sp, w, extract_boundary(d))
     assert np.median(np.abs(V[reliable])) <= 0.1
 
@@ -116,7 +112,7 @@ def test_velocity_generation_mismatch(grid129):
     d = disk(grid129, (0.0, 0.0), 1.0)
     sp = solve_spectrum(d, 1)
     moved = dilate(d, 1.1)
-    w = WeightVector(xi=np.ones(1), cluster_tags=((0,),), pen=PenaltySpec(s=0.0))
+    w = WeightVector(xi=np.ones(1), cluster_tags=((0,),))
     with pytest.raises(ValueError, match="generation"):
         shape_velocity(moved, sp, w, extract_boundary(moved))
 
@@ -200,7 +196,7 @@ def test_flow_speed_is_first_variation_of_Fp(fd_spectra, family):
     bm = extract_boundary(d)
     V, reliable = shape_velocity(d, sp, w, bm)
     assert reliable.all()
-    speed = V + w.xi0_at(bm.points)  # sum_k xi_k (u_k)_nu^2
+    speed = V + 1.0  # sum_k xi_k (u_k)_nu^2
     gy, gx = np.gradient(d.phi, d.grid.h)
     grad_norm = np.hypot(bilinear(d.grid, gx, bm.points), bilinear(d.grid, gy, bm.points))
     g = smooth_g(bm.points[:, 0], bm.points[:, 1])
@@ -505,8 +501,8 @@ def test_p_continuation_stages(grid97):
     assert first.weights.xi[0] == pytest.approx(1.0 + 1.0 / 8.0, abs=1e-12)
     assert second.weights.xi[0] == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
     # the second stage is anchored at the first stage's minimizer
-    assert second.weights.pen.reference is first.domain
-    assert first.weights.pen.reference is None
+    assert second.cfg.pen.reference is first.domain
+    assert first.cfg.pen.reference is None
     # each stage starts from the previous minimizer, so stage objectives descend
     assert second.objective_F <= first.objective_F + 1e-6
     for tr in traces:
