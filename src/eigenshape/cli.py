@@ -244,39 +244,46 @@ def build_shape(cp, seed: int) -> GridDomain:
         raise ConfigError(f"bad [shape] {kind}: {err}") from err
 
 
+def _set_keys(cp, section: str, casts: dict) -> dict:
+    """The keys of ``casts`` that ``[section]`` sets, each through its cast;
+    a key left out takes the default of the library type it is passed to."""
+    return {key: value for key, cast in casts.items()
+            if (value := _get(cp, section, key, cast)) is not None}
+
+
 def build_objective(cp) -> ObjectiveSpec:
     family = _get(cp, "objective", "family", str, "single")
-    n = _get(cp, "objective", "n", int, 1)
-    kwargs = {}
+    kwargs = {"n": _get(cp, "objective", "n", int, 1)}
     if family == "single":
-        kwargs["index"] = _get(cp, "objective", "index", int, n)
+        kwargs.update(_set_keys(cp, "objective", {"index": int}))
     elif family == "linear":
         kwargs["coeffs"] = tuple(_get(cp, "objective", "coeffs", _floats, required=True))
     elif family == "softmin":
-        subset = _get(cp, "objective", "subset", lambda raw: [int(v) for v in raw.split()])
-        if subset is not None:
-            kwargs["subset"] = tuple(subset)
-        kwargs["beta"] = _get(cp, "objective", "beta", float, 1.0)
+        kwargs.update(_set_keys(cp, "objective", {
+            "subset": lambda raw: tuple(int(v) for v in raw.split()), "beta": float}))
     try:
-        return ObjectiveSpec(family=family, n=n, **kwargs)
+        return ObjectiveSpec(family=family, **kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
 
-def build_optimizer(cp, spec: ObjectiveSpec, seed: int) -> OptimizerConfig:
-    ref_path = _get(cp, "penalty", "reference", str, None)
-    reference = None
-    if ref_path is not None:
-        reference = _read_domain(ref_path)
+def build_optimizer(cp, spec: ObjectiveSpec, seed: int, grid: Grid, *,
+                    reads_p: bool) -> OptimizerConfig:
+    """The flow settings that the config sets, on the library's defaults. Only
+    ``reads_p`` looks up ``[regularization] p`` (sweep-p's schedule sets it), and
+    only s > 0 ``[penalty] reference``, which must lie on ``grid``, ``[shape]``'s."""
     try:
+        pen = PenaltySpec(**_set_keys(cp, "penalty", {"s": float}))
+        ref_path = _get(cp, "penalty", "reference", str) if pen.s > 0 else None
+        if ref_path is not None:
+            reference = _read_domain(ref_path)
+            if reference.grid != grid:
+                raise ConfigError(f"[penalty] reference {ref_path} is not on the [shape] grid")
+            pen = PenaltySpec(s=pen.s, reference=reference)
         return OptimizerConfig(
-            spec=spec,
-            p=_get(cp, "regularization", "p", float, 32.0),
-            pen=PenaltySpec(s=_get(cp, "penalty", "s", float, 0.0), reference=reference),
-            dt0=_get(cp, "optimizer", "dt0", float, 0.5),
-            max_steps=_get(cp, "optimizer", "max_steps", int, 200),
-            conv_tol=_get(cp, "optimizer", "conv_tol", float, 1e-6),
-            seed=seed,
+            spec=spec, pen=pen, seed=seed,
+            **(_set_keys(cp, "regularization", {"p": float}) if reads_p else {}),
+            **_set_keys(cp, "optimizer", {"dt0": float, "max_steps": int, "conv_tol": float}),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -400,14 +407,16 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
 
 
 def cmd_optimize(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
-    d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
+    d0 = build_shape(cp, seed)
+    cfg = build_optimizer(cp, build_objective(cp), seed, d0.grid, reads_p=True)
     _reject_unread(cp, "optimize")
     (trace,), _, code = _run_flow(out, d0, cfg, [cfg.p], "optimize", "trace.csv")
     return code, _stage_summary(trace)
 
 
 def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
-    d0, cfg = build_shape(cp, seed), build_optimizer(cp, build_objective(cp), seed)
+    d0 = build_shape(cp, seed)
+    cfg = build_optimizer(cp, build_objective(cp), seed, d0.grid, reads_p=False)
     schedule = _get(cp, "sweep", "schedule", _floats, [4.0, 8.0, 16.0, 32.0])
     _reject_unread(cp, "sweep-p")
     traces, labels, code = _run_flow(out, d0, cfg, schedule, "sweep-p", "trace_p{}.csv")
@@ -454,9 +463,12 @@ def _run_flow(out: pathlib.Path, d0: GridDomain, cfg: OptimizerConfig,
 def _stage_summary(trace: OptimizerTrace) -> dict:
     """How one stage ended, in numbers of the state it ended in (the one whose
     artifacts the last stage writes): the optimize manifest extras, and each
-    entry of the sweep-p ``stages`` (with its p)."""
-    summary = {"converged": bool(trace.converged), "stalled": bool(trace.stalled),
-               "stop_reason": trace.stop_reason, "objective_F": None}
+    entry of the sweep-p ``stages`` (with its p). ``converged`` and ``stalled``
+    are read off ``stop_reason``; a stall counts as converged."""
+    reason = trace.stop_reason
+    summary = {"converged": reason in ("converged", "line_search_stall"),
+               "stalled": reason == "line_search_stall",
+               "stop_reason": reason, "objective_F": None}
     final = trace.final
     if final is not None:  # None when the initial spectrum failed
         summary.update(objective_F=final.objective_F, objective=final.objective,
@@ -582,11 +594,12 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
 # driver
 # ---------------------------------------------------------------------------
 
+#: subcommand -> (its function, its help line)
 _COMMANDS = {
-    "solve": cmd_solve,
-    "optimize": cmd_optimize,
-    "diagnose": cmd_diagnose,
-    "sweep-p": cmd_sweep_p,
+    "solve": (cmd_solve, "solve the spectrum (and torsion) of a fixed shape"),
+    "optimize": (cmd_optimize, "run the level-set gradient flow"),
+    "diagnose": (cmd_diagnose, "free-boundary diagnostics on saved artifacts"),
+    "sweep-p": (cmd_sweep_p, "p-continuation over an ascending schedule"),
 }
 
 
@@ -615,7 +628,7 @@ def _run_command(command: str, cp, out: pathlib.Path, seed: int) -> int:
     command; returns the exit code. A ConfigError leaves no manifest."""
     name = _get(cp, "run", "name", str, out.name)
     t0 = time.perf_counter()
-    code, extra = _COMMANDS[command](cp, out, seed)
+    code, extra = _COMMANDS[command][0](cp, out, seed)
     write_manifest(out, cp, command, seed, time.perf_counter() - t0, {"name": name, **extra})
     return code
 
@@ -658,12 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=VERSION_STRING)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("solve", "solve the spectrum (and torsion) of a fixed shape"),
-        ("optimize", "run the level-set gradient flow"),
-        ("diagnose", "free-boundary diagnostics on saved artifacts"),
-        ("sweep-p", "p-continuation over an ascending schedule"),
-    ]:
+    for name, (_, helptext) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, action="append",
                         help="config file (repeatable: the configs run in turn, "

@@ -118,15 +118,6 @@ class OptimizerTrace:
     # "aborted" (eigensolver failure; the trace is partial)
     stop_reason: str | None = None
 
-    @property
-    def converged(self) -> bool:
-        """True when the run converged or the line search stalled."""
-        return self.stop_reason in ("converged", "line_search_stall")
-
-    @property
-    def stalled(self) -> bool:
-        return self.stop_reason == "line_search_stall"
-
 
 # ---------------------------------------------------------------------------
 # velocity

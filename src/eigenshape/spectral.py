@@ -250,8 +250,6 @@ def normal_derivative(field: np.ndarray, bm: BoundaryMesh,
     """
     h = d.grid.h
     pts = bm.points
-    if len(bm) == 0:
-        return np.zeros(field.shape[:-2] + (0,)), np.zeros(0, dtype=bool)
     inside = d.inside
 
     def probe(q):  # the bilinear values at q, and whether their cell is in Omega

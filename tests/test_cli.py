@@ -24,6 +24,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh as scipy_eigsh
 
 import eigenshape
 from eigenshape import (
@@ -82,6 +83,15 @@ def optimize_sections():
         "regularization": {"p": 32},
         "optimizer": {"dt0": 0.4, "max_steps": 8, "conv_tol": 1e-5},
     }
+
+
+def sweep_sections(schedule):
+    """optimize_sections() under sweep-p: its schedule sets every p, so
+    [sweep] takes the place of [regularization]."""
+    sections = optimize_sections()
+    del sections["regularization"]
+    sections["sweep"] = {"schedule": schedule}
+    return sections
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +237,27 @@ def test_readme_configs_load(tmp_path, monkeypatch):
             run_single(command, str(path), str(tmp_path / "out"), None, False)
 
 
+def test_unparsable_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run\nseed = 3\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("solve", str(cfg), str(out), None, False) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {cfg}: ")
+    assert not out.exists()
+
+
+def test_config_without_shape_kind_exit_2(tmp_path, capsys):
+    sections = solve_sections()
+    del sections["shape"]["kind"]
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("solve", str(cfg), str(out), None, False) == 2
+    assert capsys.readouterr().err == "error: missing [shape] kind\n"
+    assert list(out.iterdir()) == []
+
+
 def test_build_shape_unknown_kind(tmp_path):
     cfg = write_ini(tmp_path / "c.ini", {"shape": {"kind": "pentagon"}})
     with pytest.raises(ConfigError, match="unknown shape kind"):
@@ -341,6 +372,15 @@ def test_check_without_manifest(solve_run, tmp_path):
     assert run_single("solve", str(cfg), str(tmp_path / "fresh"), None, True) == 2
 
 
+def test_check_returns_the_exit_code_of_a_failed_rerun(solve_run, monkeypatch, capsys):
+    cfg, out = solve_run
+    monkeypatch.setattr("eigenshape.cli.solve_spectrum",
+                        _raise(SpectralError("no convergence")))
+    capsys.readouterr()
+    assert run_single("solve", str(cfg), str(out), None, True) == 1
+    assert "check rerun failed with exit code 1\n" in capsys.readouterr().err
+
+
 def test_solve_modes_zero_rejected(tmp_path):
     sections = solve_sections()
     sections["solve"]["modes"] = 0
@@ -434,6 +474,32 @@ def test_domain_grid_written_on_every_solve_exit_path(tmp_path, monkeypatch, cap
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["converged"] is False
         assert manifest["artifacts"] == {"domain.grid": _sha256(out / "domain.grid")}
+
+
+def test_arpack_non_convergence_exit_1(tmp_path, monkeypatch, capsys):
+    # one Lanczos restart is too few for 8 modes of a 65x65 disk
+    raised = []
+
+    def eigsh(*args, **kwargs):
+        try:
+            return scipy_eigsh(*args, **kwargs)
+        except ArpackNoConvergence as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr("eigenshape.spectral.eigsh", eigsh)
+    monkeypatch.setattr("eigenshape.spectral._MAX_ITER", 1)
+    sections = solve_sections()
+    sections["grid"] = {"nx": 65, "ny": 65}
+    sections["solve"]["modes"] = 8
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("solve", str(cfg), str(out), None, False) == 1
+    assert len(raised) == 1
+    assert capsys.readouterr().err.startswith(
+        "eigensolver failed: eigensolver did not reach tol=1e-08 in 1 restarts")
+    assert json.loads((out / "manifest.json").read_text())["converged"] is False
 
 
 def test_write_csv_cell_rule(tmp_path):
@@ -540,9 +606,8 @@ def test_optimize_rerun_identical_trace(opt_run, tmp_path):
 
 
 def test_sweep_p_stages_and_weight_trace(tmp_path):
-    sections = optimize_sections()
+    sections = sweep_sections("4 8")
     sections["optimizer"]["max_steps"] = 3
-    sections["sweep"] = {"schedule": "4 8"}
     cfg = write_ini(tmp_path / "sweep.ini", sections)
     out = tmp_path / "out"
     assert run_single("sweep-p", str(cfg), str(out), None, False) == 0
@@ -562,17 +627,13 @@ def test_sweep_p_stages_and_weight_trace(tmp_path):
 
 
 def test_sweep_p_bad_schedule(tmp_path):
-    sections = optimize_sections()
-    sections["sweep"] = {"schedule": "8 4"}
-    cfg = write_ini(tmp_path / "sweep.ini", sections)
+    cfg = write_ini(tmp_path / "sweep.ini", sweep_sections("8 4"))
     assert run_single("sweep-p", str(cfg), str(tmp_path / "out"), None, False) == 2
 
 
 def test_sweep_p_colliding_stage_labels_exit_2(tmp_path, capsys):
     # both stages would write trace_p32.csv and label their xi rows "32"
-    sections = optimize_sections()
-    sections["sweep"] = {"schedule": "32 32.000001"}
-    cfg = write_ini(tmp_path / "sweep.ini", sections)
+    cfg = write_ini(tmp_path / "sweep.ini", sweep_sections("32 32.000001"))
     out = tmp_path / "out"
     capsys.readouterr()
     assert run_single("sweep-p", str(cfg), str(out), None, False) == 2
@@ -592,6 +653,57 @@ def test_sweep_p_non_finite_stage_exit_2_before_any_stage(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "[sweep] schedule" in err and "nan" in err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, edits, named", [
+    # every stage of a sweep takes its p from [sweep] schedule
+    ("sweep-p", {"regularization": {"p": 32}},
+     "error: [regularization] p is not read by sweep-p\n"),
+    # at s = 0 a reference anchors nothing, whatever its grid
+    ("optimize", {"penalty": {"reference": "ref_17x17.grid"}},
+     "error: [penalty] reference is not read by optimize\n"),
+    # at s > 0 it must lie on the [shape] grid
+    ("optimize", {"penalty": {"s": 0.02, "reference": "ref_17x17.grid"}}, "ref_17x17.grid"),
+    ("sweep-p", {"penalty": {"s": 0.02, "reference": "ref_17x17.grid"}}, "ref_17x17.grid"),
+], ids=["sweep_p_regularization_p", "reference_at_s_0", "optimize_reference_off_grid",
+        "sweep_p_reference_off_grid"])
+def test_flow_setting_that_takes_no_effect_exit_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, edits, named):
+    monkeypatch.setattr("eigenshape.optimizer.solve_spectrum",
+                        _raise(AssertionError("a solve ran")))
+    _write_references(tmp_path)
+    edits = {section: {k: str(tmp_path / v) if k == "reference" else v for k, v in kv.items()}
+             for section, kv in edits.items()}
+    cfg = write_ini(tmp_path / "c.ini", _small_sections(command, **edits))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single(command, str(cfg), str(out), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("family, key", [("single", {"index": 2}), ("softmin", {"beta": 1.0})])
+def test_optimize_spelling_out_the_flow_defaults_writes_the_same_bytes(tmp_path, family, key):
+    # the library owns every default: leaving a key out is setting it to its default
+    omitted = {"run": {"seed": 3}, "grid": {"nx": 33, "ny": 33}, "shape": {"kind": "blob"},
+               "objective": {"family": family, "n": 2}}
+    spelled = {**omitted, "objective": {**omitted["objective"], **key},
+               "regularization": {"p": 32}, "penalty": {"s": 0},
+               "optimizer": {"dt0": 0.5, "max_steps": 200, "conv_tol": 1e-6}}
+    manifests = []
+    for name, sections in (("omitted", omitted), ("spelled", spelled)):
+        cfg = write_ini(tmp_path / f"{name}.ini", sections)
+        assert run_single("optimize", str(cfg), str(tmp_path / name), None, False) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        manifests.append({k: v for k, v in manifest.items()
+                          if k not in ("config", "name", "wall_time_s")})
+    assert manifests[0] == manifests[1]
+    names = sorted(manifests[0]["artifacts"])
+    assert "trace.csv" in names
+    for name in names:
+        assert (tmp_path / "omitted" / name).read_bytes() == (
+            tmp_path / "spelled" / name).read_bytes()
 
 
 def _step_failing_at_p16(monkeypatch):
@@ -731,10 +843,10 @@ def _small_sections(command, kind="disk", family="single", **edits):
     if command == "solve":
         sections["solve"] = {"modes": 2}
     else:
-        sections.update(objective={"family": family, **_OBJECTIVES[family]},
-                        regularization={"p": 32},
-                        optimizer={"dt0": 0.4, "max_steps": 2},
-                        penalty={})
+        sections["objective"] = {"family": family, **_OBJECTIVES[family]}
+        if command == "optimize":  # sweep-p takes every p from its schedule
+            sections["regularization"] = {"p": 32}
+        sections.update(optimizer={"dt0": 0.4, "max_steps": 2}, penalty={})
     if command == "sweep-p":
         sections["sweep"] = {"schedule": "8 16"}
     for section, kv in edits.items():
@@ -1348,6 +1460,20 @@ def test_diagnose_xi_without_rows_exit_2(small_run, tmp_path, capsys):
     code, err, _ = _diagnose_small(run, tmp_path, capsys)
     assert code == 2
     assert err.count("\n") == 1 and "xi.csv" in err
+
+
+@pytest.mark.parametrize("name, text, cause", [
+    ("spectrum.csv", "k,lambda,resid\n", "lists no eigenpairs"),
+    ("xi.csv", "k,xi\n1,1.0\n2,0.5\n3,0.25\n", "lists 3 weights but only 2 modes exist"),
+], ids=["spectrum_without_rows", "xi_beyond_the_modes"])
+def test_diagnose_inputs_that_do_not_match_exit_2(small_run, tmp_path, capsys, name, text,
+                                                  cause):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    (run / name).write_text(text)
+    code, err, report = _diagnose_small(run, tmp_path, capsys)
+    assert code == 2 and report is None
+    assert err.count("\n") == 1 and f"{name} {cause}" in err
 
 
 @pytest.mark.parametrize("token", ["1_0", "١.0", "#"],
