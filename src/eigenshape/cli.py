@@ -44,12 +44,7 @@ from .domain import (
     star_blob,
     write_grid_dump,
 )
-from .objective import (
-    ObjectiveSpec,
-    PenaltySpec,
-    WeightVector,
-    kappa_clusters,
-)
+from .objective import ObjectiveSpec, PenaltySpec, symmetrized
 from .optimizer import (
     OptimizeAborted,
     OptimizerConfig,
@@ -98,8 +93,8 @@ def load_config(path) -> _Config:
     try:
         with open(p) as f:
             cp.read_file(f)
-    except configparser.Error as err:
-        raise ConfigError(f"cannot parse {p}: {err}") from err
+    except configparser.Error as err:  # its message spans lines: make it one
+        raise ConfigError(f"cannot parse {p}: {' '.join(str(err).split())}") from err
     if cp.defaults():
         raise ConfigError(f"{p}: [DEFAULT] is not read, yet it sets {', '.join(cp.defaults())}")
     return cp
@@ -366,8 +361,8 @@ def write_weiss_csv(centres: np.ndarray, radii, W: np.ndarray, path) -> None:
                                  for r, val in zip(radii, row)))
 
 
-def write_xi_csv(w: WeightVector, path) -> None:
-    _write_csv(path, "k,xi", enumerate(w.xi, start=1))
+def write_xi_csv(xi: np.ndarray, path) -> None:
+    _write_csv(path, "k,xi", enumerate(xi, start=1))
 
 
 def _write_solved_state(out: pathlib.Path, d: GridDomain, sp: Spectrum,
@@ -409,6 +404,9 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
 def cmd_optimize(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     d0 = build_shape(cp, seed)
     cfg = build_optimizer(cp, build_objective(cp), seed, d0.grid, reads_p=True)
+    if cfg.pen.s > 0 and not cfg.pen.active:  # sweep-p anchors its later stages with it
+        raise ConfigError(f"[penalty] s = {cfg.pen.s!r} anchors nothing under optimize "
+                          "without a [penalty] reference")
     _reject_unread(cp, "optimize")
     (trace,), _, code = _run_flow(out, d0, cfg, [cfg.p], "optimize", "trace.csv")
     return code, _stage_summary(trace)
@@ -422,7 +420,7 @@ def cmd_sweep_p(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     traces, labels, code = _run_flow(out, d0, cfg, schedule, "sweep-p", "trace_p{}.csv")
     _write_csv(out / "xi_trace.csv", "p,k,xi",
                ((label, k, val) for label, tr in zip(labels, traces)
-                if tr.final is not None for k, val in enumerate(tr.final.weights.xi, start=1)))
+                if tr.final is not None for k, val in enumerate(tr.final.xi, start=1)))
     return code, {"stages": [{"p": p, **_stage_summary(tr)}
                              for p, tr in zip(schedule, traces)]}
 
@@ -456,7 +454,7 @@ def _run_flow(out: pathlib.Path, d0: GridDomain, cfg: OptimizerConfig,
     if final is not None:  # None when its initial spectrum failed
         write_grid_dump(final.domain, out / "domain.grid")
         _write_solved_state(out, final.domain, final.spectrum)
-        write_xi_csv(final.weights, out / "xi.csv")
+        write_xi_csv(final.xi, out / "xi.csv")
     return traces, labels, code
 
 
@@ -494,7 +492,7 @@ def _read_field(path, d: GridDomain, dom_path) -> np.ndarray:
 
 def _load_diagnose_inputs(cp):
     """The domain, spectrum (with the ``mode_k.grid`` dumps next to
-    ``spectrum.csv``) and weights of the previous run that ``[diagnose]``
+    ``spectrum.csv``) and weights xi of the previous run that ``[diagnose]``
     names; any ConfigParser will do."""
     dom_path = _get(cp, "diagnose", "domain", str, required=True)
     spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
@@ -514,8 +512,7 @@ def _load_diagnose_inputs(cp):
         raise ConfigError(
             f"{xi_path} lists {len(xi)} weights but only {len(lambdas)} modes exist"
         )
-    w = WeightVector(xi=xi, cluster_tags=kappa_clusters(lambdas[: len(xi)]))
-    return d, sp, w
+    return d, sp, xi
 
 
 def _load_torsion(d: GridDomain, cp):
@@ -548,7 +545,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     if n_probes < 1:
         raise ConfigError(f"[diagnose] probes must be >= 1, got {n_probes}")
     _reject_unread(cp, "diagnose")
-    d, sp, w = _load_diagnose_inputs(cp)
+    d, sp, xi = _load_diagnose_inputs(cp)
     h = d.grid.h
     try:
         radii = probe_radii([4 * h, 6 * h, 8 * h, 12 * h] if radii is None else radii, h)
@@ -558,13 +555,13 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     report: dict = {
         "n_boundary": int(len(bm)),
         "lambdas": [float(v) for v in sp.lambdas],
-        "xi": [float(v) for v in w.xi],
-        "xi_symmetrized": [float(v) for v in w.symmetrized()],
+        "xi": [float(v) for v in xi],
+        "xi_symmetrized": [float(v) for v in symmetrized(xi, sp.lambdas)],
         "simplicity": simplicity_report(sp),
     }
     if len(bm) > 0:
         try:
-            el = el_residual(d, sp, w, bm)
+            el = el_residual(d, sp, xi, bm)
         except ValueError as err:
             raise ConfigError(f"cannot diagnose: {err}") from err
         report["el_residual"] = {
@@ -575,7 +572,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
         }
         v = _load_torsion(d, cp)
         probe_pts = bm.points[::max(1, len(bm) // n_probes)]
-        W, c_hat = weiss_profile(d, sp, w, probe_pts, radii)
+        W, c_hat = weiss_profile(d, sp, xi, probe_pts, radii)
         write_weiss_csv(probe_pts, radii, W, out / "weiss.csv")
         report["weiss"] = {
             "radii": radii,

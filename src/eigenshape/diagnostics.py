@@ -1,10 +1,10 @@
-"""Free-boundary measurements on (domain, spectrum, weights) triples.
+"""Free-boundary measurements on (domain, spectrum, xi) triples.
 
 Scaled boundary energies and their almost-monotonicity constant, the
 first-order optimality residual on the boundary, density-based boundary
 point classification, a torsion-function nondegeneracy probe, and the
 eigenvalue cluster structure. Everything here is a pure measurement:
-synthetic spectra and weight vectors are accepted as readily as converged
+synthetic spectra and weights are accepted as readily as converged
 optimizer output.
 """
 
@@ -26,7 +26,7 @@ from .domain import (
     density_ratio,
     inside_fraction,
 )
-from .objective import WeightVector, _rel_gaps, kappa_clusters
+from .objective import _rel_gaps, kappa_clusters, symmetrized
 from .optimizer import shape_velocity
 from .spectral import Spectrum
 
@@ -90,7 +90,7 @@ def _mode_gradients(modes: np.ndarray, inside: np.ndarray, h: float) -> np.ndarr
 def weiss_profile(
     d: GridDomain,
     sp: Spectrum,
-    w: WeightVector,
+    xi: np.ndarray,
     centres: np.ndarray,
     radii,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +111,7 @@ def weiss_profile(
     g, h = d.grid, d.grid.h
     radii = probe_radii(radii, h)
     centres = np.asarray(centres, dtype=float)
-    xis = w.symmetrized()
+    xis = symmetrized(xi, sp.lambdas)
     modes = sp.modes[: len(xis)]
 
     # the volume integrand, domain indicator and node weights on the whole grid
@@ -181,7 +181,7 @@ class ELResidual:
 def el_residual(
     d: GridDomain,
     sp: Spectrum,
-    w: WeightVector,
+    xi: np.ndarray,
     bm: BoundaryMesh,
 ) -> ELResidual:
     """Defect of the paper's equation sum_k xi_k |grad u_k|^2 = 1 over the
@@ -194,7 +194,7 @@ def el_residual(
     the squares make the result blind to eigenfunction sign choices. Raises
     if every sample is unreliable.
     """
-    V, reliable = shape_velocity(d, sp, w, bm)
+    V, reliable = shape_velocity(d, sp, xi, bm)
     if not reliable.any():
         raise ValueError("no reliable boundary samples for the residual")
     return ELResidual(points=bm.points[reliable], values=V[reliable])

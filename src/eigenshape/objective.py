@@ -28,7 +28,6 @@ from .domain import GridDomain, _node_weights, bilinear, inside_fraction, volume
 __all__ = [
     "ObjectiveSpec",
     "PenaltySpec",
-    "WeightVector",
     "eval_F",
     "eval_Gp",
     "eval_Fp",
@@ -36,11 +35,14 @@ __all__ = [
     "eval_penalty_E",
     "xi0_field",
     "kappa_clusters",
+    "symmetrized",
 ]
 
 _FAMILIES = ("single", "linear", "softmin")
 #: Gauss-Legendre nodes per axis of the cell rule that averages F in G_p
 _QUAD_NODES = 4
+#: relative gap below which consecutive eigenvalues share a cluster
+_CLUSTER_TOL = 1e-3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,41 +255,31 @@ def _rel_gaps(kappa: Sequence[float]) -> np.ndarray:
     return np.diff(kappa) / np.maximum(np.abs(kappa[:-1]), 1e-300)
 
 
-def kappa_clusters(kappa: Sequence[float], tol: float = 1e-3) -> tuple[tuple[int, ...], ...]:
+def kappa_clusters(kappa: Sequence[float]) -> tuple[tuple[int, ...], ...]:
     """Partition of 0-based indices into near-degenerate consecutive groups:
-    consecutive values whose relative gap is below ``tol`` share a group."""
+    consecutive values whose relative gap is below ``_CLUSTER_TOL`` share a group."""
     groups: list[list[int]] = [[0]]
     for k, gap in enumerate(_rel_gaps(kappa).tolist(), start=1):
-        if gap < tol:
+        if gap < _CLUSTER_TOL:
             groups[-1].append(k)
         else:
             groups.append([k])
     return tuple(tuple(g) for g in groups)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class WeightVector:
-    """The gradient xi_k = dF_p/dkappa_k, with the near-degenerate clusters
-    of kappa.
-
-    ``xi`` holds the raw derivatives; :meth:`symmetrized` averages them
-    within each near-degenerate cluster (preserving cluster sums), which is
-    what rotation-invariant velocities of degenerate modes require.
-    """
-
-    xi: np.ndarray
-    cluster_tags: tuple[tuple[int, ...], ...]
-
-    def symmetrized(self) -> np.ndarray:
-        out = self.xi.copy()
-        for tag in self.cluster_tags:
-            if len(tag) > 1:
-                out[list(tag)] = self.xi[list(tag)].mean()
-        return out
+def symmetrized(xi: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
+    """``xi`` averaged within each :func:`kappa_clusters` group of
+    ``lambdas[:len(xi)]``: cluster sums are kept, and near-degenerate modes
+    act only through their invariant subspace, not the basis of the solver."""
+    out = xi.copy()
+    for group in kappa_clusters(lambdas[: len(xi)]):
+        if len(group) > 1:
+            out[list(group)] = xi[list(group)].mean()
+    return out
 
 
-def grad_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> WeightVector:
-    """Exact gradient of :func:`eval_Fp` at kappa.
+def grad_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> np.ndarray:
+    """Exact gradient of :func:`eval_Fp` at kappa, the (n,) array xi:
 
         xi_k = (N+1-k)/p + sum_{j>=k} (kappa_k / tau_j)^(p-1) * dG_p/dkappa_j
 
@@ -308,11 +300,12 @@ def grad_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> WeightVect
     for k in range(n):
         ratios = np.exp((p - 1.0) * (logk[k] - logt[k:]))
         xi[k] = (n - k) / p + float(ratios @ gG[k:])
-    return WeightVector(xi=xi, cluster_tags=kappa_clusters(kappa))
+    return xi
 
 
-def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
-    """The anchoring penalty E(Omega) of the domain against pen.reference.
+def eval_penalty_E(d: GridDomain, pen: PenaltySpec, vol: float) -> float:
+    """The anchoring penalty E(Omega) of the domain against pen.reference,
+    with ``vol`` = :func:`~eigenshape.domain.volume` of ``d``.
 
     Vanishes (to quadrature accuracy) at Omega = reference, and is zero by
     convention while no reference is anchored. Complement integration is
@@ -327,7 +320,7 @@ def eval_penalty_E(d: GridDomain, pen: PenaltySpec) -> float:
     w = _node_weights(d.grid)
     term_in = float(np.sum(w * chi_om * dist_ref))
     term_out = float(np.sum(w * (1.0 - chi_om) * dist_comp))
-    return pen.s * (term_in + term_out) + PenaltySpec.chi(vol_ref - volume(d))
+    return pen.s * (term_in + term_out) + PenaltySpec.chi(vol_ref - vol)
 
 
 def xi0_field(points: np.ndarray, pen: PenaltySpec, current_volume: float) -> np.ndarray:

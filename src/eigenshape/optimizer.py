@@ -25,11 +25,11 @@ from .domain import (
 from .objective import (
     ObjectiveSpec,
     PenaltySpec,
-    WeightVector,
     eval_F,
     eval_Fp,
     eval_penalty_E,
     grad_Fp,
+    symmetrized,
     xi0_field,
 )
 from .spectral import SpectralError, Spectrum, normal_derivative, solve_spectrum
@@ -126,7 +126,7 @@ class OptimizerTrace:
 def shape_velocity(
     d: GridDomain,
     sp: Spectrum,
-    w: WeightVector,
+    xi: np.ndarray,
     bm: BoundaryMesh,
     xi0: float | np.ndarray = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -135,16 +135,16 @@ def shape_velocity(
     V(x) = sum_k xi_k (u_k)_nu^2 (x) - xi0(x), positive V expanding Omega.
     ``xi0`` is the paper's 1, the first variation of |Omega|, or the (m,)
     :func:`~eigenshape.objective.xi0_field` of an anchoring penalty.
-    Near-degenerate modes enter with their cluster-averaged weights so the
-    speed is invariant under basis rotations inside a cluster. Returns
-    (V, reliable), both of shape (m,); unreliable samples inherit flags from
-    the probe stencils.
+    Near-degenerate modes enter with their cluster-averaged weights
+    (:func:`~eigenshape.objective.symmetrized`), so the speed is invariant
+    under basis rotations inside a cluster. Returns (V, reliable), both of
+    shape (m,); unreliable samples inherit flags from the probe stencils.
     """
     if sp.generation != d.generation:
         raise ValueError(
             f"spectrum generation {sp.generation} does not match domain {d.generation}"
         )
-    xis = w.symmetrized()
+    xis = symmetrized(xi, sp.lambdas)
     unu, reliable = normal_derivative(sp.modes[: len(xis)], bm, d)
     V = np.full(len(bm), -xi0)
     for k in range(len(xis)):
@@ -213,7 +213,7 @@ class FlowState:
     cfg: OptimizerConfig
     domain: GridDomain
     spectrum: Spectrum
-    weights: WeightVector
+    xi: np.ndarray              # grad F_p at kappa, shape (n,)
     Fp: float
     vol: float
     E: float
@@ -237,10 +237,10 @@ def make_state(cfg: OptimizerConfig, d: GridDomain, warm: Spectrum | None = None
     sp = solve_spectrum(d, cfg.n_modes, seed=cfg.seed, warm=warm)
     kappa = sp.lambdas[: cfg.spec.n]
     vol = volume(d)
-    E = eval_penalty_E(d, cfg.pen)
+    E = eval_penalty_E(d, cfg.pen, vol)
     Fp = eval_Fp(cfg.spec, kappa, cfg.p)
-    w = grad_Fp(cfg.spec, kappa, cfg.p)
-    return FlowState(cfg=cfg, domain=d, spectrum=sp, weights=w, Fp=Fp, vol=vol, E=E)
+    xi = grad_Fp(cfg.spec, kappa, cfg.p)
+    return FlowState(cfg=cfg, domain=d, spectrum=sp, xi=xi, Fp=Fp, vol=vol, E=E)
 
 
 def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[FlowState, float, bool]:
@@ -258,7 +258,7 @@ def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[Fl
     h = d.grid.h
     bm = extract_boundary(d)
     xi0 = xi0_field(bm.points, cfg.pen, state.vol)
-    V, reliable = shape_velocity(d, state.spectrum, state.weights, bm, xi0)
+    V, reliable = shape_velocity(d, state.spectrum, state.xi, bm, xi0)
     Vg = extend_velocity(d, bm, V, reliable)
     vmax = float(np.max(np.abs(Vg)))
     if vmax < 1e-14:

@@ -185,7 +185,7 @@ def solve_spectrum(
     if not converged or np.any(res > tol):
         raise SpectralError(
             f"eigensolver did not reach tol={tol} in {_MAX_ITER} restarts "
-            f"(residuals {res})",
+            f"(residuals {' '.join(f'{r:.3g}' for r in res)})",
             residuals=res,
         )
 

@@ -2,7 +2,7 @@
 
 Both run through the CLI (config file in, artifacts out) so that the same
 fixtures also witness the command-line contract; tests reconstruct the
-(domain, spectrum, weights) triple from the artifacts exactly the way the
+(domain, spectrum, xi) triple from the artifacts exactly the way the
 diagnose subcommand does.
 """
 
@@ -41,7 +41,7 @@ def load_run(out: pathlib.Path) -> types.SimpleNamespace:
     cp.set("diagnose", "domain", str(out / "domain.grid"))
     cp.set("diagnose", "spectrum", str(out / "spectrum.csv"))
     cp.set("diagnose", "xi", str(out / "xi.csv"))
-    d, sp, w = _load_diagnose_inputs(cp)
+    d, sp, xi = _load_diagnose_inputs(cp)
     with open(out / "manifest.json") as f:
         manifest = json.load(f)
     return types.SimpleNamespace(
@@ -49,7 +49,7 @@ def load_run(out: pathlib.Path) -> types.SimpleNamespace:
         manifest=manifest,
         domain=d,
         spectrum=sp,
-        weights=w,
+        xi=xi,
         mesh=extract_boundary(d),
     )
 

@@ -17,7 +17,6 @@ from eigenshape import (
     Grid,
     ObjectiveSpec,
     Spectrum,
-    WeightVector,
     classify_boundary,
     disk,
     el_residual,
@@ -29,6 +28,7 @@ from eigenshape import (
     solve_spectrum,
     solve_torsion,
     split_components,
+    symmetrized,
     volume,
     weiss_profile,
 )
@@ -110,7 +110,7 @@ def test_criterion_3_regularization_dominates_and_decays():
         worst_slope = max(worst_slope, slope)
         for p in (8.0, 32.0):
             for kappa in kappa_grid(spec.n)[::2]:
-                xi = grad_Fp(spec, kappa, p).xi
+                xi = grad_Fp(spec, kappa, p)
                 for i in range(spec.n):
                     e = np.zeros(spec.n)
                     e[i] = 1e-6
@@ -125,22 +125,22 @@ def test_criterion_3_regularization_dominates_and_decays():
 
 def test_criterion_4_weights_concentrate_on_active_eigenvalue():
     spec2 = ObjectiveSpec("single", n=2, index=2)
-    w = grad_Fp(spec2, [1.0, 2.0], 64.0)
+    xi = grad_Fp(spec2, [1.0, 2.0], 64.0)
     spec1 = ObjectiveSpec("single", n=1)
     max_err = max(
-        abs(grad_Fp(spec1, [2.0], p).xi[0] - (1.0 + 1.0 / p))
+        abs(grad_Fp(spec1, [2.0], p)[0] - (1.0 + 1.0 / p))
         for p in (4.0, 8.0, 16.0, 32.0, 64.0)
     )
-    print(f"\n  xi(p=64)=({w.xi[0]:.4f}, {w.xi[1]:.4f}) "
+    print(f"\n  xi(p=64)=({xi[0]:.4f}, {xi[1]:.4f}) "
           f"one-variable |xi-(1+1/p)| max={max_err:.1e}")
-    assert w.xi[0] <= 0.05
-    assert 0.95 <= w.xi[1] <= 1.02
+    assert xi[0] <= 0.05
+    assert 0.95 <= xi[1] <= 1.02
     assert max_err <= 1e-12
 
 
 def test_criterion_5_boundary_optimality_residual(fk_run, ks_run):
-    fk = el_residual(fk_run.domain, fk_run.spectrum, fk_run.weights, fk_run.mesh)
-    ks = el_residual(ks_run.domain, ks_run.spectrum, ks_run.weights, ks_run.mesh)
+    fk = el_residual(fk_run.domain, fk_run.spectrum, fk_run.xi, fk_run.mesh)
+    ks = el_residual(ks_run.domain, ks_run.spectrum, ks_run.xi, ks_run.mesh)
     print(f"\n  fk median_abs={fk.median_abs:.4f} (<= 0.10)  "
           f"ks median_abs={ks.median_abs:.4f} (<= 0.15)")
     assert fk.median_abs <= 0.10
@@ -153,11 +153,10 @@ def test_criterion_6_boundary_energy_windows(fk_run):
     d = half_plane(grid, normal=(0.0, 1.0), offset=0.0)
     sp = Spectrum(lambdas=np.array([1.0]), modes=np.maximum(0.0, -d.phi)[None],
                   resid=np.zeros(1), generation=d.generation)
-    w_ramp = WeightVector(xi=np.array([1.0]), cluster_tags=((0,),))
     h = grid.h
     ramp_devs = []
     for r in (8 * h, 0.15, 0.2):
-        W, _ = weiss_profile(d, sp, w_ramp, [(0.0, 0.0)], (r,))
+        W, _ = weiss_profile(d, sp, np.array([1.0]), [(0.0, 0.0)], (r,))
         ramp_devs.append(abs(W[0, 0] - math.pi / 2) / (math.pi / 2))
     # (b) windows on the computed minimizer's boundary
     fk_h = fk_run.domain.grid.h
@@ -165,7 +164,7 @@ def test_criterion_6_boundary_energy_windows(fk_run):
     stride = max(1, len(fk_run.mesh) // 24)
     ws, chats = [], []
     for i in range(0, len(fk_run.mesh), stride):
-        W, c_hat = weiss_profile(fk_run.domain, fk_run.spectrum, fk_run.weights,
+        W, c_hat = weiss_profile(fk_run.domain, fk_run.spectrum, fk_run.xi,
                                  fk_run.mesh.points[i:i + 1], radii)
         ws.append(W[0, 0])
         chats.append(c_hat[0])
@@ -231,7 +230,7 @@ def test_criterion_7_structural_invariants(fk_run, ks_run):
         & np.roll(inside, 1, 1) & np.roll(inside, -1, 1)
     )
     grads = _mode_gradients(fk_run.spectrum.modes, d.inside, d.grid.h)
-    xis = fk_run.weights.symmetrized()
+    xis = symmetrized(fk_run.xi, fk_run.spectrum.lambdas)
     g2 = sum(xis[k] * (grads[k][0] ** 2 + grads[k][1] ** 2)
              for k in range(len(xis)))
     grad_max = float(g2[nb].max())

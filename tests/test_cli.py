@@ -243,7 +243,9 @@ def test_unparsable_config_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     capsys.readouterr()
     assert run_single("solve", str(cfg), str(out), None, False) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot parse {cfg}: ")
+    err = capsys.readouterr().err  # configparser's message spans three lines
+    assert err.startswith(f"error: cannot parse {cfg}: ") and err.count("\n") == 1
+    assert "no section headers" in err and "'[run\\n'" in err
     assert not out.exists()
 
 
@@ -497,8 +499,10 @@ def test_arpack_non_convergence_exit_1(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run_single("solve", str(cfg), str(out), None, False) == 1
     assert len(raised) == 1
-    assert capsys.readouterr().err.startswith(
-        "eigensolver failed: eigensolver did not reach tol=1e-08 in 1 restarts")
+    err = capsys.readouterr().err  # the 8 residuals on the one line
+    assert err.startswith(
+        "eigensolver failed: eigensolver did not reach tol=1e-08 in 1 restarts (residuals ")
+    assert err.count("\n") == 1 and len(err.split("(residuals ")[1].split()) == 8
     assert json.loads((out / "manifest.json").read_text())["converged"] is False
 
 
@@ -608,6 +612,7 @@ def test_optimize_rerun_identical_trace(opt_run, tmp_path):
 def test_sweep_p_stages_and_weight_trace(tmp_path):
     sections = sweep_sections("4 8")
     sections["optimizer"]["max_steps"] = 3
+    sections["penalty"] = {"s": 0.02}  # without a reference: anchors stage 2 at stage 1's end
     cfg = write_ini(tmp_path / "sweep.ini", sections)
     out = tmp_path / "out"
     assert run_single("sweep-p", str(cfg), str(out), None, False) == 0
@@ -622,6 +627,7 @@ def test_sweep_p_stages_and_weight_trace(tmp_path):
     stages = manifest["stages"]
     assert [s["p"] for s in stages] == [4.0, 8.0]
     assert all("objective_F" in s and "E" in s and "volume" in s for s in stages)
+    assert stages[0]["E"] == 0.0 and stages[1]["E"] > 0.0
     assert all(s["stop_reason"] in ("converged", "line_search_stall", "max_steps")
                for s in stages)
 
@@ -665,8 +671,11 @@ def test_sweep_p_non_finite_stage_exit_2_before_any_stage(tmp_path, capsys, monk
     # at s > 0 it must lie on the [shape] grid
     ("optimize", {"penalty": {"s": 0.02, "reference": "ref_17x17.grid"}}, "ref_17x17.grid"),
     ("sweep-p", {"penalty": {"s": 0.02, "reference": "ref_17x17.grid"}}, "ref_17x17.grid"),
+    # and without one, s anchors nothing under optimize (sweep-p's later stages
+    # anchor the previous minimizer)
+    ("optimize", {"penalty": {"s": 0.02}}, "error: [penalty] s = 0.02 anchors nothing"),
 ], ids=["sweep_p_regularization_p", "reference_at_s_0", "optimize_reference_off_grid",
-        "sweep_p_reference_off_grid"])
+        "sweep_p_reference_off_grid", "optimize_s_without_reference"])
 def test_flow_setting_that_takes_no_effect_exit_2_before_any_solve(
         tmp_path, capsys, monkeypatch, command, edits, named):
     monkeypatch.setattr("eigenshape.optimizer.solve_spectrum",

@@ -18,19 +18,20 @@ from eigenshape import (
     OptimizerConfig,
     PenaltySpec,
     Spectrum,
-    WeightVector,
     classify_boundary,
     difference,
     disk,
     el_residual,
     extract_boundary,
     grad_Fp,
+    kappa_clusters,
     make_state,
     rectangle,
     shape_velocity,
     simplicity_report,
     solve_spectrum,
     solve_torsion,
+    symmetrized,
     torsion_probe,
     weiss_profile,
     xi0_field,
@@ -67,12 +68,7 @@ def ramp_triple(grid, normal, offset):
         lambdas=np.array([1.0]), modes=u[None], resid=np.zeros(1),
         generation=d.generation,
     )
-    w = WeightVector(xi=np.array([1.0]), cluster_tags=((0,),))
-    return d, sp, w
-
-
-def unit_weights(n):
-    return WeightVector(xi=np.ones(n), cluster_tags=tuple((k,) for k in range(n)))
+    return d, sp, np.array([1.0])
 
 
 # ---- scaled boundary energy -------------------------------------------
@@ -88,22 +84,22 @@ def unit_weights(n):
     ids=["axis", "offset", "diagonal"],
 )
 def test_weiss_half_plane_is_half_pi(grid129, normal, offset, center):
-    d, sp, w = ramp_triple(grid129, normal, offset)
+    d, sp, xi = ramp_triple(grid129, normal, offset)
     h = grid129.h
     for r in (8 * h, 0.15, 0.2):
-        val = weiss_profile(d, sp, w, [center], (r,))[0][0, 0]
+        val = weiss_profile(d, sp, xi, [center], (r,))[0][0, 0]
         assert val == pytest.approx(math.pi / 2, rel=0.05)
 
 
 def test_weiss_profile_drift_constant(grid129):
-    d, sp, w = ramp_triple(grid129, (0.0, 1.0), 0.0)
+    d, sp, xi = ramp_triple(grid129, (0.0, 1.0), 0.0)
     h = grid129.h
     # start at 8h: below that the indicator smoothing inflates W slightly,
     # which would read as spurious downward drift
-    W, c_hat = weiss_profile(d, sp, w, [(0.0, 0.0)], np.linspace(8 * h, 0.45, 6))
+    W, c_hat = weiss_profile(d, sp, xi, [(0.0, 0.0)], np.linspace(8 * h, 0.45, 6))
     assert c_hat.shape == (1,) and c_hat[0] <= 0.05
     assert W.shape == (1, 6)
-    W1, c_hat1 = weiss_profile(d, sp, w, [(0.0, 0.0)], (8 * h,))
+    W1, c_hat1 = weiss_profile(d, sp, xi, [(0.0, 0.0)], (8 * h,))
     assert W1.shape == (1, 1) and c_hat1[0] == 0.0
 
 
@@ -114,27 +110,26 @@ def test_weiss_zero_mode_measures_occupied_area(grid129):
         lambdas=np.array([1.0]), modes=np.zeros((1, *d.phi.shape)),
         resid=np.zeros(1), generation=d.generation,
     )
-    w = unit_weights(1)
-    W, _ = weiss_profile(d, sp, w, [(0.0, 0.0), (0.0, -1.0), (0.0, 1.0)], (0.2,))
+    W, _ = weiss_profile(d, sp, np.ones(1), [(0.0, 0.0), (0.0, -1.0), (0.0, 1.0)], (0.2,))
     assert W[0, 0] == pytest.approx(math.pi / 2, rel=0.03)
     assert W[1, 0] == pytest.approx(math.pi, rel=0.03)
     assert W[2, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weiss_validation(grid129):
-    d, sp, w = ramp_triple(grid129, (0.0, 1.0), 0.0)
+    d, sp, xi = ramp_triple(grid129, (0.0, 1.0), 0.0)
     h = grid129.h
     with pytest.raises(ValueError, match="4h"):
-        weiss_profile(d, sp, w, [(0.0, 0.0)], (3 * h,))
+        weiss_profile(d, sp, xi, [(0.0, 0.0)], (3 * h,))
     with pytest.raises(ValueError, match="ascending"):
-        weiss_profile(d, sp, w, [(0.0, 0.0)], (0.2, 0.1))
+        weiss_profile(d, sp, xi, [(0.0, 0.0)], (0.2, 0.1))
 
 
 def test_weiss_csv_golden(tmp_path, grid129):
-    d, sp, w = ramp_triple(grid129, (0.0, 1.0), 0.0)
+    d, sp, xi = ramp_triple(grid129, (0.0, 1.0), 0.0)
     h = grid129.h
     centres, radii = np.zeros((1, 2)), (8 * h, 0.3)
-    W, _ = weiss_profile(d, sp, w, centres, radii)
+    W, _ = weiss_profile(d, sp, xi, centres, radii)
     path = tmp_path / "weiss.csv"
     write_weiss_csv(centres, radii, W, path)
     lines = path.read_text().strip().splitlines()
@@ -146,12 +141,12 @@ def test_weiss_csv_golden(tmp_path, grid129):
     assert float(cells[3]) == W[0, 0]  # repr round-trips
 
 
-def _reference_weiss_energy(d, sp, w, x, r):
+def _reference_weiss_energy(d, sp, xi, x, r):
     """W(x, r) of weiss_profile for one centre, written with slices: mode
     gradients, node coordinates and quadrature weights on the whole grid, then
     cut to the ball window."""
     g, h = d.grid, d.grid.h
-    xis = w.symmetrized()
+    xis = symmetrized(xi, sp.lambdas)
     grads = _mode_gradients(sp.modes, d.inside, h)
     pad = r + 2.0 * h
     i0 = max(0, int(math.floor((x[0] - pad - g.origin[0]) / h)))
@@ -183,12 +178,12 @@ def edge_disk(grid129):
     """A disk crossing the right and bottom box edges, its modes nonzero there."""
     d = disk(grid129, (1.4, -1.4), 0.9)
     sp = solve_spectrum(d, 3)
-    w = grad_Fp(ObjectiveSpec("single", n=2, index=2), sp.lambdas[:2], 32.0)
-    return d, sp, w
+    xi = grad_Fp(ObjectiveSpec("single", n=2, index=2), sp.lambdas[:2], 32.0)
+    return d, sp, xi
 
 
 def test_weiss_window_matches_full_grid_bits(edge_disk):
-    d, sp, w = edge_disk
+    d, sp, xi = edge_disk
     g, h = d.grid, d.grid.h
     bm = extract_boundary(d)
     interior = tuple(bm.points[np.argmin(bm.points[:, 0])])  # (0.5, -1.4)
@@ -197,12 +192,12 @@ def test_weiss_window_matches_full_grid_bits(edge_disk):
     assert rows[0, 0] == 0 and cols[0, -1] == g.nx - 1  # clipped by two box edges
     for x in (interior, corner):
         for r in (4 * h, 6 * h, 12 * h, 0.4):
-            got = weiss_profile(d, sp, w, [x], (r,))[0][0, 0]
-            assert got.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
+            got = weiss_profile(d, sp, xi, [x], (r,))[0][0, 0]
+            assert got.hex() == _reference_weiss_energy(d, sp, xi, x, r).hex()
 
 
 def test_weiss_batch_matches_reference_bits(edge_disk):
-    d, sp, w = edge_disk
+    d, sp, xi = edge_disk
     g, h = d.grid, d.grid.h
     centres = np.vstack([
         extract_boundary(d).points,
@@ -216,31 +211,31 @@ def test_weiss_batch_matches_reference_bits(edge_disk):
         if r == 0.6:  # a shape group and the ring samples span several batches
             assert len(batches) > len(set(batches))
             assert len(centres) * int(4.0 * math.pi * r / h) > _BATCH_NODES
-        got, _ = weiss_profile(d, sp, w, centres, (r,))
+        got, _ = weiss_profile(d, sp, xi, centres, (r,))
         assert got.shape == (len(centres), 1)
         got = got[:, 0]
         for x, value in zip(centres, got):
-            assert value.hex() == _reference_weiss_energy(d, sp, w, x, r).hex()
-    one, _ = weiss_profile(d, sp, w, centres[:1], (12 * h,))  # a one-row stack
+            assert value.hex() == _reference_weiss_energy(d, sp, xi, x, r).hex()
+    one, _ = weiss_profile(d, sp, xi, centres[:1], (12 * h,))  # a one-row stack
     assert one.shape == (1, 1) and one[0, 0].hex() == _reference_weiss_energy(
-        d, sp, w, centres[0], 12 * h).hex()
+        d, sp, xi, centres[0], 12 * h).hex()
 
 
 def test_weiss_profile_batch_matches_single_centres(edge_disk):
-    d, sp, w = edge_disk
+    d, sp, xi = edge_disk
     h = d.grid.h
     centres = extract_boundary(d).points[::7]
     radii = (4 * h, 6 * h, 8 * h, 12 * h)
-    W, c_hats = weiss_profile(d, sp, w, centres, radii)
+    W, c_hats = weiss_profile(d, sp, xi, centres, radii)
     assert W.shape == (len(centres), len(radii)) and c_hats.shape == (len(centres),)
     for x, row, got_c_hat in zip(centres, W.tolist(), c_hats.tolist()):
-        values = [_reference_weiss_energy(d, sp, w, x, r) for r in radii]
+        values = [_reference_weiss_energy(d, sp, xi, x, r) for r in radii]
         c_hat = 0.0
         for (ra, wa), (rb, wb) in zip(zip(radii, values), zip(radii[1:], values[1:])):
             c_hat = max(c_hat, (wa - wb) / (rb - ra))
         assert [v.hex() for v in row] == [v.hex() for v in values]
         assert got_c_hat.hex() == c_hat.hex()
-        W1, c_hat1 = weiss_profile(d, sp, w, x[None], radii)
+        W1, c_hat1 = weiss_profile(d, sp, xi, x[None], radii)
         assert W1[0].tolist() == row and c_hat1.tolist() == [got_c_hat]
 
 
@@ -251,13 +246,13 @@ def test_weiss_profile_batch_matches_single_centres(edge_disk):
 def opt_ball(grid129):
     d = disk(grid129, (0.0, 0.0), R_STAR)
     sp = solve_spectrum(d, 2)
-    w = grad_Fp(ObjectiveSpec("single", n=1), sp.lambdas[:1], 32.0)
-    return d, sp, w
+    xi = grad_Fp(ObjectiveSpec("single", n=1), sp.lambdas[:1], 32.0)
+    return d, sp, xi
 
 
 def test_el_residual_small_at_optimal_ball(opt_ball):
-    d, sp, w = opt_ball
-    res = el_residual(d, sp, w, extract_boundary(d))
+    d, sp, xi = opt_ball
+    res = el_residual(d, sp, xi, extract_boundary(d))
     assert res.median_abs <= 0.1
     assert abs(res.median) <= 0.1
     assert res.p90_abs <= 0.3
@@ -267,22 +262,22 @@ def test_el_residual_small_at_optimal_ball(opt_ball):
 def test_el_residual_signed_shrink_signal(grid129):
     big = disk(grid129, (0.0, 0.0), 1.3 * R_STAR)
     sp = solve_spectrum(big, 2)
-    w = grad_Fp(ObjectiveSpec("single", n=1), sp.lambdas[:1], 32.0)
-    res = el_residual(big, sp, w, extract_boundary(big))
+    xi = grad_Fp(ObjectiveSpec("single", n=1), sp.lambdas[:1], 32.0)
+    res = el_residual(big, sp, xi, extract_boundary(big))
     expected = (1 + 1 / 32) * J01**2 / (math.pi * (1.3 * R_STAR) ** 4) - 1.0
     assert res.median < -0.2
     assert res.median == pytest.approx(expected, abs=0.1)
 
 
 def test_el_residual_blind_to_mode_signs(opt_ball):
-    d, sp, w = opt_ball
+    d, sp, xi = opt_ball
     flipped = Spectrum(
         lambdas=sp.lambdas, modes=-sp.modes, resid=sp.resid,
         generation=sp.generation,
     )
     bm = extract_boundary(d)
-    a = el_residual(d, sp, w, bm)
-    b = el_residual(d, flipped, w, bm)
+    a = el_residual(d, sp, xi, bm)
+    b = el_residual(d, flipped, xi, bm)
     assert np.array_equal(a.values, b.values)
 
 
@@ -292,17 +287,17 @@ def two_disk_cluster(grid129):
     left = disk(grid129, (-0.9, 0.0), 0.7)
     d = left.with_phi(np.minimum(left.phi, left.phi[:, ::-1]))
     sp = solve_spectrum(d, 3)
-    w = grad_Fp(ObjectiveSpec("single", n=2, index=2), sp.lambdas[:2], 32.0)
-    assert w.cluster_tags[0] == (0, 1)
-    return d, sp, w
+    xi = grad_Fp(ObjectiveSpec("single", n=2, index=2), sp.lambdas[:2], 32.0)
+    assert kappa_clusters(sp.lambdas[:2])[0] == (0, 1)
+    return d, sp, xi
 
 
 @pytest.mark.parametrize("triple", ["opt_ball", "two_disk_cluster"])
 def test_el_residual_is_the_flow_speed_bits(request, triple):
-    d, sp, w = request.getfixturevalue(triple)
+    d, sp, xi = request.getfixturevalue(triple)
     bm = extract_boundary(d)
-    V, reliable = shape_velocity(d, sp, w, bm)
-    res = el_residual(d, sp, w, bm)
+    V, reliable = shape_velocity(d, sp, xi, bm)
+    res = el_residual(d, sp, xi, bm)
     assert res.values.tobytes() == V[reliable].tobytes()
     assert res.points.tobytes() == bm.points[reliable].tobytes()
     # the stacked normal derivative gives each mode the bits it has alone
@@ -313,34 +308,51 @@ def test_el_residual_is_the_flow_speed_bits(request, triple):
         assert np.array_equal(stack_reliable, one_reliable)
 
 
+def test_flow_speed_is_blind_to_a_rotation_inside_a_cluster(two_disk_cluster):
+    # the raw weights of the equal pair differ, so only their cluster average
+    # makes the speed a function of the pair's invariant subspace
+    d, sp, xi = two_disk_cluster
+    assert xi[0] - xi[1] > 0.02
+    c, s = math.cos(0.5), math.sin(0.5)
+    u1, u2 = sp.modes[0], sp.modes[1]
+    rotated = Spectrum(lambdas=sp.lambdas, modes=np.stack([c * u1 + s * u2, c * u2 - s * u1,
+                                                           sp.modes[2]]),
+                       resid=sp.resid, generation=sp.generation)
+    bm = extract_boundary(d)
+    V, reliable = shape_velocity(d, sp, xi, bm)
+    V_rot, reliable_rot = shape_velocity(d, rotated, xi, bm)
+    assert np.array_equal(reliable, reliable_rot) and reliable.sum() > 100
+    assert np.abs(V_rot - V)[reliable].max() <= 1e-12
+
+
 def test_el_residual_measures_the_paper_equation_on_an_anchored_state(grid129):
     # a disk anchored to a shifted disk: the flow subtracts the penalty's xi0
     # field, the residual the paper's 1
     pen = PenaltySpec(s=0.05, reference=disk(grid129, (0.3, 0.1), 1.0))
     cfg = OptimizerConfig(spec=ObjectiveSpec("single", n=1), pen=pen)
     st = make_state(cfg, disk(grid129, (0.0, 0.0), R_STAR))
-    d, sp, w = st.domain, st.spectrum, st.weights
+    d, sp, xi = st.domain, st.spectrum, st.xi
     bm = extract_boundary(d)
-    V1, reliable = shape_velocity(d, sp, w, bm)
-    res = el_residual(d, sp, w, bm)
+    V1, reliable = shape_velocity(d, sp, xi, bm)
+    res = el_residual(d, sp, xi, bm)
     assert res.values.tobytes() == V1[reliable].tobytes()
     unu, _ = normal_derivative(sp.modes[:1], bm, d)
-    assert res.values.tobytes() == (w.xi[0] * unu[0] ** 2 - 1.0)[reliable].tobytes()
+    assert res.values.tobytes() == (xi[0] * unu[0] ** 2 - 1.0)[reliable].tobytes()
     xi0 = xi0_field(bm.points, pen, st.vol)
-    V, _ = shape_velocity(d, sp, w, bm, xi0)
+    V, _ = shape_velocity(d, sp, xi, bm, xi0)
     assert np.abs((V - V1) - (1.0 - xi0)).max() <= 1e-14
     assert np.abs(1.0 - xi0[reliable]).min() > 0.0
 
 
 def test_el_residual_all_unreliable_raises(opt_ball):
-    d, sp, w = opt_ball
+    d, sp, xi = opt_ball
     outside = BoundaryMesh(
         points=np.array([[1.9, 1.9]]),
         normals=np.array([[1.0, 0.0]]),
         weights=np.array([1.0]),
     )
     with pytest.raises(ValueError, match="reliable"):
-        el_residual(d, sp, w, outside)
+        el_residual(d, sp, xi, outside)
 
 
 # ---- density classification -------------------------------------------

@@ -18,7 +18,6 @@ from eigenshape import (
     ObjectiveSpec,
     OptimizerConfig,
     PenaltySpec,
-    WeightVector,
     disk,
     eval_F,
     eval_Fp,
@@ -27,7 +26,7 @@ from eigenshape import (
     grad_Fp,
     volume,
 )
-from eigenshape.objective import _tau_all, eval_Gp, kappa_clusters, xi0_field
+from eigenshape.objective import _tau_all, eval_Gp, kappa_clusters, symmetrized, xi0_field
 
 from conftest import smooth_g
 
@@ -155,36 +154,36 @@ def test_one_variable_closed_form():
             assert eval_Fp(spec, [kap], p) == pytest.approx(
                 kap + 1 / (2 * p) + kap / p, rel=1e-14
             )
-            w = grad_Fp(spec, [kap], p)
-            assert w.xi[0] == pytest.approx(1.0 + 1.0 / p, abs=1e-15)
+            xi = grad_Fp(spec, [kap], p)
+            assert xi[0] == pytest.approx(1.0 + 1.0 / p, abs=1e-15)
 
 
 def test_degenerate_pair_closed_form():
     # F = kappa_2 at kappa = (2, 2): both weights are pinned by symmetry
     spec = ObjectiveSpec("single", n=2, index=2)
     for p in (16.0, 32.0, 64.0):
-        w = grad_Fp(spec, [2.0, 2.0], p)
-        assert w.xi[0] - w.xi[1] == pytest.approx(1.0 / p, abs=1e-14)
-        assert w.xi.sum() == pytest.approx(3.0 / p + 2 ** (1.0 / p), abs=2e-14)
-        assert abs(w.xi.sum() - 1.0) <= 4.0 / p
-        assert np.all(w.xi > 0)
+        xi = grad_Fp(spec, [2.0, 2.0], p)
+        assert xi[0] - xi[1] == pytest.approx(1.0 / p, abs=1e-14)
+        assert xi.sum() == pytest.approx(3.0 / p + 2 ** (1.0 / p), abs=2e-14)
+        assert abs(xi.sum() - 1.0) <= 4.0 / p
+        assert np.all(xi > 0)
 
 
 def test_weights_localize_as_p_grows():
     # F = kappa_2 away from degeneracy: xi -> (0, 1)
     spec = ObjectiveSpec("single", n=2, index=2)
-    w = grad_Fp(spec, [1.0, 2.0], 64.0)
-    assert w.xi[0] <= 0.05
-    assert 0.95 <= w.xi[1] <= 1.02
+    xi = grad_Fp(spec, [1.0, 2.0], 64.0)
+    assert xi[0] <= 0.05
+    assert 0.95 <= xi[1] <= 1.02
     lo = grad_Fp(spec, [1.0, 2.0], 4.0)
-    assert lo.xi[0] > w.xi[0]  # smaller p spreads weight further down
+    assert lo[0] > xi[0]  # smaller p spreads weight further down
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}{s.n}")
 @pytest.mark.parametrize("p", [8.0, 32.0])
 def test_gradient_matches_finite_differences(spec, p):
     k = np.array([1.3, 2.1, 4.0])[: spec.n]
-    xi = grad_Fp(spec, k, p).xi
+    xi = grad_Fp(spec, k, p)
     step = 1e-6
     for i in range(spec.n):
         e = np.zeros(spec.n)
@@ -197,7 +196,7 @@ def test_gradient_matches_finite_differences(spec, p):
 @given(k=kappa3, p=st.sampled_from([4.0, 16.0, 64.0]))
 def test_weights_positive(k, p):
     for spec in SPECS:
-        assert np.all(grad_Fp(spec, k[: spec.n], p).xi > 0)
+        assert np.all(grad_Fp(spec, k[: spec.n], p) > 0)
 
 
 # ---- clusters and weight symmetrization -------------------------------
@@ -210,12 +209,15 @@ def test_kappa_clusters():
 
 
 def test_symmetrized_preserves_cluster_sums():
-    w = WeightVector(xi=np.array([0.1, 0.2, 0.6]), cluster_tags=((0,), (1, 2)))
-    sym = w.symmetrized()
+    # the clusters are those of the first len(xi) eigenvalues: the pair
+    # (2, 2.0001) shares one, and the fourth value 2.00011 is not a weight's
+    xi = np.array([0.1, 0.2, 0.6])
+    sym = symmetrized(xi, np.array([1.0, 2.0, 2.0001, 2.00011]))
     assert sym[0] == 0.1
     assert sym[1] == sym[2] == pytest.approx(0.4)
-    assert sym.sum() == pytest.approx(w.xi.sum())
-    assert w.xi.sum() == pytest.approx(0.9)
+    assert sym.sum() == pytest.approx(xi.sum())
+    assert xi.tolist() == [0.1, 0.2, 0.6]  # the input is not changed
+    assert symmetrized(xi, np.array([1.0, 2.0, 3.0])).tolist() == xi.tolist()
 
 
 def test_xi0_defaults_to_one():
@@ -253,25 +255,26 @@ def test_penalty_builds_its_fields_once_when_active(ref_disk):
 
 def test_penalty_vanishes_at_reference(pen_grid, ref_disk):
     pen = PenaltySpec(s=0.05, reference=ref_disk)
-    at_ref = eval_penalty_E(ref_disk, pen)
+    at_ref = eval_penalty_E(ref_disk, pen, volume(ref_disk))
     assert 0.0 <= at_ref < 1e-3
-    shifted = eval_penalty_E(disk(pen_grid, (0.4, 0.0), 1.0), pen)
-    shrunk = eval_penalty_E(disk(pen_grid, (0.0, 0.0), 0.8), pen)
+    shifted, shrunk = (eval_penalty_E(d, pen, volume(d)) for d in (
+        disk(pen_grid, (0.4, 0.0), 1.0), disk(pen_grid, (0.0, 0.0), 0.8)))
     assert shifted > 50 * max(at_ref, 1e-6)
     assert shrunk > 50 * max(at_ref, 1e-6)
 
 
 def test_penalty_off_switches(ref_disk):
     other = disk(ref_disk.grid, (0.5, 0.5), 0.6)
-    assert eval_penalty_E(other, PenaltySpec(s=0.0, reference=ref_disk)) == 0.0
-    assert eval_penalty_E(other, PenaltySpec(s=0.05, reference=None)) == 0.0
+    assert eval_penalty_E(other, PenaltySpec(s=0.0, reference=ref_disk), volume(other)) == 0.0
+    assert eval_penalty_E(other, PenaltySpec(s=0.05, reference=None), volume(other)) == 0.0
 
 
 def test_penalty_grid_mismatch(ref_disk):
     g2 = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65)
     pen = PenaltySpec(s=0.05, reference=ref_disk)
+    off_grid = disk(g2, (0.0, 0.0), 1.0)
     with pytest.raises(ValueError, match="different grids"):
-        eval_penalty_E(disk(g2, (0.0, 0.0), 1.0), pen)
+        eval_penalty_E(off_grid, pen, volume(off_grid))
 
 
 def test_chi_properties():
@@ -317,7 +320,8 @@ def test_xi0_field_is_first_variation_of_volume_plus_E(r, motion):
 
     def cost(t):
         moved = d.with_phi(d.phi - t * G)
-        return volume(moved) + eval_penalty_E(moved, pen)
+        vol = volume(moved)
+        return vol + eval_penalty_E(moved, pen, vol)
 
     eps = 1e-3
     fd = (cost(eps) - cost(-eps)) / (2.0 * eps)

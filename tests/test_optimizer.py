@@ -21,7 +21,6 @@ from eigenshape import (
     OptimizerConfig,
     PenaltySpec,
     SpectralError,
-    WeightVector,
     connected_components,
     disk,
     eval_Fp,
@@ -81,9 +80,8 @@ def grid97():
 def test_velocity_zero_weights_is_pure_shrink(grid129):
     d = disk(grid129, (0.0, 0.0), 1.0)
     sp = solve_spectrum(d, 2)
-    w = WeightVector(xi=np.zeros(2), cluster_tags=((0,), (1,)))
     bm = extract_boundary(d)
-    V, reliable = shape_velocity(d, sp, w, bm)
+    V, reliable = shape_velocity(d, sp, np.zeros(2), bm)
     assert np.all(V == -1.0)
     assert reliable.any()
 
@@ -92,9 +90,8 @@ def test_velocity_zero_weights_is_pure_shrink(grid129):
 def test_velocity_sign_off_optimum(grid129, radius, sign):
     d = disk(grid129, (0.0, 0.0), radius)
     sp = solve_spectrum(d, 2)
-    w = WeightVector(xi=np.array([1.0, 0.0]), cluster_tags=((0,), (1,)))
     bm = extract_boundary(d)
-    V, reliable = shape_velocity(d, sp, w, bm)
+    V, reliable = shape_velocity(d, sp, np.array([1.0, 0.0]), bm)
     expected = J01**2 / (math.pi * radius**4) - 1.0
     assert np.all(sign * V[reliable] > 0.05)
     assert np.median(V[reliable]) == pytest.approx(expected, abs=0.08)
@@ -103,8 +100,7 @@ def test_velocity_sign_off_optimum(grid129, radius, sign):
 def test_velocity_vanishes_at_optimal_ball(grid129):
     d = disk(grid129, (0.0, 0.0), R_STAR)
     sp = solve_spectrum(d, 2)
-    w = WeightVector(xi=np.array([1.0, 0.0]), cluster_tags=((0,), (1,)))
-    V, reliable = shape_velocity(d, sp, w, extract_boundary(d))
+    V, reliable = shape_velocity(d, sp, np.array([1.0, 0.0]), extract_boundary(d))
     assert np.median(np.abs(V[reliable])) <= 0.1
 
 
@@ -112,9 +108,8 @@ def test_velocity_generation_mismatch(grid129):
     d = disk(grid129, (0.0, 0.0), 1.0)
     sp = solve_spectrum(d, 1)
     moved = dilate(d, 1.1)
-    w = WeightVector(xi=np.ones(1), cluster_tags=((0,),))
     with pytest.raises(ValueError, match="generation"):
-        shape_velocity(moved, sp, w, extract_boundary(moved))
+        shape_velocity(moved, sp, np.ones(1), extract_boundary(moved))
 
 
 def test_extend_velocity_band(grid129):
@@ -192,9 +187,9 @@ def test_flow_speed_is_first_variation_of_Fp(fd_spectra, family):
     spec, p = FD_SPECS[family], 32.0
     n = spec.n
     fd = (eval_Fp(spec, sp_out.lambdas[:n], p) - eval_Fp(spec, sp_in.lambdas[:n], p)) / (2 * eps)
-    w = grad_Fp(spec, sp.lambdas[:n], p)
+    xi = grad_Fp(spec, sp.lambdas[:n], p)
     bm = extract_boundary(d)
-    V, reliable = shape_velocity(d, sp, w, bm)
+    V, reliable = shape_velocity(d, sp, xi, bm)
     assert reliable.all()
     speed = V + 1.0  # sum_k xi_k (u_k)_nu^2
     gy, gx = np.gradient(d.phi, d.grid.h)
@@ -355,7 +350,7 @@ def test_optimize_trace_is_monotone(ball_flow):
     assert trace.records[0].step == 0 and trace.records[0].dt == 0.0
     assert all(r.E == 0.0 for r in trace.records)
     # the weight of a single tracked eigenvalue is 1 + 1/p
-    assert trace.final.weights.xi.sum() == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
+    assert trace.final.xi.sum() == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
 
 
 def test_optimize_is_deterministic(grid97):
@@ -497,8 +492,8 @@ def test_p_continuation_stages(grid97):
     assert len(traces) == 2
     # per-stage weights reflect that stage's p exactly (single eigenvalue)
     first, second = (tr.final for tr in traces)
-    assert first.weights.xi[0] == pytest.approx(1.0 + 1.0 / 8.0, abs=1e-12)
-    assert second.weights.xi[0] == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
+    assert first.xi[0] == pytest.approx(1.0 + 1.0 / 8.0, abs=1e-12)
+    assert second.xi[0] == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
     # the second stage is anchored at the first stage's minimizer
     assert second.cfg.pen.reference is first.domain
     assert first.cfg.pen.reference is None

@@ -78,7 +78,7 @@ def test_square_eigenvalues_and_clusters(grid129):
     assert sp.lambdas[2] == pytest.approx(5 * base, rel=5e-3)
     assert sp.lambdas[3] == pytest.approx(8 * base, rel=5e-3)
     assert abs(sp.lambdas[2] - sp.lambdas[1]) / sp.lambdas[1] < 1e-8
-    assert kappa_clusters(sp.lambdas, tol=1e-3) == ((0,), (1, 2), (3,))
+    assert kappa_clusters(sp.lambdas) == ((0,), (1, 2), (3,))
 
 
 def test_dilate_scaling(grid129):
@@ -354,8 +354,9 @@ def test_input_validation(grid129):
 
 def test_clusters_partition():
     lam = np.array([1.0, 1.0 + 1e-7, 2.0, 2.001, 3.0])
-    assert kappa_clusters(lam, tol=1e-3) == ((0, 1), (2, 3), (4,))
-    assert kappa_clusters(lam, tol=1e-9) == ((0,), (1,), (2,), (3,), (4,))
+    assert kappa_clusters(lam) == ((0, 1), (2, 3), (4,))
+    # relative gaps just below and just above 1e-3
+    assert kappa_clusters([1.0, 1.0009, 1.0021]) == ((0, 1), (2,))
 
 
 def _torsion_energy(d, v):
