@@ -46,7 +46,6 @@ from .domain import (
 )
 from .objective import ObjectiveSpec, PenaltySpec, symmetrized
 from .optimizer import (
-    OptimizeAborted,
     OptimizerConfig,
     OptimizerTrace,
     ScheduleError,
@@ -85,14 +84,21 @@ class _Config(configparser.ConfigParser):
         return super().has_option(section, option)
 
 
+def _read_text(path: pathlib.Path) -> str:
+    """The text of an input file, which must be UTF-8; other bytes are a ConfigError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text: {err}") from err
+
+
 def load_config(path) -> _Config:
     p = pathlib.Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     cp = _Config()
     try:
-        with open(p) as f:
-            cp.read_file(f)
+        cp.read_string(_read_text(p), source=str(p))
     except configparser.Error as err:  # its message spans lines: make it one
         raise ConfigError(f"cannot parse {p}: {' '.join(str(err).split())}") from err
     if cp.defaults():
@@ -168,7 +174,7 @@ def _read_csv(path, header: str, ncols: int) -> np.ndarray:
     """Columns of a numeric CSV whose first line starts with ``header``; a
     truncated or extra-field row, a cell that breaks the token rule of
     :func:`_float_row` or a non-finite value is a ConfigError."""
-    lines = _input(path).read_text().splitlines()
+    lines = _read_text(_input(path)).splitlines()
     if not lines or not lines[0].startswith(header):
         raise ConfigError(f"{path} does not start with {header!r}")
     rows = []
@@ -439,15 +445,15 @@ def _run_flow(out: pathlib.Path, d0: GridDomain, cfg: OptimizerConfig,
         raise ConfigError(f"[sweep] schedule {schedule} gives stages the same "
                           f"file label: {labels}")
     try:
-        traces, code = p_continuation(cfg, d0, schedule), 0
-    except OptimizeAborted as err:
-        traces, code = err.traces, 1
-        print(f"{command} aborted in the stage p = {labels[len(traces) - 1]}: {err}",
-              file=sys.stderr)
+        traces = p_continuation(cfg, d0, schedule)
     except ScheduleError as err:
         raise ConfigError(f"[sweep] schedule: {err}") from err
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    code = 1 if traces[-1].stop_reason == "aborted" else 0
+    if code:
+        print(f"{command} aborted in the stage p = {labels[len(traces) - 1]}: "
+              f"{traces[-1].error}", file=sys.stderr)
     for label, tr in zip(labels, traces):
         write_trace_csv(tr, out / trace_name.format(label), cfg.spec.n)
     final = traces[-1].final

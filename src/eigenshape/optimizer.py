@@ -39,7 +39,6 @@ __all__ = [
     "TraceRecord",
     "OptimizerTrace",
     "FlowState",
-    "OptimizeAborted",
     "ScheduleError",
     "shape_velocity",
     "extend_velocity",
@@ -57,15 +56,6 @@ _BAND_H = 6.0
 _CFL = 0.9
 #: accepted steps between reinitializations of phi
 _REINIT_EVERY = 5
-
-
-class OptimizeAborted(RuntimeError):
-    """Mid-run solver failure; ``traces`` holds the trace of every stage that
-    ran (from :func:`p_continuation`), the last one partial."""
-
-    def __init__(self, message: str, trace: "OptimizerTrace"):
-        super().__init__(message)
-        self.traces = [trace]
 
 
 class ScheduleError(ValueError):
@@ -117,6 +107,7 @@ class OptimizerTrace:
     # why the run ended: "converged", "line_search_stall", "max_steps" or
     # "aborted" (eigensolver failure; the trace is partial)
     stop_reason: str | None = None
+    error: str | None = None  # what failed, when stop_reason is "aborted"
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +281,17 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
 
     Convergence: relative objective decrease below conv_tol on two
     consecutive accepted steps; a line-search stall (no descent direction at
-    this resolution) also counts. Every stop ends the run in its last
-    accepted state, the one of the last trace record. An eigensolver failure
-    mid-run raises OptimizeAborted, carrying that partial trace.
+    this resolution) also counts. An eigensolver failure stops the run as
+    "aborted", with its text in ``error``. Every stop ends the run in its last
+    accepted state, the one of the last trace record.
     """
     trace = OptimizerTrace()
     d = reinitialize(init)
     try:
         state = make_state(cfg, d)
     except SpectralError as err:
-        trace.stop_reason = "aborted"
-        raise OptimizeAborted(f"initial spectrum failed: {err}", trace) from err
+        trace.stop_reason, trace.error = "aborted", f"initial spectrum failed: {err}"
+        return trace
 
     def record(i: int, st: FlowState, dt: float) -> None:
         trace.records.append(TraceRecord(
@@ -326,8 +317,8 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
             where = f"at step {i}"
             state, dt_used, stalled = step(start, dt, baseline=accepted.objective)
         except SpectralError as err:
-            trace.final, trace.stop_reason = accepted, "aborted"
-            raise OptimizeAborted(f"spectrum failed {where}: {err}", trace) from err
+            reason, trace.error = "aborted", f"spectrum failed {where}: {err}"
+            break
         if stalled:
             reason = "line_search_stall"
             break
@@ -357,9 +348,8 @@ def p_continuation(
     penalty reference there (the first stage keeps cfg.pen as given), so the
     schedule ``[cfg.p]`` is ``optimize(cfg, init)``. The whole schedule is
     checked before the first stage runs: an empty or not strictly ascending
-    one, or a p that OptimizerConfig rejects, is a ScheduleError. A
-    failing stage raises its OptimizeAborted, whose ``traces`` are those of
-    every stage that ran, the last one partial.
+    one, or a p that OptimizerConfig rejects, is a ScheduleError. Returns
+    the trace of every stage that ran: an aborted stage is the last.
     """
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ScheduleError(f"p schedule must be non-empty and strictly ascending, "
@@ -373,11 +363,8 @@ def p_continuation(
     for stage in stages:
         if traces:  # anchored at the previous stage's minimizer, d
             stage = dataclasses.replace(stage, pen=PenaltySpec(s=cfg.pen.s, reference=d))
-        try:
-            tr = optimize(stage, d)
-        except OptimizeAborted as err:
-            err.traces = traces + err.traces
-            raise
-        traces.append(tr)
-        d = tr.final.domain
+        traces.append(optimize(stage, d))
+        if traces[-1].stop_reason == "aborted":
+            break
+        d = traces[-1].final.domain
     return traces

@@ -34,8 +34,8 @@ THETA_FLOOR = 0.05
 WARM_NOISE = 1e-3
 #: Lanczos restarts before solve_spectrum gives up
 _MAX_ITER = 200
-#: relative residual that solve_torsion and torsion_field accept
-_TORSION_TOL = 1e-8
+#: relative residual that every eigenpair and torsion function must reach
+_TOL = 1e-8
 
 _DIRS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
@@ -143,7 +143,6 @@ def factor_laplacian(d: GridDomain):
 def solve_spectrum(
     d: GridDomain,
     M: int,
-    tol: float = 1e-8,
     seed: int = 0,
     warm: Spectrum | None = None,
     factors=None,
@@ -153,7 +152,7 @@ def solve_spectrum(
     Implicitly restarted Lanczos on A^-1 (shift 0, through the sparse LU of
     ``factors`` = :func:`factor_laplacian` of ``d``) finds M+1 pairs, one
     guarding the top of a near-degenerate cluster, in at most ``_MAX_ITER``
-    restarts; each of the first M must satisfy ||A u - lambda u|| <= tol *
+    restarts; each of the first M must satisfy ||A u - lambda u|| <= _TOL *
     lambda. The start vector is the sum of the ``warm`` modes (any grid
     occupancy) plus a small seeded perturbation, or a seeded Gaussian
     vector, so runs are deterministic.
@@ -174,7 +173,7 @@ def solve_spectrum(
     OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     try:
         lam, X = eigsh(A, k=M + 1, sigma=0, OPinv=OPinv, v0=v0,
-                       maxiter=_MAX_ITER, tol=tol)
+                       maxiter=_MAX_ITER, tol=_TOL)
         converged = True
     except ArpackNoConvergence as err:
         lam, X, converged = err.eigenvalues, err.eigenvectors, False
@@ -182,9 +181,9 @@ def solve_spectrum(
     lam, X = lam[order], X[:, order]
     res = np.ones(M)  # pairs ARPACK did not deliver count as unresolved
     res[: len(lam)] = np.linalg.norm(A @ X - X * lam, axis=0) / np.abs(lam)
-    if not converged or np.any(res > tol):
+    if not converged or np.any(res > _TOL):
         raise SpectralError(
-            f"eigensolver did not reach tol={tol} in {_MAX_ITER} restarts "
+            f"eigensolver did not reach tol={_TOL} in {_MAX_ITER} restarts "
             f"(residuals {' '.join(f'{r:.3g}' for r in res)})",
             residuals=res,
         )
@@ -219,7 +218,7 @@ def torsion_field(d: GridDomain, v: np.ndarray, laplacian=None) -> np.ndarray:
     """A candidate torsion function ``v`` (ny, nx) of ``d``, once checked.
 
     ``v`` must vanish off Omega, and its residual ||A v - 1||_inf on Omega
-    must be at most _TORSION_TOL * max(1, max|v|); otherwise SpectralError.
+    must be at most _TOL * max(1, max|v|); otherwise SpectralError.
     ``laplacian`` is :func:`assemble_laplacian` of ``d``.
     """
     A, active = assemble_laplacian(d) if laplacian is None else laplacian
@@ -230,7 +229,7 @@ def torsion_field(d: GridDomain, v: np.ndarray, laplacian=None) -> np.ndarray:
         raise SpectralError("torsion function is nonzero off Omega")
     v = flat[active]
     resid = float(np.max(np.abs(A @ v - 1.0)))
-    if not resid <= _TORSION_TOL * max(1.0, float(np.max(np.abs(v)))):
+    if not resid <= _TOL * max(1.0, float(np.max(np.abs(v)))):
         raise SpectralError(f"torsion solve residual {resid} above tolerance")
     return flat.reshape(d.phi.shape)
 

@@ -249,6 +249,17 @@ def test_unparsable_config_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_bytes(b"[run]\nseed = 3\xff\xfe\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("solve", str(cfg), str(out), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} is not UTF-8 text: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_without_shape_kind_exit_2(tmp_path, capsys):
     sections = solve_sections()
     del sections["shape"]["kind"]
@@ -1498,6 +1509,18 @@ def test_diagnose_csv_cell_exit_2(small_run, tmp_path, capsys, name, token):
     code, err, _ = _diagnose_small(run, tmp_path, capsys)
     assert code == 2
     assert err.count("\n") == 1 and f"{name}:2:" in err
+
+
+@pytest.mark.parametrize("name", ["spectrum.csv", "xi.csv"])
+def test_diagnose_csv_that_is_not_utf8_exit_2(small_run, tmp_path, capsys, name):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    with open(run / name, "ab") as f:
+        f.write(b"\xff\n")
+    code, err, _ = _diagnose_small(run, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {run / name} is not UTF-8 text: ") and err.count("\n") == 1
+    assert list((tmp_path / "dout").iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -585,7 +585,7 @@ def test_simplicity_reports(grid129, disk_sp):
     assert len(rep["rel_gaps"]) == 2
     assert rep["clusters"] == [[0], [1, 2]]
     assert min(rep["rel_gaps"]) < 1e-3  # the degenerate pair
-    sq = solve_spectrum(rectangle(grid129, -1.0, -1.0, 1.0, 1.0), 4, tol=1e-9)
+    sq = solve_spectrum(rectangle(grid129, -1.0, -1.0, 1.0, 1.0), 4)
     rep_sq = simplicity_report(sq)
     assert rep_sq["clusters"] == [[0], [1, 2], [3]]
     assert rep_sq["rel_gaps"][0] > 0.5  # well-separated ground state

@@ -17,7 +17,6 @@ from eigenshape import (
     Grid,
     GridDomain,
     ObjectiveSpec,
-    OptimizeAborted,
     OptimizerConfig,
     PenaltySpec,
     SpectralError,
@@ -306,6 +305,49 @@ def test_step_stall_returns_input_state(grid97):
     assert out is state
 
 
+def _counting_solves(monkeypatch):
+    """The list that every optimizer solve_spectrum call appends its domain to."""
+    real_solve, domains = optimizer_mod.solve_spectrum, []
+
+    def solve(d, *args, **kwargs):
+        domains.append(d)
+        return real_solve(d, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer_mod, "solve_spectrum", solve)
+    return domains
+
+
+def test_step_with_zero_speed_stalls_without_a_solve(grid97, monkeypatch):
+    cfg = base_config()
+    state = make_state(cfg, disk(grid97, (0.0, 0.0), 1.6))
+    solves = _counting_solves(monkeypatch)
+    monkeypatch.setattr(optimizer_mod, "extend_velocity",
+                        lambda d, bm, V, reliable: np.zeros_like(d.phi))
+    out, dt_used, stalled = step(state, cfg.dt0)
+    assert out is state and dt_used == 0.0 and stalled
+    assert solves == []
+
+
+def test_step_halves_dt_past_a_trial_too_small_to_solve(grid97, monkeypatch):
+    # the first trial keeps no node inside, fewer than n_modes + 5: dt halves
+    # without a solve, and the next trial is solved and accepted
+    cfg = base_config()
+    state = make_state(cfg, disk(grid97, (0.0, 0.0), 1.6))
+    solves = _counting_solves(monkeypatch)
+    real_advect, dts = optimizer_mod.advect, []
+
+    def advect_emptying_first(phi, V, dt, h):
+        dts.append(dt)
+        return np.ones_like(phi) if len(dts) == 1 else real_advect(phi, V, dt, h)
+
+    monkeypatch.setattr(optimizer_mod, "advect", advect_emptying_first)
+    new, dt_used, stalled = step(state, cfg.dt0)
+    assert not stalled
+    assert len(dts) == 2 and dts[1] == dts[0] / 2 and dt_used == dts[1]
+    assert len(solves) == 1 and solves[0] is new.domain
+    assert new.objective <= state.objective
+
+
 # ---- outer flow -------------------------------------------------------
 
 
@@ -375,10 +417,9 @@ def test_optimize_abort_carries_partial_trace(grid97, monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(optimizer_mod, "solve_spectrum", flaky)
-    with pytest.raises(OptimizeAborted) as exc:
-        optimize(cfg, disk(grid97, (0.0, 0.0), 1.5))
-    (partial,) = exc.value.traces
+    partial = optimize(cfg, disk(grid97, (0.0, 0.0), 1.5))
     assert partial.stop_reason == "aborted"
+    assert partial.error.endswith("synthetic failure")
     assert len(partial.records) >= 1
     assert partial.final is not None
     assert math.isfinite(partial.final.objective_F)
@@ -397,9 +438,9 @@ def test_optimize_abort_after_a_reinit_ends_in_the_last_accepted_state(grid97, m
         return returned[-1]
 
     monkeypatch.setattr(optimizer_mod, "step", step_failing_after_reinit)
-    with pytest.raises(OptimizeAborted, match="at step 6: forced failure") as exc:
-        optimize(base_config(max_steps=20), disk(grid97, (0.0, 0.0), 1.5))
-    (partial,) = exc.value.traces
+    partial = optimize(base_config(max_steps=20), disk(grid97, (0.0, 0.0), 1.5))
+    assert partial.stop_reason == "aborted"
+    assert partial.error == "spectrum failed at step 6: forced failure"
     assert not any(stalled for _, _, stalled in returned)
     assert [r.step for r in partial.records] == [0, 1, 2, 3, 4, 5]
     assert partial.final is returned[-1][0]
@@ -411,11 +452,10 @@ def test_optimize_abort_at_init(grid97, monkeypatch):
         raise SpectralError("no spectrum", residuals=None)
 
     monkeypatch.setattr(optimizer_mod, "solve_spectrum", broken)
-    with pytest.raises(OptimizeAborted) as exc:
-        optimize(base_config(), disk(grid97, (0.0, 0.0), 1.0))
-    (trace,) = exc.value.traces
+    trace = optimize(base_config(), disk(grid97, (0.0, 0.0), 1.0))
     assert trace.records == [] and trace.final is None
     assert trace.stop_reason == "aborted"
+    assert trace.error == "initial spectrum failed: no spectrum"
 
 
 # ---- the degenerate case without the mirror ---------------------------
@@ -478,12 +518,13 @@ def test_p_continuation_abort_carries_every_stage(grid97, monkeypatch):
         return real_step(state, dt, baseline)
 
     monkeypatch.setattr(optimizer_mod, "step", step_failing_at_p16)
-    with pytest.raises(OptimizeAborted, match="at step 1: forced failure") as exc:
-        p_continuation(base_config(max_steps=3), disk(grid97, (0.0, 0.0), 1.4),
-                       [8.0, 16.0])
-    first, last = exc.value.traces
+    # the stage p = 32 after the aborted one does not run
+    first, last = p_continuation(base_config(max_steps=3), disk(grid97, (0.0, 0.0), 1.4),
+                                 [8.0, 16.0, 32.0])
     assert first.stop_reason != "aborted" and first.final is not None
+    assert first.error is None
     assert last.stop_reason == "aborted" and last.final is not None
+    assert last.error == "spectrum failed at step 1: forced failure"
 
 
 def test_p_continuation_stages(grid97):
