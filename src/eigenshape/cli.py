@@ -253,15 +253,23 @@ def _set_keys(cp, section: str, casts: dict) -> dict:
 
 
 def build_objective(cp) -> ObjectiveSpec:
+    """The ``[objective]`` of a config. ``family = single`` with ``index`` k
+    (default n) spells F = kappa_k, the ``linear`` family with unit weight e_k."""
     family = _get(cp, "objective", "family", str, "single")
-    kwargs = {"n": _get(cp, "objective", "n", int, 1)}
+    n = _get(cp, "objective", "n", int, 1)
+    kwargs = {"n": n}
     if family == "single":
-        kwargs.update(_set_keys(cp, "objective", {"index": int}))
+        index = _get(cp, "objective", "index", int, n)
+        if not 1 <= index <= n:
+            raise ConfigError(f"single index {index} out of range 1..{n}")
+        family, kwargs["coeffs"] = "linear", tuple(float(k == index) for k in range(1, n + 1))
     elif family == "linear":
         kwargs["coeffs"] = tuple(_get(cp, "objective", "coeffs", _floats, required=True))
     elif family == "softmin":
         kwargs.update(_set_keys(cp, "objective", {
             "subset": lambda raw: tuple(int(v) for v in raw.split()), "beta": float}))
+    else:
+        raise ConfigError(f"unknown family {family!r}, expected one of single, linear, softmin")
     try:
         return ObjectiveSpec(family=family, **kwargs)
     except ValueError as err:

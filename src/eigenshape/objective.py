@@ -38,7 +38,7 @@ __all__ = [
     "symmetrized",
 ]
 
-_FAMILIES = ("single", "linear", "softmin")
+_FAMILIES = ("linear", "softmin")
 #: Gauss-Legendre nodes per axis of the cell rule that averages F in G_p
 _QUAD_NODES = 4
 #: relative gap below which consecutive eigenvalues share a cluster
@@ -49,8 +49,8 @@ _CLUSTER_TOL = 1e-3
 class ObjectiveSpec:
     """One of the supported F families on kappa = (kappa_1, ..., kappa_n).
 
-    single:  F = kappa_index (coordinate projection, default index = n)
-    linear:  F = sum_k coeffs[k] * kappa_k, coeffs >= 0, one strictly positive
+    linear:  F = sum_k coeffs[k] * kappa_k, coeffs >= 0, one strictly positive;
+             F = kappa_k is the unit weight e_k
     softmin: F = -(1/beta) log mean_{k in subset} exp(-beta kappa_k)
 
     Every family is continuous, nondecreasing in each argument, diverges
@@ -60,7 +60,6 @@ class ObjectiveSpec:
 
     family: str
     n: int
-    index: int | None = None
     coeffs: tuple[float, ...] | None = None
     subset: tuple[int, ...] | None = None
     beta: float = 1.0
@@ -70,12 +69,7 @@ class ObjectiveSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
         if not 1 <= self.n <= 4:
             raise ValueError(f"n must be in 1..4 (tensor quadrature cap), got {self.n}")
-        if self.family == "single":
-            idx = self.n if self.index is None else int(self.index)
-            if not 1 <= idx <= self.n:
-                raise ValueError(f"single index {idx} out of range 1..{self.n}")
-            object.__setattr__(self, "index", idx)
-        elif self.family == "linear":
+        if self.family == "linear":
             if self.coeffs is None or len(self.coeffs) != self.n:
                 raise ValueError(f"linear family needs {self.n} coefficients")
             c = tuple(float(v) for v in self.coeffs)
@@ -98,8 +92,6 @@ class ObjectiveSpec:
         K = np.atleast_2d(np.asarray(K, dtype=float))
         if K.shape[1] != self.n:
             raise ValueError(f"kappa has {K.shape[1]} entries, spec expects {self.n}")
-        if self.family == "single":
-            return K[:, self.index - 1].copy()
         if self.family == "linear":
             return K @ np.asarray(self.coeffs)
         sub = np.asarray(self.subset) - 1
@@ -112,10 +104,6 @@ class ObjectiveSpec:
         """dF/dkappa at a batch of points, shape (m, n) -> (m, n)."""
         K = np.atleast_2d(np.asarray(K, dtype=float))
         m = K.shape[0]
-        if self.family == "single":
-            g = np.zeros((m, self.n))
-            g[:, self.index - 1] = 1.0
-            return g
         if self.family == "linear":
             return np.tile(np.asarray(self.coeffs), (m, 1))
         sub = np.asarray(self.subset) - 1
@@ -222,8 +210,7 @@ def _cell_rule(ndim: int):
 def eval_Gp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> float:
     """Average of F over the cell kappa + [0, 1/p]^N (tensor Gauss rule).
 
-    Exact for the linear and single families; spectrally accurate for
-    softmin.
+    Exact for the linear family; spectrally accurate for softmin.
     """
     kappa = np.asarray(kappa, dtype=float)
     offsets, weights = _cell_rule(spec.n)

@@ -153,9 +153,10 @@ def solve_spectrum(
     ``factors`` = :func:`factor_laplacian` of ``d``) finds M+1 pairs, one
     guarding the top of a near-degenerate cluster, in at most ``_MAX_ITER``
     restarts; each of the first M must satisfy ||A u - lambda u|| <= _TOL *
-    lambda. The start vector is the sum of the ``warm`` modes (any grid
-    occupancy) plus a small seeded perturbation, or a seeded Gaussian
-    vector, so runs are deterministic.
+    lambda. SpectralError names the check that failed, ARPACK's own or the
+    residual one, and carries the M residuals. The start vector is the sum
+    of the ``warm`` modes (any grid occupancy) plus a small seeded
+    perturbation, or a seeded Gaussian vector, so runs are deterministic.
     """
     if M < 1:
         raise ValueError(f"need at least one eigenpair, got M={M}")
@@ -171,22 +172,22 @@ def solve_spectrum(
         rms = np.linalg.norm(w) / np.sqrt(n)
         v0 = w + WARM_NOISE * (rms if rms > 0 else 1.0) * v0
     OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    failed = None
     try:
         lam, X = eigsh(A, k=M + 1, sigma=0, OPinv=OPinv, v0=v0,
                        maxiter=_MAX_ITER, tol=_TOL)
-        converged = True
     except ArpackNoConvergence as err:
-        lam, X, converged = err.eigenvalues, err.eigenvectors, False
+        lam, X = err.eigenvalues, err.eigenvectors
+        failed = f"ARPACK converged {len(lam)} of {M + 1} pairs in {_MAX_ITER} restarts"
     order = np.argsort(lam)[:M]
     lam, X = lam[order], X[:, order]
     res = np.ones(M)  # pairs ARPACK did not deliver count as unresolved
     res[: len(lam)] = np.linalg.norm(A @ X - X * lam, axis=0) / np.abs(lam)
-    if not converged or np.any(res > _TOL):
+    if failed is None and np.any(res > _TOL):
+        failed = f"eigenpair residual above tol={_TOL}"
+    if failed is not None:
         raise SpectralError(
-            f"eigensolver did not reach tol={_TOL} in {_MAX_ITER} restarts "
-            f"(residuals {' '.join(f'{r:.3g}' for r in res)})",
-            residuals=res,
-        )
+            f"{failed} (residuals {' '.join(f'{r:.3g}' for r in res)})", residuals=res)
 
     X = _fix_signs(X)
     modes = np.zeros((M, d.phi.size))

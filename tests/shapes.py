@@ -65,10 +65,10 @@ def roundness(d: GridDomain) -> float:
 
 def pair_minimum(p: float) -> tuple[float, np.ndarray]:
     """The least J = F_p(lambda) + |Omega| over two disjoint disks, for the
-    second eigenvalue (``single``, n = 2, index 2): a Nelder-Mead search over
-    the radii. Each disk of radius r adds the eigenvalue (j01 / r)^2.
+    second eigenvalue (``linear``, n = 2, unit weight e_2): a Nelder-Mead
+    search over the radii. Each disk of radius r adds the eigenvalue (j01 / r)^2.
     Returns J and the radii in ascending order."""
-    spec = ObjectiveSpec("single", n=2, index=2)
+    spec = ObjectiveSpec("linear", n=2, coeffs=(0, 1))
 
     def J(r):
         return eval_Fp(spec, np.sort((J01 / r) ** 2), p) + math.pi * float(r @ r)

@@ -44,9 +44,9 @@ BALL_OPTIMUM = 2.0 * J01 * math.sqrt(math.pi)          # ~ 8.524880
 TWO_BALL_OPTIMUM = 2.0 * math.sqrt(2.0 * math.pi) * J01  # ~ 12.056011
 
 FAMILIES = [
-    ObjectiveSpec("single", n=1),
-    ObjectiveSpec("single", n=2, index=2),
-    ObjectiveSpec("single", n=3, index=3),
+    ObjectiveSpec("linear", n=1, coeffs=(1,)),
+    ObjectiveSpec("linear", n=2, coeffs=(0, 1)),
+    ObjectiveSpec("linear", n=3, coeffs=(0, 0, 1)),
     ObjectiveSpec("linear", n=2, coeffs=(1.0, 1.0)),
     ObjectiveSpec("linear", n=3, coeffs=(2.0, 1.0, 0.5)),
     ObjectiveSpec("softmin", n=2, beta=3.0),
@@ -124,9 +124,9 @@ def test_criterion_3_regularization_dominates_and_decays():
 
 
 def test_criterion_4_weights_concentrate_on_active_eigenvalue():
-    spec2 = ObjectiveSpec("single", n=2, index=2)
+    spec2 = ObjectiveSpec("linear", n=2, coeffs=(0, 1))
     xi = grad_Fp(spec2, [1.0, 2.0], 64.0)
-    spec1 = ObjectiveSpec("single", n=1)
+    spec1 = ObjectiveSpec("linear", n=1, coeffs=(1,))
     max_err = max(
         abs(grad_Fp(spec1, [2.0], p)[0] - (1.0 + 1.0 / p))
         for p in (4.0, 8.0, 16.0, 32.0, 64.0)

@@ -30,6 +30,7 @@ import eigenshape
 from eigenshape import (
     Grid,
     GridDomain,
+    ObjectiveSpec,
     SpectralError,
     classify_boundary,
     disk,
@@ -289,8 +290,21 @@ def test_build_shape_two_blobs_mirror_symmetry(tmp_path):
 
 def test_build_objective_bad_family(tmp_path):
     cfg = write_ini(tmp_path / "c.ini", {"objective": {"family": "max", "n": 1}})
-    with pytest.raises(ConfigError, match="unknown family"):
+    with pytest.raises(ConfigError, match=r"^unknown family 'max', expected one of "
+                                          r"single, linear, softmin$"):
         build_objective(load_config(cfg))
+
+
+def test_build_objective_single_is_linear_with_a_unit_weight(tmp_path):
+    # family = single spells F = kappa_index (default index = n) as linear e_index
+    for objective, coeffs in (({"n": 3}, (0, 0, 1)), ({"n": 3, "index": 1}, (1, 0, 0))):
+        cfg = write_ini(tmp_path / "c.ini", {"objective": {"family": "single", **objective}})
+        assert build_objective(load_config(cfg)) == ObjectiveSpec("linear", n=3, coeffs=coeffs)
+    for index in (0, 3):
+        cfg = write_ini(tmp_path / "c.ini", {"objective": {"family": "single", "n": 2,
+                                                           "index": index}})
+        with pytest.raises(ConfigError, match=rf"^single index {index} out of range 1\.\.2$"):
+            build_objective(load_config(cfg))
 
 
 @pytest.mark.parametrize("objective", [
@@ -511,8 +525,8 @@ def test_arpack_non_convergence_exit_1(tmp_path, monkeypatch, capsys):
     assert run_single("solve", str(cfg), str(out), None, False) == 1
     assert len(raised) == 1
     err = capsys.readouterr().err  # the 8 residuals on the one line
-    assert err.startswith(
-        "eigensolver failed: eigensolver did not reach tol=1e-08 in 1 restarts (residuals ")
+    assert re.match(r"eigensolver failed: ARPACK converged [0-8] of 9 pairs in 1 restarts "
+                    r"\(residuals ", err)
     assert err.count("\n") == 1 and len(err.split("(residuals ")[1].split()) == 8
     assert json.loads((out / "manifest.json").read_text())["converged"] is False
 
@@ -724,6 +738,26 @@ def test_optimize_spelling_out_the_flow_defaults_writes_the_same_bytes(tmp_path,
     for name in names:
         assert (tmp_path / "omitted" / name).read_bytes() == (
             tmp_path / "spelled" / name).read_bytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_single_index_writes_the_bytes_of_linear_with_a_unit_weight(tmp_path, k):
+    single = {"run": {"seed": 3}, "grid": {"nx": 33, "ny": 33},
+              "shape": {"kind": "two_blobs", "sep": 2.0, "r0": 0.7, "amp": 0.15, "modes": 4},
+              "objective": {"family": "single", "n": 2, "index": k},
+              "optimizer": {"max_steps": 3}}
+    linear = {**single, "objective": {"family": "linear", "n": 2,
+                                      "coeffs": " ".join("1" if i == k else "0" for i in (1, 2))}}
+    for name, sections in (("single", single), ("linear", linear)):
+        cfg = write_ini(tmp_path / f"{name}.ini", sections)
+        assert run_single("optimize", str(cfg), str(tmp_path / name), None, False) == 0
+    names = sorted(p.name for p in (tmp_path / "single").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "linear").iterdir())
+    assert "trace.csv" in names and "mode_2.grid" in names
+    for name in names:
+        if name != "manifest.json":  # its config echo differs
+            assert (tmp_path / "single" / name).read_bytes() == (
+                tmp_path / "linear" / name).read_bytes(), name
 
 
 def _step_failing_at_p16(monkeypatch):

@@ -178,7 +178,7 @@ def edge_disk(grid129):
     """A disk crossing the right and bottom box edges, its modes nonzero there."""
     d = disk(grid129, (1.4, -1.4), 0.9)
     sp = solve_spectrum(d, 3)
-    xi = grad_Fp(ObjectiveSpec("single", n=2, index=2), sp.lambdas[:2], 32.0)
+    xi = grad_Fp(ObjectiveSpec("linear", n=2, coeffs=(0, 1)), sp.lambdas[:2], 32.0)
     return d, sp, xi
 
 
@@ -246,7 +246,7 @@ def test_weiss_profile_batch_matches_single_centres(edge_disk):
 def opt_ball(grid129):
     d = disk(grid129, (0.0, 0.0), R_STAR)
     sp = solve_spectrum(d, 2)
-    xi = grad_Fp(ObjectiveSpec("single", n=1), sp.lambdas[:1], 32.0)
+    xi = grad_Fp(ObjectiveSpec("linear", n=1, coeffs=(1,)), sp.lambdas[:1], 32.0)
     return d, sp, xi
 
 
@@ -262,7 +262,7 @@ def test_el_residual_small_at_optimal_ball(opt_ball):
 def test_el_residual_signed_shrink_signal(grid129):
     big = disk(grid129, (0.0, 0.0), 1.3 * R_STAR)
     sp = solve_spectrum(big, 2)
-    xi = grad_Fp(ObjectiveSpec("single", n=1), sp.lambdas[:1], 32.0)
+    xi = grad_Fp(ObjectiveSpec("linear", n=1, coeffs=(1,)), sp.lambdas[:1], 32.0)
     res = el_residual(big, sp, xi, extract_boundary(big))
     expected = (1 + 1 / 32) * J01**2 / (math.pi * (1.3 * R_STAR) ** 4) - 1.0
     assert res.median < -0.2
@@ -287,7 +287,7 @@ def two_disk_cluster(grid129):
     left = disk(grid129, (-0.9, 0.0), 0.7)
     d = left.with_phi(np.minimum(left.phi, left.phi[:, ::-1]))
     sp = solve_spectrum(d, 3)
-    xi = grad_Fp(ObjectiveSpec("single", n=2, index=2), sp.lambdas[:2], 32.0)
+    xi = grad_Fp(ObjectiveSpec("linear", n=2, coeffs=(0, 1)), sp.lambdas[:2], 32.0)
     assert kappa_clusters(sp.lambdas[:2])[0] == (0, 1)
     return d, sp, xi
 
@@ -329,7 +329,7 @@ def test_el_residual_measures_the_paper_equation_on_an_anchored_state(grid129):
     # a disk anchored to a shifted disk: the flow subtracts the penalty's xi0
     # field, the residual the paper's 1
     pen = PenaltySpec(s=0.05, reference=disk(grid129, (0.3, 0.1), 1.0))
-    cfg = OptimizerConfig(spec=ObjectiveSpec("single", n=1), pen=pen)
+    cfg = OptimizerConfig(spec=ObjectiveSpec("linear", n=1, coeffs=(1,)), pen=pen)
     st = make_state(cfg, disk(grid129, (0.0, 0.0), R_STAR))
     d, sp, xi = st.domain, st.spectrum, st.xi
     bm = extract_boundary(d)

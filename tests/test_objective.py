@@ -30,13 +30,14 @@ from eigenshape.objective import _tau_all, eval_Gp, kappa_clusters, symmetrized,
 
 from conftest import smooth_g
 
-SPECS = [
-    ObjectiveSpec("single", n=1),
-    ObjectiveSpec("single", n=3, index=2),
-    ObjectiveSpec("linear", n=3, coeffs=(2.0, 1.0, 0.5)),
-    ObjectiveSpec("softmin", n=2, beta=2.0),
-    ObjectiveSpec("softmin", n=3, subset=(2, 3), beta=5.0),
-]
+#: test id -> spec; "single" names F = kappa_k, the linear family with a unit weight
+SPECS = {
+    "single1": ObjectiveSpec("linear", n=1, coeffs=(1,)),
+    "single3": ObjectiveSpec("linear", n=3, coeffs=(0, 1, 0)),
+    "linear3": ObjectiveSpec("linear", n=3, coeffs=(2.0, 1.0, 0.5)),
+    "softmin2": ObjectiveSpec("softmin", n=2, beta=2.0),
+    "softmin3": ObjectiveSpec("softmin", n=3, subset=(2, 3), beta=5.0),
+}
 
 kappa3 = st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3).map(
     lambda v: np.sort(np.asarray(v))
@@ -48,8 +49,8 @@ kappa3 = st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3).map(
 
 def test_family_values():
     k = np.array([2.0, 3.0, 5.0])
-    assert eval_F(ObjectiveSpec("single", n=3), k) == 5.0  # default index = n
-    assert eval_F(ObjectiveSpec("single", n=3, index=1), k) == 2.0
+    assert eval_F(ObjectiveSpec("linear", n=3, coeffs=(0, 0, 1)), k) == 5.0  # F = kappa_3
+    assert eval_F(ObjectiveSpec("linear", n=3, coeffs=(1, 0, 0)), k) == 2.0
     lin = ObjectiveSpec("linear", n=3, coeffs=(2.0, 1.0, 0.5))
     assert eval_F(lin, k) == pytest.approx(2 * 2 + 3 + 0.5 * 5)
     sm = ObjectiveSpec("softmin", n=3, beta=4.0)
@@ -75,10 +76,10 @@ def test_softmin_approaches_min():
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown family"):
         ObjectiveSpec("product", n=2)
+    with pytest.raises(ValueError, match="unknown family"):  # a config spelling only
+        ObjectiveSpec("single", n=2)
     with pytest.raises(ValueError, match="n must be"):
-        ObjectiveSpec("single", n=5)
-    with pytest.raises(ValueError, match="out of range"):
-        ObjectiveSpec("single", n=2, index=3)
+        ObjectiveSpec("linear", n=5, coeffs=(0, 0, 0, 0, 1))
     with pytest.raises(ValueError, match="coefficients"):
         ObjectiveSpec("linear", n=2, coeffs=(1.0,))
     with pytest.raises(ValueError, match=">= 0"):
@@ -90,13 +91,13 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="beta"):
         ObjectiveSpec("softmin", n=2, beta=0.0)
     with pytest.raises(ValueError, match="positive"):
-        eval_F(ObjectiveSpec("single", n=2), (1.0, 0.0))
+        eval_F(ObjectiveSpec("linear", n=2, coeffs=(0, 1)), (1.0, 0.0))
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=kappa3, delta=st.floats(1e-3, 2.0), axis=st.integers(0, 2))
 def test_F_nondecreasing(k, delta, axis):
-    for spec in SPECS:
+    for spec in SPECS.values():
         kk = k[: spec.n].copy()
         if axis >= spec.n:
             continue
@@ -130,7 +131,7 @@ def test_tau_two_equal():
 @settings(max_examples=60, deadline=None)
 @given(k=kappa3, p=st.sampled_from([4.0, 8.0, 16.0, 32.0, 64.0]))
 def test_Fp_dominates_F(k, p):
-    for spec in SPECS:
+    for spec in SPECS.values():
         kk = k[: spec.n]
         assert eval_Fp(spec, kk, p) >= eval_F(spec, kk) - 1e-12
 
@@ -145,7 +146,7 @@ def test_Fp_gap_shrinks():
 
 
 def test_one_variable_closed_form():
-    spec = ObjectiveSpec("single", n=1)
+    spec = ObjectiveSpec("linear", n=1, coeffs=(1,))
     for kap in (0.7, 2.0, 9.3):
         for p in (2.0, 8.0, 32.0, 64.0):
             assert eval_Gp(spec, [kap], p) == pytest.approx(
@@ -160,7 +161,7 @@ def test_one_variable_closed_form():
 
 def test_degenerate_pair_closed_form():
     # F = kappa_2 at kappa = (2, 2): both weights are pinned by symmetry
-    spec = ObjectiveSpec("single", n=2, index=2)
+    spec = ObjectiveSpec("linear", n=2, coeffs=(0, 1))
     for p in (16.0, 32.0, 64.0):
         xi = grad_Fp(spec, [2.0, 2.0], p)
         assert xi[0] - xi[1] == pytest.approx(1.0 / p, abs=1e-14)
@@ -171,7 +172,7 @@ def test_degenerate_pair_closed_form():
 
 def test_weights_localize_as_p_grows():
     # F = kappa_2 away from degeneracy: xi -> (0, 1)
-    spec = ObjectiveSpec("single", n=2, index=2)
+    spec = ObjectiveSpec("linear", n=2, coeffs=(0, 1))
     xi = grad_Fp(spec, [1.0, 2.0], 64.0)
     assert xi[0] <= 0.05
     assert 0.95 <= xi[1] <= 1.02
@@ -179,9 +180,10 @@ def test_weights_localize_as_p_grows():
     assert lo[0] > xi[0]  # smaller p spreads weight further down
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}{s.n}")
+@pytest.mark.parametrize("name", SPECS)
 @pytest.mark.parametrize("p", [8.0, 32.0])
-def test_gradient_matches_finite_differences(spec, p):
+def test_gradient_matches_finite_differences(name, p):
+    spec = SPECS[name]
     k = np.array([1.3, 2.1, 4.0])[: spec.n]
     xi = grad_Fp(spec, k, p)
     step = 1e-6
@@ -195,7 +197,7 @@ def test_gradient_matches_finite_differences(spec, p):
 @settings(max_examples=40, deadline=None)
 @given(k=kappa3, p=st.sampled_from([4.0, 16.0, 64.0]))
 def test_weights_positive(k, p):
-    for spec in SPECS:
+    for spec in SPECS.values():
         assert np.all(grad_Fp(spec, k[: spec.n], p) > 0)
 
 
@@ -333,7 +335,7 @@ def test_xi0_field_is_first_variation_of_volume_plus_E(r, motion):
 
 def test_regularization_params_validation():
     # the exponent p of the smoothing F_p is a field of OptimizerConfig
-    spec = ObjectiveSpec("single", n=1)
+    spec = ObjectiveSpec("linear", n=1, coeffs=(1,))
     assert OptimizerConfig(spec).p == 32.0
     OptimizerConfig(spec, p=2.0)
     with pytest.raises(ValueError, match="p must be finite and >= 2"):

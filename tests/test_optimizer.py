@@ -52,7 +52,7 @@ R_STAR = (J01**2 / math.pi) ** 0.25  # ball radius where the speed vanishes
 
 def base_config(**kw):
     defaults = dict(
-        spec=ObjectiveSpec("single", n=1),
+        spec=ObjectiveSpec("linear", n=1, coeffs=(1,)),
         p=32.0,
         dt0=0.5,
         max_steps=40,
@@ -151,7 +151,7 @@ def test_extend_velocity_matches_meshgrid_nearest_sample():
 # ---- the flow speed is the first variation of F_p ----------------------
 
 FD_SPECS = {
-    "single": ObjectiveSpec("single", n=1),
+    "single": ObjectiveSpec("linear", n=1, coeffs=(1,)),
     "linear": ObjectiveSpec("linear", n=3, coeffs=(1.0, 0.5, 0.25)),
     "softmin": ObjectiveSpec("softmin", n=3, beta=1.0),
 }
@@ -366,7 +366,7 @@ def test_optimize_config_validation():
     with pytest.raises(ValueError, match="max_steps"):
         base_config(max_steps=0)
     assert base_config().n_modes == 2  # spec.n + 1
-    assert base_config(spec=ObjectiveSpec("single", n=3)).n_modes == 4
+    assert base_config(spec=ObjectiveSpec("linear", n=3, coeffs=(0, 0, 1))).n_modes == 4
 
 
 @pytest.fixture(scope="module")
@@ -469,7 +469,7 @@ def test_unequal_disks_flow_to_the_unequal_pair_minimum():
     g = Grid(nx=121, ny=121, h=0.04, origin=(-2.4, -2.4))
     init = GridDomain(g, np.minimum(disk(g, (-1.1, 0.0), 0.85).phi,
                                     disk(g, (1.1, 0.0), 0.70).phi))
-    cfg = OptimizerConfig(spec=ObjectiveSpec("single", n=2, index=2), p=p, seed=11)
+    cfg = OptimizerConfig(spec=ObjectiveSpec("linear", n=2, coeffs=(0, 1)), p=p, seed=11)
     final = optimize(cfg, init).final
     J_pair, radii = pair_minimum(p)
     gap_pair = (radii[1] / radii[0]) ** 2 - 1.0
@@ -481,6 +481,21 @@ def test_unequal_disks_flow_to_the_unequal_pair_minimum():
     assert gap_pair / 2.0 <= gap <= 2.0 * gap_pair  # 1.53e-3 against 1.85e-3
     assert abs(final.objective - J_pair) <= 2e-4 * J_pair  # 8.1e-5 above it
     assert J_pair < J_equal  # by 6.4e-6 (relative)
+
+
+def test_second_eigenvalue_from_one_disk_stays_connected_below_two_balls():
+    # F = lambda_2 from one disk (lambda_2 = lambda_3 at the start): at p = 32
+    # the flow ends as one dumbbell whose J lies below the two equal balls'
+    # closed form, while its F + |Omega| stays above the two-ball optimum
+    # 2 j01 sqrt(2 pi) that Krahn-Szego gives for lambda_2 + |Omega|
+    p = 32.0
+    g = Grid(nx=121, ny=121, h=0.04, origin=(-2.4, -2.4))
+    cfg = OptimizerConfig(spec=ObjectiveSpec("linear", n=2, coeffs=(0, 1)), p=p, seed=11)
+    final = optimize(cfg, disk(g, (0.013, -0.007), 1.25)).final
+    J_equal = 2.0 * J01 * math.sqrt(2.0 * math.pi * (2.0 ** (1.0 / p) + 3.0 / p)) + 0.5 / p
+    assert connected_components(final.domain) == 1
+    assert final.objective <= 0.99 * J_equal  # 12.58733: 1.27% below 12.74969
+    assert final.objective_F > 2.0 * J01 * math.sqrt(2.0 * math.pi)  # 12.09555 > 12.05601
 
 
 # ---- p-continuation ---------------------------------------------------
