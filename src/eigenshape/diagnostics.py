@@ -1,11 +1,12 @@
 """Free-boundary measurements on (domain, spectrum, xi) triples.
 
 Scaled boundary energies and their almost-monotonicity constant, the
-first-order optimality residual on the boundary, density-based boundary
-point classification, a torsion-function nondegeneracy probe, and the
-eigenvalue cluster structure. Everything here is a pure measurement:
-synthetic spectra and weights are accepted as readily as converged
-optimizer output.
+first-order optimality residual on the boundary, and the ball probes on one
+batched walk over the ball windows: local density ratios, the density-based
+boundary point classification and a torsion-function nondegeneracy probe;
+also the eigenvalue cluster structure. Everything here is a pure
+measurement: synthetic spectra and weights are accepted as readily as
+converged optimizer output.
 """
 
 from __future__ import annotations
@@ -15,17 +16,7 @@ import math
 
 import numpy as np
 
-from .domain import (
-    _BATCH_NODES,
-    BoundaryMesh,
-    GridDomain,
-    _ball_means,
-    _ball_windows,
-    _node_weights,
-    bilinear,
-    density_ratio,
-    inside_fraction,
-)
+from .domain import BoundaryMesh, Grid, GridDomain, _node_weights, bilinear, inside_fraction
 from .objective import _rel_gaps, kappa_clusters, symmetrized
 from .optimizer import shape_velocity
 from .spectral import Spectrum
@@ -33,6 +24,7 @@ from .spectral import Spectrum
 __all__ = [
     "ELResidual",
     "probe_radii",
+    "density_ratio",
     "weiss_profile",
     "el_residual",
     "classify_boundary",
@@ -52,6 +44,73 @@ def probe_radii(radii, h: float) -> tuple[float, ...]:
     if radii[0] < 4.0 * h - 1e-12:
         raise ValueError(f"radii must be at least 4h = {4 * h!r}, got {radii[0]!r}")
     return radii
+
+
+# ---------------------------------------------------------------------------
+# ball probes
+# ---------------------------------------------------------------------------
+
+#: window nodes per batch of probe centres; bounds the memory of a batched probe
+_BATCH_NODES = 1 << 16
+
+
+def _ball_windows(grid: Grid, centres: np.ndarray, r: float):
+    """The nodes that carry the weight of the mollified balls B_r(c), in batches.
+
+    The window of a centre c (a row of ``centres`` (m, 2)) holds the nodes
+    within r + 2h of c along each axis, clipped to the box (possibly empty).
+    Centres whose windows share a shape are batched, up to _BATCH_NODES
+    window nodes per batch. Yields (sel, rows, cols, ball): the indices of
+    the batch's centres, the node rows (k, nr) and columns (k, nc) of their
+    windows, and the one-cell-mollified ball indicator (k, nr, nc) on them.
+    """
+    h = grid.h
+    pad = r + 2.0 * h
+    origin = np.array(grid.origin)
+    size = np.array([grid.nx, grid.ny])
+    lo = np.clip(np.floor((centres - pad - origin) / h), 0, size).astype(np.int64)
+    hi = np.clip(np.ceil((centres + pad - origin) / h) + 1, 0, size).astype(np.int64)
+    nc, nr = np.maximum(hi - lo, 0).T
+    shapes, group = np.unique(nr * (grid.nx + 1) + nc, return_inverse=True)
+    xs, ys = grid.xs, grid.ys
+    for g, shape in enumerate(shapes.tolist()):
+        nr, nc = divmod(shape, grid.nx + 1)
+        members = np.flatnonzero(group == g)
+        step = max(1, _BATCH_NODES // max(1, nr * nc))
+        for s in range(0, len(members), step):
+            sel = members[s:s + step]
+            rows = lo[sel, 1:] + np.arange(nr)
+            cols = lo[sel, :1] + np.arange(nc)
+            dist = np.hypot(xs[cols][:, None, :] - centres[sel, 0, None, None],
+                            ys[rows][:, :, None] - centres[sel, 1, None, None])
+            yield sel, rows, cols, inside_fraction(dist - r, h)
+
+
+def _ball_means(grid: Grid, field: np.ndarray, centres: np.ndarray, r: float) -> np.ndarray:
+    """Mollified means of the nodal ``field`` over the balls B_r(c), one per
+    row c of ``centres`` (m, 2); 0 where the ball holds no weight."""
+    out = np.zeros(len(centres))
+    for sel, rows, cols, ball in _ball_windows(grid, np.asarray(centres, dtype=float), r):
+        total = ball.sum(axis=(1, 2))
+        f = field[rows[:, :, None], cols[:, None, :]]
+        out[sel] = np.divide((ball * f).sum(axis=(1, 2)), total,
+                             out=np.zeros_like(total), where=total > 0.0)
+    return out
+
+
+def density_ratio(d: GridDomain, centres: np.ndarray, r: float) -> np.ndarray:
+    """|B_r(c) inside Omega| / |B_r(c)| by mollified node quadrature, one
+    value per row c of ``centres`` (m, 2).
+
+    Both numerator and denominator use the same one-cell-mollified ball
+    weights, so the result lies in [0, 1] exactly and equals 1 for balls
+    fully inside Omega. For balls clipped by the grid box the ratio is
+    relative to the in-box part.
+    """
+    h = d.grid.h
+    if r < 2 * h:
+        raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
+    return _ball_means(d.grid, inside_fraction(d.phi, 1.5 * h), centres, r)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +279,8 @@ def classify_boundary(
     :func:`probe_radii`.
     """
     radii = probe_radii(radii, d.grid.h)
-    rho = np.column_stack([density_ratio(d, bm.points, r) for r in radii])
+    chi = inside_fraction(d.phi, 1.5 * d.grid.h)  # density_ratio's indicator, once
+    rho = np.column_stack([_ball_means(d.grid, chi, bm.points, r) for r in radii])
     rho0 = rho[:, 0]
     trend = rho0 - rho[:, -1]
     reduced = (0.35 <= rho0) & (rho0 <= 0.65) & (rho.max(axis=1) - rho.min(axis=1) <= 0.15)

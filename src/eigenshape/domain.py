@@ -3,8 +3,8 @@
 A domain is the sublevel set {phi < 0} of a nodal scalar field on a uniform
 Cartesian grid. This module provides the geometric primitives everything else
 builds on: area measurement, boundary sampling with normals and arclength
-weights, local density ratios, signed-distance reinitialization, and the
-analytic shape constructors of the initial domains.
+weights, signed-distance reinitialization, and the analytic shape
+constructors of the initial domains. The ball probes are in ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "bilinear",
     "volume",
     "extract_boundary",
-    "density_ratio",
     "reinitialize",
     "connected_components",
     "split_components",
@@ -145,11 +144,15 @@ def inside_fraction(phi: np.ndarray, eps: float) -> np.ndarray:
     """Smoothed indicator of {phi < 0} with transition half-width ``eps``.
 
     1 where phi <= -eps, 0 where phi >= eps, and a C^1 sine ramp in between.
+    The sine is taken on the ramp only: off it the formula is exactly 1 or 0.
     """
     phi = np.asarray(phi, dtype=float)
-    t = np.clip(phi / eps, -1.0, 1.0)
+    out = (phi < 0).astype(float)
+    ramp = ~(np.abs(phi) >= eps)  # not <: a NaN stays on the ramp and comes out NaN
+    t = phi[ramp] / eps
     # clip: sin(pi) roundoff would otherwise leave values ~ -1e-17 outside [0, 1]
-    return np.clip(0.5 * (1.0 - t - np.sin(np.pi * t) / np.pi), 0.0, 1.0)
+    out[ramp] = np.clip(0.5 * (1.0 - t - np.sin(np.pi * t) / np.pi), 0.0, 1.0)
+    return out
 
 
 def _node_weights(grid: Grid) -> np.ndarray:
@@ -159,54 +162,6 @@ def _node_weights(grid: Grid) -> np.ndarray:
     ty = np.ones(grid.ny)
     ty[0] = ty[-1] = 0.5
     return grid.h * grid.h * (ty[:, None] * tx[None, :])
-
-
-#: window nodes per batch of probe centres; bounds the memory of a batched probe
-_BATCH_NODES = 1 << 16
-
-
-def _ball_windows(grid: Grid, centres: np.ndarray, r: float):
-    """The nodes that carry the weight of the mollified balls B_r(c), in batches.
-
-    The window of a centre c (a row of ``centres`` (m, 2)) holds the nodes
-    within r + 2h of c along each axis, clipped to the box (possibly empty).
-    Centres whose windows share a shape are batched, up to _BATCH_NODES
-    window nodes per batch. Yields (sel, rows, cols, ball): the indices of
-    the batch's centres, the node rows (k, nr) and columns (k, nc) of their
-    windows, and the one-cell-mollified ball indicator (k, nr, nc) on them.
-    """
-    h = grid.h
-    pad = r + 2.0 * h
-    origin = np.array(grid.origin)
-    size = np.array([grid.nx, grid.ny])
-    lo = np.clip(np.floor((centres - pad - origin) / h), 0, size).astype(np.int64)
-    hi = np.clip(np.ceil((centres + pad - origin) / h) + 1, 0, size).astype(np.int64)
-    nc, nr = np.maximum(hi - lo, 0).T
-    shapes, group = np.unique(nr * (grid.nx + 1) + nc, return_inverse=True)
-    xs, ys = grid.xs, grid.ys
-    for g, shape in enumerate(shapes.tolist()):
-        nr, nc = divmod(shape, grid.nx + 1)
-        members = np.flatnonzero(group == g)
-        step = max(1, _BATCH_NODES // max(1, nr * nc))
-        for s in range(0, len(members), step):
-            sel = members[s:s + step]
-            rows = lo[sel, 1:] + np.arange(nr)
-            cols = lo[sel, :1] + np.arange(nc)
-            dist = np.hypot(xs[cols][:, None, :] - centres[sel, 0, None, None],
-                            ys[rows][:, :, None] - centres[sel, 1, None, None])
-            yield sel, rows, cols, inside_fraction(dist - r, h)
-
-
-def _ball_means(grid: Grid, field: np.ndarray, centres: np.ndarray, r: float) -> np.ndarray:
-    """Mollified means of the nodal ``field`` over the balls B_r(c), one per
-    row c of ``centres`` (m, 2); 0 where the ball holds no weight."""
-    out = np.zeros(len(centres))
-    for sel, rows, cols, ball in _ball_windows(grid, np.asarray(centres, dtype=float), r):
-        total = ball.sum(axis=(1, 2))
-        f = field[rows[:, :, None], cols[:, None, :]]
-        out[sel] = np.divide((ball * f).sum(axis=(1, 2)), total,
-                             out=np.zeros_like(total), where=total > 0.0)
-    return out
 
 
 def _cell_corners(grid: Grid, pts: np.ndarray):
@@ -246,21 +201,6 @@ def volume(d: GridDomain) -> float:
     """Area of Omega by smoothed-Heaviside node quadrature (width 1.5h)."""
     chi = inside_fraction(d.phi, 1.5 * d.grid.h)
     return float(np.sum(_node_weights(d.grid) * chi))
-
-
-def density_ratio(d: GridDomain, centres: np.ndarray, r: float) -> np.ndarray:
-    """|B_r(c) inside Omega| / |B_r(c)| by mollified node quadrature, one
-    value per row c of ``centres`` (m, 2).
-
-    Both numerator and denominator use the same one-cell-mollified ball
-    weights, so the result lies in [0, 1] exactly and equals 1 for balls
-    fully inside Omega. For balls clipped by the grid box the ratio is
-    relative to the in-box part.
-    """
-    h = d.grid.h
-    if r < 2 * h:
-        raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
-    return _ball_means(d.grid, inside_fraction(d.phi, 1.5 * h), centres, r)
 
 
 def connected_components(d: GridDomain) -> int:

@@ -33,8 +33,7 @@ from eigenshape import (
     weiss_profile,
 )
 from eigenshape.cli import run_single
-from eigenshape.diagnostics import _mode_gradients
-from eigenshape.domain import _ball_means, density_ratio
+from eigenshape.diagnostics import _ball_means, _mode_gradients, density_ratio
 
 from conftest import write_ini
 from shapes import dilate, half_plane, roundness

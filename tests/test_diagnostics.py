@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigenshape import (
     BoundaryMesh,
@@ -31,6 +32,7 @@ from eigenshape import (
     simplicity_report,
     solve_spectrum,
     solve_torsion,
+    star_blob,
     symmetrized,
     torsion_probe,
     weiss_profile,
@@ -38,15 +40,14 @@ from eigenshape import (
 )
 from eigenshape import diagnostics
 from eigenshape.cli import write_weiss_csv
-from eigenshape.diagnostics import _mode_gradients
-from eigenshape.domain import (
+from eigenshape.diagnostics import (
     _BATCH_NODES,
     _ball_means,
     _ball_windows,
-    _node_weights,
-    bilinear,
-    inside_fraction,
+    _mode_gradients,
+    density_ratio,
 )
+from eigenshape.domain import _node_weights, bilinear, inside_fraction
 from eigenshape.spectral import normal_derivative
 
 from shapes import half_plane
@@ -358,6 +359,83 @@ def test_el_residual_all_unreliable_raises(opt_ball):
 # ---- density classification -------------------------------------------
 
 
+def test_density_ratio_interior_edge_exterior(grid129):
+    d = disk(grid129, (0.0, 0.0), 1.0)
+    h = grid129.h
+    assert density_ratio(d, [(0.0, 0.0)], 0.4)[0] == pytest.approx(1.0, abs=1e-12)
+    assert density_ratio(d, [(1.8, 1.8)], 0.2)[0] == pytest.approx(0.0, abs=1e-12)
+    hp = half_plane(grid129, (0.0, 1.0), 0.0)
+    assert density_ratio(hp, [(0.0, 0.0)], 0.5)[0] == pytest.approx(0.5, abs=0.02)
+    with pytest.raises(ValueError):
+        density_ratio(d, [(0.0, 0.0)], 1.5 * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cx=st.floats(-1.5, 1.5),
+    cy=st.floats(-1.5, 1.5),
+    r=st.floats(0.13, 1.0),
+)
+def test_density_ratio_bounded(cx, cy, r):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65)
+    d = disk(g, (0.3, 0.0), 0.9)
+    rho = density_ratio(d, [(cx, cy)], r)[0]
+    assert 0.0 <= rho <= 1.0
+
+
+def _reference_density_ratio(d, x, r):
+    """density_ratio for one centre with its own window, as it was written
+    before the centres were batched."""
+    g, h = d.grid, d.grid.h
+    if r < 2 * h:
+        raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
+    pad = r + 2.0 * h
+    i0 = max(0, int(math.floor((x[0] - pad - g.origin[0]) / h)))
+    i1 = min(g.nx, int(math.ceil((x[0] + pad - g.origin[0]) / h)) + 1)
+    j0 = max(0, int(math.floor((x[1] - pad - g.origin[1]) / h)))
+    j1 = min(g.ny, int(math.ceil((x[1] + pad - g.origin[1]) / h)) + 1)
+    rows, cols = slice(j0, max(j0, j1)), slice(i0, max(i0, i1))
+    ball_w = inside_fraction(np.hypot(g.xs[cols] - x[0], g.ys[rows, None] - x[1]) - r, h)
+    den = float(ball_w.sum())
+    if den <= 0.0:
+        return 0.0
+    om = inside_fraction(d.phi[rows, cols], 1.5 * h)
+    return float(np.sum(ball_w * om) / den)
+
+
+@pytest.fixture(scope="module")
+def edge_blob(grid129):
+    """A blob crossing the right and bottom box edges, plus its boundary
+    samples, box corners, centres whose windows are empty or clipped, and
+    a line of interior centres."""
+    d = star_blob(grid129, (1.5, -1.5), 0.9, 0.2, 4, np.random.default_rng(4))
+    centres = np.vstack([
+        extract_boundary(d).points,
+        np.column_stack([np.linspace(-1.0, 1.2, 200), np.linspace(-0.5, 0.7, 200)]),
+        [(1.97, -1.97), (2.0, -2.0), (-2.0, 2.0), (0.0, 0.0),
+         (9.0, 9.0), (-9.0, 0.0), (1.99, 2.6)],
+    ])
+    return d, centres
+
+
+@pytest.mark.parametrize("r_h", [2, 4, 12, 20])
+def test_density_ratio_batch_matches_reference_bits(grid129, edge_blob, r_h):
+    d, centres = edge_blob
+    r = r_h * grid129.h
+    batches = [(rows.shape[1], cols.shape[1])
+               for _, rows, cols, _ in _ball_windows(grid129, centres, r)]
+    assert len(set(batches)) > 3  # clipped, empty and interior windows
+    if r_h == 20:  # a shape group larger than one batch
+        assert len(batches) > len(set(batches))
+    got = density_ratio(d, centres, r)
+    assert got.shape == (len(centres),)
+    for x, value in zip(centres, got):
+        ref = _reference_density_ratio(d, x, r)
+        assert value.hex() == ref.hex()
+        assert density_ratio(d, x[None], r)[0].hex() == ref.hex()  # a one-row stack
+    assert density_ratio(d, np.zeros((0, 2)), r).shape == (0,)
+
+
 def probe_radii(grid):
     h = grid.h
     return (4 * h, 6 * h, 8 * h, 12 * h)
@@ -425,8 +503,6 @@ def test_classify_slit_not_reduced(grid129):
 def _reference_classify_boundary(d, points, radii):
     """classify_boundary as a loop over points, as it was written before
     the density probes were batched."""
-    from test_domain import _reference_density_ratio
-
     labels = []
     for pt in points:
         rho = np.array([_reference_density_ratio(d, pt, r) for r in radii])
@@ -455,6 +531,27 @@ def test_classify_matches_per_point_loop(grid129, edge_disk):
                for lab, dens, tr in zip(label.tolist(), density.tolist(), trend.tolist())]
         assert got == _reference_classify_boundary(d, pts, probe_radii(grid129))
         assert set(label.tolist()) == {"REDUCED", "SINGULAR_CANDIDATE", "CUSP_CANDIDATE"}
+
+
+def test_classify_builds_the_domain_indicator_once(grid129, monkeypatch):
+    # the smoothed indicator of the whole grid is taken once per call, not
+    # once per radius; the ball windows take theirs on window stacks
+    d = disk(grid129, (0.2, -0.1), 0.9)
+    bm = extract_boundary(d)
+    radii = probe_radii(grid129)
+    want = classify_boundary(d, bm, radii)
+    whole = []
+
+    def counting(phi, eps):
+        if np.shape(phi) == d.phi.shape:
+            whole.append(eps)
+        return inside_fraction(phi, eps)
+
+    monkeypatch.setattr(diagnostics, "inside_fraction", counting)
+    got = classify_boundary(d, bm, radii)
+    assert whole == [1.5 * grid129.h]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_classify_validation(grid129):

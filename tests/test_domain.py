@@ -16,7 +16,6 @@ from eigenshape.domain import (
     GridDomain,
     bilinear,
     connected_components,
-    density_ratio,
     difference,
     disk,
     extract_boundary,
@@ -32,9 +31,8 @@ from eigenshape.domain import (
     write_grid_dump,
 )
 from eigenshape import domain
-from eigenshape.domain import _ball_windows
 
-from shapes import dilate, half_plane, perimeter, roundness
+from shapes import dilate, perimeter, roundness
 
 
 @pytest.fixture(scope="module")
@@ -99,83 +97,6 @@ def test_dilate_scales_volume(grid):
     assert volume(big) == pytest.approx(1.5**2 * volume(d), rel=2e-3)
     with pytest.raises(ValueError):
         dilate(d, 0.0)
-
-
-def test_density_ratio_interior_edge_exterior(grid):
-    d = disk(grid, (0.0, 0.0), 1.0)
-    h = grid.h
-    assert density_ratio(d, [(0.0, 0.0)], 0.4)[0] == pytest.approx(1.0, abs=1e-12)
-    assert density_ratio(d, [(1.8, 1.8)], 0.2)[0] == pytest.approx(0.0, abs=1e-12)
-    hp = half_plane(grid, (0.0, 1.0), 0.0)
-    assert density_ratio(hp, [(0.0, 0.0)], 0.5)[0] == pytest.approx(0.5, abs=0.02)
-    with pytest.raises(ValueError):
-        density_ratio(d, [(0.0, 0.0)], 1.5 * h)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    cx=st.floats(-1.5, 1.5),
-    cy=st.floats(-1.5, 1.5),
-    r=st.floats(0.13, 1.0),
-)
-def test_density_ratio_bounded(cx, cy, r):
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65)
-    d = disk(g, (0.3, 0.0), 0.9)
-    rho = density_ratio(d, [(cx, cy)], r)[0]
-    assert 0.0 <= rho <= 1.0
-
-
-def _reference_density_ratio(d, x, r):
-    """density_ratio for one centre with its own window, as it was written
-    before the centres were batched."""
-    g, h = d.grid, d.grid.h
-    if r < 2 * h:
-        raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
-    pad = r + 2.0 * h
-    i0 = max(0, int(math.floor((x[0] - pad - g.origin[0]) / h)))
-    i1 = min(g.nx, int(math.ceil((x[0] + pad - g.origin[0]) / h)) + 1)
-    j0 = max(0, int(math.floor((x[1] - pad - g.origin[1]) / h)))
-    j1 = min(g.ny, int(math.ceil((x[1] + pad - g.origin[1]) / h)) + 1)
-    rows, cols = slice(j0, max(j0, j1)), slice(i0, max(i0, i1))
-    ball_w = inside_fraction(np.hypot(g.xs[cols] - x[0], g.ys[rows, None] - x[1]) - r, h)
-    den = float(ball_w.sum())
-    if den <= 0.0:
-        return 0.0
-    om = inside_fraction(d.phi[rows, cols], 1.5 * h)
-    return float(np.sum(ball_w * om) / den)
-
-
-@pytest.fixture(scope="module")
-def edge_blob(grid):
-    """A blob crossing the right and bottom box edges, plus its boundary
-    samples, box corners, centres whose windows are empty or clipped, and
-    a line of interior centres."""
-    d = star_blob(grid, (1.5, -1.5), 0.9, 0.2, 4, np.random.default_rng(4))
-    centres = np.vstack([
-        extract_boundary(d).points,
-        np.column_stack([np.linspace(-1.0, 1.2, 200), np.linspace(-0.5, 0.7, 200)]),
-        [(1.97, -1.97), (2.0, -2.0), (-2.0, 2.0), (0.0, 0.0),
-         (9.0, 9.0), (-9.0, 0.0), (1.99, 2.6)],
-    ])
-    return d, centres
-
-
-@pytest.mark.parametrize("r_h", [2, 4, 12, 20])
-def test_density_ratio_batch_matches_reference_bits(grid, edge_blob, r_h):
-    d, centres = edge_blob
-    r = r_h * grid.h
-    batches = [(rows.shape[1], cols.shape[1])
-               for _, rows, cols, _ in _ball_windows(grid, centres, r)]
-    assert len(set(batches)) > 3  # clipped, empty and interior windows
-    if r_h == 20:  # a shape group larger than one batch
-        assert len(batches) > len(set(batches))
-    got = density_ratio(d, centres, r)
-    assert got.shape == (len(centres),)
-    for x, value in zip(centres, got):
-        ref = _reference_density_ratio(d, x, r)
-        assert value.hex() == ref.hex()
-        assert density_ratio(d, x[None], r)[0].hex() == ref.hex()  # a one-row stack
-    assert density_ratio(d, np.zeros((0, 2)), r).shape == (0,)
 
 
 def test_extract_boundary_disk(grid):
@@ -360,6 +281,34 @@ def test_inside_fraction_profile():
     xs = np.linspace(-2 * eps, 2 * eps, 101)
     vals = inside_fraction(xs, eps)
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+def _closed_inside_fraction(phi, eps):
+    """inside_fraction as the closed formula, with the sine on every node."""
+    with np.errstate(over="ignore"):
+        t = np.clip(phi / eps, -1.0, 1.0)
+    return np.clip(0.5 * (1.0 - t - np.sin(np.pi * t) / np.pi), 0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ndim=st.integers(1, 3), h=st.floats(1e-3, 1.0),
+       factor=st.sampled_from([1.0, 1.5]))
+def test_inside_fraction_ramp_only_matches_closed_formula_bits(data, ndim, h, factor):
+    # off the ramp the closed formula rounds to exactly 1.0 or 0.0, so the
+    # sine taken on the ramp alone gives every node the same bits
+    eps = factor * h
+    edges = [eps, -eps, np.nextafter(eps, 0.0), np.nextafter(-eps, 0.0),
+             np.nextafter(eps, 1.0), np.nextafter(-eps, -1.0), 0.0, -0.0,
+             5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300]
+    elements = st.one_of(st.sampled_from(edges), st.floats(-2 * eps, 2 * eps),
+                         st.floats(allow_nan=False))
+    phi = data.draw(hnp.arrays(float, hnp.array_shapes(min_dims=ndim, max_dims=ndim,
+                                                       max_side=7), elements=elements))
+    got = inside_fraction(phi, eps)
+    assert got.shape == phi.shape and got.dtype == np.float64
+    assert got.tobytes() == _closed_inside_fraction(phi, eps).tobytes()
+    edge = np.array(edges).reshape(2, 1, 7)  # every edge value, in 3-D
+    assert inside_fraction(edge, eps).tobytes() == _closed_inside_fraction(edge, eps).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
