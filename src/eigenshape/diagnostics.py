@@ -110,7 +110,7 @@ def density_ratio(d: GridDomain, centres: np.ndarray, r: float) -> np.ndarray:
     h = d.grid.h
     if r < 2 * h:
         raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
-    return _ball_means(d.grid, inside_fraction(d.phi, 1.5 * h), centres, r)
+    return _ball_means(d.grid, d.smooth_inside, centres, r)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def weiss_profile(
     grads = _mode_gradients(modes, d.inside, h)
     for k in range(len(xis)):
         integ = integ + xis[k] * (grads[k, 0] ** 2 + grads[k, 1] ** 2)
-    chi = inside_fraction(d.phi, 1.5 * h)
+    chi = d.smooth_inside
     wts = _node_weights(g)
 
     W = np.zeros((len(centres), len(radii)))
@@ -279,7 +279,7 @@ def classify_boundary(
     :func:`probe_radii`.
     """
     radii = probe_radii(radii, d.grid.h)
-    chi = inside_fraction(d.phi, 1.5 * d.grid.h)  # density_ratio's indicator, once
+    chi = d.smooth_inside  # density_ratio's indicator, once
     rho = np.column_stack([_ball_means(d.grid, chi, bm.points, r) for r in radii])
     rho0 = rho[:, 0]
     trend = rho0 - rho[:, -1]

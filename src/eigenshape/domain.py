@@ -119,6 +119,11 @@ class GridDomain:
         """Boolean node mask of Omega."""
         return self.phi < 0
 
+    @property
+    def smooth_inside(self) -> np.ndarray:
+        """The one smoothed indicator (width 1.5h) that integrals over Omega use."""
+        return inside_fraction(self.phi, 1.5 * self.grid.h)
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BoundaryMesh:
@@ -198,9 +203,8 @@ def bilinear(grid: Grid, field: np.ndarray, pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def volume(d: GridDomain) -> float:
-    """Area of Omega by smoothed-Heaviside node quadrature (width 1.5h)."""
-    chi = inside_fraction(d.phi, 1.5 * d.grid.h)
-    return float(np.sum(_node_weights(d.grid) * chi))
+    """Area of Omega by node quadrature of ``d.smooth_inside``."""
+    return float(np.sum(_node_weights(d.grid) * d.smooth_inside))
 
 
 def connected_components(d: GridDomain) -> int:

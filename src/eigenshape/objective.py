@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .domain import GridDomain, _node_weights, bilinear, inside_fraction, volume
+from .domain import GridDomain, _node_weights, bilinear, volume
 
 __all__ = [
     "ObjectiveSpec",
@@ -303,7 +303,7 @@ def eval_penalty_E(d: GridDomain, pen: PenaltySpec, vol: float) -> float:
     dist_ref, dist_comp, vol_ref = pen.fields
     if d.grid != pen.reference.grid:
         raise ValueError("domain and penalty reference live on different grids")
-    chi_om = inside_fraction(d.phi, 1.5 * d.grid.h)
+    chi_om = d.smooth_inside
     w = _node_weights(d.grid)
     term_in = float(np.sum(w * chi_om * dist_ref))
     term_out = float(np.sum(w * (1.0 - chi_om) * dist_comp))

@@ -32,6 +32,7 @@ from .objective import (
     symmetrized,
     xi0_field,
 )
+from . import spectral
 from .spectral import SpectralError, Spectrum, normal_derivative, solve_spectrum
 
 __all__ = [
@@ -234,15 +235,13 @@ def make_state(cfg: OptimizerConfig, d: GridDomain, warm: Spectrum | None = None
     return FlowState(cfg=cfg, domain=d, spectrum=sp, xi=xi, Fp=Fp, vol=vol, E=E)
 
 
-def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[FlowState, float, bool]:
+def step(state: FlowState, dt: float, bar: float) -> tuple[FlowState, float, bool]:
     """One line-searched flow step from ``state``.
 
     Advects with the current velocity at step ``dt`` (CFL-capped), halving up
-    to 8 times until the objective does not increase (beyond 1e-10). Returns
-    (new_state, dt_used, stalled); on stall the input state is returned
-    unchanged. ``baseline`` tightens the acceptance threshold below the
-    current objective (used to keep the recorded trace nonincreasing across
-    reinitializations, which perturb phi between accepted steps).
+    to 8 times until a trial's objective is at most ``bar`` + 1e-10 (a trial
+    too small to solve is halved unsolved). Returns (new_state, dt_used,
+    stalled); on stall the input state is returned unchanged.
     """
     cfg = state.cfg
     d = state.domain
@@ -255,11 +254,10 @@ def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[Fl
     if vmax < 1e-14:
         return state, 0.0, True
     dt_try = min(dt, _CFL * h / vmax)
-    J0 = state.objective if baseline is None else min(baseline, state.objective)
     last_err: SpectralError | None = None
     for _ in range(9):  # initial dt plus 8 halvings
         trial = d.with_phi(advect(d.phi, Vg, dt_try, h))
-        if int(trial.inside.sum()) < cfg.n_modes + 5:
+        if int(trial.inside.sum()) < cfg.n_modes + spectral._SPARE_NODES:
             dt_try *= 0.5
             continue
         try:
@@ -268,7 +266,7 @@ def step(state: FlowState, dt: float, baseline: float | None = None) -> tuple[Fl
             last_err = err
             dt_try *= 0.5
             continue
-        if new.objective <= J0 + 1e-10:
+        if new.objective <= bar + 1e-10:
             return new, dt_try, False
         dt_try *= 0.5
     if last_err is not None:
@@ -315,7 +313,8 @@ def optimize(cfg: OptimizerConfig, init: GridDomain) -> OptimizerTrace:
                 where = "after reinit"
                 start = make_state(cfg, reinitialize(accepted.domain), warm=accepted.spectrum)
             where = f"at step {i}"
-            state, dt_used, stalled = step(start, dt, baseline=accepted.objective)
+            # a reinit that lowers J raises this bar (FOUND in CHANGES.md, ROADMAP item 2)
+            state, dt_used, stalled = step(start, dt, min(accepted.objective, start.objective))
         except SpectralError as err:
             reason, trace.error = "aborted", f"spectrum failed {where}: {err}"
             break

@@ -36,16 +36,14 @@ WARM_NOISE = 1e-3
 _MAX_ITER = 200
 #: relative residual that every eigenpair and torsion function must reach
 _TOL = 1e-8
+#: active nodes, beyond the M eigenpairs, that a domain needs to be solved
+_SPARE_NODES = 5
 
 _DIRS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
 
 class SpectralError(RuntimeError):
-    """Eigensolver failure; carries the last per-pair residuals."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
+    """Eigensolver failure; its message names the check and the residuals."""
 
 
 def assemble_laplacian(d: GridDomain) -> tuple[sparse.csc_matrix, np.ndarray]:
@@ -154,7 +152,7 @@ def solve_spectrum(
     guarding the top of a near-degenerate cluster, in at most ``_MAX_ITER``
     restarts; each of the first M must satisfy ||A u - lambda u|| <= _TOL *
     lambda. SpectralError names the check that failed, ARPACK's own or the
-    residual one, and carries the M residuals. The start vector is the sum
+    residual one, and lists the M residuals. The start vector is the sum
     of the ``warm`` modes (any grid occupancy) plus a small seeded
     perturbation, or a seeded Gaussian vector, so runs are deterministic.
     """
@@ -162,8 +160,8 @@ def solve_spectrum(
         raise ValueError(f"need at least one eigenpair, got M={M}")
     A, active, lu = factor_laplacian(d) if factors is None else factors
     n = A.shape[0]
-    if n < M + 5:
-        raise ValueError(f"only {n} active nodes for M={M} eigenpairs (need >= M+5)")
+    if n < M + _SPARE_NODES:
+        raise ValueError(f"only {n} active nodes for M={M} eigenpairs (need >= M+{_SPARE_NODES})")
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
@@ -186,8 +184,7 @@ def solve_spectrum(
     if failed is None and np.any(res > _TOL):
         failed = f"eigenpair residual above tol={_TOL}"
     if failed is not None:
-        raise SpectralError(
-            f"{failed} (residuals {' '.join(f'{r:.3g}' for r in res)})", residuals=res)
+        raise SpectralError(f"{failed} (residuals {' '.join(f'{r:.3g}' for r in res)})")
 
     X = _fix_signs(X)
     modes = np.zeros((M, d.phi.size))

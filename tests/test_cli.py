@@ -607,20 +607,47 @@ def test_flagship_manifest_describes_the_written_state(request, flagship):
     assert_manifest_is_the_last_trace_row(run.out)
 
 
-def test_optimize_stall_after_a_reinit_writes_the_last_accepted_state(tmp_path):
-    # this run stalls at step 21, the first step after a reinit; the
-    # reinitialized state it stalled in is not written
-    cfg = write_ini(tmp_path / "stall.ini", {
+def _stall_ini(tmp_path):
+    # a 65^2 blob whose optimize stalls at step 21, the first step after a reinit
+    return write_ini(tmp_path / "stall.ini", {
         "run": {"seed": 3},
         "grid": {"nx": 65, "ny": 65},
         "shape": {"kind": "blob", "amp": 0.22},
         "objective": {"family": "single", "n": 1},
     })
+
+
+def test_optimize_stall_after_a_reinit_writes_the_last_accepted_state(tmp_path):
+    # the reinitialized state that the run stalled in is not written
     out = tmp_path / "out"
-    assert run_single("optimize", str(cfg), str(out), None, False) == 0
+    assert run_single("optimize", str(_stall_ini(tmp_path)), str(out), None, False) == 0
     assert json.loads((out / "manifest.json").read_text())["stop_reason"] == "line_search_stall"
     assert (out / "trace.csv").read_text().splitlines()[-1].startswith("20,")
     assert_manifest_is_the_last_trace_row(out)
+
+
+def test_optimize_bar_is_the_lower_of_the_last_accepted_and_the_start(tmp_path, monkeypatch):
+    # every step measures its trials against min(J of the last accepted
+    # state, J of the step's start); the two differ only after a reinit.
+    # On this run the reinits before steps 11 and 16 raise J, so there the
+    # bar is the accepted J and not the start's (the FOUND on this bar in
+    # CHANGES.md; ROADMAP item 2 changes it, and this test with it)
+    import eigenshape.optimizer as optimizer
+    real_step, calls = optimizer.step, []
+
+    def step(state, dt, bar):
+        calls.append((state.objective, bar, real_step(state, dt, bar)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(optimizer, "step", step)
+    assert run_single("optimize", str(_stall_ini(tmp_path)), str(tmp_path / "out"),
+                      None, False) == 0
+    accepted, raised = calls[0][0], 0  # the first step starts from the initial state
+    for start, bar, (new, _, _) in calls:
+        assert bar == min(accepted, start)
+        raised += start > accepted
+        accepted = new.objective  # every call but the last (the stall) was accepted
+    assert raised >= 1
 
 
 def test_optimize_rerun_identical_trace(opt_run, tmp_path):
@@ -765,10 +792,10 @@ def _step_failing_at_p16(monkeypatch):
     import eigenshape.optimizer as optimizer
     real_step = optimizer.step
 
-    def step(state, dt, baseline=None):
+    def step(state, dt, bar):
         if state.cfg.p == 16:
             raise SpectralError("forced failure")
-        return real_step(state, dt, baseline)
+        return real_step(state, dt, bar)
 
     monkeypatch.setattr(optimizer, "step", step)
 

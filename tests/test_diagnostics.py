@@ -534,8 +534,9 @@ def test_classify_matches_per_point_loop(grid129, edge_disk):
 
 
 def test_classify_builds_the_domain_indicator_once(grid129, monkeypatch):
-    # the smoothed indicator of the whole grid is taken once per call, not
-    # once per radius; the ball windows take theirs on window stacks
+    # the smoothed indicator of the whole grid, GridDomain.smooth_inside, is
+    # taken once per call, not once per radius; the ball windows take theirs
+    # on window stacks, through the diagnostics module's own name
     d = disk(grid129, (0.2, -0.1), 0.9)
     bm = extract_boundary(d)
     radii = probe_radii(grid129)
@@ -547,7 +548,7 @@ def test_classify_builds_the_domain_indicator_once(grid129, monkeypatch):
             whole.append(eps)
         return inside_fraction(phi, eps)
 
-    monkeypatch.setattr(diagnostics, "inside_fraction", counting)
+    monkeypatch.setattr("eigenshape.domain.inside_fraction", counting)
     got = classify_boundary(d, bm, radii)
     assert whole == [1.5 * grid129.h]
     for a, b in zip(got, want):

@@ -284,7 +284,7 @@ def test_advect_curved_front_first_order(grid129):
 def test_step_descends_from_oversized_ball(grid97):
     cfg = base_config()
     state = make_state(cfg, disk(grid97, (0.0, 0.0), 1.6))
-    new, dt_used, stalled = step(state, cfg.dt0)
+    new, dt_used, stalled = step(state, cfg.dt0, state.objective)
     assert not stalled
     assert 0.0 < dt_used <= cfg.dt0
     assert new.objective < state.objective - 1e-3
@@ -298,8 +298,8 @@ def test_step_descends_from_oversized_ball(grid97):
 def test_step_stall_returns_input_state(grid97):
     cfg = base_config()
     state = make_state(cfg, disk(grid97, (0.0, 0.0), 1.6))
-    # an absurdly low baseline forces every halving to fail
-    out, dt_used, stalled = step(state, cfg.dt0, baseline=0.0)
+    # an absurdly low bar forces every halving to fail
+    out, dt_used, stalled = step(state, cfg.dt0, 0.0)
     assert stalled
     assert dt_used == 0.0
     assert out is state
@@ -323,7 +323,7 @@ def test_step_with_zero_speed_stalls_without_a_solve(grid97, monkeypatch):
     solves = _counting_solves(monkeypatch)
     monkeypatch.setattr(optimizer_mod, "extend_velocity",
                         lambda d, bm, V, reliable: np.zeros_like(d.phi))
-    out, dt_used, stalled = step(state, cfg.dt0)
+    out, dt_used, stalled = step(state, cfg.dt0, state.objective)
     assert out is state and dt_used == 0.0 and stalled
     assert solves == []
 
@@ -341,11 +341,27 @@ def test_step_halves_dt_past_a_trial_too_small_to_solve(grid97, monkeypatch):
         return np.ones_like(phi) if len(dts) == 1 else real_advect(phi, V, dt, h)
 
     monkeypatch.setattr(optimizer_mod, "advect", advect_emptying_first)
-    new, dt_used, stalled = step(state, cfg.dt0)
+    new, dt_used, stalled = step(state, cfg.dt0, state.objective)
     assert not stalled
     assert len(dts) == 2 and dts[1] == dts[0] / 2 and dt_used == dts[1]
     assert len(solves) == 1 and solves[0] is new.domain
     assert new.objective <= state.objective
+
+
+def test_the_node_floor_has_one_owner(grid97, monkeypatch):
+    # one spectral constant sets the floor of solve_spectrum and of step's
+    # trials: raised past the grid's node count, the solver refuses the disk
+    # and every trial of step is halved without a solve, so step stalls
+    cfg = base_config()
+    d = disk(grid97, (0.0, 0.0), 1.6)
+    state = make_state(cfg, d)
+    monkeypatch.setattr("eigenshape.spectral._SPARE_NODES", d.phi.size)
+    with pytest.raises(ValueError, match=rf"eigenpairs \(need >= M\+{d.phi.size}\)$"):
+        solve_spectrum(d, cfg.n_modes)
+    solves = _counting_solves(monkeypatch)
+    out, dt_used, stalled = step(state, cfg.dt0, state.objective)
+    assert out is state and dt_used == 0.0 and stalled
+    assert solves == []
 
 
 # ---- outer flow -------------------------------------------------------
@@ -413,7 +429,7 @@ def test_optimize_abort_carries_partial_trace(grid97, monkeypatch):
     def flaky(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] > 4:
-            raise SpectralError("synthetic failure", residuals=np.array([1.0]))
+            raise SpectralError("synthetic failure")
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(optimizer_mod, "solve_spectrum", flaky)
@@ -431,10 +447,10 @@ def test_optimize_abort_after_a_reinit_ends_in_the_last_accepted_state(grid97, m
     real_step = optimizer_mod.step
     returned = []
 
-    def step_failing_after_reinit(state, dt, baseline=None):
+    def step_failing_after_reinit(state, dt, bar):
         if len(returned) == 5:
             raise SpectralError("forced failure")
-        returned.append(real_step(state, dt, baseline))
+        returned.append(real_step(state, dt, bar))
         return returned[-1]
 
     monkeypatch.setattr(optimizer_mod, "step", step_failing_after_reinit)
@@ -449,7 +465,7 @@ def test_optimize_abort_after_a_reinit_ends_in_the_last_accepted_state(grid97, m
 
 def test_optimize_abort_at_init(grid97, monkeypatch):
     def broken(*args, **kwargs):
-        raise SpectralError("no spectrum", residuals=None)
+        raise SpectralError("no spectrum")
 
     monkeypatch.setattr(optimizer_mod, "solve_spectrum", broken)
     trace = optimize(base_config(), disk(grid97, (0.0, 0.0), 1.0))
@@ -527,10 +543,10 @@ def test_one_stage_p_continuation_is_optimize(grid97):
 def test_p_continuation_abort_carries_every_stage(grid97, monkeypatch):
     real_step = optimizer_mod.step
 
-    def step_failing_at_p16(state, dt, baseline=None):
+    def step_failing_at_p16(state, dt, bar):
         if state.cfg.p == 16:
             raise SpectralError("forced failure")
-        return real_step(state, dt, baseline)
+        return real_step(state, dt, bar)
 
     monkeypatch.setattr(optimizer_mod, "step", step_failing_at_p16)
     # the stage p = 32 after the aborted one does not run

@@ -16,7 +16,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
-from scipy.sparse.linalg import eigsh as scipy_eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh as scipy_eigsh
 
 from eigenshape import (
     BoundaryMesh,
@@ -327,6 +327,15 @@ def test_refinement_order_off_center_disk():
     assert np.polyfit(np.log(hs), np.log(unu_err), 1)[0] >= 0.9
 
 
+def _message_residuals(err: SpectralError) -> np.ndarray:
+    """The per-pair residuals that a SpectralError message lists, in order."""
+    _, sep, tail = str(err).partition(" (residuals ")
+    assert sep and tail.endswith(")")
+    words = tail[:-1].split()
+    assert all(f"{float(w):.3g}" == w for w in words)  # each printed with 3 digits
+    return np.array([float(w) for w in words])
+
+
 def test_solver_failure_reports_residuals(monkeypatch):
     # one Lanczos restart leaves the guard pair of 8 modes of a 65^2 unit
     # disk unconverged, while the 8 reported residuals all meet the bar: the
@@ -336,10 +345,25 @@ def test_solver_failure_reports_residuals(monkeypatch):
     with pytest.raises(SpectralError, match=r"^ARPACK converged 8 of 9 pairs in 1 "
                                             r"restarts \(residuals ") as exc:
         solve_spectrum(d, M=8)
-    res = exc.value.residuals
-    assert res is not None and len(res) == 8
+    res = _message_residuals(exc.value)
+    assert len(res) == 8
     assert np.all(res <= _TOL) and res.max() > 1e-9  # largest 2.69e-9
-    assert str(exc.value).endswith(f"(residuals {' '.join(f'{r:.3g}' for r in res)})")
+
+
+def test_solver_failure_counts_an_undelivered_pair_as_1(monkeypatch):
+    # ARPACK gives up with one of the 3 pairs (M = 2 plus the guard): the
+    # second reported residual is the 1 of a pair it never delivered
+    def eigsh(*args, **kwargs):
+        lam, X = scipy_eigsh(*args, **kwargs)
+        raise ArpackNoConvergence("no convergence", lam[:1], X[:, :1])
+
+    monkeypatch.setattr("eigenshape.spectral.eigsh", eigsh)
+    d = disk(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65), (0.0, 0.0), 1.0)
+    with pytest.raises(SpectralError, match=r"^ARPACK converged 1 of 3 pairs in 200 "
+                                            r"restarts \(residuals ") as exc:
+        solve_spectrum(d, M=2)
+    res = _message_residuals(exc.value)
+    assert len(res) == 2 and res[0] <= _TOL and res[1] == 1.0
 
 
 def test_solver_failure_names_a_residual_above_tol(monkeypatch):
@@ -353,7 +377,8 @@ def test_solver_failure_names_a_residual_above_tol(monkeypatch):
     with pytest.raises(SpectralError, match=r"^eigenpair residual above tol=1e-08 "
                                             r"\(residuals ") as exc:
         solve_spectrum(d, M=2)
-    assert np.all(exc.value.residuals > _TOL)
+    res = _message_residuals(exc.value)
+    assert len(res) == 2 and np.all(res > _TOL)
 
 
 def test_input_validation(grid129):
