@@ -1,11 +1,14 @@
 """Command-line entry point: solve | optimize | diagnose | sweep-p.
 
-Configs are line-based key=value files with [section] headers. Every run
-directory receives a manifest.json recording the config echo, version,
+Configs are line-based key=value files with [section] headers. A run that
+exits 0 or 1 leaves a manifest.json recording the config echo, version,
 seed, wall time and sha256 hashes of the artifacts; --check re-runs the
 config into a scratch directory and verifies those hashes. Exit codes:
-0 success, 1 numerical failure (partial artifacts retained), 2 usage or
-validation errors.
+0 success; 1 numerical failure, with the partial artifacts kept and
+``converged`` false in the manifest (in its last stage under sweep-p); 2
+usage or validation errors, with no manifest. A SpectralError prints one
+``numerical failure:`` line and adds its ``error`` to the manifest; a flow
+stage that aborts prints its own stage line.
 """
 
 from __future__ import annotations
@@ -316,10 +319,6 @@ def _artifact_hashes(out: pathlib.Path) -> dict:
             if p.is_file() and p.name != "manifest.json"}
 
 
-def _config_echo(cp) -> dict:
-    return {s: dict(cp.items(s)) for s in cp.sections()}
-
-
 def _write_json(obj, path) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
@@ -328,16 +327,15 @@ def _write_json(obj, path) -> None:
 
 def write_manifest(out: pathlib.Path, cp, command: str, seed: int,
                    wall: float, extra: dict) -> None:
-    manifest = {
+    _write_json({
         "version": VERSION_STRING,
         "command": command,
         "seed": seed,
         "wall_time_s": wall,
-        "config": _config_echo(cp),
+        "config": {s: dict(cp.items(s)) for s in cp.sections()},
         "artifacts": _artifact_hashes(out),
-    }
-    manifest.update(extra)
-    _write_json(manifest, out / "manifest.json")
+        **extra,
+    }, out / "manifest.json")
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -405,9 +403,6 @@ def cmd_solve(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     try:
         factors = factor_laplacian(d)
         sp = solve_spectrum(d, M, seed=seed, factors=factors)
-    except SpectralError as err:
-        print(f"eigensolver failed: {err}", file=sys.stderr)
-        return 1, {"converged": False}
     except ValueError as err:  # an empty domain, or too few nodes for M modes
         raise ConfigError(str(err)) from err
     tv = solve_torsion(d, factors=factors) if torsion else None
@@ -629,17 +624,20 @@ def run_single(command: str, config_path: str, out_dir: str,
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except SpectralError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 1
 
 
 def _run_command(command: str, cp, out: pathlib.Path, seed: int) -> int:
     """One subcommand into ``out``, then its manifest, timed over the whole
-    command; returns the exit code. A ConfigError leaves no manifest."""
+    command; returns the exit code. A ConfigError leaves no manifest; a
+    SpectralError prints one ``numerical failure:`` line, exits 1 and adds
+    ``converged: false`` and its ``error`` to the manifest."""
     name = _get(cp, "run", "name", str, out.name)
     t0 = time.perf_counter()
-    code, extra = _COMMANDS[command][0](cp, out, seed)
+    try:
+        code, extra = _COMMANDS[command][0](cp, out, seed)
+    except SpectralError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        code, extra = 1, {"converged": False, "error": str(err)}
     write_manifest(out, cp, command, seed, time.perf_counter() - t0, {"name": name, **extra})
     return code
 

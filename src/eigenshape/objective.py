@@ -116,11 +116,17 @@ class ObjectiveSpec:
         return g
 
 
-def eval_F(spec: ObjectiveSpec, kappa: Sequence[float]) -> float:
-    """F(kappa); kappa must be strictly positive."""
+def _positive(kappa: Sequence[float]) -> np.ndarray:
+    """``kappa`` as a float array; a ValueError unless every entry is > 0."""
     kappa = np.asarray(kappa, dtype=float)
     if np.any(kappa <= 0):
         raise ValueError(f"kappa must be strictly positive, got {kappa}")
+    return kappa
+
+
+def eval_F(spec: ObjectiveSpec, kappa: Sequence[float]) -> float:
+    """F(kappa); kappa must be strictly positive."""
+    kappa = _positive(kappa)
     return float(spec.values(kappa[None, :])[0])
 
 
@@ -227,9 +233,7 @@ def eval_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> float:
 
     Always >= F(kappa), with gap O(1/p).
     """
-    kappa = np.asarray(kappa, dtype=float)
-    if np.any(kappa <= 0):
-        raise ValueError(f"kappa must be strictly positive, got {kappa}")
+    kappa = _positive(kappa)
     taus = _tau_all(kappa, p)
     n = spec.n
     pert = float(np.arange(n, 0, -1) @ kappa) / p
@@ -275,9 +279,7 @@ def grad_Fp(spec: ObjectiveSpec, kappa: Sequence[float], p: float) -> np.ndarray
     power ratios are computed as exp((p-1)(log kappa_k - log tau_j)), which
     stays in (0, 1]. All xi_k are strictly positive (the (N+1-k)/p floor).
     """
-    kappa = np.asarray(kappa, dtype=float)
-    if np.any(kappa <= 0):
-        raise ValueError(f"kappa must be strictly positive, got {kappa}")
+    kappa = _positive(kappa)
     n = spec.n
     taus = _tau_all(kappa, p)
     gG = _grad_Gp(spec, taus, p)

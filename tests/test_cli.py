@@ -44,6 +44,7 @@ from eigenshape import (
 from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
+    _artifact_hashes,
     _sha256,
     _write_csv,
     build_objective,
@@ -497,7 +498,8 @@ def test_domain_grid_written_on_every_solve_exit_path(tmp_path, monkeypatch, cap
     if code == 2:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "manifest.json").exists()
-    if target == "solve_spectrum":  # the failed solve still lists its domain dump
+    if code == 1:  # a failed eigen or torsion solve still lists its domain dump
+        assert capsys.readouterr().err.startswith("numerical failure: ")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["converged"] is False
         assert manifest["artifacts"] == {"domain.grid": _sha256(out / "domain.grid")}
@@ -525,7 +527,7 @@ def test_arpack_non_convergence_exit_1(tmp_path, monkeypatch, capsys):
     assert run_single("solve", str(cfg), str(out), None, False) == 1
     assert len(raised) == 1
     err = capsys.readouterr().err  # the 8 residuals on the one line
-    assert re.match(r"eigensolver failed: ARPACK converged [0-8] of 9 pairs in 1 restarts "
+    assert re.match(r"numerical failure: ARPACK converged [0-8] of 9 pairs in 1 restarts "
                     r"\(residuals ", err)
     assert err.count("\n") == 1 and len(err.split("(residuals ")[1].split()) == 8
     assert json.loads((out / "manifest.json").read_text())["converged"] is False
@@ -1647,6 +1649,43 @@ def test_diagnose_bad_torsion_grid_exit_2(torsion_run, tmp_path, capsys, edit):
     code, err, _ = _diagnose_small(run, tmp_path, capsys)
     assert code == 2
     assert err.count("\n") == 1 and "torsion.grid" in err
+
+
+@pytest.mark.parametrize("case", ["solve_spectrum", "solve_torsion", "diagnose_torsion",
+                                  "optimize_abort", "sweep_p_abort"])
+def test_every_exit_1_path_leaves_one_line_and_its_manifest(torsion_run, tmp_path, capsys,
+                                                             monkeypatch, case):
+    # a numerical failure ends any command with exit 1, one stderr line and a
+    # manifest that lists exactly the files the command wrote before it failed
+    failure = _raise(SpectralError("forced failure"))
+    if case == "diagnose_torsion":  # no torsion.grid, so diagnose solves it afresh
+        run = tmp_path / "run"
+        shutil.copytree(torsion_run, run)
+        (run / "torsion.grid").unlink()
+        command, sections = "diagnose", diagnose_sections(run, probes=8)
+        monkeypatch.setattr("eigenshape.cli.solve_torsion", failure)
+    elif case.startswith("solve"):
+        command, sections = "solve", _small_sections("solve")
+        monkeypatch.setattr(f"eigenshape.cli.{case}", failure)
+    else:  # the stage p = 16 aborts in its first step, after the sweep's stage p = 8
+        edits = {"regularization": {"p": 16}} if case == "optimize_abort" else {}
+        command = "optimize" if edits else "sweep-p"
+        sections = _small_sections(command, **edits)
+        _step_failing_at_p16(monkeypatch)
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single(command, str(cfg), str(out), None, False) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == _artifact_hashes(out)
+    assert manifest.get("stages", [manifest])[-1]["converged"] is False
+    if command in ("solve", "diagnose"):
+        assert err == "numerical failure: forced failure\n"
+        assert manifest["error"] == "forced failure"
+    else:
+        assert "aborted in the stage p = 16: " in err and "domain.grid" in manifest["artifacts"]
 
 
 @pytest.mark.parametrize("site", ["shape", "reference", "domain.grid", "mode_1.grid",
