@@ -111,8 +111,8 @@ def load_config(path) -> _Config:
 
 def _get(cp, section, key, cast, default=None, required=False):
     """The value of ``[section] key`` through ``cast``. Any cast but ``str``
-    takes the token rule of the dumps and CSVs: a value that is not ASCII or
-    holds ``_`` (which int() and float() would read) is a ConfigError."""
+    takes the one token rule of the program, :func:`domain._number_token`: a
+    value that breaks it is a ConfigError."""
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing [{section}] {key}")
@@ -121,8 +121,7 @@ def _get(cp, section, key, cast, default=None, required=False):
     try:
         if cast is str:
             return raw
-        if not raw.isascii() or "_" in raw:
-            raise ValueError(raw)
+        domain._number_token(raw)
         if cast is bool:
             return cp.BOOLEAN_STATES[raw.lower()]
         return cast(raw)
@@ -165,12 +164,10 @@ def _read_domain(path) -> GridDomain:
 
 
 def _float_row(line: str) -> list[float]:
-    """The cells of one CSV line of plain decimal floats: the token rule of
-    the CSV inputs. A comment sign, ``1_0``, a non-ASCII digit, an
-    empty cell or a blank line is a ValueError."""
-    if not line.strip():  # np.loadtxt would skip it
-        raise ValueError("blank line")
-    return np.loadtxt([line], delimiter=",", comments=None, ndmin=2)[0].tolist()
+    """The cells of one CSV line of floats, each stripped of whitespace and
+    under the token rule of :func:`domain._number_token`. A comment sign,
+    ``1_0``, a non-ASCII digit, an empty cell or a blank line is a ValueError."""
+    return [float(domain._number_token(cell.strip())) for cell in line.split(",")]
 
 
 def _read_csv(path, header: str, ncols: int) -> np.ndarray:
@@ -631,14 +628,13 @@ def _run_command(command: str, cp, out: pathlib.Path, seed: int) -> int:
     command; returns the exit code. A ConfigError leaves no manifest; a
     SpectralError prints one ``numerical failure:`` line, exits 1 and adds
     ``converged: false`` and its ``error`` to the manifest."""
-    name = _get(cp, "run", "name", str, out.name)
     t0 = time.perf_counter()
     try:
         code, extra = _COMMANDS[command][0](cp, out, seed)
     except SpectralError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         code, extra = 1, {"converged": False, "error": str(err)}
-    write_manifest(out, cp, command, seed, time.perf_counter() - t0, {"name": name, **extra})
+    write_manifest(out, cp, command, seed, time.perf_counter() - t0, {"name": out.name, **extra})
     return code
 
 

@@ -499,25 +499,25 @@ def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
         f.write(np.asarray(field, dtype="<f8").tobytes())
 
 
+def _number_token(text: str) -> str:
+    """``text`` if it is ASCII without "_", the token rule of every number that
+    the program reads (int() and float() would read "3_3" or an Arabic-Indic
+    digit); a ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not ASCII without '_'")
+    return text
+
+
 def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     """Inverse of :func:`write_field_dump`. The header is one line of at most
-    _DUMP_HEADER_MAX bytes, and the payload must be exactly 8*nx*ny bytes,
-    checked against the file before anything is allocated from the header
-    sizes. The v1 text dumps of older runs ("GRIDDUMP v1 ...") are rejected
-    from their header line alone; nothing has written them since v2. A header
-    token must be ASCII without "_" (int and float would read "3_3" or an
-    Arabic-Indic digit as a number)."""
+    _DUMP_HEADER_MAX bytes under the token rule of :func:`_number_token`, and
+    the payload must be exactly 8*nx*ny bytes, checked against the file before
+    anything is allocated from the header sizes."""
     with open(path, "rb") as f:
         line = f.readline(_DUMP_HEADER_MAX)
-        if not line.isascii() or b"_" in line:
-            raise ValueError(f"grid dump header has a non-ASCII or '_' token: {line!r}")
-        header = line.decode().split()
-        if header[:2] == [_DUMP_MAGIC, "v1"]:
-            raise ValueError("GRIDDUMP v1 text dumps are no longer read; "
-                             "rewrite the file as v2 (see the README)")
-        if (not line.endswith(b"\n") or len(header) != 7 or header[0] != _DUMP_MAGIC
-                or header[1] != "v2"):
-            raise ValueError(f"not a grid dump: {path}")
+        header = _number_token(line.decode("latin-1")).split()  # any byte > 0x7f fails
+        if not line.endswith(b"\n") or len(header) != 7 or header[:2] != [_DUMP_MAGIC, "v2"]:
+            raise ValueError(f"not a {_DUMP_MAGIC} v2 header line: {line!r}")
         nx, ny = int(header[2]), int(header[3])
         grid = Grid(nx=nx, ny=ny, h=float(header[4]),
                     origin=(float(header[5]), float(header[6])))

@@ -1,6 +1,7 @@
 """Shared fixtures: the two flagship optimization runs, executed once.
 
-Both run through the CLI (config file in, artifacts out) so that the same
+They are the benchmark's ``fk`` and ``ks`` (``shapes.flagship_config``). Both
+run through the CLI (config file in, artifacts out) so that the same
 fixtures also witness the command-line contract; tests reconstruct the
 (domain, spectrum, xi) triple from the artifacts exactly the way the
 diagnose subcommand does.
@@ -17,14 +18,11 @@ import pytest
 from eigenshape.cli import _load_diagnose_inputs, run_single
 from eigenshape.domain import extract_boundary
 
+from shapes import flagship_config, workloads
+
 
 def write_ini(path: pathlib.Path, sections: dict) -> pathlib.Path:
-    lines = []
-    for name, kv in sections.items():
-        lines.append(f"[{name}]")
-        lines.extend(f"{k} = {v}" for k, v in kv.items())
-        lines.append("")
-    path.write_text("\n".join(lines))
+    path.write_text(workloads.ini_text(sections))
     return path
 
 
@@ -54,44 +52,23 @@ def load_run(out: pathlib.Path) -> types.SimpleNamespace:
     )
 
 
+def _flagship_run(tmp_path_factory, workload: str) -> types.SimpleNamespace:
+    """The benchmark's ``workload`` run through the CLI, and its artifacts."""
+    base = tmp_path_factory.mktemp(workload)
+    cfg = base / f"{workload}.ini"
+    cfg.write_text(flagship_config(workload))
+    out = base / "out"
+    assert run_single("optimize", str(cfg), str(out), None, False) == 0, f"{workload} failed"
+    return load_run(out)
+
+
 @pytest.fixture(scope="session")
 def fk_run(tmp_path_factory):
     """Ground-state problem from a random blob on a 256-cell grid."""
-    base = tmp_path_factory.mktemp("fk")
-    cfg = write_ini(base / "fk.ini", {
-        "run": {"name": "fk-acceptance", "seed": 11},
-        "grid": {"x0": -2.0, "y0": -2.0, "x1": 2.0, "y1": 2.0,
-                 "nx": 257, "ny": 257},
-        "shape": {"kind": "blob", "r0": 0.9, "amp": 0.22, "modes": 5},
-        "objective": {"family": "single", "n": 1, "index": 1},
-        "regularization": {"p": 32},
-        "optimizer": {"dt0": 0.5, "max_steps": 250, "conv_tol": 1e-6},
-    })
-    out = base / "out"
-    code = run_single("optimize", str(cfg), str(out), None, False)
-    assert code == 0, "flagship ground-state run failed"
-    run = load_run(out)
-    run.config = cfg
-    return run
+    return _flagship_run(tmp_path_factory, "fk")
 
 
 @pytest.fixture(scope="session")
 def ks_run(tmp_path_factory):
     """Second-eigenvalue problem from a mirror-symmetric two-blob init."""
-    base = tmp_path_factory.mktemp("ks")
-    cfg = write_ini(base / "ks.ini", {
-        "run": {"name": "ks-acceptance", "seed": 11},
-        "grid": {"x0": -2.4, "y0": -2.4, "x1": 2.4, "y1": 2.4,
-                 "nx": 241, "ny": 241},
-        "shape": {"kind": "two_blobs", "sep": 2.1, "r0": 0.8,
-                  "amp": 0.18, "modes": 4},
-        "objective": {"family": "single", "n": 2, "index": 2},
-        "regularization": {"p": 32},
-        "optimizer": {"dt0": 0.5, "max_steps": 250, "conv_tol": 1e-6},
-    })
-    out = base / "out"
-    code = run_single("optimize", str(cfg), str(out), None, False)
-    assert code == 0, "flagship second-eigenvalue run failed"
-    run = load_run(out)
-    run.config = cfg
-    return run
+    return _flagship_run(tmp_path_factory, "ks")

@@ -1,20 +1,56 @@
-"""Shape oracles of the tests: dilation, the half-plane, perimeter and
-roundness of level-set domains, and the best pair of disks.
+"""Shape oracles of the tests: the flagship runs, the closed forms of balls
+and pairs of disks, dilation, the half-plane, and perimeter and roundness of
+level-set domains.
 
-No command uses them; the scaling-law, half-plane, acceptance and
-degenerate-pair tests build their reference shapes and measures from them.
+No command uses them. The flagship configs are those of the benchmark,
+``perfbench/workloads.py``, loaded by path with the standard library (as
+``tools/compare_runs.py`` does), so tier-1's ``fk`` and ``ks`` are the
+benchmark's by construction. This module holds the one test copy of each
+Bessel zero and closed form.
 """
 
+import configparser
+import importlib.util
 import math
+import pathlib
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
+from eigenshape.cli import build_shape
 from eigenshape.domain import Grid, GridDomain, bilinear, extract_boundary, volume
 from eigenshape.objective import ObjectiveSpec, eval_Fp
 
-J01 = 2.404825557695773
+_spec = importlib.util.spec_from_file_location(
+    "workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)  # standard library only
+
+J01 = 2.404825557695773  # first zero of J0
+J11 = 3.8317059702075125  # first zero of J1, correctly rounded
+R_STAR = (J01**2 / math.pi) ** 0.25  # ball radius where the ground-state speed vanishes
+BALL_OPTIMUM = 2.0 * J01 * math.sqrt(math.pi)            # least lambda_1 + |Omega| ~ 8.524880
+TWO_BALL_OPTIMUM = 2.0 * math.sqrt(2.0 * math.pi) * J01  # least lambda_2 + |Omega| ~ 12.056011
+
+
+def flagship_config(workload: str) -> str:
+    """The INI text of the benchmark's ``fk`` or ``ks`` run."""
+    (text,) = workloads.make_inputs(workload, workloads.FLAGSHIP_SEED)["files"].values()
+    return text
+
+
+def cli_shape(ini: str) -> GridDomain:
+    """The initial shape that the CLI builds from the ``[grid]``, ``[shape]``
+    and ``[run] seed`` (default 0) of an INI text."""
+    cp = configparser.ConfigParser()
+    cp.read_string(ini)
+    return build_shape(cp, cp.getint("run", "seed", fallback=0))
+
+
+def flagship_shape(workload: str) -> GridDomain:
+    """The initial shape of the benchmark's ``fk`` or ``ks`` run."""
+    return cli_shape(flagship_config(workload))
 
 
 def dilate(d: GridDomain, t: float) -> GridDomain:
@@ -63,16 +99,42 @@ def roundness(d: GridDomain) -> float:
     return 4.0 * math.pi * volume(d) / p**2
 
 
-def pair_minimum(p: float) -> tuple[float, np.ndarray]:
-    """The least J = F_p(lambda) + |Omega| over two disjoint disks, for the
-    second eigenvalue (``linear``, n = 2, unit weight e_2): a Nelder-Mead
-    search over the radii. Each disk of radius r adds the eigenvalue (j01 / r)^2.
-    Returns J and the radii in ascending order."""
-    spec = ObjectiveSpec("linear", n=2, coeffs=(0, 1))
+def equal_pair_J(p: float) -> float:
+    """J = F_p(lambda) + |Omega| of the best pair of equal disks for the second
+    eigenvalue: F_p(l, l) = (2^(1/p) + 3/p) l + 1/(2p), least over the radius."""
+    return 2.0 * J01 * math.sqrt(2.0 * math.pi * (2.0 ** (1.0 / p) + 3.0 / p)) + 0.5 / p
+
+
+def unit_weight(n: int) -> ObjectiveSpec:
+    """F = lambda_n: ``linear`` with the unit weight e_n."""
+    return ObjectiveSpec("linear", n=n, coeffs=tuple(float(k == n) for k in range(1, n + 1)))
+
+
+def _disk_lambdas(r: float) -> np.ndarray:
+    """The three least Dirichlet eigenvalues of a disk of radius r."""
+    return (np.array([J01, J11, J11]) / r) ** 2
+
+
+def disk_minimum(p: float, n: int) -> float:
+    """The least J = F_p(lambda) + |Omega| over disks for F = lambda_n, n <= 3."""
+    spec = unit_weight(n)
+    res = minimize_scalar(lambda r: eval_Fp(spec, _disk_lambdas(r)[:n], p) + math.pi * r * r,
+                          bounds=(0.5, 3.0), method="bounded", options={"xatol": 1e-12})
+    return float(res.fun)
+
+
+def pair_minimum(p: float, n: int = 2, start=(1.0, 0.9)) -> tuple[float, np.ndarray]:
+    """The least J = F_p(lambda) + |Omega| over two disjoint disks for
+    F = lambda_n: a Nelder-Mead search over the radii from ``start``. The
+    union of the disks' spectra counts each disk's j01 and double j11 modes
+    only, so it holds for n <= 4 while the smaller radius exceeds
+    j01/j21 ~ 0.47 of the larger. Returns J and the radii in ascending order."""
+    spec = unit_weight(n)
 
     def J(r):
-        return eval_Fp(spec, np.sort((J01 / r) ** 2), p) + math.pi * float(r @ r)
+        lam = np.sort(np.concatenate([_disk_lambdas(r[0]), _disk_lambdas(r[1])]))[:n]
+        return eval_Fp(spec, lam, p) + math.pi * float(r @ r)
 
-    res = minimize(J, [1.0, 0.9], method="Nelder-Mead",
+    res = minimize(J, list(start), method="Nelder-Mead",
                    options={"xatol": 1e-9, "fatol": 1e-13})
     return float(res.fun), np.sort(res.x)

@@ -36,11 +36,7 @@ from eigenshape.cli import run_single
 from eigenshape.diagnostics import _ball_means, _mode_gradients, density_ratio
 
 from conftest import write_ini
-from shapes import dilate, half_plane, roundness
-
-J01 = 2.404825557695773
-BALL_OPTIMUM = 2.0 * J01 * math.sqrt(math.pi)          # ~ 8.524880
-TWO_BALL_OPTIMUM = 2.0 * math.sqrt(2.0 * math.pi) * J01  # ~ 12.056011
+from shapes import BALL_OPTIMUM, TWO_BALL_OPTIMUM, dilate, half_plane, roundness
 
 FAMILIES = [
     ObjectiveSpec("linear", n=1, coeffs=(1,)),

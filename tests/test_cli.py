@@ -45,6 +45,7 @@ from eigenshape.cli import (
     ConfigError,
     VERSION_STRING,
     _artifact_hashes,
+    _float_row,
     _sha256,
     _write_csv,
     build_objective,
@@ -61,8 +62,7 @@ from eigenshape.domain import (
 )
 
 from conftest import write_ini
-
-J01 = 2.404825557695773
+from shapes import J01
 
 
 def solve_sections(**shape):
@@ -176,7 +176,6 @@ def test_unread_key_exit_2(small_run, tmp_path, capsys, command, kind, family, e
 #: the keys that _small_sections leaves at their defaults, at those defaults
 #: ([penalty] reference names a file)
 _DEFAULTED = {
-    "run": {"name": "every-key"},
     "grid": {"x0": -2.0, "y0": -2.0, "x1": 2.0, "y1": 2.0},
     "solve": {"torsion": "no"},
     "optimizer": {"conv_tol": 1e-6},
@@ -865,6 +864,7 @@ def test_optimize_aborted_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
     ("optimizer", "modes", "3", "optimize"),            # [objective] n + 1
     ("regularization", "quad_nodes", "4", "sweep-p"),
     ("shape", "mirror", "no", "solve"),                 # of a blob
+    ("run", "name", "every-key", "solve"),              # the manifest names it by --out
 ])
 def test_unusable_solver_value_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
                                                        section, key, value, command):
@@ -1572,6 +1572,38 @@ def test_diagnose_csv_cell_exit_2(small_run, tmp_path, capsys, name, token):
     code, err, _ = _diagnose_small(run, tmp_path, capsys)
     assert code == 2
     assert err.count("\n") == 1 and f"{name}:2:" in err
+
+
+def _loadtxt_row(line):
+    """The row reader that ``_float_row`` replaced: one ``np.loadtxt`` row,
+    with a blank line (which loadtxt skips) a ValueError."""
+    if not line.strip():
+        raise ValueError("blank line")
+    return np.loadtxt([line], delimiter=",", comments=None, ndmin=2)[0].tolist()
+
+
+def _row_bits(read, line):
+    """The bits of the row that ``read`` makes of ``line``, or None when it raises."""
+    try:
+        return np.asarray(read(line), dtype=float).tobytes()
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("line", [
+    "1_0", "\u0661.0", "#", "", " ", "1,,2", ",", " 1.5 ", "\t-2.5e-3\t", "1.5\x1f",
+    "1\xa0", "nan", "-nan", "inf", "-Infinity", "1e400", "1e-400", "-0.0", "0x10", "1 2",
+    "1,2", "+1.,.5", "1e", "1d5", "1.5j",
+])
+def test_float_row_reads_as_the_loadtxt_row(line):
+    # accepts and rejects the same lines, and reads the same bits
+    assert _row_bits(_float_row, line) == _row_bits(_loadtxt_row, line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TOKEN, max_size=4).map(",".join))
+def test_float_row_reads_fuzzed_rows_as_the_loadtxt_row(line):
+    assert _row_bits(_float_row, line) == _row_bits(_loadtxt_row, line)
 
 
 @pytest.mark.parametrize("name", ["spectrum.csv", "xi.csv"])

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import math
 import pathlib
 
 import pytest
+
+from shapes import BALL_OPTIMUM
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
 
@@ -62,5 +63,4 @@ def test_j_p_star_closed_forms(compare_runs):
     # optimum 2 j01 sqrt(pi) as p grows
     assert compare_runs.j_p_star("fk", 32.0) == pytest.approx(8.6726863, abs=1e-7)
     assert compare_runs.j_p_star("ks", 32.0) == pytest.approx(12.7496864, abs=1e-7)
-    assert compare_runs.j_p_star("fk", 1e12) == pytest.approx(
-        2.0 * compare_runs.J01 * math.sqrt(math.pi), rel=1e-11)
+    assert compare_runs.j_p_star("fk", 1e12) == pytest.approx(BALL_OPTIMUM, rel=1e-11)

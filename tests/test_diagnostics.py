@@ -50,10 +50,7 @@ from eigenshape.diagnostics import (
 from eigenshape.domain import _node_weights, bilinear, inside_fraction
 from eigenshape.spectral import normal_derivative
 
-from shapes import half_plane
-
-J01 = 2.404825557695773
-R_STAR = (J01**2 / math.pi) ** 0.25
+from shapes import J01, R_STAR, half_plane
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,5 @@
 """Grid, level-set domain, boundary extraction, and measure tests."""
 
-import configparser
 import io
 import math
 from unittest import mock
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eigenshape.cli import build_shape
 from eigenshape.domain import (
     Grid,
     GridDomain,
@@ -32,7 +30,7 @@ from eigenshape.domain import (
 )
 from eigenshape import domain
 
-from shapes import dilate, perimeter, roundness
+from shapes import cli_shape, dilate, flagship_config, flagship_shape, perimeter, roundness
 
 
 @pytest.fixture(scope="module")
@@ -180,30 +178,17 @@ def _assert_boundary_matches_reference(d):
     return bm
 
 
-def _cli_shape(grid: dict, shape: dict):
-    """The initial shape that the CLI builds from ``[grid]`` and ``[shape]``."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp.read_dict({"grid": grid, "shape": shape})
-    return build_shape(cp, 11)
-
-
-_FK_GRID = {"x0": -2.0, "y0": -2.0, "x1": 2.0, "y1": 2.0, "nx": 257, "ny": 257}
-_KS_GRID = {"x0": -2.4, "y0": -2.4, "x1": 2.4, "y1": 2.4, "nx": 241, "ny": 241}
-
-
-@pytest.mark.parametrize("grid_kv, shape_kv", [
-    (_FK_GRID, {"kind": "blob", "r0": 0.9, "amp": 0.22, "modes": 5}),          # fk
-    (_KS_GRID, {"kind": "two_blobs", "sep": 2.1, "r0": 0.8, "amp": 0.18,
-                "modes": 4}),                                                 # ks
-    ({"nx": 65, "ny": 65}, {"kind": "lshape", "side": 2.5}),
-    ({"nx": 129, "ny": 129}, {"kind": "disk", "r": 1.0}),
-    ({"nx": 97, "ny": 97}, {"kind": "disk", "cx": 0.13, "cy": -0.29, "r": 1.37}),
+@pytest.mark.parametrize("ini", [
+    flagship_config("fk"),
+    flagship_config("ks"),
+    "[grid]\nnx = 65\nny = 65\n[shape]\nkind = lshape\nside = 2.5",
+    "[grid]\nnx = 129\nny = 129\n[shape]\nkind = disk\nr = 1.0",
+    "[grid]\nnx = 97\nny = 97\n[shape]\nkind = disk\ncx = 0.13\ncy = -0.29\nr = 1.37",
     # crosses the right and bottom box edges: one-sided differences in the normals
-    ({"nx": 65, "ny": 65}, {"kind": "disk", "cx": 1.5, "cy": -1.2, "r": 1.0}),
+    "[grid]\nnx = 65\nny = 65\n[shape]\nkind = disk\ncx = 1.5\ncy = -1.2\nr = 1.0",
 ], ids=["fk", "ks", "lshape", "disk", "offcentre_disk", "disk_past_box_edge"])
-def test_extract_boundary_matches_cell_loop_bits(grid_kv, shape_kv):
-    d = _cli_shape(grid_kv, shape_kv)
+def test_extract_boundary_matches_cell_loop_bits(ini):
+    d = cli_shape(ini)
     _assert_boundary_matches_reference(d)
     # noise makes saddle cells (h-sized noise: dozens on fk and ks, of both pairings)
     noise = d.grid.h * np.random.default_rng(5).standard_normal(d.phi.shape)
@@ -395,18 +380,6 @@ def _assert_same_bits(d, **kw):
     assert out.phi.tobytes() == ref.phi.tobytes()
 
 
-def _fk_blob():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257)
-    return star_blob(g, (0.0, 0.0), 0.9, 0.22, 5, np.random.default_rng(11))
-
-
-def _two_blobs():
-    g = Grid.from_box(-2.4, -2.4, 2.4, 2.4, 241, 241)
-    left = star_blob(g, (-1.05, 0.0), 0.8, 0.18, 4, np.random.default_rng(11),
-                     mirror_x=True)
-    return left.with_phi(np.minimum(left.phi, left.phi[:, ::-1]))
-
-
 def _warped_disk():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 129, 129)
     d = disk(g, (0.3, -0.2), 1.0)
@@ -423,13 +396,13 @@ def _zeros_at_nodes():
 
 
 @pytest.mark.parametrize("make, kw", [
-    (_fk_blob, {}),
+    (lambda: flagship_shape("fk"), {}),
     (_warped_disk, {}),
     (_warped_disk, {"tol": 0.0}),
-    (_two_blobs, {}),
+    (lambda: flagship_shape("ks"), {}),
     (lambda: disk(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 65, 65), (1.7, -1.1), 0.8), {}),
     (lambda: disk(Grid.from_box(0.0, 0.0, 7.0, 7.0, 8, 8), (3.3, 3.6), 2.2), {}),
-    (_fk_blob, {"max_iter": 3}),
+    (lambda: flagship_shape("fk"), {"max_iter": 3}),
     (_zeros_at_nodes, {}),
     (_zeros_at_nodes, {"tol": 0.0, "max_iter": 25}),
 ], ids=["fk_blob", "warped_disk", "warped_disk_400_sweeps", "two_blobs", "crosses_box_edge", "grid_8x8",
@@ -524,7 +497,7 @@ def test_read_field_dump_rejects_v1_from_its_header_line(tmp_path, monkeypatch, 
     monkeypatch.setattr(_CountingFile, "nread", 0)
     monkeypatch.setattr("eigenshape.domain.open", lambda p, mode: _CountingFile(p, "r"),
                         raising=False)
-    with pytest.raises(ValueError, match="v1 text dumps are no longer read"):
+    with pytest.raises(ValueError, match="not a GRIDDUMP v2 header line: b'GRIDDUMP v1"):
         read_field_dump(path)
     assert _CountingFile.nread == len(header) <= 256
 

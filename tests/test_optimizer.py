@@ -44,10 +44,21 @@ from eigenshape.optimizer import (
 )
 
 from conftest import smooth_g
-from shapes import dilate, half_plane, pair_minimum
-
-J01 = 2.404825557695773
-R_STAR = (J01**2 / math.pi) ** 0.25  # ball radius where the speed vanishes
+from shapes import (
+    BALL_OPTIMUM,
+    J01,
+    J11,
+    R_STAR,
+    TWO_BALL_OPTIMUM,
+    dilate,
+    disk_minimum,
+    equal_pair_J,
+    flagship_shape,
+    half_plane,
+    pair_minimum,
+    roundness,
+    unit_weight,
+)
 
 
 def base_config(**kw):
@@ -167,11 +178,11 @@ def fd_spectra(request):
     continuum derivative; within a smaller eps the clamped links make it
     about 4% smaller.
     """
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257)
     if request.param == "disk":  # off-centre: lambda_2 and lambda_3 form a cluster
-        d = disk(g, (0.13, -0.07), 1.0)
-    else:
-        d = star_blob(g, (0.0, 0.0), 0.9, 0.22, 5, np.random.default_rng(11))
+        d = disk(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257), (0.13, -0.07), 1.0)
+    else:  # the initial shape of fk
+        d = flagship_shape("fk")
+    g = d.grid
     G = smooth_g(*g.meshgrid())
     eps = 0.5 * g.h
     spectra = [solve_spectrum(d.with_phi(d.phi + t * G), 4, seed=3) for t in (-eps, eps)]
@@ -231,11 +242,6 @@ def _reference_advect(phi, V, dt, h):
     return phi - dt * (np.maximum(V, 0.0) * grad_plus + np.minimum(V, 0.0) * grad_minus)
 
 
-def _fk_blob():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257)
-    return star_blob(g, (0.0, 0.0), 0.9, 0.22, 5, np.random.default_rng(11))
-
-
 def _edge_disk():
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 65, 65)
     return disk(g, (0.8, -0.6), 0.7)
@@ -247,7 +253,7 @@ def _random_field():
     return GridDomain(g, np.random.default_rng(3).standard_normal((33, 40)))
 
 
-@pytest.mark.parametrize("make", [_fk_blob, _edge_disk, _random_field],
+@pytest.mark.parametrize("make", [lambda: flagship_shape("fk"), _edge_disk, _random_field],
                          ids=["fk_blob", "crosses_box_edge", "random_field"])
 @pytest.mark.parametrize("speed", ["mixed_smooth", "mixed_random", "one_sign"])
 def test_advect_bitwise_matches_reference(make, speed):
@@ -394,8 +400,7 @@ def ball_flow(grid97):
 def test_optimize_reaches_ball_optimum(ball_flow):
     cfg, trace = ball_flow
     assert trace.stop_reason in ("converged", "line_search_stall")
-    target = 2.0 * J01 * math.sqrt(math.pi)
-    assert trace.final.objective_F == pytest.approx(target, rel=0.02)
+    assert trace.final.objective_F == pytest.approx(BALL_OPTIMUM, rel=0.02)
 
 
 def test_optimize_trace_is_monotone(ball_flow):
@@ -489,8 +494,7 @@ def test_unequal_disks_flow_to_the_unequal_pair_minimum():
     final = optimize(cfg, init).final
     J_pair, radii = pair_minimum(p)
     gap_pair = (radii[1] / radii[0]) ** 2 - 1.0
-    # two equal disks: F_p(l, l) = (2^(1/p) + 3/p) l + 1/(2p), least over r
-    J_equal = 2.0 * J01 * math.sqrt(2.0 * math.pi * (2.0 ** (1.0 / p) + 3.0 / p)) + 0.5 / p
+    J_equal = equal_pair_J(p)
     lam = final.spectrum.lambdas
     gap = (lam[1] - lam[0]) / lam[0]
     assert connected_components(final.domain) == 2
@@ -508,10 +512,47 @@ def test_second_eigenvalue_from_one_disk_stays_connected_below_two_balls():
     g = Grid(nx=121, ny=121, h=0.04, origin=(-2.4, -2.4))
     cfg = OptimizerConfig(spec=ObjectiveSpec("linear", n=2, coeffs=(0, 1)), p=p, seed=11)
     final = optimize(cfg, disk(g, (0.013, -0.007), 1.25)).final
-    J_equal = 2.0 * J01 * math.sqrt(2.0 * math.pi * (2.0 ** (1.0 / p) + 3.0 / p)) + 0.5 / p
+    J_equal = equal_pair_J(p)
     assert connected_components(final.domain) == 1
     assert final.objective <= 0.99 * J_equal  # 12.58733: 1.27% below 12.74969
-    assert final.objective_F > 2.0 * J01 * math.sqrt(2.0 * math.pi)  # 12.09555 > 12.05601
+    assert final.objective_F > TWO_BALL_OPTIMUM  # 12.09555 > 12.05601
+
+
+# ---- the degenerate case at N = 3 and 4 -------------------------------
+
+
+def _unit_weight_flow(n: int, grid: Grid):
+    """The final state of the flow at p = 32 for F = lambda_n (``linear`` with
+    the unit weight e_n) from the disk of radius 1.3 at (0.013, -0.007)."""
+    return optimize(OptimizerConfig(spec=unit_weight(n), p=32.0, seed=11),
+                    disk(grid, (0.013, -0.007), 1.3)).final
+
+
+def test_third_eigenvalue_ends_as_one_disk_whose_top_pair_shares_the_weight():
+    # F = lambda_3 ends as one round disk (roundness 1.0002) 1.8e-4 below the
+    # disk J_p* 14.5981156 (grid error), and the double pair lambda_2 = lambda_3
+    # shares the weight about equally (xi 0.560 and 0.556), as the degenerate
+    # Euler-Lagrange equation needs; the same at seeds 3 and 29
+    final = _unit_weight_flow(3, Grid.from_box(-2.4, -2.4, 2.4, 2.4, 121, 121))
+    J_disk = disk_minimum(32.0, 3)
+    assert connected_components(final.domain) == 1
+    assert roundness(final.domain) >= 0.99
+    assert abs(final.objective - J_disk) <= 5e-4 * J_disk
+    # the least lambda_3 + |Omega| over disks, 2 j11 sqrt(pi): 13.61437 > 13.58304
+    assert final.objective_F > 2.0 * J11 * math.sqrt(math.pi)
+    assert abs(final.xi[1] - final.xi[2]) <= 0.05
+
+
+def test_fourth_eigenvalue_stays_connected_below_the_best_disk_pair():
+    # F = lambda_4 ends as one component (roundness 0.87) with J 1.82% below the
+    # best pair of disks, 18.096766 (radii 0.9053 and 1.4346: the small disk's
+    # lambda_1 meets the large disk's lambda_2), while F + |Omega| stays above
+    # that pair's optimum 2 sqrt(pi (j01^2 + j11^2)); the same at seeds 3 and 29
+    final = _unit_weight_flow(4, Grid.from_box(-3.2, -3.2, 3.2, 3.2, 161, 161))
+    J_pair, _ = pair_minimum(32.0, n=4, start=(1.4, 0.9))
+    assert connected_components(final.domain) == 1
+    assert final.objective <= 0.99 * J_pair  # 17.76786
+    assert final.objective_F > 2.0 * math.sqrt(math.pi * (J01**2 + J11**2))  # 16.26486 > 16.03661
 
 
 # ---- p-continuation ---------------------------------------------------

@@ -38,10 +38,7 @@ from eigenshape.objective import kappa_clusters
 from eigenshape.cli import write_spectrum_csv
 from eigenshape.spectral import _DIRS, _TOL, THETA_FLOOR, assemble_laplacian, torsion_field
 
-from shapes import dilate
-
-J01 = 2.404825557695773  # first zero of J0
-J11 = 3.8317059702075125  # first zero of J1
+from shapes import J01, J11, dilate, flagship_shape
 
 
 @pytest.fixture(scope="module")
@@ -231,22 +228,9 @@ def _disk_past_box_edge():
     return d
 
 
-def _fk_blob():
-    # the initial shape of the fk flagship run ([run] seed = 11)
-    return star_blob(Grid.from_box(-2.0, -2.0, 2.0, 2.0, 257, 257), (0.0, 0.0), 0.9, 0.22, 5,
-                     np.random.default_rng(11))
-
-
-def _ks_blobs():
-    # the initial shape of the ks flagship run ([run] seed = 11)
-    left = star_blob(Grid.from_box(-2.4, -2.4, 2.4, 2.4, 241, 241), (-1.05, 0.0), 0.8, 0.18,
-                     4, np.random.default_rng(11), mirror_x=True)
-    return left.with_phi(np.minimum(left.phi, left.phi[:, ::-1]))
-
-
 @pytest.mark.parametrize("make", [
-    _fk_blob,
-    _ks_blobs,
+    lambda: flagship_shape("fk"),
+    lambda: flagship_shape("ks"),
     _lshape,
     _disk_past_box_edge,
     _strips_and_isolated_nodes,

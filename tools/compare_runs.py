@@ -46,16 +46,16 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)  # standard library only, like this script
 
 THREAD_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-J01 = 2.404825557695773
 
 
 def j_p_star(workload: str, p: float) -> float:
     """The value of J = F_p + |Omega| at the best ball (fk, n = 1) or pair of
     equal balls (ks, n = 2, index 2)."""
     if workload == "fk":
-        return 2.0 * J01 * math.sqrt(math.pi * (1.0 + 1.0 / p)) + 0.5 / p
+        return 2.0 * workloads.J01 * math.sqrt(math.pi * (1.0 + 1.0 / p)) + 0.5 / p
     if workload == "ks":
-        return 2.0 * J01 * math.sqrt(2.0 * math.pi * (2.0 ** (1.0 / p) + 3.0 / p)) + 0.5 / p
+        return (2.0 * workloads.J01 * math.sqrt(2.0 * math.pi * (2.0 ** (1.0 / p) + 3.0 / p))
+                + 0.5 / p)
     raise ValueError(f"no closed form for {workload!r}")
 
 
