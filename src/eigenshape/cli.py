@@ -8,7 +8,10 @@ config into a scratch directory and verifies those hashes. Exit codes:
 ``converged`` false in the manifest (in its last stage under sweep-p); 2
 usage or validation errors, with no manifest. A SpectralError prints one
 ``numerical failure:`` line and adds its ``error`` to the manifest; a flow
-stage that aborts prints its own stage line.
+stage that aborts prints its own stage line. One ``_read_input`` opens
+every input file, manifest.json under --check too: one that is missing,
+unreadable, not UTF-8 or malformed exits 2 with one line naming it, as
+does an --out that cannot be made a directory.
 """
 
 from __future__ import annotations
@@ -87,21 +90,29 @@ class _Config(configparser.ConfigParser):
         return super().has_option(section, option)
 
 
-def _read_text(path: pathlib.Path) -> str:
-    """The text of an input file, which must be UTF-8; other bytes are a ConfigError."""
+def _read_input(path, read=None):
+    """The one reader of every input file: ``read(path)``, or its UTF-8 text
+    when ``read`` is None. A path that is not a regular file (so no FIFO or
+    device is read), an OSError, bytes that are not UTF-8 or a ValueError of
+    ``read`` is a ConfigError naming the file."""
+    path = pathlib.Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        if not path.is_file():
+            raise ConfigError(f"input not found: {path}")
+        return path.read_text(encoding="utf-8") if read is None else read(path)
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path} is not UTF-8 text: {err}") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror}") from err
+    except ValueError as err:
+        raise ConfigError(f"cannot parse {path}: {err}") from err
 
 
 def load_config(path) -> _Config:
     p = pathlib.Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
     cp = _Config()
     try:
-        cp.read_string(_read_text(p), source=str(p))
+        cp.read_string(_read_input(p), source=str(p))
     except configparser.Error as err:  # its message spans lines: make it one
         raise ConfigError(f"cannot parse {p}: {' '.join(str(err).split())}") from err
     if cp.defaults():
@@ -148,19 +159,9 @@ def _floats(raw: str) -> list[float]:
     return [float(v) for v in raw.split()]
 
 
-def _input(path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    if not path.is_file():
-        raise ConfigError(f"input not found: {path}")
-    return path
-
-
 def _read_domain(path) -> GridDomain:
     """A saved domain dump; a missing or malformed one is a ConfigError."""
-    try:
-        return read_grid_dump(_input(path))
-    except ValueError as err:
-        raise ConfigError(f"bad grid dump {path}: {err}") from err
+    return _read_input(path, read_grid_dump)
 
 
 def _float_row(line: str) -> list[float]:
@@ -171,23 +172,24 @@ def _float_row(line: str) -> list[float]:
 
 
 def _read_csv(path, header: str, ncols: int) -> np.ndarray:
-    """Columns of a numeric CSV whose first line starts with ``header``; a
-    truncated or extra-field row, a cell that breaks the token rule of
-    :func:`_float_row` or a non-finite value is a ConfigError."""
-    lines = _read_text(_input(path)).splitlines()
+    """The value columns of a numeric CSV whose first line starts with
+    ``header`` and whose rows are numbered k = 1..n in file order; a
+    truncated or extra-field row, another k, a cell that breaks the token
+    rule of :func:`_float_row` or a non-finite value is a ConfigError."""
+    lines = _read_input(path).splitlines()
     if not lines or not lines[0].startswith(header):
         raise ConfigError(f"{path} does not start with {header!r}")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for k, line in enumerate(lines[1:], start=1):
         try:
             row = _float_row(line)
         except ValueError:
             row = []
-        if len(row) != ncols or not all(map(math.isfinite, row)):
-            raise ConfigError(f"{path}:{lineno}: expected {ncols} finite "
-                              f"numbers, got {line!r}")
-        rows.append(row)
-    return np.array(rows).reshape(-1, ncols).T.copy()
+        if len(row) != ncols or not all(map(math.isfinite, row)) or row[0] != k:
+            raise ConfigError(f"{path}:{k + 1}: expected k = {k} and {ncols - 1} "
+                              f"finite numbers, got {line!r}")
+        rows.append(row[1:])
+    return np.array(rows).reshape(-1, ncols - 1).T.copy()
 
 
 def build_grid(cp) -> Grid:
@@ -220,6 +222,9 @@ def build_shape(cp, seed: int) -> GridDomain:
             )
         cy = _get(cp, "shape", "cy", float, 0.0)
         if kind == "two_blobs":  # the left blob; the pair is mirrored about x = 0
+            x0, x1 = grid.origin[0], float(grid.xs[-1])
+            if abs(x0 + x1) > 1e-9 * (x1 - x0):
+                raise ConfigError(f"[grid] x0 + x1 = {x0 + x1!r}: two_blobs mirrors about x = 0")
             cx = -0.5 * _get(cp, "shape", "sep", float, 2.1)
         else:
             cx = _get(cp, "shape", "cx", float, 0.0)
@@ -312,7 +317,7 @@ def _sha256(path: pathlib.Path) -> str:
 
 def _artifact_hashes(out: pathlib.Path) -> dict:
     """sha256 of every file in ``out`` except the manifest itself."""
-    return {p.name: _sha256(p) for p in sorted(out.iterdir())
+    return {p.name: _read_input(p, _sha256) for p in sorted(out.iterdir())
             if p.is_file() and p.name != "manifest.json"}
 
 
@@ -484,11 +489,7 @@ def _read_field(path, d: GridDomain, dom_path) -> np.ndarray:
     """A nodal field dump on the grid of ``d`` (read from ``dom_path``); a
     missing or malformed dump, another grid header or a non-finite value is
     a ConfigError."""
-    path = _input(path)
-    try:
-        grid, field = read_field_dump(path)
-    except ValueError as err:
-        raise ConfigError(f"bad grid dump {path}: {err}") from err
+    grid, field = _read_input(path, read_field_dump)
     if grid != d.grid:
         raise ConfigError(f"grid header of {path} does not match {dom_path}")
     if not np.all(np.isfinite(field)):
@@ -504,14 +505,14 @@ def _load_diagnose_inputs(cp):
     spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
     xi_path = _get(cp, "diagnose", "xi", str, required=True)
     d = _read_domain(dom_path)
-    _, lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
+    lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
     if len(lambdas) == 0:
         raise ConfigError(f"{spec_path} lists no eigenpairs")
     modes = [_read_field(spec_path.parent / f"mode_{k}.grid", d, dom_path)
              for k in range(1, len(lambdas) + 1)]
     sp = Spectrum(lambdas=lambdas, modes=np.stack(modes), resid=resid,
                   generation=d.generation)
-    _, xi = _read_csv(xi_path, "k,xi", 2)
+    (xi,) = _read_csv(xi_path, "k,xi", 2)
     if len(xi) == 0:
         raise ConfigError(f"{xi_path} lists no weights")
     if len(xi) > len(lambdas):
@@ -616,7 +617,10 @@ def run_single(command: str, config_path: str, out_dir: str,
         out = pathlib.Path(out_dir)
         if check:
             return _run_check(command, cp, out, seed)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot make the output directory {out}: {err.strerror}") from err
         return _run_command(command, cp, out, seed)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -642,10 +646,10 @@ def _run_check(command: str, cp, out: pathlib.Path, seed: int) -> int:
     """Verify the recorded hashes against both the files on disk (artifact
     integrity) and a fresh rerun in a scratch directory (reproducibility)."""
     manifest_path = out / "manifest.json"
-    if not manifest_path.is_file():
-        raise ConfigError(f"cannot check: {manifest_path} does not exist")
-    with open(manifest_path) as f:
-        recorded = json.load(f).get("artifacts", {})
+    manifest = _read_input(manifest_path, lambda p: json.loads(p.read_bytes()))
+    recorded = manifest.get("artifacts") if isinstance(manifest, dict) else None
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"cannot check: {manifest_path} has no artifacts object")
     on_disk = _artifact_hashes(out)
     with tempfile.TemporaryDirectory(prefix="eigenshape-check-") as tmp:
         scratch = pathlib.Path(tmp)

@@ -6,8 +6,10 @@ determinism of reruns, the p-sweep weight trace, diagnosing saved
 artifacts, and multi-config fan-out.
 """
 
+import builtins
 import collections
 import contextlib
+import errno
 import io
 import json
 import math
@@ -286,6 +288,19 @@ def test_build_shape_two_blobs_mirror_symmetry(tmp_path):
     })
     d = build_shape(load_config(cfg), seed=9)
     assert np.array_equal(d.phi, d.phi[:, ::-1])  # exact mirror about x = 0
+
+
+@pytest.mark.parametrize("box", [(-1.9, -2.4, 2.9, 2.4), (0.0, -2.0, 4.0, 2.0)])
+def test_two_blobs_on_a_grid_not_symmetric_about_x_0_exit_2(tmp_path, capsys, box):
+    # the pair is mirrored about x = 0, which the node lattice must straddle
+    grid = dict(zip(("x0", "y0", "x1", "y1"), box), nx=121, ny=121)
+    cfg = write_ini(tmp_path / "c.ini", {"grid": grid, "shape": {"kind": "two_blobs"}})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_single("solve", str(cfg), str(out), None, False) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[grid]" in err
+    assert list(out.iterdir()) == []
 
 
 def test_build_objective_bad_family(tmp_path):
@@ -1238,6 +1253,9 @@ def _diagnose_corrupted(opt_run, tmp_path, capsys, name, edit):
     ("spectrum.csv", "3,1.0,0.0,7.0"),  # extra field
     ("xi.csv", "2,abc"),                # not a number
     ("xi.csv", ""),                     # blank
+    ("spectrum.csv", "2,1.0,0.0"),      # k repeated
+    ("xi.csv", "5,1.0"),                # k skips ahead
+    ("xi.csv", "1.5,1.0"),              # k not a whole number
 ])
 def test_diagnose_bad_row(opt_run, tmp_path, capsys, name, row):
     code, err = _diagnose_corrupted(opt_run, tmp_path, capsys, name,
@@ -1740,6 +1758,94 @@ def test_v1_dump_exit_2_at_every_input_site(torsion_run, tmp_path, capsys, site)
         err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and str(path) in err and "v1" in err
+
+
+def _deny_reading(monkeypatch, path) -> None:
+    """Every open of ``path`` raises the PermissionError of a file without
+    read permission, which a test cannot make with chmod when it runs as root."""
+    real_open, target = io.open, os.path.abspath(path)
+
+    def guarded_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.abspath(file) == target:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", guarded_open)  # pathlib opens through io.open
+    monkeypatch.setattr(builtins, "open", guarded_open)
+
+
+#: input -> (command, --check, the file it names in the solved 33x33 run)
+_INPUTS = {
+    "config": ("solve", False, "c.ini"),
+    "shape_path": ("solve", False, "domain.grid"),
+    "penalty_reference": ("optimize", False, "domain.grid"),
+    "diagnose_domain": ("diagnose", False, "domain.grid"),
+    "mode_1": ("diagnose", False, "mode_1.grid"),
+    "torsion": ("diagnose", False, "torsion.grid"),
+    "spectrum": ("diagnose", False, "spectrum.csv"),
+    "xi": ("diagnose", False, "xi.csv"),
+    "manifest": ("solve", True, "manifest.json"),
+    "artifact": ("solve", True, "spectrum.csv"),
+}
+
+
+@pytest.mark.parametrize("source, fault", [
+    *((source, "unreadable") for source in _INPUTS),
+    # a directory in place of torsion.grid means no torsion.grid (diagnose
+    # solves afresh), and in place of an artifact a hash mismatch (exit 1)
+    *((source, "directory") for source in _INPUTS if source not in ("torsion", "artifact")),
+    ("manifest", b"not json"), ("manifest", b"[1]"), ("manifest", b"{}"),
+])
+def test_every_input_the_cli_cannot_read_exit_2(torsion_run, tmp_path, capsys, monkeypatch,
+                                               source, fault):
+    # one reader opens every input: a file that cannot be read, a directory
+    # in its place or a corrupt manifest exits 2 with one line naming it,
+    # and no manifest is written
+    run = tmp_path / "run"
+    shutil.copytree(torsion_run, run)
+    command, check, name = _INPUTS[source]
+    path = tmp_path / name if source == "config" else run / name
+    sections = {
+        "config": _small_sections("solve"),
+        "shape_path": _small_sections("solve", "file", shape={"path": str(path)}),
+        "penalty_reference": _small_sections(
+            "optimize", penalty={"s": 0.02, "reference": str(path)}),
+    }.get(source, diagnose_sections(run, probes=8))
+    cfg = torsion_run.parent / "solve.ini" if check else write_ini(tmp_path / "c.ini", sections)
+    out = run if check else tmp_path / "out"
+    if fault == "directory":
+        path.unlink()
+        path.mkdir()
+    elif fault != "unreadable":
+        path.write_bytes(fault)
+    manifests = {p: p.read_bytes() for p in tmp_path.rglob("manifest.json") if p.is_file()}
+    if fault == "unreadable":
+        _deny_reading(monkeypatch, path)
+    capsys.readouterr()
+    code = run_single(command, str(cfg), str(out), None, check)
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and str(path) in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("manifest.json") if p.is_file()} == manifests
+
+
+@pytest.mark.parametrize("out, stems", [
+    ("file", ["c"]),
+    ("file/sub", ["c"]),
+    ("file", ["a", "b"]),  # each config runs into file/<stem>
+], ids=["file", "under_a_file", "several_configs"])
+def test_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, out, stems):
+    (tmp_path / "file").write_text("")
+    argv = ["solve", "--out", str(tmp_path / out)]
+    for stem in stems:
+        argv += ["--config", str(write_ini(tmp_path / f"{stem}.ini", _small_sections("solve")))]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(stems)
+    assert all(line.startswith("error: cannot make the output directory ") for line in err)
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("key, value", [
