@@ -10,8 +10,8 @@ usage or validation errors, with no manifest. A SpectralError prints one
 ``numerical failure:`` line and adds its ``error`` to the manifest; a flow
 stage that aborts prints its own stage line. One ``_read_input`` opens
 every input file, manifest.json under --check too: one that is missing,
-unreadable, not UTF-8 or malformed exits 2 with one line naming it, as
-does an --out that cannot be made a directory.
+unreadable, not UTF-8 or malformed exits 2 with one line naming it; so does
+a run that cannot make --out or write into it, keeping what it wrote.
 """
 
 from __future__ import annotations
@@ -529,7 +529,7 @@ def _load_torsion(d: GridDomain, cp):
     file."""
     dom_path = _get(cp, "diagnose", "domain", str)
     path = pathlib.Path(_get(cp, "diagnose", "spectrum", str)).parent / "torsion.grid"
-    if not path.is_file():
+    if not path.exists():  # a directory or FIFO in its place fails in _read_input
         return solve_torsion(d)
     try:
         return torsion_field(d, _read_field(path, d, dom_path))
@@ -609,22 +609,22 @@ _COMMANDS = {
 
 def run_single(command: str, config_path: str, out_dir: str,
                seed_override: int | None, check: bool) -> int:
-    """One config through one subcommand; returns the exit code."""
+    """One config through one subcommand; returns the exit code. Inputs fail in
+    ``_read_input``, so an OSError here is an output failure: one line, exit 2."""
+    out = pathlib.Path(out_dir)
     try:
         cp = load_config(config_path)
         seed = _get(cp, "run", "seed", int, 0)  # looked up under --seed too: it is read
         seed = seed if seed_override is None else seed_override
-        out = pathlib.Path(out_dir)
         if check:
             return _run_check(command, cp, out, seed)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise ConfigError(f"cannot make the output directory {out}: {err.strerror}") from err
+        out.mkdir(parents=True, exist_ok=True)
         return _run_command(command, cp, out, seed)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+    except OSError as err:
+        print(f"error: cannot write {err.filename or out}: {err.strerror}", file=sys.stderr)
+    return 2
 
 
 def _run_command(command: str, cp, out: pathlib.Path, seed: int) -> int:

@@ -461,24 +461,38 @@ def test_seed_override(tmp_path):
     assert manifest["seed"] == 42
 
 
-# ---- the dump writer on every exit path -------------------------------
+# ---- an output that cannot be written ---------------------------------
 
 
-@pytest.mark.parametrize("command", ["solve", "optimize"])
-def test_failed_child_writer_fails_loudly(tmp_path, monkeypatch, command):
-    # a dump writer that raises fails the command before the manifest is written
-    if command == "solve":
-        sections = solve_sections()
+@pytest.mark.parametrize("command, check, writer", [
+    ("solve", False, "eigenshape.cli.write_spectrum_csv"),
+    ("solve", False, "eigenshape.cli.write_manifest"),
+    ("optimize", False, "eigenshape.domain.write_field_dump"),
+    ("sweep-p", False, "eigenshape.cli.write_trace_csv"),
+    ("diagnose", False, "eigenshape.cli.write_weiss_csv"),
+    ("solve", True, "tempfile.TemporaryDirectory"),
+], ids=["solve", "solve_manifest", "optimize", "sweep-p", "diagnose", "solve_check"])
+def test_output_that_cannot_be_written_exit_2(torsion_run, tmp_path, monkeypatch, capsys,
+                                              command, check, writer):
+    # a full disk raises ENOSPC with no file name: the run exits 2 with one
+    # line naming --out, and no manifest is written
+    run = tmp_path / "run"
+    shutil.copytree(torsion_run, run)
+    if check:
+        cfg, out = torsion_run.parent / "solve.ini", run
     else:
-        sections = optimize_sections()
-        sections["optimizer"]["max_steps"] = 1
-    cfg = write_ini(tmp_path / "c.ini", sections)
-    monkeypatch.setattr("eigenshape.domain.write_field_dump",
-                        _raise(OSError("no space left for the dump")))
-    out = tmp_path / "out"
-    with pytest.raises(OSError, match="no space left for the dump"):
-        run_single(command, str(cfg), str(out), None, False)
-    assert not (out / "manifest.json").exists()
+        sections = (diagnose_sections(run, probes=8) if command == "diagnose"
+                    else _small_sections(command))
+        cfg, out = write_ini(tmp_path / "c.ini", sections), tmp_path / "out"
+    manifests = {p: p.read_bytes() for p in tmp_path.rglob("manifest.json")}
+    monkeypatch.setattr(writer, _raise(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
+    capsys.readouterr()
+    code = run_single(command, str(cfg), str(out), None, check)
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("manifest.json")} == manifests
 
 
 def _raise(err):
@@ -1791,9 +1805,8 @@ _INPUTS = {
 
 @pytest.mark.parametrize("source, fault", [
     *((source, "unreadable") for source in _INPUTS),
-    # a directory in place of torsion.grid means no torsion.grid (diagnose
-    # solves afresh), and in place of an artifact a hash mismatch (exit 1)
-    *((source, "directory") for source in _INPUTS if source not in ("torsion", "artifact")),
+    # a directory in place of an artifact is a hash mismatch (exit 1)
+    *((source, "directory") for source in _INPUTS if source != "artifact"),
     ("manifest", b"not json"), ("manifest", b"[1]"), ("manifest", b"{}"),
 ])
 def test_every_input_the_cli_cannot_read_exit_2(torsion_run, tmp_path, capsys, monkeypatch,
@@ -1844,7 +1857,7 @@ def test_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, out, stems):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == len(stems)
-    assert all(line.startswith("error: cannot make the output directory ") for line in err)
+    assert all(line.startswith("error: cannot write ") for line in err)
     assert (tmp_path / "file").read_text() == ""
 
 
