@@ -11,7 +11,9 @@ usage or validation errors, with no manifest. A SpectralError prints one
 stage that aborts prints its own stage line. One ``_read_input`` opens
 every input file, manifest.json under --check too: one that is missing,
 unreadable, not UTF-8 or malformed exits 2 with one line naming it; so does
-a run that cannot make --out or write into it, keeping what it wrote.
+a run that cannot make --out or write into it, keeping what it wrote. The
+seed, ``[run] seed`` or --seed over it, is a non-negative integer: a negative
+one exits 2 naming the one that set it, before any command runs.
 """
 
 from __future__ import annotations
@@ -159,11 +161,6 @@ def _floats(raw: str) -> list[float]:
     return [float(v) for v in raw.split()]
 
 
-def _read_domain(path) -> GridDomain:
-    """A saved domain dump; a missing or malformed one is a ConfigError."""
-    return _read_input(path, read_grid_dump)
-
-
 def _float_row(line: str) -> list[float]:
     """The cells of one CSV line of floats, each stripped of whitespace and
     under the token rule of :func:`domain._number_token`. A comment sign,
@@ -209,7 +206,7 @@ def build_shape(cp, seed: int) -> GridDomain:
     """The initial domain of ``[shape]``; each kind looks up only its own keys."""
     kind = _get(cp, "shape", "kind", str, required=True)
     if kind == "file":
-        return _read_domain(_get(cp, "shape", "path", str, required=True))
+        return _read_input(_get(cp, "shape", "path", str, required=True), read_grid_dump)
     grid = build_grid(cp)
     try:  # a constructor rejects e.g. a non-finite size or centre
         if kind == "rectangle":
@@ -290,7 +287,7 @@ def build_optimizer(cp, spec: ObjectiveSpec, seed: int, grid: Grid, *,
         pen = PenaltySpec(**_set_keys(cp, "penalty", {"s": float}))
         ref_path = _get(cp, "penalty", "reference", str) if pen.s > 0 else None
         if ref_path is not None:
-            reference = _read_domain(ref_path)
+            reference = _read_input(ref_path, read_grid_dump)
             if reference.grid != grid:
                 raise ConfigError(f"[penalty] reference {ref_path} is not on the [shape] grid")
             pen = PenaltySpec(s=pen.s, reference=reference)
@@ -504,7 +501,7 @@ def _load_diagnose_inputs(cp):
     dom_path = _get(cp, "diagnose", "domain", str, required=True)
     spec_path = pathlib.Path(_get(cp, "diagnose", "spectrum", str, required=True))
     xi_path = _get(cp, "diagnose", "xi", str, required=True)
-    d = _read_domain(dom_path)
+    d = _read_input(dom_path, read_grid_dump)
     lambdas, resid = _read_csv(spec_path, "k,lambda", 3)
     if len(lambdas) == 0:
         raise ConfigError(f"{spec_path} lists no eigenpairs")
@@ -522,13 +519,12 @@ def _load_diagnose_inputs(cp):
     return d, sp, xi
 
 
-def _load_torsion(d: GridDomain, cp):
-    """The torsion function of ``d``, the ``[diagnose] domain``: the
-    ``torsion.grid`` that solve wrote next to ``spectrum.csv``, once it passes
+def _load_torsion(d: GridDomain, dom_path, spec_path):
+    """The torsion function of ``d``, read from ``dom_path``: the
+    ``torsion.grid`` that solve wrote next to ``spec_path``, once it passes
     the check of solve's own solution, or a fresh solve when there is no such
     file."""
-    dom_path = _get(cp, "diagnose", "domain", str)
-    path = pathlib.Path(_get(cp, "diagnose", "spectrum", str)).parent / "torsion.grid"
+    path = pathlib.Path(spec_path).parent / "torsion.grid"
     if not path.exists():  # a directory or FIFO in its place fails in _read_input
         return solve_torsion(d)
     try:
@@ -545,8 +541,8 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
     every ``max(1, m // probes)``-th of the ``m`` boundary samples, which is
     ``ceil(m / stride)`` points, up to about twice ``probes``. The labels
     cover every sample."""
-    for key in ("domain", "spectrum", "xi"):  # read by _load_diagnose_inputs
-        _get(cp, "diagnose", key, str, required=True)
+    dom_path, spec_path, _ = (_get(cp, "diagnose", key, str, required=True)
+                              for key in ("domain", "spectrum", "xi"))  # the inputs read below
     radii = _get(cp, "diagnose", "radii", _floats)  # default 4h 6h 8h 12h
     n_probes = _get(cp, "diagnose", "probes", int, 48)
     if n_probes < 1:
@@ -577,7 +573,7 @@ def cmd_diagnose(cp, out: pathlib.Path, seed: int) -> tuple[int, dict]:
             "p90_abs": el.p90_abs,
             "n_reliable": int(len(el.values)),
         }
-        v = _load_torsion(d, cp)
+        v = _load_torsion(d, dom_path, spec_path)
         probe_pts = bm.points[::max(1, len(bm) // n_probes)]
         W, c_hat = weiss_profile(d, sp, xi, probe_pts, radii)
         write_weiss_csv(probe_pts, radii, W, out / "weiss.csv")
@@ -614,8 +610,11 @@ def run_single(command: str, config_path: str, out_dir: str,
     out = pathlib.Path(out_dir)
     try:
         cp = load_config(config_path)
-        seed = _get(cp, "run", "seed", int, 0)  # looked up under --seed too: it is read
-        seed = seed if seed_override is None else seed_override
+        seed, source = _get(cp, "run", "seed", int, 0), "[run] seed"  # read under --seed too
+        if seed_override is not None:
+            seed, source = seed_override, "--seed"
+        if seed < 0:
+            raise ConfigError(f"{source} = {seed} is negative: a seed is a non-negative integer")
         if check:
             return _run_check(command, cp, out, seed)
         out.mkdir(parents=True, exist_ok=True)

@@ -395,18 +395,49 @@ def test_solve_rerun_is_byte_identical(solve_run, tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_check_passes_then_catches_tampering(solve_run):
-    cfg, out = solve_run
-    assert run_single("solve", str(cfg), str(out), None, True) == 0
-    target = out / "spectrum.csv"
-    original = target.read_bytes()
-    try:
-        corrupted = bytearray(original)
-        corrupted[len(corrupted) // 2] ^= 0x01
-        target.write_bytes(bytes(corrupted))
-        assert run_single("solve", str(cfg), str(out), None, True) == 1
-    finally:
-        target.write_bytes(original)
+#: --check case -> (command, the module run it reads or None, the sections of
+#: its config from that fixture's value, the artifact it tampers with); None
+#: sections check a copy of the module run's (config, --out) itself
+_CHECKED = {
+    "solve": ("solve", "solve_run", None, "spectrum.csv"),
+    "solve_file": ("solve", "solve_run", lambda run: {
+        "run": {"seed": 3}, "shape": {"kind": "file", "path": str(run[1] / "domain.grid")},
+        "solve": {"modes": 2}}, "mode_1.grid"),
+    "optimize": ("optimize", "opt_run", None, "trace.csv"),
+    "optimize_anchored": ("optimize", "opt_run", lambda run: {
+        **optimize_sections(), "optimizer": {"max_steps": 3},
+        "penalty": {"s": 0.02, "reference": str(run[1] / "domain.grid")}}, "domain.grid"),
+    # s anchors the second stage at the first stage's end
+    "sweep_p_anchored": ("sweep-p", None,
+                         lambda run: _small_sections("sweep-p", penalty={"s": 0.02}),
+                         "trace_p16.csv"),
+    "diagnose_without_torsion_grid": ("diagnose", "opt_run",
+                                      lambda run: diagnose_sections(run[1]), "report.json"),
+    "diagnose_with_torsion_grid": ("diagnose", "torsion_run",
+                                   lambda run: diagnose_sections(run, probes=8), "weiss.csv"),
+}
+
+
+@pytest.mark.parametrize("case", _CHECKED)
+def test_check_passes_then_catches_tampering(request, tmp_path, capsys, case):
+    # --check of a run of every command passes, and exits 1 naming the one
+    # artifact in which a byte was flipped
+    command, fixture, sections, name = _CHECKED[case]
+    run = request.getfixturevalue(fixture) if fixture else None
+    out = tmp_path / "out"
+    if sections is None:
+        cfg, run_out = run
+        shutil.copytree(run_out, out)
+    else:
+        cfg = write_ini(tmp_path / "c.ini", sections(run))
+        assert run_single(command, str(cfg), str(out), None, False) == 0
+    assert run_single(command, str(cfg), str(out), None, True) == 0
+    corrupted = bytearray((out / name).read_bytes())
+    corrupted[len(corrupted) // 2] ^= 0x01
+    (out / name).write_bytes(bytes(corrupted))
+    capsys.readouterr()
+    assert run_single(command, str(cfg), str(out), None, True) == 1
+    assert capsys.readouterr().err == f"hash mismatch on disk: {name}\n"
 
 
 def test_check_without_manifest(solve_run, tmp_path):
@@ -459,6 +490,25 @@ def test_seed_override(tmp_path):
     assert run_single("solve", str(cfg), str(out), 42, False) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 42
+
+
+@pytest.mark.parametrize("source", ["[run] seed", "--seed"], ids=["config", "flag"])
+@pytest.mark.parametrize("command", ["solve", "optimize", "sweep-p", "diagnose"])
+def test_negative_seed_exit_2_naming_its_source(small_run, tmp_path, capsys, command, source):
+    # a seed is a non-negative integer, whether the config or --seed sets it;
+    # a negative one is rejected before any command runs
+    sections = (diagnose_sections(small_run) if command == "diagnose"
+                else _small_sections(command, "blob"))
+    sections["run"] = {"seed": -1 if source == "[run] seed" else 3}
+    cfg = write_ini(tmp_path / "c.ini", sections)
+    out = tmp_path / "out"
+    override = ["--seed", "-2"] if source == "--seed" else []
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out), *override]) == 2
+    seed = -2 if override else -1
+    assert capsys.readouterr().err == (
+        f"error: {source} = {seed} is negative: a seed is a non-negative integer\n")
+    assert not out.exists()
 
 
 # ---- an output that cannot be written ---------------------------------
@@ -654,6 +704,7 @@ def test_optimize_stall_after_a_reinit_writes_the_last_accepted_state(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["stop_reason"] == "line_search_stall"
     assert (out / "trace.csv").read_text().splitlines()[-1].startswith("20,")
     assert_manifest_is_the_last_trace_row(out)
+    assert run_single("optimize", str(_stall_ini(tmp_path)), str(out), None, True) == 0
 
 
 def test_optimize_bar_is_the_lower_of_the_last_accepted_and_the_start(tmp_path, monkeypatch):
@@ -1566,6 +1617,7 @@ def test_huge_finite_phi_dump_reinitializes_and_optimizes(tmp_path, capsys):
         code = run_single("optimize", str(cfg), str(tmp_path / "out"), None, False)
     assert np.isfinite(r.phi).all() and np.array_equal(r.inside, d.inside)
     assert code == 0 and capsys.readouterr().err == ""
+    assert run_single("optimize", str(cfg), str(tmp_path / "out"), None, True) == 0
 
 
 def test_diagnose_xi_without_rows_exit_2(small_run, tmp_path, capsys):

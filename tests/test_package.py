@@ -1,5 +1,8 @@
 """The package's public names: each module's ``__all__`` is the one list,
-and the package re-exports all of them."""
+and the package re-exports all of them. Also the CI workflow's shell, whose
+every check must be able to fail its step."""
+
+import pathlib
 
 import eigenshape
 from eigenshape import diagnostics, domain, objective, optimizer, spectral
@@ -17,3 +20,11 @@ def test_package_all_is_the_modules_all():
     star: dict = {}
     exec("from eigenshape import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+def test_workflow_chains_no_commands():
+    # GitHub runs a step under bash -e, which ignores a failure of any command
+    # of an `a && b` list but the last: each check is a command of its own
+    workflow = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text().splitlines()
+    assert [n for n, line in enumerate(lines, start=1) if "&&" in line] == []
