@@ -22,9 +22,20 @@ def test_package_all_is_the_modules_all():
     assert set(star) - {"__builtins__"} == set(names)
 
 
+_WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
 def test_workflow_chains_no_commands():
     # GitHub runs a step under bash -e, which ignores a failure of any command
     # of an `a && b` list but the last: each check is a command of its own
-    workflow = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-    lines = workflow.read_text().splitlines()
+    lines = _WORKFLOW.read_text().splitlines()
     assert [n for n, line in enumerate(lines, start=1) if "&&" in line] == []
+
+
+def test_workflow_job_runs_every_step_with_pipefail():
+    # with the job's shell set to bash, GitHub runs each step as bash
+    # --noprofile --norc -eo pipefail, so `perfbench/run.py ... | tee` fails
+    # its step when run.py fails; the default bash -e checks only tee
+    jobs = _WORKFLOW.read_text().split("\njobs:\n")[1]
+    assert jobs.startswith("  tests:\n")
+    assert "\n    defaults:\n      run:\n        shell: bash\n" in jobs
