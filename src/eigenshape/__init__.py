@@ -12,6 +12,16 @@ list is the only list of its public names.
 
 __version__ = "0.1.0"
 
+import os
+
+# BLAS runs one thread unless the caller's environment sets these: the thread
+# count changes the order of BLAS sums, and with it the artifacts' bytes, and
+# on a few CPUs the threads only slow the runs down. BLAS reads them when numpy
+# loads, so the pin takes effect where eigenshape is imported before numpy, as
+# the eigenshape script does.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from . import diagnostics, domain, objective, optimizer, spectral
 from .diagnostics import *  # noqa: F401,F403
 from .domain import *  # noqa: F401,F403

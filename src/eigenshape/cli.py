@@ -653,8 +653,7 @@ def _run_check(command: str, cp, out: pathlib.Path, seed: int) -> int:
     with tempfile.TemporaryDirectory(prefix="eigenshape-check-") as tmp:
         scratch = pathlib.Path(tmp)
         code = _run_command(command, cp, scratch, seed)
-        if code != 0:
-            print(f"check rerun failed with exit code {code}", file=sys.stderr)
+        if code != 0:  # the rerun printed its one line
             return code
         fresh = _artifact_hashes(scratch)
     failed = False

@@ -499,11 +499,12 @@ def write_field_dump(grid: Grid, field: np.ndarray, path) -> None:
         f.write(np.asarray(field, dtype="<f8").tobytes())
 
 
-def _number_token(text: str) -> str:
-    """``text`` if it is ASCII without "_", the token rule of every number that
-    the program reads (int() and float() would read "3_3" or an Arabic-Indic
-    digit); a ValueError otherwise."""
-    if not text.isascii() or "_" in text:
+def _number_token(text: str | bytes) -> str | bytes:
+    """``text`` (a str, or the bytes of a dump header) if it is ASCII without
+    "_", the token rule of every number that the program reads (int() and
+    float() would read "3_3" or an Arabic-Indic digit); a ValueError that
+    quotes ``text`` as it is otherwise."""
+    if not text.isascii() or ("_" if isinstance(text, str) else b"_") in text:
         raise ValueError(f"{text!r} is not ASCII without '_'")
     return text
 
@@ -515,7 +516,7 @@ def read_field_dump(path) -> tuple[Grid, np.ndarray]:
     anything is allocated from the header sizes."""
     with open(path, "rb") as f:
         line = f.readline(_DUMP_HEADER_MAX)
-        header = _number_token(line.decode("latin-1")).split()  # any byte > 0x7f fails
+        header = _number_token(line).decode().split()
         if not line.endswith(b"\n") or len(header) != 7 or header[:2] != [_DUMP_MAGIC, "v2"]:
             raise ValueError(f"not a {_DUMP_MAGIC} v2 header line: {line!r}")
         nx, ny = int(header[2]), int(header[3])

@@ -7,6 +7,8 @@ fixtures also witness the command-line contract; tests reconstruct the
 diagnose subcommand does.
 """
 
+import eigenshape  # noqa: F401  first, so that its BLAS thread pin holds when numpy loads
+
 import configparser
 import json
 import pathlib

@@ -2,11 +2,12 @@
 and pairs of disks, dilation, the half-plane, and perimeter and roundness of
 level-set domains.
 
-No command uses them. The flagship configs are those of the benchmark,
-``perfbench/workloads.py``, loaded by path with the standard library (as
-``tools/compare_runs.py`` does), so tier-1's ``fk`` and ``ks`` are the
-benchmark's by construction. This module holds the one test copy of each
-Bessel zero and closed form.
+No command uses them. ``tools/compare_runs.py`` is loaded by path with the
+standard library, and the benchmark's ``perfbench/workloads.py`` is the one
+that it loads, so tier-1's ``fk`` and ``ks`` are the benchmark's by
+construction, and j01, the ball and two-ball optima and the equal pair's J are
+theirs. This module holds the tests' one copy of j11 and of the other closed
+forms.
 """
 
 import configparser
@@ -23,15 +24,16 @@ from eigenshape.domain import Grid, GridDomain, bilinear, extract_boundary, volu
 from eigenshape.objective import ObjectiveSpec, eval_Fp
 
 _spec = importlib.util.spec_from_file_location(
-    "workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)  # standard library only
+    "compare_runs", pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py")
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)  # standard library only
+workloads = compare_runs.workloads
 
-J01 = 2.404825557695773  # first zero of J0
-J11 = 3.8317059702075125  # first zero of J1, correctly rounded
+J01 = workloads.J01  # first zero of J0
+J11 = 3.8317059702075125  # first zero of J1, correctly rounded (workloads' is 1 ulp low)
 R_STAR = (J01**2 / math.pi) ** 0.25  # ball radius where the ground-state speed vanishes
-BALL_OPTIMUM = 2.0 * J01 * math.sqrt(math.pi)            # least lambda_1 + |Omega| ~ 8.524880
-TWO_BALL_OPTIMUM = 2.0 * math.sqrt(2.0 * math.pi) * J01  # least lambda_2 + |Omega| ~ 12.056011
+BALL_OPTIMUM = workloads.BALL_OPTIMUM          # least lambda_1 + |Omega| ~ 8.524880
+TWO_BALL_OPTIMUM = workloads.TWO_BALL_OPTIMUM  # least lambda_2 + |Omega| ~ 12.056011
 
 
 def flagship_config(workload: str) -> str:
@@ -97,12 +99,6 @@ def roundness(d: GridDomain) -> float:
     if p == 0.0:
         return 0.0
     return 4.0 * math.pi * volume(d) / p**2
-
-
-def equal_pair_J(p: float) -> float:
-    """J = F_p(lambda) + |Omega| of the best pair of equal disks for the second
-    eigenvalue: F_p(l, l) = (2^(1/p) + 3/p) l + 1/(2p), least over the radius."""
-    return 2.0 * J01 * math.sqrt(2.0 * math.pi * (2.0 ** (1.0 / p) + 3.0 / p)) + 0.5 / p
 
 
 def unit_weight(n: int) -> ObjectiveSpec:

@@ -70,41 +70,14 @@ from conftest import write_ini
 from shapes import J01
 
 
-def solve_sections(**shape):
-    shp = {"kind": "disk", "r": 1.0}
-    shp.update(shape)
-    return {
-        "run": {"seed": 3},
-        "grid": {"nx": 97, "ny": 97},
-        "shape": shp,
-        "solve": {"modes": 2},
-    }
-
-
-def optimize_sections():
-    return {
-        "run": {"seed": 3},
-        "grid": {"nx": 97, "ny": 97},
-        "shape": {"kind": "disk", "r": 1.4},
-        "objective": {"family": "single", "n": 1, "index": 1},
-        "regularization": {"p": 32},
-        "optimizer": {"dt0": 0.4, "max_steps": 8, "conv_tol": 1e-5},
-    }
-
-
-def sweep_sections(schedule):
-    """optimize_sections() under sweep-p: its schedule sets every p, so
-    [sweep] takes the place of [regularization]."""
-    sections = optimize_sections()
-    del sections["regularization"]
-    sections["sweep"] = {"schedule": schedule}
-    return sections
+#: the [grid] of the module runs whose tolerances need more than 33x33 nodes
+_GRID97 = {"nx": 97, "ny": 97}
 
 
 @pytest.fixture(scope="module")
 def solve_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli-solve")
-    cfg = write_ini(base / "solve.ini", solve_sections())
+    cfg = write_ini(base / "solve.ini", _small_sections("solve", grid=_GRID97, shape={"r": 1.0}))
     out = base / "out"
     assert run_single("solve", str(cfg), str(out), None, False) == 0
     return cfg, out
@@ -113,7 +86,8 @@ def solve_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def opt_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli-opt")
-    cfg = write_ini(base / "opt.ini", optimize_sections())
+    cfg = write_ini(base / "opt.ini", _small_sections(
+        "optimize", grid=_GRID97, shape={"r": 1.4}, optimizer={"max_steps": 8, "conv_tol": 1e-5}))
     out = base / "out"
     assert run_single("optimize", str(cfg), str(out), None, False) == 0
     return cfg, out
@@ -237,9 +211,7 @@ def test_build_objective_single_is_linear_with_a_unit_weight(tmp_path):
 
 @pytest.mark.parametrize("value, written", [("Off", False), ("YES", True), ("0", False)])
 def test_solve_torsion_boolean_words(tmp_path, value, written):
-    sections = solve_sections()
-    sections["solve"]["torsion"] = value
-    cfg = write_ini(tmp_path / "c.ini", sections)
+    cfg = write_ini(tmp_path / "c.ini", _small_sections("solve", solve={"torsion": value}))
     out = tmp_path / "out"
     assert run_single("solve", str(cfg), str(out), None, False) == 0
     assert (out / "torsion.grid").exists() is written
@@ -266,27 +238,17 @@ def test_solve_artifacts_and_manifest(solve_run):
     assert "manifest.json" not in manifest["artifacts"]
 
 
-def test_solve_rerun_is_byte_identical(solve_run, tmp_path):
-    cfg, out = solve_run
-    out2 = tmp_path / "again"
-    assert run_single("solve", str(cfg), str(out2), None, False) == 0
-    for name in ("domain.grid", "spectrum.csv", "mode_1.grid", "boundary.csv",
-                 "torsion.grid"):
-        assert (out / name).read_bytes() == (out2 / name).read_bytes()
-
-
 #: --check case -> (command, the module run it reads or None, the sections of
 #: its config from that fixture's value, the artifact it tampers with); None
 #: sections check a copy of the module run's (config, --out) itself
 _CHECKED = {
     "solve": ("solve", "solve_run", None, "spectrum.csv"),
-    "solve_file": ("solve", "solve_run", lambda run: {
-        "run": {"seed": 3}, "shape": {"kind": "file", "path": str(run[1] / "domain.grid")},
-        "solve": {"modes": 2}}, "mode_1.grid"),
+    "solve_file": ("solve", "solve_run", lambda run: _small_sections(
+        "solve", "file", shape={"path": str(run[1] / "domain.grid")}), "mode_1.grid"),
     "optimize": ("optimize", "opt_run", None, "trace.csv"),
-    "optimize_anchored": ("optimize", "opt_run", lambda run: {
-        **optimize_sections(), "optimizer": {"max_steps": 3},
-        "penalty": {"s": 0.02, "reference": str(run[1] / "domain.grid")}}, "domain.grid"),
+    "optimize_anchored": ("optimize", "opt_run", lambda run: _small_sections(
+        "optimize", grid=_GRID97, shape={"r": 1.4}, optimizer={"max_steps": 3},
+        penalty={"s": 0.02, "reference": str(run[1] / "domain.grid")}), "domain.grid"),
     # s anchors the second stage at the first stage's end
     "sweep_p_anchored": ("sweep-p", None,
                          lambda run: _small_sections("sweep-p", penalty={"s": 0.02}),
@@ -300,8 +262,10 @@ _CHECKED = {
 
 @pytest.mark.parametrize("case", _CHECKED)
 def test_check_passes_then_catches_tampering(request, tmp_path, capsys, case):
-    # --check of a run of every command passes, and exits 1 naming the one
-    # artifact in which a byte was flipped
+    # --check of a run of every command passes, so a rerun of its config
+    # writes the hash of every artifact again (the solve and optimize cases
+    # rerun the module runs), and exits 1 naming the one artifact in which a
+    # byte was flipped
     command, fixture, sections, name = _CHECKED[case]
     run = request.getfixturevalue(fixture) if fixture else None
     out = tmp_path / "out"
@@ -320,17 +284,8 @@ def test_check_passes_then_catches_tampering(request, tmp_path, capsys, case):
     assert capsys.readouterr().err == f"hash mismatch on disk: {name}\n"
 
 
-def test_check_returns_the_exit_code_of_a_failed_rerun(solve_run, monkeypatch, capsys):
-    cfg, out = solve_run
-    monkeypatch.setattr("eigenshape.cli.solve_spectrum",
-                        _raise(SpectralError("no convergence")))
-    capsys.readouterr()
-    assert run_single("solve", str(cfg), str(out), None, True) == 1
-    assert "check rerun failed with exit code 1\n" in capsys.readouterr().err
-
-
 def test_seed_override(tmp_path):
-    cfg = write_ini(tmp_path / "c.ini", solve_sections())
+    cfg = write_ini(tmp_path / "c.ini", _small_sections("solve"))
     out = tmp_path / "out"
     assert run_single("solve", str(cfg), str(out), 42, False) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -356,10 +311,8 @@ def test_arpack_non_convergence_exit_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("eigenshape.spectral.eigsh", eigsh)
     monkeypatch.setattr("eigenshape.spectral._MAX_ITER", 1)
-    sections = solve_sections()
-    sections["grid"] = {"nx": 65, "ny": 65}
-    sections["solve"]["modes"] = 8
-    cfg = write_ini(tmp_path / "c.ini", sections)
+    cfg = write_ini(tmp_path / "c.ini", _small_sections(
+        "solve", grid={"nx": 65, "ny": 65}, shape={"r": 1.0}, solve={"modes": 8}))
     argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
     err = assert_exit(capsys, monkeypatch, argv, 1, "numerical failure: ARPACK converged ",
                       Out(("domain.grid",), {"converged": False}))
@@ -405,9 +358,7 @@ def test_optimize_manifest_stop_reason(opt_run, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stop_reason"] in ("converged", "line_search_stall", "max_steps")
     assert manifest["stalled"] is (manifest["stop_reason"] == "line_search_stall")
-    sections = optimize_sections()
-    sections["optimizer"]["max_steps"] = 1
-    cfg = write_ini(tmp_path / "one.ini", sections)
+    cfg = write_ini(tmp_path / "one.ini", _small_sections("optimize", optimizer={"max_steps": 1}))
     assert run_single("optimize", str(cfg), str(tmp_path / "one"), None, False) == 0
     manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
     assert manifest["stop_reason"] == "max_steps"
@@ -489,22 +440,13 @@ def test_optimize_bar_is_the_lower_of_the_last_accepted_and_the_start(tmp_path, 
     assert raised >= 1
 
 
-def test_optimize_rerun_identical_trace(opt_run, tmp_path):
-    cfg, out = opt_run
-    out2 = tmp_path / "again"
-    assert run_single("optimize", str(cfg), str(out2), None, False) == 0
-    assert (out / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-    assert (out / "domain.grid").read_bytes() == (out2 / "domain.grid").read_bytes()
-
-
 # ---- sweep-p ----------------------------------------------------------
 
 
 def test_sweep_p_stages_and_weight_trace(tmp_path):
-    sections = sweep_sections("4 8")
-    sections["optimizer"]["max_steps"] = 3
-    sections["penalty"] = {"s": 0.02}  # without a reference: anchors stage 2 at stage 1's end
-    cfg = write_ini(tmp_path / "sweep.ini", sections)
+    # s without a reference anchors stage 2 at stage 1's end
+    cfg = write_ini(tmp_path / "sweep.ini", _small_sections(
+        "sweep-p", optimizer={"max_steps": 3}, sweep={"schedule": "4 8"}, penalty={"s": 0.02}))
     out = tmp_path / "out"
     assert run_single("sweep-p", str(cfg), str(out), None, False) == 0
     names = {p.name for p in out.iterdir()}
@@ -828,12 +770,7 @@ _HUGE_HEADER = "GRIDDUMP v2 1000000 1000000 0.1 0.0 0.0"
 def small_run(tmp_path_factory):
     """Diagnose inputs cheap enough to fuzz: a solved 33x33 disk and xi.csv."""
     base = tmp_path_factory.mktemp("cli-small")
-    cfg = write_ini(base / "solve.ini", {
-        "run": {"seed": 3},
-        "grid": {"nx": 33, "ny": 33},
-        "shape": {"kind": "disk", "r": 1.2},
-        "solve": {"modes": 2, "torsion": "no"},
-    })
+    cfg = write_ini(base / "solve.ini", _small_sections("solve", solve={"torsion": "no"}))
     out = base / "out"
     assert run_single("solve", str(cfg), str(out), None, False) == 0
     (out / "xi.csv").write_text("k,xi\n1,1.0\n")
@@ -1050,12 +987,7 @@ def test_float_row_reads_fuzzed_rows_as_the_loadtxt_row(line):
 def torsion_run(tmp_path_factory):
     """A solved 33x33 off-centre disk with its torsion.grid, and xi.csv."""
     base = tmp_path_factory.mktemp("cli-torsion")
-    cfg = write_ini(base / "solve.ini", {
-        "run": {"seed": 3},
-        "grid": {"nx": 33, "ny": 33},
-        "shape": {"kind": "disk", "cx": 0.1, "r": 1.2},
-        "solve": {"modes": 2},
-    })
+    cfg = write_ini(base / "solve.ini", _small_sections("solve", shape={"cx": 0.1}))
     out = base / "out"
     assert run_single("solve", str(cfg), str(out), None, False) == 0
     (out / "xi.csv").write_text("k,xi\n1,1.0\n")
@@ -1120,8 +1052,8 @@ def test_diagnose_explicit_radii(small_run, tmp_path):
 def test_main_fans_out_multiple_configs(tmp_path):
     # the configs run in turn, each into <out>/<config stem>, and --check
     # verifies every one of them
-    a = write_ini(tmp_path / "a.ini", solve_sections(r=0.9))
-    b = write_ini(tmp_path / "b.ini", solve_sections(r=1.1))
+    a = write_ini(tmp_path / "a.ini", _small_sections("solve", shape={"r": 0.9}))
+    b = write_ini(tmp_path / "b.ini", _small_sections("solve", shape={"r": 1.1}))
     out = tmp_path / "multi"
     argv = ["solve", "--config", str(a), "--config", str(b), "--out", str(out)]
     assert main(argv) == 0
@@ -1135,8 +1067,8 @@ def test_main_fans_out_multiple_configs(tmp_path):
 
 def test_main_exit_code_is_the_largest_of_the_runs(tmp_path, capsys):
     # a config error in the first run (exit 2) does not stop the second
-    bad = write_ini(tmp_path / "bad.ini", {**solve_sections(), "solve": {"modez": 3}})
-    good = write_ini(tmp_path / "good.ini", {**solve_sections(), "grid": {"nx": 33, "ny": 33}})
+    bad = write_ini(tmp_path / "bad.ini", _small_sections("solve", solve={"modez": 3}))
+    good = write_ini(tmp_path / "good.ini", _small_sections("solve"))
     out = tmp_path / "multi"
     assert main(["solve", "--config", str(bad), "--config", str(good), "--out", str(out)]) == 2
     assert "modez" in capsys.readouterr().err
@@ -1146,8 +1078,8 @@ def test_main_exit_code_is_the_largest_of_the_runs(tmp_path, capsys):
 
 def test_main_rejects_jobs(tmp_path, capsys):
     # there is no --jobs option: argparse exits 2 with a usage line before any run
-    a = write_ini(tmp_path / "a.ini", solve_sections(r=0.9))
-    b = write_ini(tmp_path / "b.ini", solve_sections(r=1.1))
+    a = write_ini(tmp_path / "a.ini", _small_sections("solve", shape={"r": 0.9}))
+    b = write_ini(tmp_path / "b.ini", _small_sections("solve", shape={"r": 1.1}))
     out = tmp_path / "multi"
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--config", str(a), "--config", str(b),
@@ -1163,7 +1095,7 @@ def test_main_rejects_stem_collision(tmp_path, capsys, monkeypatch):
     argv = ["solve", "--out", str(tmp_path / "out")]
     for sub in ("x", "y"):
         (tmp_path / sub).mkdir()
-        argv += ["--config", str(write_ini(tmp_path / sub / "same.ini", solve_sections()))]
+        argv += ["--config", str(write_ini(tmp_path / sub / "same.ini", _small_sections("solve")))]
     assert_exit(capsys, monkeypatch, argv, 2,
                 "error: config stems collide; use distinct file names\n", None)
 
@@ -1205,7 +1137,7 @@ def _startup_probe(*runs):
 
 
 def test_solve_and_diagnose_load_neither_ndimage_nor_spatial(tmp_path):
-    solve_ini = write_ini(tmp_path / "solve.ini", solve_sections())
+    solve_ini = write_ini(tmp_path / "solve.ini", _small_sections("solve"))
     (tmp_path / "xi.csv").write_text("k,xi\n1,1.0\n")
     diagnose_ini = write_ini(tmp_path / "diagnose.ini", {"diagnose": {
         "domain": str(tmp_path / "solve" / "domain.grid"),
@@ -1697,6 +1629,11 @@ _EXITS = {
         _OPTIMIZE_P16._replace(id="optimize_abort"),
         _SWEEP_P16._replace(id="sweep_p_abort")],
     # ---- inputs and outputs
+    # a --check whose rerun fails exits with the rerun's code and its one line
+    "test_check_returns_the_exit_code_of_a_failed_rerun": [Exit(
+        None, "solve", "numerical failure: forced failure\n", _rerun, 1, UNCHANGED,
+        run="solve_run", patch=(_patch("eigenshape.cli.solve_spectrum", _FORCED),),
+        args=("--check",))],
     "test_check_without_manifest": [Exit(
         None, "solve", "error: input not found: {run}/manifest.json\n", _small("solve"),
         out=None, args=("--check",))],
@@ -1821,14 +1758,14 @@ _EXITS = {
         for name in ("domain.grid", "mode_1.grid") for id, (edit, end) in _V2_EDITS.items()],
     # int() and float() would read either header as a 33x33 grid
     "test_dump_header_token_rule_exit_2": [
-        Exit(id, "diagnose", f"error: cannot parse {{run}}/domain.grid: {shown!r} is not ASCII "
+        Exit(id, "diagnose", f"error: cannot parse {{run}}/domain.grid: {shown} is not ASCII "
              "without '_'\n", _small("diagnose"), run="small_run",
              damage=(_rewrite("{run}/domain.grid", _header(header.encode())),))
-        for id, header, shown in (
+        for id, header, shown in (  # the header line quoted as bytes
             ("underscore", "GRIDDUMP v2 3_3 33 0.125 -2.0 -2.0",
-             "GRIDDUMP v2 3_3 33 0.125 -2.0 -2.0\n"),
+             r"b'GRIDDUMP v2 3_3 33 0.125 -2.0 -2.0\n'"),
             ("non_ascii_digit", "GRIDDUMP v2 33 ٣3 0.125 -2.0 -2.0",
-             "GRIDDUMP v2 33 Ù£3 0.125 -2.0 -2.0\n"))],  # its bytes as Latin-1
+             r"b'GRIDDUMP v2 33 \xd9\xa33 0.125 -2.0 -2.0\n'"))],
     "test_diagnose_xi_without_rows_exit_2": [Exit(
         None, "diagnose", "error: {run}/xi.csv lists no weights\n", _small("diagnose"),
         run="small_run", damage=(_rewrite("{run}/xi.csv", lambda data: b"k,xi\n"),))],

@@ -2,23 +2,12 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import pathlib
 
 import pytest
 
-from shapes import BALL_OPTIMUM
-
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
-
-
-@pytest.fixture(scope="module")
-def compare_runs():
-    spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from shapes import BALL_OPTIMUM, compare_runs
 
 
 def _run_dir(root: pathlib.Path, wall: float) -> pathlib.Path:
@@ -31,7 +20,7 @@ def _run_dir(root: pathlib.Path, wall: float) -> pathlib.Path:
     return root
 
 
-def test_compare_dirs_names_a_one_byte_change(compare_runs, tmp_path):
+def test_compare_dirs_names_a_one_byte_change(tmp_path):
     base = _run_dir(tmp_path / "base", wall=1.0)
     new = _run_dir(tmp_path / "new", wall=2.0)  # only the wall time differs
     assert compare_runs.compare_dirs(base, new) == [
@@ -50,7 +39,7 @@ def test_compare_dirs_names_a_one_byte_change(compare_runs, tmp_path):
         ("solve/torsion.grid", "only in new")]
 
 
-def test_compare_dirs_reads_manifest_fields_besides_wall_time(compare_runs, tmp_path):
+def test_compare_dirs_reads_manifest_fields_besides_wall_time(tmp_path):
     base = _run_dir(tmp_path / "base", wall=1.0)
     new = _run_dir(tmp_path / "new", wall=1.0)
     manifest = new / "solve" / "manifest.json"
@@ -58,7 +47,7 @@ def test_compare_dirs_reads_manifest_fields_besides_wall_time(compare_runs, tmp_
     assert ("solve/manifest.json", "changed") in compare_runs.compare_dirs(base, new)
 
 
-def test_j_p_star_closed_forms(compare_runs):
+def test_j_p_star_closed_forms():
     # the values of the reporting rule at p = 32, and the unregularized ball
     # optimum 2 j01 sqrt(pi) as p grows
     assert compare_runs.j_p_star("fk", 32.0) == pytest.approx(8.6726863, abs=1e-7)

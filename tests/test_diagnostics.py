@@ -139,24 +139,29 @@ def test_weiss_csv_golden(tmp_path, grid129):
     assert float(cells[3]) == W[0, 0]  # repr round-trips
 
 
+def _window(grid, x, r):
+    """The ball window of one centre ``x``, cut with slices: the box rows and
+    columns of the nodes within r + 2h of x along each axis (possibly none),
+    and the one-cell-mollified indicator of B_r(x) on them."""
+    h, pad = grid.h, r + 2.0 * grid.h
+    i0 = max(0, int(math.floor((x[0] - pad - grid.origin[0]) / h)))
+    i1 = min(grid.nx, int(math.ceil((x[0] + pad - grid.origin[0]) / h)) + 1)
+    j0 = max(0, int(math.floor((x[1] - pad - grid.origin[1]) / h)))
+    j1 = min(grid.ny, int(math.ceil((x[1] + pad - grid.origin[1]) / h)) + 1)
+    rows, cols = slice(j0, max(j0, j1)), slice(i0, max(i0, i1))
+    return rows, cols, inside_fraction(np.hypot(grid.xs[cols] - x[0],
+                                                 grid.ys[rows, None] - x[1]) - r, h)
+
+
 def _reference_weiss_energy(d, sp, xi, x, r):
-    """W(x, r) of weiss_profile for one centre, written with slices: mode
-    gradients, node coordinates and quadrature weights on the whole grid, then
-    cut to the ball window."""
+    """W(x, r) of weiss_profile for one centre: mode gradients and quadrature
+    weights on the whole grid, then cut to the :func:`_window` of x."""
     g, h = d.grid, d.grid.h
     xis = symmetrized(xi, sp.lambdas)
     grads = _mode_gradients(sp.modes, d.inside, h)
-    pad = r + 2.0 * h
-    i0 = max(0, int(math.floor((x[0] - pad - g.origin[0]) / h)))
-    i1 = min(g.nx, int(math.ceil((x[0] + pad - g.origin[0]) / h)) + 1)
-    j0 = max(0, int(math.floor((x[1] - pad - g.origin[1]) / h)))
-    j1 = min(g.ny, int(math.ceil((x[1] + pad - g.origin[1]) / h)) + 1)
-    rows, cols = slice(j0, j1), slice(i0, i1)
-    X, Y = g.meshgrid()
-    Xw, Yw = X[rows, cols], Y[rows, cols]
-    ball = inside_fraction(np.hypot(Xw - x[0], Yw - x[1]) - r, h)
+    rows, cols, ball = _window(g, x, r)
     chi = inside_fraction(d.phi[rows, cols], 1.5 * h)
-    integ = np.ones(Xw.shape)
+    integ = np.ones(ball.shape)
     for k in range(len(xis)):
         gk = grads[k][:, rows, cols]
         integ = integ + xis[k] * (gk[0] ** 2 + gk[1] ** 2)
@@ -381,18 +386,11 @@ def test_density_ratio_bounded(cx, cy, r):
 
 
 def _reference_density_ratio(d, x, r):
-    """density_ratio for one centre with its own window, as it was written
-    before the centres were batched."""
-    g, h = d.grid, d.grid.h
+    """density_ratio for one centre, on its :func:`_window`."""
+    h = d.grid.h
     if r < 2 * h:
         raise ValueError(f"radius {r} below resolvable 2h = {2 * h}")
-    pad = r + 2.0 * h
-    i0 = max(0, int(math.floor((x[0] - pad - g.origin[0]) / h)))
-    i1 = min(g.nx, int(math.ceil((x[0] + pad - g.origin[0]) / h)) + 1)
-    j0 = max(0, int(math.floor((x[1] - pad - g.origin[1]) / h)))
-    j1 = min(g.ny, int(math.ceil((x[1] + pad - g.origin[1]) / h)) + 1)
-    rows, cols = slice(j0, max(j0, j1)), slice(i0, max(i0, i1))
-    ball_w = inside_fraction(np.hypot(g.xs[cols] - x[0], g.ys[rows, None] - x[1]) - r, h)
+    rows, cols, ball_w = _window(d.grid, x, r)
     den = float(ball_w.sum())
     if den <= 0.0:
         return 0.0
@@ -621,14 +619,13 @@ def test_torsion_probe_validation(ball_torsion):
 
 
 def _reference_ball_mean(d, field, x, r):
-    """_ball_mean one centre at a time, as the torsion probe measured it."""
-    centre = np.asarray(x, dtype=float).reshape(1, 2)
-    (_, rows, cols, wts), = _ball_windows(d.grid, centre, r)
-    wts = wts[0]
+    """The mollified mean of ``field`` over B_r(x) and its largest |value|
+    where the ball has weight, on the :func:`_window` of one centre x."""
+    rows, cols, wts = _window(d.grid, x, r)
     total = float(wts.sum())
     if total <= 0.0:
         return 0.0, 0.0
-    f = field[rows[0, :, None], cols[0]]
+    f = field[rows, cols]
     return float((wts * f).sum() / total), float(np.abs(f[wts > 0]).max())
 
 

@@ -50,9 +50,9 @@ from shapes import (
     J11,
     R_STAR,
     TWO_BALL_OPTIMUM,
+    compare_runs,
     dilate,
     disk_minimum,
-    equal_pair_J,
     flagship_shape,
     half_plane,
     pair_minimum,
@@ -416,16 +416,6 @@ def test_optimize_trace_is_monotone(ball_flow):
     assert trace.final.xi.sum() == pytest.approx(1.0 + 1.0 / 32.0, abs=1e-12)
 
 
-def test_optimize_is_deterministic(grid97):
-    cfg = base_config(max_steps=6)
-    init = disk(grid97, (0.3, -0.2), 1.3)
-    a = optimize(cfg, init)
-    b = optimize(cfg, init)
-    assert [r.objective for r in a.records] == [r.objective for r in b.records]
-    assert [r.lambdas for r in a.records] == [r.lambdas for r in b.records]
-    assert np.array_equal(a.final.domain.phi, b.final.domain.phi)
-
-
 def test_optimize_abort_carries_partial_trace(grid97, monkeypatch):
     cfg = base_config(max_steps=20)
     real_solve = optimizer_mod.solve_spectrum
@@ -494,7 +484,7 @@ def test_unequal_disks_flow_to_the_unequal_pair_minimum():
     final = optimize(cfg, init).final
     J_pair, radii = pair_minimum(p)
     gap_pair = (radii[1] / radii[0]) ** 2 - 1.0
-    J_equal = equal_pair_J(p)
+    J_equal = compare_runs.j_p_star("ks", p)  # two equal disks
     lam = final.spectrum.lambdas
     gap = (lam[1] - lam[0]) / lam[0]
     assert connected_components(final.domain) == 2
@@ -512,7 +502,7 @@ def test_second_eigenvalue_from_one_disk_stays_connected_below_two_balls():
     g = Grid(nx=121, ny=121, h=0.04, origin=(-2.4, -2.4))
     cfg = OptimizerConfig(spec=ObjectiveSpec("linear", n=2, coeffs=(0, 1)), p=p, seed=11)
     final = optimize(cfg, disk(g, (0.013, -0.007), 1.25)).final
-    J_equal = equal_pair_J(p)
+    J_equal = compare_runs.j_p_star("ks", p)  # two equal disks
     assert connected_components(final.domain) == 1
     assert final.objective <= 0.99 * J_equal  # 12.58733: 1.27% below 12.74969
     assert final.objective_F > TWO_BALL_OPTIMUM  # 12.09555 > 12.05601
@@ -569,16 +559,18 @@ def test_p_continuation_schedule_validation(grid97, monkeypatch):
 
 
 def test_one_stage_p_continuation_is_optimize(grid97):
-    # the CLI runs optimize as the sweep whose schedule is [cfg.p]
+    # the CLI runs optimize as the sweep whose schedule is [cfg.p]; a rerun of
+    # optimize and that sweep both give its bytes
     ref = disk(grid97, (0.1, 0.0), 1.2)
     cfg = base_config(max_steps=12, pen=PenaltySpec(s=0.02, reference=ref))
     init = star_blob(grid97, (0.0, 0.0), 1.0, 0.2, 5, np.random.default_rng(7))
     a = optimize(cfg, init)
-    (b,) = p_continuation(cfg, init, [cfg.p])
-    assert len(a.records) > 2 and a.records == b.records
-    assert a.final.domain.phi.tobytes() == b.final.domain.phi.tobytes()
-    assert a.final.spectrum.modes.tobytes() == b.final.spectrum.modes.tobytes()
-    assert (a.stop_reason, a.final.objective_F) == (b.stop_reason, b.final.objective_F)
+    assert len(a.records) > 2
+    for b in (optimize(cfg, init), *p_continuation(cfg, init, [cfg.p])):
+        assert a.records == b.records
+        assert a.final.domain.phi.tobytes() == b.final.domain.phi.tobytes()
+        assert a.final.spectrum.modes.tobytes() == b.final.spectrum.modes.tobytes()
+        assert (a.stop_reason, a.final.objective_F) == (b.stop_reason, b.final.objective_F)
 
 
 def test_p_continuation_abort_carries_every_stage(grid97, monkeypatch):

@@ -1,8 +1,13 @@
 """The package's public names: each module's ``__all__`` is the one list,
-and the package re-exports all of them. Also the CI workflow's shell, whose
-every check must be able to fail its step."""
+and the package re-exports all of them; its BLAS thread pin. Also the CI
+workflow's shell, whose every check must be able to fail its step."""
 
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import eigenshape
 from eigenshape import diagnostics, domain, objective, optimizer, spectral
@@ -20,6 +25,20 @@ def test_package_all_is_the_modules_all():
     star: dict = {}
     exec("from eigenshape import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "set"])
+def test_import_pins_blas_threads_the_environment_leaves_unset(given):
+    # a fresh interpreter that imports eigenshape before numpy, as the script does
+    env = {k: v for k, v in os.environ.items() if k not in _PINS}
+    env.update(given, PYTHONPATH=str(pathlib.Path(eigenshape.__file__).parents[1]))
+    code = f"import eigenshape, os; print(*(os.environ[n] for n in {_PINS}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [given.get(name, "1") for name in _PINS]
 
 
 _WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"

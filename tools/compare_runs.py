@@ -45,6 +45,7 @@ _spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" /
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)  # standard library only, like this script
 
+# eigenshape pins these itself, but a base tree older than that pin does not
 THREAD_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
